@@ -21,7 +21,13 @@ from .entanglement import (
     SEPARABILITY_THRESHOLD,
 )
 from .gaussian import Matrix, physicality_check, symmetric_two_mode_covariance
-from .simulate import PhaseSchedule, PulseTrain, RunConfig, block_variance_trace, sample_pulses
+from .simulate import (
+    PhaseSchedule,
+    PulseTrain,
+    RunConfig,
+    block_variance_trace,
+    stream_block_variances,
+)
 
 _MIN_PHASE_SPAN = math.pi - 1e-9
 
@@ -84,7 +90,11 @@ def fit_variance_curve(
         design * sqrt_w[:, None], variances * sqrt_w, rcond=None
     )
     if rank < 3:
-        raise ValueError("degenerate fit: phase pattern does not constrain all parameters")
+        raise ValueError(
+            f"degenerate fit: the centres of the {phases.size} blocks do not sample "
+            "cos 2phi and sin 2phi independently; use more pulses per scan or a "
+            "smaller block"
+        )
     offset, cos_amp, sin_amp = coef
     amplitude = math.hypot(cos_amp, sin_amp)
     # parameter covariance of weighted LSQ with known per-point variances
@@ -294,13 +304,16 @@ def end_to_end_report(
     noise = config.detector.electronic_noise_var
     ramp = PhaseSchedule.linear_ramp(0.0, 4.0 * math.pi, pulses_per_scan)
     seeds = _scan_seeds(config.seed, 3)
-    base = replace(config, schedule=ramp, blocked_arm="none")
-    fit_zero = fit_phase_scan(
-        sample_pulses(replace(base, theta=0.0, seed=seeds[0])), block_size
-    )
-    fit_pi = fit_phase_scan(
-        sample_pulses(replace(base, theta=math.pi, seed=seeds[1])), block_size
-    )
+
+    def scan(theta: float, blocked_arm: str, seed: int):
+        # each scan is sampled and blocked chunk by chunk, never held whole
+        scan_config = replace(
+            config, schedule=ramp, theta=theta, blocked_arm=blocked_arm, seed=seed
+        )
+        return stream_block_variances(scan_config, block_size)
+
+    fit_zero = fit_variance_curve(*scan(0.0, "none", seeds[0]), block_size)
+    fit_pi = fit_variance_curve(*scan(math.pi, "none", seeds[1]), block_size)
     mismatch = abs(fit_zero.v_min - fit_pi.v_min)
     mismatch_err = math.hypot(fit_zero.stderr, fit_pi.stderr)
     if mismatch > 4.0 * mismatch_err:
@@ -308,10 +321,7 @@ def end_to_end_report(
             f"recombined scans disagree: |{fit_zero.v_min:.4f} - {fit_pi.v_min:.4f}| "
             f"exceeds 4 x {mismatch_err:.4f}; relative phase looks miscalibrated"
         )
-    blocked = sample_pulses(
-        replace(config, schedule=ramp, theta=0.0, blocked_arm="b", seed=seeds[2])
-    )
-    _, blocked_vars = block_variance_trace(blocked, block_size)
+    _, blocked_vars = scan(0.0, "b", seeds[2])
     single_level = float(blocked_vars.mean())
     single_err = float(blocked_vars.std(ddof=1) / math.sqrt(len(blocked_vars)))
 

@@ -193,7 +193,10 @@ def _analysis_config(args, records_path: Path) -> tuple[RunConfig | None, int]:
     block = args.block_size if args.block_size is not None else 2500
     if sidecar.exists():
         meta = read_metadata(records_path)
-        return RunConfig.from_dict(meta["config"]), block
+        try:
+            return RunConfig.from_dict(meta["config"]), block
+        except KeyError as exc:
+            raise ValueError(f"{sidecar}: metadata lacks the key {exc.args[0]!r}") from None
     return reference_scenario().config, block
 
 
@@ -265,6 +268,8 @@ def cmd_reproduce_paper(args) -> int:
 
 
 def cmd_scan_theta(args) -> int:
+    if args.points < 1:
+        raise ValueError(f"--points must be >= 1, got {args.points}")
     scenario = _load_or_default_scenario(args)
     thetas = np.linspace(0.0, 2.0 * math.pi, args.points, endpoint=False)
     thetas, v_min, v_max, phi_min = theta_scan(scenario.config, thetas)

@@ -294,17 +294,15 @@ def test_scan_mismatch_detection(monkeypatch):
     """A doctored phase-pi scan trips the cross-scan consistency guard."""
     import cvpulse.analysis as analysis_module
 
-    real_sampler = sample_pulses
+    real_scan = analysis_module.stream_block_variances
 
     def skewed(config, *args, **kwargs):
-        train = real_sampler(config, *args, **kwargs)
+        phases, variances = real_scan(config, *args, **kwargs)
         if abs(config.theta - math.pi) < 1e-9:
-            return type(train)(
-                index=train.index, lo_phase=train.lo_phase, value=train.value * 1.3
-            )
-        return train
+            return phases, variances * 1.3**2  # every pulse value scaled by 1.3
+        return phases, variances
 
-    monkeypatch.setattr(analysis_module, "sample_pulses", skewed)
+    monkeypatch.setattr(analysis_module, "stream_block_variances", skewed)
     cfg = _reference_config(PhaseSchedule.constant(0.0, 1), seed=3)
     with pytest.raises(RuntimeError, match="disagree"):
         end_to_end_report(cfg, pulses_per_scan=100_000)

@@ -182,6 +182,38 @@ def test_scan_theta_outputs(tmp_path, capsys):
     assert len(lines) == 13
 
 
+@pytest.mark.parametrize("points", ["0", "-3"])
+def test_scan_theta_rejects_empty_grid(tmp_path, capsys, points):
+    code = main(["scan-theta", "--points", points, "--out", str(tmp_path)])
+    assert code == EXIT_INVALID_INPUT
+    err = capsys.readouterr().err
+    assert "--points" in err
+    assert not (tmp_path / "theta_scan.csv").exists()
+
+
+def test_analyze_sidecar_without_config(tmp_path, capsys):
+    """A sidecar lacking its config is one line of error, not a traceback."""
+    assert main(["simulate", "--pulses", "10000", "--out", str(tmp_path)]) == EXIT_OK
+    sidecar = tmp_path / "pulses.json"
+    meta = json.loads(sidecar.read_text())
+    del meta["config"]
+    sidecar.write_text(json.dumps(meta))
+    capsys.readouterr()
+    code = main(["analyze", str(tmp_path / "pulses.csv"), "--out", str(tmp_path)])
+    assert code == EXIT_INVALID_INPUT
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert "pulses.json" in err and "'config'" in err
+
+
+def test_reproduce_paper_too_few_blocks(capsys):
+    """Four blocks per scan cannot separate the fringe; the error says why."""
+    assert main(["reproduce-paper", "--pulses", "10000"]) == EXIT_INVALID_INPUT
+    err = capsys.readouterr().err
+    assert "4 blocks" in err
+    assert "smaller block" in err
+
+
 def test_scenario_unknown_key(tmp_path, capsys):
     scenario = _write_scenario(tmp_path / "s.json", {"detectr": {}})
     code = main(["simulate", "--scenario", scenario, "--out", str(tmp_path)])

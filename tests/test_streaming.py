@@ -1,0 +1,173 @@
+"""The chunk loop: pinned record streams, streamed blocking, O(chunk) memory."""
+
+import hashlib
+import math
+import tracemalloc
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+import cvpulse.simulate as simulate_module
+from cvpulse.analysis import end_to_end_report
+from cvpulse.gaussian import SourceSpec
+from cvpulse.scenario import reference_scenario
+from cvpulse.simulate import (
+    DetectorModel,
+    PhaseSchedule,
+    PulseTrain,
+    block_variance_trace,
+    detected_covariance,
+    sample_pulses,
+    sample_pulses_joint,
+    stream_block_variances,
+    write_records,
+)
+
+REFERENCE = reference_scenario(n_pulses=200_003, seed=12345).config  # 3 chunks + 3 pulses
+
+
+def _ramp(n):
+    return PhaseSchedule.linear_ramp(0.0, 4.0 * math.pi, n)
+
+
+# (sampler, config, chunk size, SHA-256 of value bytes, SHA-256 of lo_phase bytes),
+# taken from the sampler that held whole-train arrays before the chunk loop
+PINNED_STREAMS = {
+    "ramp_partial_chunk": (
+        sample_pulses, REFERENCE, 65536,
+        "9ce2d2a7970369d8daaf4dd8b27d6a86e7479260e277f5e11aad285a294d5f50",
+        "d4f5c2326033145fc46be355126d38c49d9a16da1761a189d23138fbda852310",
+    ),
+    "constant": (
+        sample_pulses,
+        replace(REFERENCE, schedule=PhaseSchedule.constant(0.7, 70_000),
+                detector=DetectorModel(), theta=0.4, seed=7),
+        65536,
+        "a23d45454b91ed570eea5358403d8a72d9cd1782a126b4e96e1532dc5a130374",
+        "3a26c75ce0df49c62cb9bffcc2dc627bc1da32548eb7513ceb297858185fad94",
+    ),
+    "blocked_b": (
+        sample_pulses, replace(REFERENCE, blocked_arm="b", seed=11), 65536,
+        "33de42c9716433eca2bc2778e7775ffd2cae43c437b760762204a8cd688d2c9b",
+        "d4f5c2326033145fc46be355126d38c49d9a16da1761a189d23138fbda852310",
+    ),
+    "chunk_128": (
+        sample_pulses, replace(REFERENCE, schedule=_ramp(1000), seed=5), 128,
+        "cc22e5572bb2eecae30213797bbc5885f2a91bbc56dc035c7f4e847916c69551",
+        "05bc28637e452c5e350a531d432f2052f4a95a38e81e20ac8a6690c01b760483",
+    ),
+    "joint": (
+        sample_pulses_joint,
+        replace(REFERENCE, schedule=_ramp(70_000), detector=DetectorModel(),
+                theta=0.4, seed=13),
+        65536,
+        "8486f74b3b2ed30107e9a3ac7696d9ba4eecc100c8bf8fae0214d88ed626f44b",
+        "84d885f1381367f1a2da6e43a1c89d7dfb2ca268b8595e633181ee1176b46259",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_STREAMS))
+def test_record_streams_are_pinned(case):
+    """Records stay bit-identical for the same (seed, chunk size)."""
+    sampler, config, chunk, value_digest, phase_digest = PINNED_STREAMS[case]
+    train = sampler(config, chunk_size=chunk)
+    assert hashlib.sha256(train.value.tobytes()).hexdigest() == value_digest
+    assert hashlib.sha256(train.lo_phase.tobytes()).hexdigest() == phase_digest
+
+
+def test_schedule_slices_match_the_whole_train():
+    for schedule in (_ramp(1001), PhaseSchedule.linear_ramp(0.3, -2.0, 77),
+                     PhaseSchedule.constant(0.7, 50)):
+        whole = schedule.values()
+        n = len(schedule)
+        for start, stop in ((0, n), (0, 0), (3, 17), (n - 5, n), (n, n)):
+            assert np.array_equal(schedule.values(start, stop), whole[start:stop])
+        with pytest.raises(ValueError):
+            schedule.values(5, 4)
+        with pytest.raises(ValueError):
+            schedule.values(0, n + 1)
+
+
+@pytest.mark.parametrize("chunk, block", [(65536, 2500), (65536, 500), (128, 300)])
+def test_streamed_blocks_equal_the_whole_train_blocks(chunk, block):
+    """Blocks spanning chunk boundaries, or whole chunks, reduce as in one array."""
+    config = REFERENCE if chunk > 1000 else replace(REFERENCE, schedule=_ramp(10_001))
+    for theta in (0.0, math.pi):
+        scan = replace(config, theta=theta)
+        streamed = stream_block_variances(scan, block, chunk_size=chunk)
+        whole = block_variance_trace(sample_pulses(scan, chunk_size=chunk), block)
+        assert np.array_equal(streamed[0], whole[0])
+        assert np.array_equal(streamed[1], whole[1])
+
+
+def test_streamed_blocking_rejects_what_block_variance_trace_rejects():
+    short = replace(REFERENCE, schedule=_ramp(2499))
+    with pytest.raises(ValueError, match="full block of 2500 pulses, got 2499"):
+        stream_block_variances(short, 2500)
+    with pytest.raises(ValueError, match="block size"):
+        stream_block_variances(REFERENCE, 1)
+    with pytest.raises(ValueError, match="chunk size"):
+        stream_block_variances(REFERENCE, 2500, chunk_size=0)
+
+
+@pytest.mark.parametrize(
+    "source", [SourceSpec.symmetric_mixed(1.50, 0.94), SourceSpec.pure_nopa(0.472)]
+)
+@pytest.mark.parametrize("arm", ["a", "b", "signal"])
+def test_blocked_arm_scan_is_isotropic_and_trig_free(monkeypatch, source, arm):
+    """With an arm blocked the detected covariance is a multiple of I.
+
+    That is what lets the streamed blocked-arm scan use one scalar standard
+    deviation: it asks for the detected variance at a single phase only, and
+    its blocks agree with the per-pulse sampler to rounding.
+    """
+    noisy = DetectorModel(electronic_noise_var=0.05)
+    for theta in (0.0, 0.7, math.pi):
+        config = replace(REFERENCE, source=source, detector=noisy, theta=theta,
+                         blocked_arm=arm, schedule=_ramp(100_000))
+        g = detected_covariance(config)
+        np.testing.assert_allclose(g, g[0, 0] * np.eye(2), rtol=0.0, atol=1e-14)
+
+        phase_args = []
+        real = simulate_module.detected_variance
+
+        def recording(cfg, lo_phase):
+            phase_args.append(np.ndim(lo_phase))
+            return real(cfg, lo_phase)
+
+        monkeypatch.setattr(simulate_module, "detected_variance", recording)
+        _, streamed = stream_block_variances(config, 2500)
+        monkeypatch.undo()
+        assert phase_args == [0]
+        _, whole = block_variance_trace(sample_pulses(config), 2500)
+        np.testing.assert_allclose(streamed, whole, rtol=1e-12, atol=0.0)
+
+
+def test_end_to_end_report_memory_is_order_chunk():
+    """10^6 pulses per scan stay below the 8 MB of one array of n float64."""
+    config = reference_scenario(n_pulses=1_000_000).config
+    tracemalloc.start()
+    try:
+        end_to_end_report(config, pulses_per_scan=1_000_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 1_000_000
+
+
+def test_write_records_matches_savetxt(tmp_path):
+    """Batched formatting writes the bytes np.savetxt wrote, across batches."""
+    train = sample_pulses(replace(REFERENCE, schedule=_ramp(20_000), seed=3))
+    odd = PulseTrain(
+        index=np.arange(5, dtype=np.int64),
+        lo_phase=np.array([0.0, -0.0, 1e-300, 4.0 * math.pi, 1.5e300]),
+        value=np.array([1.0, -2.5, 5e-324, 0.1, -1e-17]),
+    )
+    for name, t in (("ramp", train), ("odd", odd)):
+        path = write_records(t, tmp_path / f"{name}.csv")
+        expected = tmp_path / f"{name}-savetxt.csv"
+        np.savetxt(expected, np.column_stack([t.index, t.lo_phase, t.value]),
+                   fmt="%d,%.17g,%.17g", header="index,lo_phase_rad,value", comments="")
+        assert path.read_bytes() == expected.read_bytes()
