@@ -4,6 +4,8 @@ Simulating a homodyne phase scan, pulse by pulse
 """
 
 import math
+import tempfile
+from pathlib import Path
 
 from cvpulse import (
     DetectorModel,
@@ -28,7 +30,10 @@ config = RunConfig(
 )
 
 train = sample_pulses(config)
-print(f"sampled {len(train)} pulses; first record: {train[0]}")
+print(
+    f"sampled {len(train)} pulses; first record: index {train.index[0]}, "
+    f"LO phase {train.lo_phase[0]:.4f} rad, value {train.value[0]:.4f}"
+)
 
 # every 2500 consecutive pulses become one variance estimate
 phases, variances = block_variance_trace(train, block_size=2500)
@@ -46,6 +51,11 @@ print(f"phase of minimum : {estimate.phase_at_min / math.pi:.4f} pi")
 print(f"\nanalytic minimum : {detected_variance(config, math.pi / 2.0):.4f}")
 print(f"analytic maximum : {detected_variance(config, 0.0):.4f}")
 
-# persist the raw records plus a metadata sidecar for later analysis
-path = write_records(train, "phase_scan_records.csv", config=config)
-print(f"\nrecords written to {path} (metadata in {path.with_suffix('.json')})")
+# persist the raw records (about 11 MB) plus a metadata sidecar; a scratch
+# directory keeps the demo from leaving them wherever it was started
+with tempfile.TemporaryDirectory() as scratch:
+    path = write_records(train, Path(scratch) / "phase_scan_records.csv", config=config)
+    print(
+        f"\nwrote {path.name} ({path.stat().st_size / 1e6:.1f} MB) and its metadata "
+        f"{path.with_suffix('.json').name}; the scratch directory is removed on exit"
+    )

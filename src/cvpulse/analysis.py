@@ -20,6 +20,7 @@ from .entanglement import (
     reid_epr_product,
     SEPARABILITY_THRESHOLD,
 )
+from . import schema
 from .gaussian import Matrix, physicality_check, symmetric_two_mode_covariance
 from .simulate import (
     PhaseSchedule,
@@ -174,26 +175,7 @@ class EntanglementReport:
     pulses_per_scan: int | None = None
 
     def to_dict(self) -> dict:
-        out = {
-            "corrected_squeezed_variance": self.corrected_squeezed_variance,
-            "corrected_variance": self.corrected_variance,
-            "corrected_correlation": self.corrected_correlation,
-            "duan_simon": self.duan_simon,
-            "entropy_of_formation": self.entropy_of_formation,
-            "reid_product": self.reid_product,
-            "nonseparable": self.nonseparable,
-            "covariance": self.covariance.tolist(),
-            "efficiency_used": self.efficiency_used,
-            "duan_simon_stderr": self.duan_simon_stderr,
-            "squeezed_stderr": self.squeezed_stderr,
-            "raw_squeezed_variance": self.raw_squeezed_variance,
-            "raw_antisqueezed_variance": self.raw_antisqueezed_variance,
-            "raw_single_beam_variance": self.raw_single_beam_variance,
-            "antisqueezed_consistent": self.antisqueezed_consistent,
-            "seed": self.seed,
-            "pulses_per_scan": self.pulses_per_scan,
-        }
-        return out
+        return schema.to_dict(self)
 
     def text_table(self) -> str:
         rows = [

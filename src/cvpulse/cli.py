@@ -28,17 +28,19 @@ from .analysis import (
     reconstruct_covariance,
 )
 from .entanglement import variance_to_db
+from .schema import from_dict, to_dict
 from .scenario import (
     DEFAULT_SEED,
     Scenario,
     ScenarioError,
     load_scenario,
     reference_scenario,
+    scenario_from_dict,
 )
 from .simulate import (
     DEFAULT_CHUNK_SIZE,
-    DetectorModel,
     RunConfig,
+    Sidecar,
     read_metadata,
     read_records,
     sample_pulses,
@@ -60,7 +62,7 @@ class CheckRow:
 
     name: str
     target: float
-    actual: float
+    simulated: float
     tolerance: float
     passed: bool
 
@@ -68,14 +70,10 @@ class CheckRow:
 def run_reference_scans(
     pulses_per_scan: int = _REFERENCE_PULSES,
     seed: int = DEFAULT_SEED,
-    detector: DetectorModel | None = None,
     block_size: int = 2500,
 ) -> EntanglementReport:
     """Run the built-in reference scenario through the three-scan protocol."""
-    scenario = reference_scenario(n_pulses=pulses_per_scan, seed=seed)
-    config = scenario.config
-    if detector is not None:
-        config = replace(config, detector=detector)
+    config = reference_scenario(n_pulses=pulses_per_scan, seed=seed).config
     return end_to_end_report(config, pulses_per_scan, block_size=block_size)
 
 
@@ -118,14 +116,14 @@ def reference_check_rows(
     rows = []
     for name, target, floor, stat in _REFERENCE_CHECKS:
         tolerance = floor + stat * scale
-        actual = actuals[name]
+        simulated = actuals[name]
         rows.append(
             CheckRow(
                 name=name,
                 target=target,
-                actual=actual,
+                simulated=simulated,
                 tolerance=tolerance,
-                passed=abs(actual - target) <= tolerance,
+                passed=abs(simulated - target) <= tolerance,
             )
         )
     return rows
@@ -137,31 +135,20 @@ def _emit_check_table(rows: list[CheckRow]) -> None:
     for r in rows:
         status = "PASS" if r.passed else "FAIL"
         print(
-            f"{r.name:<{width}}  {r.target:8.2f}  {r.actual:10.4f}  "
+            f"{r.name:<{width}}  {r.target:8.2f}  {r.simulated:10.4f}  "
             f"{r.tolerance:7.4f}  {status}"
         )
 
 
-def _load_or_default_scenario(args, require_pulses: bool = False) -> Scenario:
-    seed = getattr(args, "seed", None)
-    pulses = getattr(args, "pulses", None)
-    block = getattr(args, "block_size", None)
-    if args.scenario is not None:
-        return load_scenario(
-            args.scenario,
-            seed_override=seed,
-            n_pulses_override=pulses,
-            block_size_override=block,
-        )
-    scenario = reference_scenario(
-        n_pulses=pulses if pulses is not None else 250_000,
-        seed=seed if seed is not None else DEFAULT_SEED,
+def _load_or_default_scenario(args) -> Scenario:
+    overrides = dict(
+        seed_override=args.seed,
+        n_pulses_override=getattr(args, "pulses", None),
+        block_size_override=args.block_size,
     )
-    if block is not None:
-        scenario = Scenario(
-            config=scenario.config, block_size=block, out_stem=scenario.out_stem
-        )
-    return scenario
+    if args.scenario is not None:
+        return load_scenario(args.scenario, **overrides)
+    return scenario_from_dict({}, **overrides)
 
 
 def cmd_simulate(args) -> int:
@@ -192,11 +179,10 @@ def _analysis_config(args, records_path: Path) -> tuple[RunConfig | None, int]:
     sidecar = records_path.with_suffix(".json")
     block = args.block_size if args.block_size is not None else 2500
     if sidecar.exists():
-        meta = read_metadata(records_path)
         try:
-            return RunConfig.from_dict(meta["config"]), block
-        except KeyError as exc:
-            raise ValueError(f"{sidecar}: metadata lacks the key {exc.args[0]!r}") from None
+            return from_dict(Sidecar, read_metadata(records_path)).config, block
+        except ValueError as exc:
+            raise ValueError(f"{sidecar}: {exc}") from None
     return reference_scenario().config, block
 
 
@@ -241,16 +227,7 @@ def cmd_reproduce_paper(args) -> int:
     all_passed = all(r.passed for r in rows)
     if args.json:
         payload = {
-            "checks": [
-                {
-                    "name": r.name,
-                    "target": r.target,
-                    "simulated": r.actual,
-                    "tolerance": r.tolerance,
-                    "passed": r.passed,
-                }
-                for r in rows
-            ],
+            "checks": [to_dict(r) for r in rows],
             "all_passed": all_passed,
             "report": report.to_dict(),
         }

@@ -15,14 +15,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 from numpy.typing import NDArray
 
-Matrix = NDArray[np.float64]
+from .schema import FieldError, check_fields
 
-#: Vacuum variance of a single quadrature (the shot-noise unit).
-SHOT_NOISE_VAR = 1.0
+Matrix = NDArray[np.float64]
 
 #: Lowest admissible eigenvalue of gamma + i Omega; absorbs float drift of chained transforms.
 PHYSICALITY_TOL = 1e-9
@@ -35,19 +35,6 @@ def symplectic_form(n_modes: int = 2) -> Matrix:
     """Block-diagonal symplectic form matching the (X, P) interleaved ordering."""
     block = np.array([[0.0, 1.0], [-1.0, 0.0]])
     return np.kron(np.eye(n_modes), block)
-
-
-def vacuum_covariance(n_modes: int) -> Matrix:
-    """Identity covariance of ``n_modes`` vacuum modes.
-
-    Parameters
-    ----------
-    n_modes : int
-        Number of optical modes, 1 or 2.
-    """
-    if n_modes not in (1, 2):
-        raise ValueError(f"n_modes must be 1 or 2, got {n_modes}")
-    return np.eye(2 * n_modes)
 
 
 def two_mode_squeezer(r: float) -> Matrix:
@@ -200,20 +187,24 @@ class SourceSpec:
     variance ``v`` and correlation ``k``, both in shot-noise units.
     """
 
+    KINDS: ClassVar[dict[str, tuple[str, ...]]] = {
+        "pure_nopa": ("r",),
+        "symmetric_mixed": ("v", "k"),
+    }
+
     kind: str
     r: float = 0.0
     v: float = 1.0
     k: float = 0.0
 
     def __post_init__(self) -> None:
+        check_fields(self)
         if self.kind == "pure_nopa":
-            if not math.isfinite(self.r) or self.r < 0.0:
-                raise ValueError(f"squeezing parameter must be finite and >= 0, got {self.r}")
-        elif self.kind == "symmetric_mixed":
-            if not (math.isfinite(self.v) and math.isfinite(self.k)):
-                raise ValueError("source parameters must be finite")
+            if self.r < 0.0:
+                raise FieldError("r", f"squeezing parameter must be >= 0, got {self.r}")
+        else:
             if self.v < 1.0:
-                raise ValueError(f"diagonal variance must be >= 1, got {self.v}")
+                raise FieldError("v", f"diagonal variance must be >= 1, got {self.v}")
             if abs(self.k) > self.v:
                 raise ValueError(f"correlation |{self.k}| exceeds diagonal variance {self.v}")
             # uncertainty bound for the symmetric form: v - k >= 1 / (v + k)
@@ -222,8 +213,6 @@ class SourceSpec:
                     f"unphysical source: v - k = {self.v - self.k:.6g} is below "
                     f"1 / (v + k) = {1.0 / (self.v + self.k):.6g}"
                 )
-        else:
-            raise ValueError(f"unknown source kind {self.kind!r}")
 
     @classmethod
     def pure_nopa(cls, r: float) -> "SourceSpec":
@@ -274,18 +263,3 @@ def physicality_check(gamma: Matrix) -> PhysicalityResult:
     min_eig = float(np.linalg.eigvalsh(herm)[0])
     return PhysicalityResult(min_eig >= -PHYSICALITY_TOL, min_eig)
 
-
-def intensity_gain(r: float) -> float:
-    """Classical seed-beam intensity gain cosh(r)^2 of the parametric interaction."""
-    return math.cosh(r) ** 2
-
-
-def squeezing_from_gain(gain: float) -> float:
-    """Squeezing strength inferred from a classical intensity gain measurement.
-
-    Assumes the gain equals cosh(r)^2, i.e. the amplifier is operated
-    phase-insensitively on a bright seed.
-    """
-    if gain < 1.0:
-        raise ValueError(f"intensity gain must be >= 1, got {gain}")
-    return math.acosh(math.sqrt(gain))

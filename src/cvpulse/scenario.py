@@ -9,10 +9,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, is_dataclass, replace
 from pathlib import Path
 
+from . import schema
 from .gaussian import SourceSpec
+from .schema import FieldError, check_fields
 from .simulate import DetectorModel, PhaseSchedule, RunConfig
 
 DEFAULT_SEED = 12345
@@ -32,94 +34,47 @@ class Scenario:
     block_size: int = DEFAULT_BLOCK_SIZE
     out_stem: str = "pulses"
 
-
-def reference_detector() -> DetectorModel:
-    """Detector of the reference apparatus.
-
-    Electronic noise is set to zero here because the reference variances are
-    quoted relative to a shot-noise calibration from which the electronic
-    background has already been removed; the worst-case floor remains the
-    DetectorModel default for sensitivity studies.
-    """
-    return DetectorModel(
-        eta_transmission=0.93,
-        eta_homodyne=0.88,
-        eta_detector=0.945,
-        electronic_noise_var=0.0,
-        lo_photons_per_pulse=2.5e8,
-    )
+    def __post_init__(self) -> None:
+        check_fields(self)
+        if self.block_size < 2:
+            raise FieldError("block_size", f"must be >= 2, got {self.block_size}")
+        if not self.out_stem:
+            raise FieldError("out_stem", "must be a non-empty string")
 
 
 def reference_scenario(
     n_pulses: int = DEFAULT_PULSES, seed: int = DEFAULT_SEED
 ) -> Scenario:
-    """Built-in scenario reproducing the reference measurement."""
+    """Built-in scenario reproducing the reference measurement.
+
+    Its detector has no electronic noise because the reference variances are
+    quoted relative to a shot-noise calibration from which the electronic
+    background has already been removed; the worst-case floor remains the
+    DetectorModel default for sensitivity studies.
+    """
     config = RunConfig(
         source=SourceSpec.symmetric_mixed(1.50, 0.94),
-        detector=reference_detector(),
+        detector=DetectorModel(electronic_noise_var=0.0),
         schedule=PhaseSchedule.linear_ramp(0.0, 4.0 * math.pi, n_pulses),
-        theta=0.0,
-        beamsplitter_r=0.5,
         seed=seed,
-        blocked_arm="none",
     )
-    return Scenario(config=config, block_size=DEFAULT_BLOCK_SIZE, out_stem="pulses")
+    return Scenario(config=config)
 
 
-def _check_keys(section: str, data: dict, allowed: set[str]) -> None:
-    unknown = set(data) - allowed
-    if unknown:
-        raise ScenarioError(
-            f"unknown key(s) in {section}: {', '.join(sorted(unknown))}; "
-            f"allowed: {', '.join(sorted(allowed))}"
-        )
+def _overlay(base, data):
+    """``data`` laid over the dict of dataclass ``base``, section by section.
 
-
-def _build_source(data: dict) -> SourceSpec:
-    _check_keys("source", data, {"kind", "r", "v", "k"})
-    try:
-        return SourceSpec(**data)
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"invalid source: {exc}") from exc
-
-
-def _build_detector(data: dict) -> DetectorModel:
-    _check_keys(
-        "detector",
-        data,
-        {
-            "eta_transmission",
-            "eta_homodyne",
-            "eta_detector",
-            "electronic_noise_var",
-            "lo_photons_per_pulse",
-        },
-    )
-    base = reference_detector().to_dict()
-    base.update(data)
-    try:
-        return DetectorModel.from_dict(base)
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"invalid detector: {exc}") from exc
-
-
-def _build_schedule(data: dict, n_pulses_override: int | None) -> PhaseSchedule:
-    _check_keys("schedule", data, {"kind", "n_pulses", "phi", "phi_start", "phi_end"})
-    merged = {
-        "kind": "linear_ramp",
-        "n_pulses": DEFAULT_PULSES,
-        "phi_start": 0.0,
-        "phi_end": 4.0 * math.pi,
-    }
-    if data.get("kind") == "constant":
-        merged = {"kind": "constant", "n_pulses": DEFAULT_PULSES, "phi": 0.0}
-    merged.update(data)
-    if n_pulses_override is not None:
-        merged["n_pulses"] = n_pulses_override
-    try:
-        return PhaseSchedule.from_dict(merged)
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"invalid schedule: {exc}") from exc
+    A section naming another ``kind`` starts from that kind's defaults.
+    """
+    if not (is_dataclass(base) and isinstance(data, dict)):
+        return data
+    kind = data.get("kind")
+    if isinstance(kind, str) and kind in getattr(base, "KINDS", ()):
+        base = replace(base, kind=kind)
+    merged = schema.to_dict(base)
+    for key, value in data.items():
+        merged[key] = _overlay(getattr(base, key), value) if key in merged else value
+    return merged
 
 
 def scenario_from_dict(
@@ -128,49 +83,27 @@ def scenario_from_dict(
     n_pulses_override: int | None = None,
     block_size_override: int | None = None,
 ) -> Scenario:
-    """Validate a scenario dictionary and apply command-line overrides."""
-    _check_keys(
-        "scenario",
-        data,
-        {
-            "source",
-            "theta",
-            "beamsplitter_r",
-            "detector",
-            "schedule",
-            "seed",
-            "block_size",
-            "blocked_arm",
-            "out_stem",
-        },
+    """Lay a scenario dictionary over the reference scenario and apply overrides.
+
+    The run config's fields sit at the top level, next to the scenario's own.
+    """
+    reference = reference_scenario()
+    settings = schema.to_dict(reference)
+    del settings["config"]
+    config = _overlay(
+        reference.config, {k: v for k, v in data.items() if k not in settings}
     )
-    source = _build_source(dict(data.get("source", {"kind": "symmetric_mixed", "v": 1.50, "k": 0.94})))
-    detector = _build_detector(dict(data.get("detector", {})))
-    schedule = _build_schedule(dict(data.get("schedule", {})), n_pulses_override)
-    seed = seed_override if seed_override is not None else data.get("seed", DEFAULT_SEED)
-    block_size = (
-        block_size_override
-        if block_size_override is not None
-        else data.get("block_size", DEFAULT_BLOCK_SIZE)
-    )
-    if not isinstance(block_size, int) or block_size < 2:
-        raise ScenarioError(f"block_size must be an integer >= 2, got {block_size!r}")
-    out_stem = data.get("out_stem", "pulses")
-    if not isinstance(out_stem, str) or not out_stem:
-        raise ScenarioError(f"out_stem must be a non-empty string, got {out_stem!r}")
+    settings.update((k, v) for k, v in data.items() if k in settings)
+    if seed_override is not None:
+        config["seed"] = seed_override
+    if n_pulses_override is not None and isinstance(config["schedule"], dict):
+        config["schedule"]["n_pulses"] = n_pulses_override
+    if block_size_override is not None:
+        settings["block_size"] = block_size_override
     try:
-        config = RunConfig(
-            source=source,
-            detector=detector,
-            schedule=schedule,
-            theta=float(data.get("theta", 0.0)),
-            beamsplitter_r=float(data.get("beamsplitter_r", 0.5)),
-            seed=seed,
-            blocked_arm=data.get("blocked_arm", "none"),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"invalid scenario: {exc}") from exc
-    return Scenario(config=config, block_size=block_size, out_stem=out_stem)
+        return Scenario(config=RunConfig.from_dict(config), **settings)
+    except ValueError as exc:
+        raise ScenarioError(str(exc)) from None
 
 
 def load_scenario(

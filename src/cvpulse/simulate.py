@@ -15,6 +15,7 @@ import math
 import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 from numpy.typing import NDArray
@@ -28,6 +29,8 @@ from .gaussian import (
     phase_rotation,
     source_covariance,
 )
+from . import schema
+from .schema import FieldError, check_fields
 
 #: Pulses handled per RNG stream; part of the reproducibility contract.
 DEFAULT_CHUNK_SIZE = 65536
@@ -66,36 +69,24 @@ class DetectorModel:
     lo_photons_per_pulse: float = 2.5e8
 
     def __post_init__(self) -> None:
+        check_fields(self)
         for name in ("eta_transmission", "eta_homodyne", "eta_detector"):
             value = getattr(self, name)
             if not 0.0 < value <= 1.0:
-                raise ValueError(f"{name} must lie in (0, 1], got {value}")
+                raise FieldError(name, f"must lie in (0, 1], got {value}")
         if self.electronic_noise_var < 0.0:
-            raise ValueError(
-                f"electronic noise variance must be >= 0, got {self.electronic_noise_var}"
+            raise FieldError(
+                "electronic_noise_var", f"must be >= 0, got {self.electronic_noise_var}"
             )
         if self.lo_photons_per_pulse <= 0.0:
-            raise ValueError(
-                f"local-oscillator level must be > 0, got {self.lo_photons_per_pulse}"
+            raise FieldError(
+                "lo_photons_per_pulse", f"must be > 0, got {self.lo_photons_per_pulse}"
             )
 
     @property
     def efficiency(self) -> float:
         """Overall detection efficiency: transmission * overlap^2 * quantum efficiency."""
         return self.eta_transmission * self.eta_homodyne**2 * self.eta_detector
-
-    def to_dict(self) -> dict:
-        return {
-            "eta_transmission": self.eta_transmission,
-            "eta_homodyne": self.eta_homodyne,
-            "eta_detector": self.eta_detector,
-            "electronic_noise_var": self.electronic_noise_var,
-            "lo_photons_per_pulse": self.lo_photons_per_pulse,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "DetectorModel":
-        return cls(**data)
 
 
 @dataclass(frozen=True)
@@ -106,6 +97,11 @@ class PhaseSchedule:
     so ``linear_ramp(0, 4 pi, n)`` covers [0, 4 pi) uniformly.
     """
 
+    KINDS: ClassVar[dict[str, tuple[str, ...]]] = {
+        "constant": ("phi",),
+        "linear_ramp": ("phi_start", "phi_end"),
+    }
+
     kind: str
     n_pulses: int
     phi: float = 0.0
@@ -113,10 +109,9 @@ class PhaseSchedule:
     phi_end: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.kind not in ("constant", "linear_ramp"):
-            raise ValueError(f"unknown schedule kind {self.kind!r}")
+        check_fields(self)
         if self.n_pulses < 0:
-            raise ValueError(f"pulse count must be >= 0, got {self.n_pulses}")
+            raise FieldError("n_pulses", f"pulse count must be >= 0, got {self.n_pulses}")
 
     @classmethod
     def constant(cls, phi: float, n_pulses: int) -> "PhaseSchedule":
@@ -147,20 +142,6 @@ class PhaseSchedule:
         step = (self.phi_end - self.phi_start) / max(self.n_pulses, 1)
         return self.phi_start + step * np.arange(start, stop)
 
-    def to_dict(self) -> dict:
-        if self.kind == "constant":
-            return {"kind": "constant", "n_pulses": self.n_pulses, "phi": self.phi}
-        return {
-            "kind": "linear_ramp",
-            "n_pulses": self.n_pulses,
-            "phi_start": self.phi_start,
-            "phi_end": self.phi_end,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "PhaseSchedule":
-        return cls(**data)
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -175,56 +156,37 @@ class RunConfig:
     blocked_arm: str = "none"
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.theta):
-            raise ValueError(f"relative phase must be finite, got {self.theta}")
+        check_fields(self)
         if not 0.0 < self.beamsplitter_r < 1.0:
-            raise ValueError(
-                f"beamsplitter reflectivity must lie in (0, 1), got {self.beamsplitter_r}"
+            raise FieldError(
+                "beamsplitter_r", f"reflectivity must lie in (0, 1), got {self.beamsplitter_r}"
             )
-        if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
+        if not 0 <= self.seed < 2**64:
+            raise FieldError("seed", f"must be a 64-bit unsigned integer, got {self.seed}")
         if self.blocked_arm not in _BLOCKED_ARMS:
-            raise ValueError(
-                f"blocked_arm must be one of {_BLOCKED_ARMS}, got {self.blocked_arm!r}"
+            raise FieldError(
+                "blocked_arm", f"must be one of {_BLOCKED_ARMS}, got {self.blocked_arm!r}"
             )
 
     def to_dict(self) -> dict:
-        source = {"kind": self.source.kind}
-        if self.source.kind == "pure_nopa":
-            source["r"] = self.source.r
-        else:
-            source["v"] = self.source.v
-            source["k"] = self.source.k
-        return {
-            "source": source,
-            "detector": self.detector.to_dict(),
-            "schedule": self.schedule.to_dict(),
-            "theta": self.theta,
-            "beamsplitter_r": self.beamsplitter_r,
-            "seed": self.seed,
-            "blocked_arm": self.blocked_arm,
-        }
+        return schema.to_dict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        return cls(
-            source=SourceSpec(**data["source"]),
-            detector=DetectorModel.from_dict(data["detector"]),
-            schedule=PhaseSchedule.from_dict(data["schedule"]),
-            theta=data["theta"],
-            beamsplitter_r=data["beamsplitter_r"],
-            seed=data["seed"],
-            blocked_arm=data["blocked_arm"],
-        )
+        return schema.from_dict(cls, data)
 
 
 @dataclass(frozen=True)
-class PulseRecord:
-    """One homodyne outcome: pulse index, LO phase, measured quadrature value."""
+class Sidecar:
+    """JSON metadata written next to a records CSV: enough to regenerate it."""
 
-    index: int
-    lo_phase: float
-    value: float
+    format: str
+    n_pulses: int
+    chunk_size: int
+    config: RunConfig
+
+    def __post_init__(self) -> None:
+        check_fields(self)
 
 
 @dataclass(frozen=True, eq=False)
@@ -237,13 +199,6 @@ class PulseTrain:
 
     def __len__(self) -> int:
         return len(self.value)
-
-    def __getitem__(self, i: int) -> PulseRecord:
-        return PulseRecord(
-            index=int(self.index[i]),
-            lo_phase=float(self.lo_phase[i]),
-            value=float(self.value[i]),
-        )
 
 
 def _input_covariance(config: RunConfig) -> Matrix:
@@ -566,21 +521,17 @@ def write_records(
             columns = (train.index[rows], train.lo_phase[rows], train.value[rows])
             fh.write("".join(map(_CSV_ROW.__mod__, zip(*(c.tolist() for c in columns)))))
     if config is not None:
-        meta = {
-            "format": _CSV_HEADER,
-            "n_pulses": len(train),
-            "chunk_size": chunk_size,
-            "config": config.to_dict(),
-        }
+        meta = Sidecar(_CSV_HEADER, len(train), chunk_size, config)
         sidecar = csv_path.with_suffix(".json")
-        sidecar.write_text(json.dumps(meta, indent=2) + "\n")
+        sidecar.write_text(json.dumps(schema.to_dict(meta), indent=2) + "\n")
     return csv_path
 
 
 def read_records(csv_path: str | Path) -> PulseTrain:
     """Read a pulse-train CSV written by :func:`write_records`.
 
-    Malformed input raises ValueError naming the first offending line.
+    Malformed input, a nan or an infinity included, raises ValueError naming
+    the first offending line.
     """
     csv_path = Path(csv_path)
     with open(csv_path) as fh:
@@ -595,22 +546,10 @@ def read_records(csv_path: str | Path) -> PulseTrain:
                 warnings.simplefilter("ignore", UserWarning)
                 table = np.loadtxt(fh, delimiter=",", ndmin=2)
         except ValueError:
-            fh.seek(0)
-            for lineno, line in enumerate(fh, start=1):
-                if lineno == 1:
-                    continue
-                parts = line.strip().split(",")
-                if len(parts) != 3:
-                    raise ValueError(
-                        f"{csv_path.name} line {lineno}: expected 3 fields, got {len(parts)}"
-                    ) from None
-                try:
-                    [float(p) for p in parts]
-                except ValueError:
-                    raise ValueError(
-                        f"{csv_path.name} line {lineno}: non-numeric field in {line.strip()!r}"
-                    ) from None
+            _raise_at_first_bad_line(fh, csv_path.name)
             raise
+        if not np.isfinite(table).all():
+            _raise_at_first_bad_line(fh, csv_path.name)
     if table.size == 0:
         raise ValueError(f"{csv_path.name}: no records")
     return PulseTrain(
@@ -618,6 +557,25 @@ def read_records(csv_path: str | Path) -> PulseTrain:
         lo_phase=table[:, 1].copy(),
         value=table[:, 2].copy(),
     )
+
+
+def _raise_at_first_bad_line(fh, name: str) -> None:
+    """Rescan a records file and raise ValueError at its first malformed row."""
+    fh.seek(0)
+    for lineno, line in enumerate(fh, start=1):
+        if lineno == 1 or not line.strip():
+            continue
+        parts = line.strip().split(",")
+        if len(parts) != 3:
+            raise ValueError(f"{name} line {lineno}: expected 3 fields, got {len(parts)}")
+        try:
+            fields = [float(p) for p in parts]
+        except ValueError:
+            raise ValueError(
+                f"{name} line {lineno}: non-numeric field in {line.strip()!r}"
+            ) from None
+        if not all(map(math.isfinite, fields)):
+            raise ValueError(f"{name} line {lineno}: non-finite field in {line.strip()!r}")
 
 
 def read_metadata(csv_path: str | Path) -> dict:

@@ -221,6 +221,73 @@ def test_scenario_unknown_key(tmp_path, capsys):
     assert "unknown key" in capsys.readouterr().err
 
 
+def _scenario(payload):
+    def prepare(tmp_path):
+        path = _write_scenario(tmp_path / "s.json", payload)
+        return ["simulate", "--scenario", path, "--out", str(tmp_path)]
+
+    return prepare
+
+
+def _simulated(spoil):
+    """Simulate a short run, let ``spoil`` edit its files, then analyze it."""
+
+    def prepare(tmp_path):
+        assert main(["simulate", "--pulses", "5000", "--out", str(tmp_path)]) == EXIT_OK
+        spoil(tmp_path)
+        return ["analyze", str(tmp_path / "pulses.csv"), "--out", str(tmp_path)]
+
+    return prepare
+
+
+def _typo_in_sidecar(out):
+    meta = json.loads((out / "pulses.json").read_text())
+    meta["config"]["detector"]["eta_typo"] = 0.9
+    (out / "pulses.json").write_text(json.dumps(meta))
+
+
+def _nan_on_line_1001(out):
+    path = out / "pulses.csv"
+    lines = path.read_text().splitlines(keepends=True)
+    lines[1000] = lines[1000].rsplit(",", 1)[0] + ",nan\n"
+    path.write_text("".join(lines))
+
+
+NAN, INF = float("nan"), float("inf")
+
+BAD_INPUTS = [
+    pytest.param(_scenario({"schedule": {"n_pulses": 2.5}}), EXIT_INVALID_INPUT,
+                 "schedule.n_pulses", id="float pulse count"),
+    pytest.param(_scenario({"detector": {"eta_detector": "0.9"}}), EXIT_INVALID_INPUT,
+                 "detector.eta_detector", id="string efficiency"),
+    pytest.param(_scenario({"detector": {"electronic_noise_var": NAN}}), EXIT_INVALID_INPUT,
+                 "detector.electronic_noise_var", id="nan noise"),
+    pytest.param(_scenario({"detector": {"electronic_noise_var": INF}}), EXIT_INVALID_INPUT,
+                 "detector.electronic_noise_var", id="infinite noise"),
+    pytest.param(_scenario({"schedule": {"phi_start": NAN}}), EXIT_INVALID_INPUT,
+                 "schedule.phi_start", id="nan phase"),
+    pytest.param(_scenario({"seed": True}), EXIT_INVALID_INPUT, "invalid seed", id="bool seed"),
+    pytest.param(_scenario({"source": {"kind": "pure_nopa", "r": 0.4, "v": 3}}),
+                 EXIT_INVALID_INPUT, "'source.v'", id="field of another kind"),
+    pytest.param(_scenario({"detector": [1]}), EXIT_INVALID_INPUT, "invalid detector",
+                 id="detector not an object"),
+    pytest.param(_simulated(_typo_in_sidecar), EXIT_INVALID_INPUT,
+                 "'config.detector.eta_typo'", id="unknown sidecar key"),
+    pytest.param(_simulated(_nan_on_line_1001), EXIT_INVALID_INPUT, "line 1001",
+                 id="non-finite record"),
+]
+
+
+@pytest.mark.parametrize("prepare, code, fragment", BAD_INPUTS)
+def test_bad_input_is_one_line_naming_its_key(tmp_path, capsys, prepare, code, fragment):
+    argv = prepare(tmp_path)
+    capsys.readouterr()
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert fragment in err
+
+
 def test_scenario_unphysical_source(tmp_path, capsys):
     scenario = _write_scenario(
         tmp_path / "s.json", {"source": {"kind": "symmetric_mixed", "v": 1.0, "k": 0.9}}

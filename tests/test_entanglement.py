@@ -24,7 +24,6 @@ from cvpulse.gaussian import (
     phase_rotation,
     source_covariance,
     symmetric_two_mode_covariance,
-    vacuum_covariance,
 )
 
 EXPERIMENTAL_STATE = symmetric_two_mode_covariance(1.50, 0.94, 0.94)
@@ -40,7 +39,7 @@ def test_duan_simon_pure_pair_closed_form():
     for r in (0.0, 0.2, 0.472, 1.1):
         g = source_covariance(SourceSpec.pure_nopa(r))
         assert duan_simon(g) == pytest.approx(2.0 * math.exp(-2.0 * r), rel=1e-12)
-    assert duan_simon(vacuum_covariance(2)) == pytest.approx(SEPARABILITY_THRESHOLD)
+    assert duan_simon(np.eye(4)) == pytest.approx(SEPARABILITY_THRESHOLD)
     with pytest.raises(ValueError):
         duan_simon(np.eye(2))
 
@@ -73,7 +72,7 @@ def test_reid_product_pure_pair():
         assert reid_epr_product(g) == pytest.approx(
             1.0 / math.cosh(2.0 * r) ** 2, rel=1e-12
         )
-    assert reid_epr_product(vacuum_covariance(2)) == pytest.approx(1.0)
+    assert reid_epr_product(np.eye(4)) == pytest.approx(1.0)
     with pytest.raises(ValueError):
         reid_epr_product(np.diag([1e-12, 1.0, 1.0, 1.0]))
 
@@ -98,7 +97,7 @@ def test_entropy_matches_witness_route():
 
 def test_entropy_clamps_at_separable_boundary():
     """States at or above the boundary carry exactly zero ebits."""
-    assert entropy_of_formation(vacuum_covariance(2)).ebits == 0.0
+    assert entropy_of_formation(np.eye(4)).ebits == 0.0
     thermal = symmetric_two_mode_covariance(1.8, 0.8, 0.8)
     assert entropy_of_formation(thermal).ebits == 0.0
     assert formation_entropy(1.0) == 0.0
@@ -163,7 +162,7 @@ def test_witness_verdicts_are_consistent():
     result = evaluate_witnesses(EXPERIMENTAL_STATE)
     assert result.nonseparable and result.duan_simon < SEPARABILITY_THRESHOLD
     assert result.reid_satisfied and result.reid_product < EPR_THRESHOLD
-    separable = evaluate_witnesses(vacuum_covariance(2))
+    separable = evaluate_witnesses(np.eye(4))
     assert not separable.nonseparable
     assert not separable.reid_satisfied
 

@@ -10,18 +10,15 @@ from cvpulse.gaussian import (
     SourceSpec,
     apply_transform,
     beamsplitter,
-    intensity_gain,
     loss_channel,
     mode_block,
     phase_rotation,
     physicality_check,
     quadrature_variance,
     source_covariance,
-    squeezing_from_gain,
     symmetric_two_mode_covariance,
     symplectic_form,
     two_mode_squeezer,
-    vacuum_covariance,
 )
 
 
@@ -67,14 +64,6 @@ def test_symplectic_form_squares_to_minus_identity():
         np.testing.assert_allclose(omega @ omega, -np.eye(2 * n), atol=1e-15)
 
 
-def test_vacuum_is_identity():
-    """Vacuum covariance is the identity at the shot-noise unit."""
-    np.testing.assert_array_equal(vacuum_covariance(1), np.eye(2))
-    np.testing.assert_array_equal(vacuum_covariance(2), np.eye(4))
-    with pytest.raises(ValueError):
-        vacuum_covariance(3)
-
-
 def test_elementary_transforms_are_symplectic():
     """Squeezer, rotation and beamsplitter all preserve the symplectic form."""
     omega = symplectic_form(2)
@@ -103,27 +92,23 @@ def test_random_composed_transforms_stay_symplectic():
 def test_squeezer_moments_match_first_principles_oracle():
     """Squeezer output moments agree with the direct coefficient-row oracle."""
     for r in (0.0, 0.3, 0.472, 1.1):
-        via_transform = apply_transform(two_mode_squeezer(r), vacuum_covariance(2))
+        via_transform = apply_transform(two_mode_squeezer(r), np.eye(4))
         np.testing.assert_allclose(via_transform, _squeezer_moment_oracle(r), atol=1e-12)
 
 
 def test_squeezer_correlations_at_reference_gain():
-    """r = 0.472 gives X-X correlation sinh(2r) ~ 1.090 and gain ~ 1.24."""
+    """r = 0.472 gives X-X correlation sinh(2r) ~ 1.090."""
     r = 0.472
-    gamma = apply_transform(two_mode_squeezer(r), vacuum_covariance(2))
+    gamma = apply_transform(two_mode_squeezer(r), np.eye(4))
     assert gamma[0, 2] == pytest.approx(1.090, abs=2e-3)
     assert gamma[1, 3] == pytest.approx(-gamma[0, 2], abs=1e-12)
-    assert intensity_gain(r) == pytest.approx(1.24, abs=5e-4)
-    assert squeezing_from_gain(1.24) == pytest.approx(r, abs=5e-4)
-    with pytest.raises(ValueError):
-        squeezing_from_gain(0.9)
 
 
 def test_source_covariance_matches_transform_route():
     """Closed-form source covariance equals squeezing the vacuum explicitly."""
     for r in (0.0, 0.25, 0.472, 1.3):
         closed = source_covariance(SourceSpec.pure_nopa(r))
-        explicit = apply_transform(two_mode_squeezer(r), vacuum_covariance(2))
+        explicit = apply_transform(two_mode_squeezer(r), np.eye(4))
         np.testing.assert_allclose(closed, explicit, atol=1e-12)
 
 
@@ -161,7 +146,7 @@ def test_balanced_recombination_squeezes_sum_port():
 def test_beamsplitter_preserves_vacuum():
     """Vacuum in, vacuum out for any reflectivity."""
     for refl in (0.1, 0.5, 0.77):
-        out = apply_transform(beamsplitter(refl), vacuum_covariance(2))
+        out = apply_transform(beamsplitter(refl), np.eye(4))
         np.testing.assert_allclose(out, np.eye(4), atol=1e-15)
     for bad in (0.0, 1.0, -0.2):
         with pytest.raises(ValueError):
@@ -234,14 +219,14 @@ def test_quadrature_variance_of_single_beam_is_phase_flat():
         assert quadrature_variance(g, 1, phi) == pytest.approx(
             math.cosh(2.0 * r), rel=1e-12
         )
-    assert quadrature_variance(vacuum_covariance(2), 0, 1.234) == pytest.approx(1.0)
+    assert quadrature_variance(np.eye(4), 0, 1.234) == pytest.approx(1.0)
     with pytest.raises(ValueError):
         quadrature_variance(g, 5, 0.0)
 
 
 def test_physicality_check_vacuum_boundary():
     """Vacuum sits exactly on the uncertainty boundary: minimum eigenvalue 0."""
-    result = physicality_check(vacuum_covariance(2))
+    result = physicality_check(np.eye(4))
     assert isinstance(result, PhysicalityResult)
     assert result.passed and bool(result)
     assert result.min_eigenvalue == pytest.approx(0.0, abs=1e-12)

@@ -11,7 +11,6 @@ from cvpulse.gaussian import SourceSpec
 from cvpulse.simulate import (
     DetectorModel,
     PhaseSchedule,
-    PulseRecord,
     RunConfig,
     block_variance_trace,
     detected_variance,
@@ -173,14 +172,12 @@ def test_statistical_soundness_over_seeds():
 
 
 def test_pulse_train_indexing():
-    """Trains behave as sequences of records."""
+    """Trains are columns of pulse index, LO phase and value."""
     cfg = _config(schedule=PhaseSchedule.constant(0.2, 50), seed=3)
     train = sample_pulses(cfg)
     assert len(train) == 50
-    record = train[7]
-    assert isinstance(record, PulseRecord)
-    assert record.index == 7
-    assert record.lo_phase == 0.2
+    assert train.index[7] == 7
+    assert train.lo_phase[7] == 0.2
     with pytest.raises(ValueError):
         sample_pulses(_config(schedule=PhaseSchedule.constant(0.0, 0)))
 
@@ -313,3 +310,10 @@ def test_run_config_validation():
         _config(seed=2**64)
     with pytest.raises(ValueError):
         _config(theta=float("inf"))
+    with pytest.raises(ValueError, match="seed"):
+        _config(seed=True)
+    with pytest.raises(ValueError, match="n_pulses"):
+        _config(schedule=PhaseSchedule.constant(0.0, 2.5))
+    numpy_seed = _config(seed=np.uint64(5))
+    assert type(numpy_seed.to_dict()["seed"]) is int
+    assert numpy_seed == _config(seed=5)

@@ -1,6 +1,7 @@
 """The chunk loop: pinned record streams, streamed blocking, O(chunk) memory."""
 
 import hashlib
+import json
 import math
 import tracemalloc
 from dataclasses import replace
@@ -12,10 +13,13 @@ import cvpulse.simulate as simulate_module
 from cvpulse.analysis import end_to_end_report
 from cvpulse.gaussian import SourceSpec
 from cvpulse.scenario import reference_scenario
+from cvpulse.schema import from_dict
 from cvpulse.simulate import (
     DetectorModel,
     PhaseSchedule,
     PulseTrain,
+    RunConfig,
+    Sidecar,
     block_variance_trace,
     detected_covariance,
     sample_pulses,
@@ -75,6 +79,75 @@ def test_record_streams_are_pinned(case):
     train = sampler(config, chunk_size=chunk)
     assert hashlib.sha256(train.value.tobytes()).hexdigest() == value_digest
     assert hashlib.sha256(train.lo_phase.tobytes()).hexdigest() == phase_digest
+
+
+PURE_NOPA_CONSTANT = RunConfig(
+    source=SourceSpec.pure_nopa(0.4),
+    detector=DetectorModel(),
+    schedule=PhaseSchedule.constant(0.3, 1000),
+    theta=0.2,
+    seed=7,
+    blocked_arm="a",
+)
+
+# (config, SHA-256 of the sidecar JSON bytes), taken from the hand-written
+# to_dict methods the codec replaced; old sidecars must stay readable
+PINNED_SIDECARS = {
+    "reference": (
+        reference_scenario(n_pulses=1000, seed=12345).config,
+        "961068f118f874c65565911c5e19fc954d75da50a0f216938d2b0ec2f6cf30e2",
+    ),
+    "pure_nopa_constant": (
+        PURE_NOPA_CONSTANT,
+        "407afad189acfbbda02514ae487cccbb5b8a9684ba3208161a1993a6815d29e6",
+    ),
+}
+
+PURE_NOPA_CONSTANT_SIDECAR = """\
+{
+  "format": "index,lo_phase_rad,value",
+  "n_pulses": 1000,
+  "chunk_size": 65536,
+  "config": {
+    "source": {
+      "kind": "pure_nopa",
+      "r": 0.4
+    },
+    "detector": {
+      "eta_transmission": 0.93,
+      "eta_homodyne": 0.88,
+      "eta_detector": 0.945,
+      "electronic_noise_var": 0.07943282347242814,
+      "lo_photons_per_pulse": 250000000.0
+    },
+    "schedule": {
+      "kind": "constant",
+      "n_pulses": 1000,
+      "phi": 0.3
+    },
+    "theta": 0.2,
+    "beamsplitter_r": 0.5,
+    "seed": 7,
+    "blocked_arm": "a"
+  }
+}
+"""
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_SIDECARS))
+def test_sidecar_bytes_are_pinned(case, tmp_path):
+    config, digest = PINNED_SIDECARS[case]
+    csv = write_records(sample_pulses(config), tmp_path / "r.csv", config=config)
+    sidecar = csv.with_suffix(".json").read_bytes()
+    assert hashlib.sha256(sidecar).hexdigest() == digest
+
+
+def test_pinned_sidecar_decodes_to_its_config():
+    text = PURE_NOPA_CONSTANT_SIDECAR
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_SIDECARS["pure_nopa_constant"][1]
+    meta = from_dict(Sidecar, json.loads(text))
+    assert meta.config == PURE_NOPA_CONSTANT
+    assert RunConfig.from_dict(json.loads(text)["config"]) == PURE_NOPA_CONSTANT
 
 
 def test_schedule_slices_match_the_whole_train():
