@@ -23,6 +23,7 @@ from .entanglement import (
 from . import schema
 from .gaussian import Matrix, physicality_check, symmetric_two_mode_covariance
 from .simulate import (
+    DEFAULT_BLOCK_SIZE,
     PhaseSchedule,
     PulseTrain,
     RunConfig,
@@ -120,7 +121,7 @@ def fit_variance_curve(
     )
 
 
-def fit_phase_scan(train: PulseTrain, block_size: int = 2500) -> ScanEstimate:
+def fit_phase_scan(train: PulseTrain, block_size: int = DEFAULT_BLOCK_SIZE) -> ScanEstimate:
     """Block a pulse train and fit the sinusoidal variance-versus-phase curve."""
     phases, variances = block_variance_trace(train, block_size)
     return fit_variance_curve(phases, variances, block_size)
@@ -202,16 +203,15 @@ class EntanglementReport:
 
 
 def reconstruct_covariance(
-    v_single_corrected: float,
-    squeezed_corrected: float,
-    efficiency_used: float | None = None,
-) -> tuple[Matrix, EntanglementReport]:
+    v_single_corrected: float, squeezed_corrected: float
+) -> EntanglementReport:
     """Assemble the source covariance from two corrected variances.
 
     The diagonal variance is the corrected single-beam value and the
     correlation is its excess over the corrected squeezed variance; the
     antisqueezed prediction is then diagonal + correlation and is not a fit
-    input.  The resulting matrix must pass the physicality check.
+    input.  The resulting matrix, ``report.covariance``, must pass the
+    physicality check.
     """
     if v_single_corrected <= 0.0 or squeezed_corrected <= 0.0:
         raise ValueError("corrected variances must be positive")
@@ -224,20 +224,49 @@ def reconstruct_covariance(
             f"reconstructed covariance is unphysical (min eigenvalue "
             f"{verdict.min_eigenvalue:.3e}); check the efficiency correction"
         )
-    measure = entropy_of_formation(gamma)
     ds = duan_simon(gamma)
-    report = EntanglementReport(
+    return EntanglementReport(
         corrected_squeezed_variance=squeezed_corrected,
         corrected_variance=v,
         corrected_correlation=k,
         duan_simon=ds,
-        entropy_of_formation=measure.ebits,
+        entropy_of_formation=entropy_of_formation(gamma).ebits,
         reid_product=reid_epr_product(gamma),
         nonseparable=ds < SEPARABILITY_THRESHOLD,
         covariance=gamma,
-        efficiency_used=efficiency_used,
     )
-    return gamma, report
+
+
+def report_from_levels(
+    eta: float,
+    squeezed: float,
+    squeezed_stderr: float,
+    antisqueezed: float,
+    single_beam: float | None = None,
+    seed: int | None = None,
+) -> EntanglementReport:
+    """Reconstruct the source from measured levels by undoing the efficiency ``eta``.
+
+    The diagonal variance is the corrected single-beam level when a
+    blocked-arm level was measured; otherwise it is the mean of the two
+    corrected extremes, (antisqueezed + squeezed) / 2.  The sum-variance
+    error is 2 sigma / eta, sigma being the squeezed level's 1-sigma error.
+    """
+    squeezed_corr = efficiency_inversion(squeezed, eta)
+    if single_beam is None:
+        v_corr = 0.5 * (efficiency_inversion(antisqueezed, eta) + squeezed_corr)
+    else:
+        v_corr = efficiency_inversion(single_beam, eta, extra_transmission=0.5)
+    return replace(
+        reconstruct_covariance(v_corr, squeezed_corr),
+        efficiency_used=eta,
+        duan_simon_stderr=2.0 * squeezed_stderr / eta,
+        squeezed_stderr=squeezed_stderr,
+        raw_squeezed_variance=squeezed,
+        raw_antisqueezed_variance=antisqueezed,
+        raw_single_beam_variance=single_beam,
+        seed=seed,
+    )
 
 
 def _scan_seeds(seed: int, count: int) -> list[int]:
@@ -248,7 +277,7 @@ def _scan_seeds(seed: int, count: int) -> list[int]:
 def end_to_end_report(
     config: RunConfig,
     pulses_per_scan: int,
-    block_size: int = 2500,
+    block_size: int = DEFAULT_BLOCK_SIZE,
     subtract_electronic_noise: bool = False,
 ) -> EntanglementReport:
     """Simulate the full three-scan measurement protocol and analyze it.
@@ -318,9 +347,9 @@ def end_to_end_report(
         antisqueezed_meas -= noise
         single_level -= noise
 
-    squeezed_corr = efficiency_inversion(squeezed_meas, eta)
-    v_corr = efficiency_inversion(single_level, eta, extra_transmission=0.5)
-    _, report = reconstruct_covariance(v_corr, squeezed_corr, efficiency_used=eta)
+    report = report_from_levels(
+        eta, squeezed_meas, squeezed_err, antisqueezed_meas, single_level, config.seed
+    )
 
     # The antisqueezed extreme is a prediction, not a fit input; compare at
     # 4 sigma.  The budget needs both sides: the measured average and the
@@ -333,16 +362,6 @@ def end_to_end_report(
     pred_err = math.hypot(4.0 * single_err, squeezed_err)
     antisq_err = math.hypot(meas_err, pred_err)
     consistent = abs(antisqueezed_meas - predicted_antisq) <= 4.0 * antisq_err
-
-    squeezed_corr_err = squeezed_err / eta
     return replace(
-        report,
-        duan_simon_stderr=2.0 * squeezed_corr_err,
-        squeezed_stderr=squeezed_err,
-        raw_squeezed_variance=squeezed_meas,
-        raw_antisqueezed_variance=antisqueezed_meas,
-        raw_single_beam_variance=single_level,
-        antisqueezed_consistent=consistent,
-        seed=config.seed,
-        pulses_per_scan=pulses_per_scan,
+        report, antisqueezed_consistent=consistent, pulses_per_scan=pulses_per_scan
     )

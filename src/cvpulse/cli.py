@@ -15,17 +15,16 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .analysis import (
     EntanglementReport,
-    efficiency_inversion,
     end_to_end_report,
     fit_phase_scan,
-    reconstruct_covariance,
+    report_from_levels,
 )
 from .entanglement import variance_to_db
 from .schema import from_dict, to_dict
@@ -38,6 +37,7 @@ from .scenario import (
     scenario_from_dict,
 )
 from .simulate import (
+    DEFAULT_BLOCK_SIZE,
     DEFAULT_CHUNK_SIZE,
     RunConfig,
     Sidecar,
@@ -70,24 +70,24 @@ class CheckRow:
 def run_reference_scans(
     pulses_per_scan: int = _REFERENCE_PULSES,
     seed: int = DEFAULT_SEED,
-    block_size: int = 2500,
+    block_size: int = DEFAULT_BLOCK_SIZE,
 ) -> EntanglementReport:
     """Run the built-in reference scenario through the three-scan protocol."""
     config = reference_scenario(n_pulses=pulses_per_scan, seed=seed).config
     return end_to_end_report(config, pulses_per_scan, block_size=block_size)
 
 
-# (name, target, rounding floor, statistical half-width at 1e6 pulses/scan)
+# (name, report field, in dB, target, rounding floor, stat. half-width at 1e6 pulses/scan)
 _REFERENCE_CHECKS = (
-    ("squeezed variance (raw)", 0.70, 0.004, 0.006),
-    ("antisqueezed variance (raw)", 1.96, 0.021, 0.012),
-    ("single-beam variance (raw)", 1.17, 0.002, 0.008),
-    ("squeezed variance (corrected)", 0.56, 0.002, 0.008),
-    ("sum variance (Duan-Simon)", 1.12, 0.004, 0.016),
-    ("entropy of formation [ebit]", 0.44, 0.006, 0.017),
-    ("squeezed level [dB]", -1.55, 0.008, 0.040),
-    ("antisqueezed level [dB]", 2.92, 0.048, 0.030),
-    ("corrected squeezed level [dB]", -2.52, 0.006, 0.065),
+    ("squeezed variance (raw)", "raw_squeezed_variance", False, 0.70, 0.004, 0.006),
+    ("antisqueezed variance (raw)", "raw_antisqueezed_variance", False, 1.96, 0.021, 0.012),
+    ("single-beam variance (raw)", "raw_single_beam_variance", False, 1.17, 0.002, 0.008),
+    ("squeezed variance (corrected)", "corrected_squeezed_variance", False, 0.56, 0.002, 0.008),
+    ("sum variance (Duan-Simon)", "duan_simon", False, 1.12, 0.004, 0.016),
+    ("entropy of formation [ebit]", "entropy_of_formation", False, 0.44, 0.006, 0.017),
+    ("squeezed level [dB]", "raw_squeezed_variance", True, -1.55, 0.008, 0.040),
+    ("antisqueezed level [dB]", "raw_antisqueezed_variance", True, 2.92, 0.048, 0.030),
+    ("corrected squeezed level [dB]", "corrected_squeezed_variance", True, -2.52, 0.006, 0.065),
 )
 
 
@@ -100,32 +100,14 @@ def reference_check_rows(
     half-width that scales as 1/sqrt(pulses per scan).
     """
     scale = math.sqrt(_REFERENCE_PULSES / pulses_per_scan)
-    actuals = {
-        "squeezed variance (raw)": report.raw_squeezed_variance,
-        "antisqueezed variance (raw)": report.raw_antisqueezed_variance,
-        "single-beam variance (raw)": report.raw_single_beam_variance,
-        "squeezed variance (corrected)": report.corrected_squeezed_variance,
-        "sum variance (Duan-Simon)": report.duan_simon,
-        "entropy of formation [ebit]": report.entropy_of_formation,
-        "squeezed level [dB]": variance_to_db(report.raw_squeezed_variance),
-        "antisqueezed level [dB]": variance_to_db(report.raw_antisqueezed_variance),
-        "corrected squeezed level [dB]": variance_to_db(
-            report.corrected_squeezed_variance
-        ),
-    }
     rows = []
-    for name, target, floor, stat in _REFERENCE_CHECKS:
+    for name, attr, in_db, target, floor, stat in _REFERENCE_CHECKS:
         tolerance = floor + stat * scale
-        simulated = actuals[name]
-        rows.append(
-            CheckRow(
-                name=name,
-                target=target,
-                simulated=simulated,
-                tolerance=tolerance,
-                passed=abs(simulated - target) <= tolerance,
-            )
-        )
+        simulated = getattr(report, attr)
+        if in_db:
+            simulated = variance_to_db(simulated)
+        passed = abs(simulated - target) <= tolerance
+        rows.append(CheckRow(name, target, simulated, tolerance, passed))
     return rows
 
 
@@ -177,7 +159,7 @@ def _analysis_config(args, records_path: Path) -> tuple[RunConfig | None, int]:
         scenario = load_scenario(args.scenario, block_size_override=args.block_size)
         return scenario.config, scenario.block_size
     sidecar = records_path.with_suffix(".json")
-    block = args.block_size if args.block_size is not None else 2500
+    block = args.block_size if args.block_size is not None else DEFAULT_BLOCK_SIZE
     if sidecar.exists():
         try:
             return from_dict(Sidecar, read_metadata(records_path)).config, block
@@ -191,20 +173,9 @@ def cmd_analyze(args) -> int:
     config, block_size = _analysis_config(args, records_path)
     train = read_records(records_path)
     fit = fit_phase_scan(train, block_size)
-    eta = config.detector.efficiency
-    squeezed_corr = efficiency_inversion(fit.v_min, eta)
-    antisqueezed_corr = efficiency_inversion(fit.v_max, eta)
-    # single-file route: the diagonal variance comes from the two corrected
-    # extremes, (antisqueezed + squeezed) / 2; a blocked-arm run is not needed
-    v_corr = 0.5 * (antisqueezed_corr + squeezed_corr)
-    _, report = reconstruct_covariance(v_corr, squeezed_corr, efficiency_used=eta)
-    report = replace(
-        report,
-        raw_squeezed_variance=fit.v_min,
-        raw_antisqueezed_variance=fit.v_max,
-        squeezed_stderr=fit.stderr,
-        duan_simon_stderr=2.0 * fit.stderr / eta,
-        seed=config.seed,
+    # single-file route: no blocked-arm level, the corrected extremes set the diagonal
+    report = report_from_levels(
+        config.detector.efficiency, fit.v_min, fit.stderr, fit.v_max, seed=config.seed
     )
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -221,7 +192,7 @@ def cmd_analyze(args) -> int:
 def cmd_reproduce_paper(args) -> int:
     pulses = args.pulses if args.pulses is not None else _REFERENCE_PULSES
     seed = args.seed if args.seed is not None else DEFAULT_SEED
-    block = args.block_size if args.block_size is not None else 2500
+    block = args.block_size if args.block_size is not None else DEFAULT_BLOCK_SIZE
     report = run_reference_scans(pulses_per_scan=pulses, seed=seed, block_size=block)
     rows = reference_check_rows(report, pulses)
     all_passed = all(r.passed for r in rows)

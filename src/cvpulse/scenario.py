@@ -15,11 +15,10 @@ from pathlib import Path
 from . import schema
 from .gaussian import SourceSpec
 from .schema import FieldError, check_fields
-from .simulate import DetectorModel, PhaseSchedule, RunConfig
+from .simulate import DEFAULT_BLOCK_SIZE, DetectorModel, PhaseSchedule, RunConfig
 
 DEFAULT_SEED = 12345
 DEFAULT_PULSES = 250_000
-DEFAULT_BLOCK_SIZE = 2500
 
 
 class ScenarioError(ValueError):
@@ -90,6 +89,11 @@ def scenario_from_dict(
     reference = reference_scenario()
     settings = schema.to_dict(reference)
     del settings["config"]
+    # checked here: RunConfig's own check would list only the config's keys
+    allowed = [*schema.to_dict(reference.config), *settings]
+    for key in data:
+        if key not in allowed:
+            raise ScenarioError(f"unknown key {key!r}; allowed: {', '.join(allowed)}")
     config = _overlay(
         reference.config, {k: v for k, v in data.items() if k not in settings}
     )

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import ClassVar
 
@@ -34,6 +34,9 @@ from .schema import FieldError, check_fields
 
 #: Pulses handled per RNG stream; part of the reproducibility contract.
 DEFAULT_CHUNK_SIZE = 65536
+
+#: Pulses per variance block when a caller or a scenario names none.
+DEFAULT_BLOCK_SIZE = 2500
 
 #: Detector noise floor 11 dB below the shot-noise level.
 DEFAULT_ELECTRONIC_NOISE_VAR = 10.0 ** -1.1
@@ -395,7 +398,7 @@ class BlockReducer:
 
 
 def block_variance_trace(
-    train: PulseTrain, block_size: int = 2500
+    train: PulseTrain, block_size: int = DEFAULT_BLOCK_SIZE
 ) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
     """Unbiased sample variance over consecutive non-overlapping blocks.
 
@@ -408,7 +411,9 @@ def block_variance_trace(
 
 
 def stream_block_variances(
-    config: RunConfig, block_size: int = 2500, chunk_size: int = DEFAULT_CHUNK_SIZE
+    config: RunConfig,
+    block_size: int = DEFAULT_BLOCK_SIZE,
+    chunk_size: int = DEFAULT_CHUNK_SIZE,
 ) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
     """Block variances of a simulated run, sampled and reduced chunk by chunk.
 
@@ -442,25 +447,25 @@ def theta_scan(
 ) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64], NDArray[np.float64]]:
     """Noise-ellipse extremes of the detected port as the relative phase is swept.
 
-    For each theta the detected 2x2 covariance is diagonalized analytically;
-    returns (thetas, min variance, max variance, LO phase of the minimum,
-    modulo pi).  Electronic noise is included in the extremes.
+    The detected 2x2 covariance of every theta is built in one stack and
+    diagonalized analytically; returns (thetas, min variance, max variance,
+    LO phase of the minimum, modulo pi).  Electronic noise is included in the
+    extremes.
     """
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-    v_min = np.empty_like(thetas)
-    v_max = np.empty_like(thetas)
-    phi_min = np.empty_like(thetas)
+    rotations = np.array([phase_rotation(t, mode=1) for t in thetas]).reshape(-1, 4, 4)
+    # rows of the chain that feed the measured port, one 2x4 block per theta
+    rows = beamsplitter(config.beamsplitter_r)[:2] @ rotations
+    g = rows @ _input_covariance(config) @ rows.transpose(0, 2, 1)
+    eta = config.detector.efficiency
+    g = eta * (0.5 * (g + g.transpose(0, 2, 1))) + (1.0 - eta) * np.eye(2)
+    g00, g11, g01 = g[:, 0, 0], g[:, 1, 1], g[:, 0, 1]
+    mean = 0.5 * (g00 + g11)
+    half = np.hypot(0.5 * (g00 - g11), g01)
     noise = config.detector.electronic_noise_var
-    for i, theta in enumerate(thetas):
-        g = detected_covariance(replace(config, theta=float(theta)))
-        mean = 0.5 * (g[0, 0] + g[1, 1])
-        half = math.hypot(0.5 * (g[0, 0] - g[1, 1]), g[0, 1])
-        v_min[i] = mean - half + noise
-        v_max[i] = mean + half + noise
-        # orientation of the major axis; minor axis is pi/2 away
-        phi_major = 0.5 * math.atan2(2.0 * g[0, 1], g[0, 0] - g[1, 1])
-        phi_min[i] = (phi_major + math.pi / 2.0) % math.pi
-    return thetas, v_min, v_max, phi_min
+    # orientation of the major axis; minor axis is pi/2 away
+    phi_min = (0.5 * np.arctan2(2.0 * g01, g00 - g11) + math.pi / 2.0) % math.pi
+    return thetas, mean - half + noise, mean + half + noise, phi_min
 
 
 def shot_noise_linearity_scan(

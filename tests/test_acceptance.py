@@ -263,7 +263,7 @@ def _loss_inversion_defect(n_pairs=100):
         v_corr = efficiency_inversion(
             detected_variance(single, 0.0), eta, extra_transmission=0.5
         )
-        gamma, _ = reconstruct_covariance(v_corr, squeezed_corr)
+        gamma = reconstruct_covariance(v_corr, squeezed_corr).covariance
         worst = max(
             worst, float(np.max(np.abs(gamma - source_covariance(source))))
         )

@@ -13,6 +13,7 @@ from cvpulse.analysis import (
     fit_phase_scan,
     fit_variance_curve,
     reconstruct_covariance,
+    report_from_levels,
 )
 from cvpulse.entanglement import entropy_from_duan_simon
 from cvpulse.gaussian import SourceSpec, source_covariance, symmetric_two_mode_covariance
@@ -143,16 +144,15 @@ def test_efficiency_inversion_rejects_bad_input():
 
 def test_reconstruct_covariance_reference_state():
     """The published corrected pair (1.50, 0.56) yields the published witnesses."""
-    gamma, report = reconstruct_covariance(1.50, 0.56, efficiency_used=0.68)
+    report = reconstruct_covariance(1.50, 0.56)
     np.testing.assert_allclose(
-        gamma, symmetric_two_mode_covariance(1.50, 0.94, 0.94), atol=1e-12
+        report.covariance, symmetric_two_mode_covariance(1.50, 0.94, 0.94), atol=1e-12
     )
     assert report.corrected_correlation == pytest.approx(0.94, abs=1e-12)
     assert report.duan_simon == pytest.approx(1.12, abs=1e-12)
     assert report.entropy_of_formation == pytest.approx(0.4352253867881952, abs=1e-12)
     assert report.reid_product == pytest.approx(0.8297995377777778, abs=1e-12)
     assert report.nonseparable
-    assert report.efficiency_used == 0.68
     assert report.raw_squeezed_variance is None  # analytic route carries no raw data
 
 
@@ -164,6 +164,34 @@ def test_reconstruct_covariance_rejects_unphysical():
         reconstruct_covariance(-1.0, 0.5)
     with pytest.raises(ValueError):
         reconstruct_covariance(1.5, 0.0)
+
+
+@pytest.mark.parametrize("single_v", [None, 1.6])
+def test_report_from_levels_diagonal_rules(single_v):
+    """A blocked-arm level fixes the diagonal; without one the corrected extremes do."""
+    eta, v, k, sigma = 0.68, 1.50, 0.94, 0.004
+    squeezed = eta * (v - k) + 1.0 - eta
+    antisqueezed = eta * (v + k) + 1.0 - eta
+    single = None if single_v is None else 0.5 * eta * single_v + 1.0 - 0.5 * eta
+    report = report_from_levels(eta, squeezed, sigma, antisqueezed, single, seed=7)
+    diagonal = v if single_v is None else single_v
+    assert report.corrected_variance == pytest.approx(diagonal, abs=1e-12)
+    assert report.corrected_squeezed_variance == pytest.approx(v - k, abs=1e-12)
+    assert report.corrected_correlation == pytest.approx(diagonal - (v - k), abs=1e-12)
+    np.testing.assert_array_equal(
+        report.covariance,
+        reconstruct_covariance(
+            report.corrected_variance, report.corrected_squeezed_variance
+        ).covariance,
+    )
+    assert report.efficiency_used == eta
+    assert report.squeezed_stderr == sigma
+    assert report.duan_simon_stderr == pytest.approx(2.0 * sigma / eta, rel=1e-15)
+    assert report.raw_squeezed_variance == squeezed
+    assert report.raw_antisqueezed_variance == antisqueezed
+    assert report.raw_single_beam_variance == single
+    assert report.seed == 7
+    assert report.antisqueezed_consistent is None and report.pulses_per_scan is None
 
 
 def test_single_beam_identity():
@@ -211,8 +239,8 @@ def test_loss_inversion_round_trip():
         v_corr = efficiency_inversion(single_meas, eta, extra_transmission=0.5)
         assert squeezed_corr == pytest.approx(v - k, rel=1e-9)
         assert v_corr == pytest.approx(v, rel=1e-9)
-        gamma, report = reconstruct_covariance(v_corr, squeezed_corr)
-        np.testing.assert_allclose(gamma, source_covariance(source), atol=1e-9)
+        report = reconstruct_covariance(v_corr, squeezed_corr)
+        np.testing.assert_allclose(report.covariance, source_covariance(source), atol=1e-9)
         assert report.duan_simon == pytest.approx(2.0 * (v - k), rel=1e-9)
 
 

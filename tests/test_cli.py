@@ -271,6 +271,8 @@ BAD_INPUTS = [
                  EXIT_INVALID_INPUT, "'source.v'", id="field of another kind"),
     pytest.param(_scenario({"detector": [1]}), EXIT_INVALID_INPUT, "invalid detector",
                  id="detector not an object"),
+    pytest.param(_scenario({"detectr": {}}), EXIT_INVALID_INPUT, "block_size",
+                 id="unknown scenario key"),
     pytest.param(_simulated(_typo_in_sidecar), EXIT_INVALID_INPUT,
                  "'config.detector.eta_typo'", id="unknown sidecar key"),
     pytest.param(_simulated(_nan_on_line_1001), EXIT_INVALID_INPUT, "line 1001",

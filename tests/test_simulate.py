@@ -13,6 +13,7 @@ from cvpulse.simulate import (
     PhaseSchedule,
     RunConfig,
     block_variance_trace,
+    detected_covariance,
     detected_variance,
     read_metadata,
     read_records,
@@ -121,6 +122,28 @@ def test_theta_scan_constant_ellipticity():
     expected = (math.pi / 2.0 - thetas / 2.0) % math.pi
     delta = np.abs((phi_min - expected + math.pi / 2.0) % math.pi - math.pi / 2.0)
     assert np.max(delta) < 1e-9
+
+
+@pytest.mark.parametrize("r", [0.5, 0.3])
+@pytest.mark.parametrize("blocked_arm", ["none", "a", "b", "signal"])
+@pytest.mark.parametrize(
+    "source", [SourceSpec.pure_nopa(0.472), REFERENCE_SOURCE], ids=["pure_nopa", "mixed"]
+)
+def test_theta_scan_matches_per_theta_covariance(source, blocked_arm, r):
+    """The stacked scan agrees with diagonalizing detected_covariance one theta at a time."""
+    noisy = replace(FLAT_DETECTOR, eta_homodyne=0.9, electronic_noise_var=0.05)
+    cfg = _config(source=source, detector=noisy, blocked_arm=blocked_arm, beamsplitter_r=r)
+    thetas = np.linspace(0.0, 2.0 * math.pi, 24, endpoint=False)
+    _, v_min, v_max, phi_min = theta_scan(cfg, thetas)
+    for i, theta in enumerate(thetas):
+        g = detected_covariance(replace(cfg, theta=float(theta)))
+        eigenvalues, eigenvectors = np.linalg.eigh(g)
+        assert v_min[i] == pytest.approx(eigenvalues[0] + 0.05, abs=1e-12)
+        assert v_max[i] == pytest.approx(eigenvalues[1] + 0.05, abs=1e-12)
+        if eigenvalues[1] - eigenvalues[0] > 1e-9:
+            expected = math.atan2(eigenvectors[1, 0], eigenvectors[0, 0])
+            delta = (phi_min[i] - expected + math.pi / 2.0) % math.pi - math.pi / 2.0
+            assert abs(delta) < 1e-9
 
 
 def test_sampling_is_deterministic():
