@@ -27,7 +27,7 @@ from .analysis import (
     report_from_levels,
 )
 from .entanglement import variance_to_db
-from .schema import from_dict, to_dict
+from .schema import to_dict
 from .scenario import (
     DEFAULT_SEED,
     Scenario,
@@ -162,7 +162,7 @@ def _analysis_config(args, records_path: Path) -> tuple[RunConfig | None, int]:
     block = args.block_size if args.block_size is not None else DEFAULT_BLOCK_SIZE
     if sidecar.exists():
         try:
-            return from_dict(Sidecar, read_metadata(records_path)).config, block
+            return Sidecar.from_dict(read_metadata(records_path)).config, block
         except ValueError as exc:
             raise ValueError(f"{sidecar}: {exc}") from None
     return reference_scenario().config, block

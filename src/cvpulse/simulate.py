@@ -23,7 +23,6 @@ from numpy.typing import NDArray
 from .gaussian import (
     Matrix,
     SourceSpec,
-    apply_transform,
     beamsplitter,
     mode_block,
     phase_rotation,
@@ -34,6 +33,12 @@ from .schema import FieldError, check_fields
 
 #: Pulses handled per RNG stream; part of the reproducibility contract.
 DEFAULT_CHUNK_SIZE = 65536
+
+#: Sampling contract of the records this version writes: 1 drew each pulse's
+#: standard deviation from its own cos and sin, 2 from per-stream fringe
+#: coefficients and per-chunk phasors (equal to rounding, not bit for bit).
+FORMAT_VERSION = 2
+_READABLE_VERSIONS = (1, 2)
 
 #: Pulses per variance block when a caller or a scenario names none.
 DEFAULT_BLOCK_SIZE = 2500
@@ -129,6 +134,11 @@ class PhaseSchedule:
     def __len__(self) -> int:
         return self.n_pulses
 
+    @property
+    def step(self) -> float:
+        """Phase advance from one pulse of a ramp to the next."""
+        return (self.phi_end - self.phi_start) / max(self.n_pulses, 1)
+
     def values(self, start: int = 0, stop: int | None = None) -> NDArray[np.float64]:
         """Materialize the per-pulse phases of pulses [start, stop), all by default.
 
@@ -142,8 +152,7 @@ class PhaseSchedule:
             )
         if self.kind == "constant":
             return np.full(stop - start, float(self.phi))
-        step = (self.phi_end - self.phi_start) / max(self.n_pulses, 1)
-        return self.phi_start + step * np.arange(start, stop)
+        return self.phi_start + self.step * np.arange(start, stop)
 
 
 @dataclass(frozen=True)
@@ -183,6 +192,7 @@ class RunConfig:
 class Sidecar:
     """JSON metadata written next to a records CSV: enough to regenerate it."""
 
+    format_version: int
     format: str
     n_pulses: int
     chunk_size: int
@@ -190,6 +200,18 @@ class Sidecar:
 
     def __post_init__(self) -> None:
         check_fields(self)
+        if self.format_version not in _READABLE_VERSIONS:
+            raise FieldError(
+                "format_version",
+                f"expected one of {_READABLE_VERSIONS}, got {self.format_version}",
+            )
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "Sidecar":
+        # sidecars written before the field existed follow contract 1
+        if isinstance(data, dict) and "format_version" not in data:
+            data = {"format_version": 1, **data}
+        return schema.from_dict(cls, data)
 
 
 @dataclass(frozen=True, eq=False)
@@ -220,16 +242,29 @@ def _input_covariance(config: RunConfig) -> Matrix:
     return gamma
 
 
+def _port_rows(config: RunConfig, thetas) -> NDArray[np.float64]:
+    """Rows of the phase-shift-then-beamsplitter chain that feed the measured
+    port, one 2x4 block per relative phase theta."""
+    thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
+    rotations = np.array([phase_rotation(t, mode=1) for t in thetas]).reshape(-1, 4, 4)
+    return beamsplitter(config.beamsplitter_r)[:2] @ rotations
+
+
+def _detected_covariances(config: RunConfig, thetas) -> NDArray[np.float64]:
+    """Detected 2x2 covariances, one per theta, without electronic noise."""
+    rows = _port_rows(config, thetas)
+    g = rows @ _input_covariance(config) @ rows.transpose(0, 2, 1)
+    eta = config.detector.efficiency
+    return eta * (0.5 * (g + g.transpose(0, 2, 1))) + (1.0 - eta) * np.eye(2)
+
+
 def detected_covariance(config: RunConfig) -> Matrix:
     """2x2 covariance of the measured output port after recombination and loss.
 
     Electronic noise is not included; it enters additively in
     :func:`detected_variance`.
     """
-    chain = beamsplitter(config.beamsplitter_r) @ phase_rotation(config.theta, mode=1)
-    gamma = apply_transform(chain, _input_covariance(config))
-    eta = config.detector.efficiency
-    return eta * mode_block(gamma, 0) + (1.0 - eta) * np.eye(2)
+    return _detected_covariances(config, config.theta)[0]
 
 
 def detected_variance(config: RunConfig, lo_phase):
@@ -252,12 +287,15 @@ def _chunk_rng(seed: int, stream: int, chunk_index: int) -> np.random.Generator:
     return np.random.default_rng((seed, stream, chunk_index))
 
 
-def _chunks(config: RunConfig, chunk_size: int, stream: int, draw):
+def _chunks(config: RunConfig, chunk_size: int, stream: int, make_draw):
     """The chunk loop every sampler runs: yields (phases, values) per RNG chunk.
 
     Chunk i covers pulses [i * chunk_size, (i + 1) * chunk_size) and its
-    values are ``draw(phases, rng)`` with rng seeded from (seed, stream, i),
-    so a chunk is reproducible on its own and memory stays O(chunk_size).
+    values are ``draw(phases, rng)`` with rng seeded from (seed, stream, i).
+    ``draw = make_draw(config, chunk_size)`` is built once per stream, when
+    the first chunk is asked for.  No state passes from one chunk to the
+    next, so a chunk is reproducible on its own and memory stays
+    O(chunk_size).
     """
     if chunk_size < 1:
         raise ValueError(f"chunk size must be >= 1, got {chunk_size}")
@@ -266,6 +304,7 @@ def _chunks(config: RunConfig, chunk_size: int, stream: int, draw):
         raise ValueError("empty schedule: nothing to sample")
 
     def run():
+        draw = make_draw(config, chunk_size)
         for chunk_index, start in enumerate(range(0, n, chunk_size)):
             phases = config.schedule.values(start, min(start + chunk_size, n))
             yield phases, draw(phases, _chunk_rng(config.seed, stream, chunk_index))
@@ -273,18 +312,62 @@ def _chunks(config: RunConfig, chunk_size: int, stream: int, draw):
     return run()
 
 
-def _marginal_draw(config: RunConfig):
+def _marginal_draw(config: RunConfig, chunk_size: int):
+    """The per-chunk draw of the fast sampler, format version 2.
+
+    The detected variance is A + B cos 2phi + C sin 2phi, with A, B and C
+    taken once from :func:`detected_covariance` and the electronic noise in
+    A.  On a ramp of step d, pulse j of a chunk starting at phase phi_s has
+    2phi = 2phi_s + 2jd, so one table of cos 2jd and sin 2jd and two scalars
+    per chunk give every variance without per-pulse trig.
+    """
+    g = detected_covariance(config)
+    a = 0.5 * (g[0, 0] + g[1, 1]) + config.detector.electronic_noise_var
+    b, c = 0.5 * (g[0, 0] - g[1, 1]), g[0, 1]
+    if config.blocked_arm != "none":
+        # Both source kinds are symmetric: each mode alone is thermal, v * I.
+        # With one arm blocked, both beamsplitter inputs are multiples of I,
+        # so the detected covariance is too: there is no fringe, and B and C
+        # are rounding noise.
+        b = c = 0.0
+    schedule = config.schedule
+    if schedule.kind == "constant" or b == c == 0.0:
+        # one variance for every pulse; without a fringe any phase will do
+        two_phi = 2.0 * schedule.phi
+        std = math.sqrt(a + b * math.cos(two_phi) + c * math.sin(two_phi))
+
+        def draw(phases, rng):
+            return std * rng.standard_normal(len(phases))
+
+        return draw
+
+    angles = (2.0 * schedule.step) * np.arange(min(chunk_size, len(schedule)))
+    cos_table = np.cos(angles)
+    sin_table = np.sin(angles, out=angles)
+
     def draw(phases, rng):
-        std = np.sqrt(detected_variance(config, phases))
-        return std * rng.standard_normal(len(phases))
+        m = len(phases)
+        cos_s, sin_s = math.cos(2.0 * phases[0]), math.sin(2.0 * phases[0])
+        u = b * cos_s + c * sin_s
+        w = c * cos_s - b * sin_s
+        # std = sqrt(a + u cos + w sin), in place: a chunk allocates three
+        # arrays, not seven
+        std = u * cos_table[:m]
+        std += a
+        std += w * sin_table[:m]
+        np.sqrt(std, out=std)
+        values = rng.standard_normal(m)
+        values *= std
+        return values
 
     return draw
 
 
 def _collect(config: RunConfig, chunks) -> PulseTrain:
-    # The whole train is allocated before the first chunk is drawn; building
-    # the index after the loop left about 1 MB more peak RSS in the records
-    # benchmark, whose check samples a fresh train.
+    # The whole train is allocated before the first chunk is drawn, and so
+    # before the draw's per-stream tables; in the records benchmark, whose
+    # check samples a fresh train, building the index after the loop left
+    # about 1 MB more peak RSS, and building the tables first about 1.5 MB.
     n = len(config.schedule)
     train = PulseTrain(
         index=np.arange(n, dtype=np.int64), lo_phase=np.empty(n), value=np.empty(n)
@@ -318,8 +401,7 @@ def sample_pulses(config: RunConfig, chunk_size: int = DEFAULT_CHUNK_SIZE) -> Pu
     -------
     PulseTrain
     """
-    chunks = _chunks(config, chunk_size, _STREAM_FAST, _marginal_draw(config))
-    return _collect(config, chunks)
+    return _collect(config, _chunks(config, chunk_size, _STREAM_FAST, _marginal_draw))
 
 
 def sample_pulses_joint(
@@ -333,10 +415,14 @@ def sample_pulses_joint(
     bright port onto the LO phase, and applies loss as a literal vacuum
     admixture plus electronic noise.
     """
+    return _collect(config, _chunks(config, chunk_size, _STREAM_JOINT, _joint_draw))
+
+
+def _joint_draw(config: RunConfig, chunk_size: int):
+    """The per-chunk draw of :func:`sample_pulses_joint`."""
     chol = np.linalg.cholesky(_input_covariance(config))
-    chain = beamsplitter(config.beamsplitter_r) @ phase_rotation(config.theta, mode=1)
     # rows producing the measured port's (X, P) from the 4 source normals
-    port_rows = (chain @ chol)[0:2, :]
+    port_rows = _port_rows(config, config.theta)[0] @ chol
     eta = config.detector.efficiency
     noise_std = math.sqrt(config.detector.electronic_noise_var)
 
@@ -353,7 +439,7 @@ def sample_pulses_joint(
             + noise_std * electronic
         )
 
-    return _collect(config, _chunks(config, chunk_size, _STREAM_JOINT, draw))
+    return draw
 
 
 class BlockReducer:
@@ -417,27 +503,12 @@ def stream_block_variances(
 ) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
     """Block variances of a simulated run, sampled and reduced chunk by chunk.
 
-    With no arm blocked this returns exactly
+    Returns exactly
     ``block_variance_trace(sample_pulses(config, chunk_size), block_size)``,
-    in memory of O(chunk_size) instead of O(pulses).  With an arm blocked
-    every pulse draws from the same generators with one scalar standard
-    deviation, so no trig is done and the result agrees with that expression
-    to rounding.
+    in memory of O(chunk_size) instead of O(pulses).
     """
     reducer = BlockReducer(block_size)
-    if config.blocked_arm == "none":
-        draw = _marginal_draw(config)
-    else:
-        # Both source kinds are symmetric: each mode alone is thermal, v * I.
-        # With one arm blocked, both beamsplitter inputs are multiples of I,
-        # so the detected covariance is too and the variance is the same at
-        # every LO phase.
-        std = math.sqrt(detected_variance(config, 0.0))
-
-        def draw(phases, rng):
-            return std * rng.standard_normal(len(phases))
-
-    for phases, values in _chunks(config, chunk_size, _STREAM_FAST, draw):
+    for phases, values in _chunks(config, chunk_size, _STREAM_FAST, _marginal_draw):
         reducer.feed(phases, values)
     return reducer.result()
 
@@ -450,22 +521,21 @@ def theta_scan(
     The detected 2x2 covariance of every theta is built in one stack and
     diagonalized analytically; returns (thetas, min variance, max variance,
     LO phase of the minimum, modulo pi).  Electronic noise is included in the
-    extremes.
+    extremes.  Where the ellipse is a circle (v_max - v_min <= 1e-12 v_max,
+    as with an arm blocked or a vacuum source) the minimum has no phase and
+    phi_min is NaN.
     """
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-    rotations = np.array([phase_rotation(t, mode=1) for t in thetas]).reshape(-1, 4, 4)
-    # rows of the chain that feed the measured port, one 2x4 block per theta
-    rows = beamsplitter(config.beamsplitter_r)[:2] @ rotations
-    g = rows @ _input_covariance(config) @ rows.transpose(0, 2, 1)
-    eta = config.detector.efficiency
-    g = eta * (0.5 * (g + g.transpose(0, 2, 1))) + (1.0 - eta) * np.eye(2)
+    g = _detected_covariances(config, thetas)
     g00, g11, g01 = g[:, 0, 0], g[:, 1, 1], g[:, 0, 1]
     mean = 0.5 * (g00 + g11)
     half = np.hypot(0.5 * (g00 - g11), g01)
     noise = config.detector.electronic_noise_var
+    v_min, v_max = mean - half + noise, mean + half + noise
     # orientation of the major axis; minor axis is pi/2 away
     phi_min = (0.5 * np.arctan2(2.0 * g01, g00 - g11) + math.pi / 2.0) % math.pi
-    return thetas, mean - half + noise, mean + half + noise, phi_min
+    phi_min[v_max - v_min <= 1e-12 * v_max] = np.nan
+    return thetas, v_min, v_max, phi_min
 
 
 def shot_noise_linearity_scan(
@@ -526,7 +596,7 @@ def write_records(
             columns = (train.index[rows], train.lo_phase[rows], train.value[rows])
             fh.write("".join(map(_CSV_ROW.__mod__, zip(*(c.tolist() for c in columns)))))
     if config is not None:
-        meta = Sidecar(_CSV_HEADER, len(train), chunk_size, config)
+        meta = Sidecar(FORMAT_VERSION, _CSV_HEADER, len(train), chunk_size, config)
         sidecar = csv_path.with_suffix(".json")
         sidecar.write_text(json.dumps(schema.to_dict(meta), indent=2) + "\n")
     return csv_path

@@ -246,6 +246,12 @@ def _typo_in_sidecar(out):
     (out / "pulses.json").write_text(json.dumps(meta))
 
 
+def _format_version_3(out):
+    meta = json.loads((out / "pulses.json").read_text())
+    meta["format_version"] = 3
+    (out / "pulses.json").write_text(json.dumps(meta))
+
+
 def _nan_on_line_1001(out):
     path = out / "pulses.csv"
     lines = path.read_text().splitlines(keepends=True)
@@ -277,6 +283,8 @@ BAD_INPUTS = [
                  "'config.detector.eta_typo'", id="unknown sidecar key"),
     pytest.param(_simulated(_nan_on_line_1001), EXIT_INVALID_INPUT, "line 1001",
                  id="non-finite record"),
+    pytest.param(_simulated(_format_version_3), EXIT_INVALID_INPUT, "format_version",
+                 id="unknown format version"),
 ]
 
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from cvpulse.gaussian import SourceSpec
+from cvpulse.scenario import reference_scenario
 from cvpulse.simulate import (
     DetectorModel,
     PhaseSchedule,
@@ -124,6 +125,28 @@ def test_theta_scan_constant_ellipticity():
     assert np.max(delta) < 1e-9
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [dict(blocked_arm="a"), dict(blocked_arm="b"), dict(blocked_arm="signal"),
+     dict(source=SourceSpec.pure_nopa(0.0))],
+    ids=["blocked-a", "blocked-b", "blocked-signal", "vacuum"],
+)
+def test_theta_scan_circle_has_no_min_phase(overrides):
+    """Where the detected ellipse is a circle, phi_min is NaN, not rounding noise."""
+    cfg = replace(reference_scenario().config, **overrides)
+    _, v_min, v_max, phi_min = theta_scan(cfg, np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False))
+    assert np.all(v_max - v_min <= 1e-12 * v_max)
+    assert np.all(np.isnan(phi_min))
+
+
+def test_theta_scan_reference_min_phase_is_finite():
+    *_, phi_min = theta_scan(
+        reference_scenario().config, np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
+    )
+    assert np.all(np.isfinite(phi_min))
+    assert np.all((phi_min >= 0.0) & (phi_min < math.pi))
+
+
 @pytest.mark.parametrize("r", [0.5, 0.3])
 @pytest.mark.parametrize("blocked_arm", ["none", "a", "b", "signal"])
 @pytest.mark.parametrize(
@@ -157,20 +180,57 @@ def test_sampling_is_deterministic():
 
 
 def test_chunks_are_independent_of_execution_order():
-    """Any chunk can be regenerated in isolation from (seed, stream, index)."""
-    from cvpulse.simulate import _STREAM_FAST, _chunk_rng
+    """Any chunk can be regenerated alone from (config, seed, stream, index, size)."""
+    from cvpulse.simulate import _STREAM_FAST, _chunk_rng, _marginal_draw
 
     n, chunk = 10_000, 1024
     cfg = _config(schedule=PhaseSchedule.linear_ramp(0.0, 4.0 * math.pi, n), seed=5)
     full = sample_pulses(cfg, chunk_size=chunk)
-    phases = cfg.schedule.values()
     stitched = np.empty(n)
     for idx in reversed(range((n + chunk - 1) // chunk)):  # deliberately out of order
         lo, hi = idx * chunk, min((idx + 1) * chunk, n)
-        rng = _chunk_rng(cfg.seed, _STREAM_FAST, idx)
-        std = np.sqrt(detected_variance(cfg, phases[lo:hi]))
-        stitched[lo:hi] = std * rng.standard_normal(hi - lo)
-    np.testing.assert_array_equal(stitched, full.value)
+        # a fresh draw per chunk: nothing is carried over from another chunk
+        draw = _marginal_draw(cfg, chunk)
+        stitched[lo:hi] = draw(cfg.schedule.values(lo, hi), _chunk_rng(cfg.seed, _STREAM_FAST, idx))
+    assert np.array_equal(stitched, full.value)
+
+
+class _UnitNormals:
+    """Stands in for a generator so that a draw returns its standard deviations."""
+
+    def standard_normal(self, m):
+        return np.ones(m)
+
+
+@pytest.mark.parametrize(
+    "schedule, chunk",
+    [
+        (PhaseSchedule.linear_ramp(0.0, 4.0 * math.pi, 100_003), 65536),
+        (PhaseSchedule.linear_ramp(0.3, -2.0 * math.pi, 10_001), 128),
+        (PhaseSchedule.linear_ramp(1.0, -4.0 * math.pi, 3_000_000), 128),
+        (PhaseSchedule.constant(0.7, 1000), 128),
+    ],
+    ids=["ramp", "negative-ramp", "long-negative-ramp", "constant"],
+)
+@pytest.mark.parametrize(
+    "source", [SourceSpec.pure_nopa(0.472), REFERENCE_SOURCE], ids=["pure_nopa", "mixed"]
+)
+def test_sampled_std_matches_detected_variance(source, schedule, chunk):
+    """Fringe coefficients and chunk phasors give sqrt(detected_variance) to 1e-14.
+
+    The long ramp has 23 438 chunks of 128 pulses, so any drift of the
+    phasors from chunk to chunk would show.
+    """
+    from cvpulse.simulate import _marginal_draw
+
+    cfg = _config(source=source, detector=replace(FLAT_DETECTOR, electronic_noise_var=0.05),
+                  schedule=schedule, theta=0.3)
+    draw = _marginal_draw(cfg, chunk)
+    n = len(schedule)
+    std = np.concatenate([draw(schedule.values(lo, min(lo + chunk, n)), _UnitNormals())
+                          for lo in range(0, n, chunk)])
+    expected = np.sqrt(detected_variance(cfg, schedule.values()))
+    np.testing.assert_allclose(std, expected, rtol=1e-14, atol=0.0)
 
 
 def test_sample_variance_matches_analytic_value():

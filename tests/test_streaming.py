@@ -1,6 +1,7 @@
 """The chunk loop: pinned record streams, streamed blocking, O(chunk) memory."""
 
 import hashlib
+import itertools
 import json
 import math
 import tracemalloc
@@ -16,6 +17,7 @@ from cvpulse.gaussian import SourceSpec
 from cvpulse.scenario import reference_scenario
 from cvpulse.schema import from_dict
 from cvpulse.simulate import (
+    FORMAT_VERSION,
     DetectorModel,
     PhaseSchedule,
     PulseTrain,
@@ -23,6 +25,8 @@ from cvpulse.simulate import (
     Sidecar,
     block_variance_trace,
     detected_covariance,
+    read_metadata,
+    read_records,
     sample_pulses,
     sample_pulses_joint,
     stream_block_variances,
@@ -36,12 +40,14 @@ def _ramp(n):
     return PhaseSchedule.linear_ramp(0.0, 4.0 * math.pi, n)
 
 
-# (sampler, config, chunk size, SHA-256 of value bytes, SHA-256 of lo_phase bytes),
-# taken from the sampler that held whole-train arrays before the chunk loop
+# (sampler, config, chunk size, SHA-256 of value bytes, SHA-256 of lo_phase bytes)
+# under format version 2.  The lo_phase digests, and the values of the
+# constant and joint streams, are those of version 1: only a ramp's or a
+# blocked arm's standard deviations changed, in their last bits.
 PINNED_STREAMS = {
     "ramp_partial_chunk": (
         sample_pulses, REFERENCE, 65536,
-        "9ce2d2a7970369d8daaf4dd8b27d6a86e7479260e277f5e11aad285a294d5f50",
+        "0d2d0a2ef1c8cb21ff2efd2c22cee6512dc72f0f78f9ff937b14e55ea38843f4",
         "d4f5c2326033145fc46be355126d38c49d9a16da1761a189d23138fbda852310",
     ),
     "constant": (
@@ -54,12 +60,12 @@ PINNED_STREAMS = {
     ),
     "blocked_b": (
         sample_pulses, replace(REFERENCE, blocked_arm="b", seed=11), 65536,
-        "33de42c9716433eca2bc2778e7775ffd2cae43c437b760762204a8cd688d2c9b",
+        "9f9c9f8660bbda293c18c51a02b11961b224187545c8bcd4bd6569ab7fb3fdb0",
         "d4f5c2326033145fc46be355126d38c49d9a16da1761a189d23138fbda852310",
     ),
     "chunk_128": (
         sample_pulses, replace(REFERENCE, schedule=_ramp(1000), seed=5), 128,
-        "cc22e5572bb2eecae30213797bbc5885f2a91bbc56dc035c7f4e847916c69551",
+        "ef0cd0f11420fd18108248f6470f6aba9633ae1d0cef9ce14a88af892564def9",
         "05bc28637e452c5e350a531d432f2052f4a95a38e81e20ac8a6690c01b760483",
     ),
     "joint": (
@@ -91,19 +97,20 @@ PURE_NOPA_CONSTANT = RunConfig(
     blocked_arm="a",
 )
 
-# (config, SHA-256 of the sidecar JSON bytes), taken from the hand-written
-# to_dict methods the codec replaced; old sidecars must stay readable
+# (config, SHA-256 of the sidecar JSON bytes written by format version 2)
 PINNED_SIDECARS = {
     "reference": (
         reference_scenario(n_pulses=1000, seed=12345).config,
-        "961068f118f874c65565911c5e19fc954d75da50a0f216938d2b0ec2f6cf30e2",
+        "965fd46dd85bb85652629f512f9dc6c03024c3fb75de8ba659b01425f3e3b2ee",
     ),
     "pure_nopa_constant": (
         PURE_NOPA_CONSTANT,
-        "407afad189acfbbda02514ae487cccbb5b8a9684ba3208161a1993a6815d29e6",
+        "f387a1a33c278e0baf5d7d363f360942ad061e0f2e3d883d4fde041781094e61",
     ),
 }
 
+# A version 1 sidecar, as written before the format_version key existed;
+# old sidecars must stay readable
 PURE_NOPA_CONSTANT_SIDECAR = """\
 {
   "format": "index,lo_phase_rad,value",
@@ -133,6 +140,9 @@ PURE_NOPA_CONSTANT_SIDECAR = """\
   }
 }
 """
+PURE_NOPA_CONSTANT_SIDECAR_DIGEST = (
+    "407afad189acfbbda02514ae487cccbb5b8a9684ba3208161a1993a6815d29e6"
+)
 
 
 @pytest.mark.parametrize("case", sorted(PINNED_SIDECARS))
@@ -141,21 +151,49 @@ def test_sidecar_bytes_are_pinned(case, tmp_path):
     csv = write_records(sample_pulses(config), tmp_path / "r.csv", config=config)
     sidecar = csv.with_suffix(".json").read_bytes()
     assert hashlib.sha256(sidecar).hexdigest() == digest
+    assert Sidecar.from_dict(json.loads(sidecar)).format_version == FORMAT_VERSION == 2
 
 
 def test_pinned_sidecar_decodes_to_its_config():
     text = PURE_NOPA_CONSTANT_SIDECAR
-    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_SIDECARS["pure_nopa_constant"][1]
-    meta = from_dict(Sidecar, json.loads(text))
+    assert hashlib.sha256(text.encode()).hexdigest() == PURE_NOPA_CONSTANT_SIDECAR_DIGEST
+    meta = Sidecar.from_dict(json.loads(text))
+    assert meta.format_version == 1
     assert meta.config == PURE_NOPA_CONSTANT
     assert RunConfig.from_dict(json.loads(text)["config"]) == PURE_NOPA_CONSTANT
+    # the codec itself stays strict: only Sidecar.from_dict supplies version 1
+    with pytest.raises(ValueError, match="missing key 'format_version'"):
+        from_dict(Sidecar, json.loads(text))
 
 
-# SHA-256 of two reports' JSON, taken before analyze and end_to_end_report
-# shared one reconstruction routine: reordering a single floating-point
-# operation in the fit, the correction or the reconstruction changes them
-PINNED_ANALYZE_STDOUT = "b968dc1472fe405c5565368d21e9c40ed8fe98cc0c9db38aee0f605b66fa9ea3"
-PINNED_END_TO_END_REPORT = "629ae85eb13822959e7dc98258c3c8f4e4476b631a8225332fd8a2d0de6c319a"
+def test_version_1_sidecar_still_analyzes(tmp_path, capsys):
+    """analyze needs only the config of a sidecar, which version 1 shares."""
+    ramp = replace(REFERENCE, schedule=_ramp(50_000))
+    csv = write_records(sample_pulses(ramp), tmp_path / "r.csv")
+    csv.with_suffix(".json").write_text(PURE_NOPA_CONSTANT_SIDECAR)
+    assert main(["analyze", str(csv), "--out", str(tmp_path), "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["efficiency_used"] == PURE_NOPA_CONSTANT.detector.efficiency
+
+
+def test_records_regenerate_from_their_sidecar(tmp_path):
+    """The route a reader takes: sidecar dict -> config -> sample_pulses == the CSV."""
+    config = replace(REFERENCE, schedule=_ramp(5000), seed=21)
+    written = write_records(sample_pulses(config, chunk_size=128), tmp_path / "r.csv",
+                            config=config, chunk_size=128)
+    meta = read_metadata(written)
+    fresh = sample_pulses(RunConfig.from_dict(meta["config"]), chunk_size=meta["chunk_size"])
+    train = read_records(written)
+    assert np.array_equal(fresh.value, train.value)
+    assert np.array_equal(fresh.lo_phase, train.lo_phase)
+    assert np.array_equal(fresh.index, train.index)
+
+
+# SHA-256 of two reports' JSON under format version 2: reordering a single
+# floating-point operation in the sampler, the fit, the correction or the
+# reconstruction changes them
+PINNED_ANALYZE_STDOUT = "5feff2824ba112f2a8b4ef9c91de13545b66fbee4c8535b8cf2aaa8be52fd773"
+PINNED_END_TO_END_REPORT = "e83f34790d10455f46aac7bdf126dec76440b78cd19dc6daa825c728d43083b6"
 
 
 def test_analyze_report_is_pinned(tmp_path, capsys):
@@ -190,8 +228,8 @@ def test_schedule_slices_match_the_whole_train():
 def test_streamed_blocks_equal_the_whole_train_blocks(chunk, block):
     """Blocks spanning chunk boundaries, or whole chunks, reduce as in one array."""
     config = REFERENCE if chunk > 1000 else replace(REFERENCE, schedule=_ramp(10_001))
-    for theta in (0.0, math.pi):
-        scan = replace(config, theta=theta)
+    for theta, arm in itertools.product((0.0, math.pi), ("none", "a", "b", "signal")):
+        scan = replace(config, theta=theta, blocked_arm=arm)
         streamed = stream_block_variances(scan, block, chunk_size=chunk)
         whole = block_variance_trace(sample_pulses(scan, chunk_size=chunk), block)
         assert np.array_equal(streamed[0], whole[0])
@@ -215,9 +253,9 @@ def test_streamed_blocking_rejects_what_block_variance_trace_rejects():
 def test_blocked_arm_scan_is_isotropic_and_trig_free(monkeypatch, source, arm):
     """With an arm blocked the detected covariance is a multiple of I.
 
-    That is what lets the streamed blocked-arm scan use one scalar standard
-    deviation: it asks for the detected variance at a single phase only, and
-    its blocks agree with the per-pulse sampler to rounding.
+    That is what lets a blocked-arm run use one scalar standard deviation:
+    no array trig is done, every pulse gets the same deviation, and the
+    streamed blocks equal those of the sampled train.
     """
     noisy = DetectorModel(electronic_noise_var=0.05)
     for theta in (0.0, 0.7, math.pi):
@@ -226,19 +264,20 @@ def test_blocked_arm_scan_is_isotropic_and_trig_free(monkeypatch, source, arm):
         g = detected_covariance(config)
         np.testing.assert_allclose(g, g[0, 0] * np.eye(2), rtol=0.0, atol=1e-14)
 
-        phase_args = []
-        real = simulate_module.detected_variance
-
-        def recording(cfg, lo_phase):
-            phase_args.append(np.ndim(lo_phase))
-            return real(cfg, lo_phase)
-
-        monkeypatch.setattr(simulate_module, "detected_variance", recording)
+        monkeypatch.setattr(simulate_module, "np", _NoArrayTrig())
         _, streamed = stream_block_variances(config, 2500)
         monkeypatch.undo()
-        assert phase_args == [0]
         _, whole = block_variance_trace(sample_pulses(config), 2500)
-        np.testing.assert_allclose(streamed, whole, rtol=1e-12, atol=0.0)
+        assert np.array_equal(streamed, whole)
+
+
+class _NoArrayTrig:
+    """numpy, for cvpulse.simulate, with cos and sin taken away."""
+
+    def __getattr__(self, name):
+        if name in ("cos", "sin"):
+            raise AssertionError(f"np.{name} called")
+        return getattr(np, name)
 
 
 def test_end_to_end_report_memory_is_order_chunk():
