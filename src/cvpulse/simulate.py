@@ -10,6 +10,7 @@ chunks are scheduled.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import warnings
@@ -25,7 +26,6 @@ from .gaussian import (
     SourceSpec,
     beamsplitter,
     mode_block,
-    phase_rotation,
     source_covariance,
 )
 from . import schema
@@ -58,6 +58,9 @@ _STREAM_JOINT = 1
 _STREAM_SHOT_NOISE = 2
 
 _BLOCKED_ARMS = ("none", "a", "b", "signal")
+
+# Entries per schedule memo: a report's three scans share one ramp, as do a sweep's reports
+_MEMO_SIZE = 8
 
 
 @dataclass(frozen=True)
@@ -218,12 +221,16 @@ class Sidecar:
 class PulseTrain:
     """Columnar sequence of pulse records."""
 
-    index: NDArray[np.int64]
     lo_phase: NDArray[np.float64]
     value: NDArray[np.float64]
 
     def __len__(self) -> int:
         return len(self.value)
+
+    @property
+    def index(self) -> NDArray[np.int64]:
+        """Pulse numbers 0 .. n - 1; derived, not stored."""
+        return np.arange(len(self), dtype=np.int64)
 
 
 def _input_covariance(config: RunConfig) -> Matrix:
@@ -245,8 +252,14 @@ def _input_covariance(config: RunConfig) -> Matrix:
 def _port_rows(config: RunConfig, thetas) -> NDArray[np.float64]:
     """Rows of the phase-shift-then-beamsplitter chain that feed the measured
     port, one 2x4 block per relative phase theta."""
-    thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-    rotations = np.array([phase_rotation(t, mode=1) for t in thetas]).reshape(-1, 4, 4)
+    thetas = np.atleast_1d(np.asarray(thetas, dtype=float)).tolist()
+    # phase_rotation(theta, mode=1) for every theta, in one stack; math.cos
+    # and math.sin give the bits phase_rotation does
+    cos = np.array([math.cos(t) for t in thetas])
+    sin = np.array([math.sin(t) for t in thetas])
+    rotations = np.tile(np.eye(4), (len(thetas), 1, 1))
+    rotations[:, 2, 2] = rotations[:, 3, 3] = cos
+    rotations[:, 2, 3], rotations[:, 3, 2] = sin, -sin
     return beamsplitter(config.beamsplitter_r)[:2] @ rotations
 
 
@@ -287,29 +300,33 @@ def _chunk_rng(seed: int, stream: int, chunk_index: int) -> np.random.Generator:
     return np.random.default_rng((seed, stream, chunk_index))
 
 
-def _chunks(config: RunConfig, chunk_size: int, stream: int, make_draw):
-    """The chunk loop every sampler runs: yields (phases, values) per RNG chunk.
+def _chunks(config: RunConfig, chunk_size: int, stream: int):
+    """The chunk loop every sampler runs: yields (start, stop, rng) per RNG chunk.
 
-    Chunk i covers pulses [i * chunk_size, (i + 1) * chunk_size) and its
-    values are ``draw(phases, rng)`` with rng seeded from (seed, stream, i).
-    ``draw = make_draw(config, chunk_size)`` is built once per stream, when
-    the first chunk is asked for.  No state passes from one chunk to the
-    next, so a chunk is reproducible on its own and memory stays
-    O(chunk_size).
+    Chunk i covers pulses [i * chunk_size, (i + 1) * chunk_size) and draws
+    from an rng seeded with (seed, stream, i).  No state passes from one
+    chunk to the next, so a chunk is reproducible on its own and memory
+    stays O(chunk_size).
     """
     if chunk_size < 1:
         raise ValueError(f"chunk size must be >= 1, got {chunk_size}")
     n = len(config.schedule)
     if n == 0:
         raise ValueError("empty schedule: nothing to sample")
+    return (
+        (start, min(start + chunk_size, n), _chunk_rng(config.seed, stream, chunk_index))
+        for chunk_index, start in enumerate(range(0, n, chunk_size))
+    )
 
-    def run():
-        draw = make_draw(config, chunk_size)
-        for chunk_index, start in enumerate(range(0, n, chunk_size)):
-            phases = config.schedule.values(start, min(start + chunk_size, n))
-            yield phases, draw(phases, _chunk_rng(config.seed, stream, chunk_index))
 
-    return run()
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _fringe_tables(two_step: float, length: int):
+    """Read-only cos 2kd and sin 2kd for k < length, shared by every ramp of step d."""
+    angles = two_step * np.arange(length)
+    cos_table = np.cos(angles)
+    sin_table = np.sin(angles, out=angles)
+    cos_table.flags.writeable = sin_table.flags.writeable = False
+    return cos_table, sin_table
 
 
 def _marginal_draw(config: RunConfig, chunk_size: int):
@@ -320,6 +337,10 @@ def _marginal_draw(config: RunConfig, chunk_size: int):
     A.  On a ramp of step d, pulse j of a chunk starting at phase phi_s has
     2phi = 2phi_s + 2jd, so one table of cos 2jd and sin 2jd and two scalars
     per chunk give every variance without per-pulse trig.
+
+    ``draw(phases, rng, out=None)`` fills ``out`` (a new array of
+    ``len(phases)`` when None) with the chunk's values.  Only ``phases[0]``
+    is read, so a caller that keeps no phases may pass that one alone.
     """
     g = detected_covariance(config)
     a = 0.5 * (g[0, 0] + g[1, 1]) + config.detector.electronic_noise_var
@@ -336,48 +357,47 @@ def _marginal_draw(config: RunConfig, chunk_size: int):
         two_phi = 2.0 * schedule.phi
         std = math.sqrt(a + b * math.cos(two_phi) + c * math.sin(two_phi))
 
-        def draw(phases, rng):
-            return std * rng.standard_normal(len(phases))
+        def draw(phases, rng, out=None):
+            values = rng.standard_normal(len(phases) if out is None else len(out), out=out)
+            values *= std
+            return values
 
         return draw
 
-    angles = (2.0 * schedule.step) * np.arange(min(chunk_size, len(schedule)))
-    cos_table = np.cos(angles)
-    sin_table = np.sin(angles, out=angles)
+    cos_table, sin_table = _fringe_tables(
+        2.0 * schedule.step, min(chunk_size, len(schedule))
+    )
 
-    def draw(phases, rng):
-        m = len(phases)
+    def draw(phases, rng, out=None):
+        m = len(phases) if out is None else len(out)
         cos_s, sin_s = math.cos(2.0 * phases[0]), math.sin(2.0 * phases[0])
         u = b * cos_s + c * sin_s
         w = c * cos_s - b * sin_s
-        # std = sqrt(a + u cos + w sin), in place: a chunk allocates three
-        # arrays, not seven
+        # std = sqrt(a + u cos + w sin), in place: a chunk allocates two
+        # arrays besides its values
         std = u * cos_table[:m]
         std += a
         std += w * sin_table[:m]
         np.sqrt(std, out=std)
-        values = rng.standard_normal(m)
+        values = rng.standard_normal(m, out=out)
         values *= std
         return values
 
     return draw
 
 
-def _collect(config: RunConfig, chunks) -> PulseTrain:
-    # The whole train is allocated before the first chunk is drawn, and so
-    # before the draw's per-stream tables; in the records benchmark, whose
-    # check samples a fresh train, building the index after the loop left
-    # about 1 MB more peak RSS, and building the tables first about 1.5 MB.
+def _collect(config: RunConfig, chunk_size: int, stream: int, make_draw) -> PulseTrain:
+    # The whole train is allocated before the draw builds its tables: in
+    # the records benchmark, whose check samples a fresh train, building
+    # the tables first left about 1.5 MB more peak RSS (sampling contract 2).
+    chunks = _chunks(config, chunk_size, stream)
     n = len(config.schedule)
-    train = PulseTrain(
-        index=np.arange(n, dtype=np.int64), lo_phase=np.empty(n), value=np.empty(n)
-    )
-    start = 0
-    for chunk_phases, chunk_values in chunks:
-        stop = start + len(chunk_values)
-        train.lo_phase[start:stop] = chunk_phases
-        train.value[start:stop] = chunk_values
-        start = stop
+    train = PulseTrain(lo_phase=np.empty(n), value=np.empty(n))
+    draw = make_draw(config, chunk_size)
+    for start, stop, rng in chunks:
+        phases = train.lo_phase[start:stop]
+        phases[:] = config.schedule.values(start, stop)
+        draw(phases, rng, out=train.value[start:stop])
     return train
 
 
@@ -401,7 +421,7 @@ def sample_pulses(config: RunConfig, chunk_size: int = DEFAULT_CHUNK_SIZE) -> Pu
     -------
     PulseTrain
     """
-    return _collect(config, _chunks(config, chunk_size, _STREAM_FAST, _marginal_draw))
+    return _collect(config, chunk_size, _STREAM_FAST, _marginal_draw)
 
 
 def sample_pulses_joint(
@@ -415,72 +435,42 @@ def sample_pulses_joint(
     bright port onto the LO phase, and applies loss as a literal vacuum
     admixture plus electronic noise.
     """
-    return _collect(config, _chunks(config, chunk_size, _STREAM_JOINT, _joint_draw))
+    return _collect(config, chunk_size, _STREAM_JOINT, _joint_draw)
 
 
 def _joint_draw(config: RunConfig, chunk_size: int):
-    """The per-chunk draw of :func:`sample_pulses_joint`."""
+    """The per-chunk draw of :func:`sample_pulses_joint`, called as the fast one is."""
     chol = np.linalg.cholesky(_input_covariance(config))
     # rows producing the measured port's (X, P) from the 4 source normals
     port_rows = _port_rows(config, config.theta)[0] @ chol
     eta = config.detector.efficiency
     noise_std = math.sqrt(config.detector.electronic_noise_var)
 
-    def draw(phases, rng):
+    def draw(phases, rng, out=None):
         m = len(phases)
         z = rng.standard_normal((4, m))
         x_port, p_port = port_rows @ z
         projected = np.cos(phases) * x_port + np.sin(phases) * p_port
         vacuum = rng.standard_normal(m)
         electronic = rng.standard_normal(m)
-        return (
-            math.sqrt(eta) * projected
-            + math.sqrt(1.0 - eta) * vacuum
-            + noise_std * electronic
+        return np.add(
+            math.sqrt(eta) * projected + math.sqrt(1.0 - eta) * vacuum,
+            noise_std * electronic,
+            out=out,
         )
 
     return draw
 
 
-class BlockReducer:
-    """Block-mean LO phases and unbiased block variances of a train fed in chunks.
-
-    Blocks are consecutive and non-overlapping and run across chunk
-    boundaries: the partial block left at the end of a chunk is carried into
-    the next, and a trailing partial block is discarded.  Every complete
-    block is reduced as one contiguous row, so the result does not depend on
-    how the train was cut into chunks.
-    """
-
-    def __init__(self, block_size: int) -> None:
-        if block_size < 2:
-            raise ValueError(f"block size must be >= 2, got {block_size}")
-        self.block_size = block_size
-        self._carry = (np.empty(0), np.empty(0))
-        self._phases: list[NDArray[np.float64]] = []
-        self._variances: list[NDArray[np.float64]] = []
-
-    def feed(self, phases: NDArray[np.float64], values: NDArray[np.float64]) -> None:
-        """Consume the next pulses of the train, in order."""
-        if len(self._carry[1]):
-            phases = np.concatenate((self._carry[0], phases))
-            values = np.concatenate((self._carry[1], values))
-        n_blocks = len(values) // self.block_size
-        used = n_blocks * self.block_size
-        if n_blocks:
-            shape = (n_blocks, self.block_size)
-            self._phases.append(phases[:used].reshape(shape).mean(axis=1))
-            self._variances.append(values[:used].reshape(shape).var(axis=1, ddof=1))
-        self._carry = (phases[used:], values[used:])
-
-    def result(self) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-        """(mean LO phase per block, variance per block) of the pulses fed so far."""
-        if not self._variances:
-            raise ValueError(
-                f"need at least one full block of {self.block_size} pulses, "
-                f"got {len(self._carry[1])}"
-            )
-        return np.concatenate(self._phases), np.concatenate(self._variances)
+def _block_count(n_pulses: int, block_size: int) -> int:
+    """Complete blocks of ``block_size`` in ``n_pulses``; at least one is required."""
+    if block_size < 2:
+        raise ValueError(f"block size must be >= 2, got {block_size}")
+    if n_pulses < block_size:
+        raise ValueError(
+            f"need at least one full block of {block_size} pulses, got {n_pulses}"
+        )
+    return n_pulses // block_size
 
 
 def block_variance_trace(
@@ -491,9 +481,31 @@ def block_variance_trace(
     Returns (mean LO phase per block, variance per block).  A trailing
     partial block is discarded.
     """
-    reducer = BlockReducer(block_size)
-    reducer.feed(train.lo_phase, train.value)
-    return reducer.result()
+    used = _block_count(len(train), block_size) * block_size
+    shape = (-1, block_size)
+    return (
+        train.lo_phase[:used].reshape(shape).mean(axis=1),
+        train.value[:used].reshape(shape).var(axis=1, ddof=1),
+    )
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _block_phase_means(schedule: PhaseSchedule, block_size: int) -> NDArray[np.float64]:
+    """Read-only mean LO phase of every complete block of a schedule.
+
+    Reduced a chunk's worth of whole blocks at a time, so memory stays
+    O(chunk); each row is reduced alone, so every mean equals that of
+    ``values().reshape(-1, block_size)`` bit for bit.
+    """
+    n_blocks = _block_count(len(schedule), block_size)
+    per_piece = max(1, DEFAULT_CHUNK_SIZE // block_size)
+    means = np.empty(n_blocks)
+    for first in range(0, n_blocks, per_piece):
+        last = min(first + per_piece, n_blocks)
+        phases = schedule.values(first * block_size, last * block_size)
+        means[first:last] = phases.reshape(-1, block_size).mean(axis=1)
+    means.flags.writeable = False
+    return means
 
 
 def stream_block_variances(
@@ -505,12 +517,29 @@ def stream_block_variances(
 
     Returns exactly
     ``block_variance_trace(sample_pulses(config, chunk_size), block_size)``,
-    in memory of O(chunk_size) instead of O(pulses).
+    in memory of O(chunk_size) instead of O(pulses).  Each chunk is drawn
+    into one buffer right behind the partial block carried from the chunk
+    before; blocks run across chunk boundaries and are reduced as contiguous
+    rows, and a trailing partial block is discarded.
     """
-    reducer = BlockReducer(block_size)
-    for phases, values in _chunks(config, chunk_size, _STREAM_FAST, _marginal_draw):
-        reducer.feed(phases, values)
-    return reducer.result()
+    schedule = config.schedule
+    chunks = _chunks(config, chunk_size, _STREAM_FAST)
+    phases = _block_phase_means(schedule, block_size).copy()
+    buffer = np.empty(min(chunk_size, len(schedule)) + block_size)
+    draw = _marginal_draw(config, chunk_size)
+    variances = []
+    carry = 0
+    for start, stop, rng in chunks:
+        filled = carry + stop - start
+        # the draw reads only the chunk's first phase
+        draw(schedule.values(start, start + 1), rng, out=buffer[carry:filled])
+        used = filled - filled % block_size
+        if used:
+            blocks = buffer[:used].reshape(-1, block_size)
+            variances.append(blocks.var(axis=1, ddof=1))
+            buffer[: filled - used] = buffer[used:filled]
+        carry = filled - used
+    return phases, np.concatenate(variances)
 
 
 def theta_scan(
@@ -593,7 +622,8 @@ def write_records(
         # process's peak RSS by about 1.5 MB, the whole train by about 60 MB)
         for start in range(0, len(train), _WRITE_BATCH):
             rows = slice(start, start + _WRITE_BATCH)
-            columns = (train.index[rows], train.lo_phase[rows], train.value[rows])
+            index = np.arange(start, min(start + _WRITE_BATCH, len(train)))
+            columns = (index, train.lo_phase[rows], train.value[rows])
             fh.write("".join(map(_CSV_ROW.__mod__, zip(*(c.tolist() for c in columns)))))
     if config is not None:
         meta = Sidecar(FORMAT_VERSION, _CSV_HEADER, len(train), chunk_size, config)
@@ -605,8 +635,9 @@ def write_records(
 def read_records(csv_path: str | Path) -> PulseTrain:
     """Read a pulse-train CSV written by :func:`write_records`.
 
-    Malformed input, a nan or an infinity included, raises ValueError naming
-    the first offending line.
+    Malformed input, a nan, an infinity or an index column other than
+    0, 1, ..., n - 1 included, raises ValueError naming the first offending
+    line.
     """
     csv_path = Path(csv_path)
     with open(csv_path) as fh:
@@ -623,20 +654,17 @@ def read_records(csv_path: str | Path) -> PulseTrain:
         except ValueError:
             _raise_at_first_bad_line(fh, csv_path.name)
             raise
-        if not np.isfinite(table).all():
+        if not np.isfinite(table).all() or np.any(table[:, 0] != np.arange(len(table))):
             _raise_at_first_bad_line(fh, csv_path.name)
     if table.size == 0:
         raise ValueError(f"{csv_path.name}: no records")
-    return PulseTrain(
-        index=table[:, 0].astype(np.int64),
-        lo_phase=table[:, 1].copy(),
-        value=table[:, 2].copy(),
-    )
+    return PulseTrain(lo_phase=table[:, 1].copy(), value=table[:, 2].copy())
 
 
 def _raise_at_first_bad_line(fh, name: str) -> None:
     """Rescan a records file and raise ValueError at its first malformed row."""
     fh.seek(0)
+    row = 0
     for lineno, line in enumerate(fh, start=1):
         if lineno == 1 or not line.strip():
             continue
@@ -651,6 +679,9 @@ def _raise_at_first_bad_line(fh, name: str) -> None:
             ) from None
         if not all(map(math.isfinite, fields)):
             raise ValueError(f"{name} line {lineno}: non-finite field in {line.strip()!r}")
+        if fields[0] != row:
+            raise ValueError(f"{name} line {lineno}: expected index {row}, got {parts[0]}")
+        row += 1
 
 
 def read_metadata(csv_path: str | Path) -> dict:

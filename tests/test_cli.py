@@ -259,6 +259,13 @@ def _nan_on_line_1001(out):
     path.write_text("".join(lines))
 
 
+def _index_7_on_line_2001(out):
+    path = out / "pulses.csv"
+    lines = path.read_text().splitlines(keepends=True)
+    lines[2000] = "7," + lines[2000].split(",", 1)[1]
+    path.write_text("".join(lines))
+
+
 NAN, INF = float("nan"), float("inf")
 
 BAD_INPUTS = [
@@ -283,6 +290,8 @@ BAD_INPUTS = [
                  "'config.detector.eta_typo'", id="unknown sidecar key"),
     pytest.param(_simulated(_nan_on_line_1001), EXIT_INVALID_INPUT, "line 1001",
                  id="non-finite record"),
+    pytest.param(_simulated(_index_7_on_line_2001), EXIT_INVALID_INPUT,
+                 "line 2001: expected index 1999, got 7", id="index out of sequence"),
     pytest.param(_simulated(_format_version_3), EXIT_INVALID_INPUT, "format_version",
                  id="unknown format version"),
 ]

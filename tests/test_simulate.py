@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cvpulse.gaussian import SourceSpec
+from cvpulse.gaussian import SourceSpec, beamsplitter, phase_rotation
 from cvpulse.scenario import reference_scenario
 from cvpulse.simulate import (
     DetectorModel,
@@ -169,6 +169,18 @@ def test_theta_scan_matches_per_theta_covariance(source, blocked_arm, r):
             assert abs(delta) < 1e-9
 
 
+@pytest.mark.parametrize("r", [0.5, 0.3])
+def test_port_rows_equal_the_matrix_chain(r):
+    """The stacked rows are beamsplitter @ phase_rotation(theta, mode=1), bit for bit."""
+    from cvpulse.simulate import _port_rows
+
+    thetas = np.concatenate([[0.0, -0.0, math.pi], np.linspace(-20.0, 20.0, 61)])
+    rows = _port_rows(_config(beamsplitter_r=r), thetas)
+    for theta, row in zip(thetas, rows):
+        expected = (beamsplitter(r) @ phase_rotation(float(theta), mode=1))[:2]
+        assert row.tobytes() == expected.tobytes()
+
+
 def test_sampling_is_deterministic():
     """Equal configs produce bit-identical record streams."""
     cfg = _config(schedule=PhaseSchedule.linear_ramp(0.0, 4.0 * math.pi, 5000), seed=77)
@@ -198,8 +210,11 @@ def test_chunks_are_independent_of_execution_order():
 class _UnitNormals:
     """Stands in for a generator so that a draw returns its standard deviations."""
 
-    def standard_normal(self, m):
-        return np.ones(m)
+    def standard_normal(self, m, out=None):
+        if out is None:
+            out = np.empty(m)
+        out.fill(1.0)
+        return out
 
 
 @pytest.mark.parametrize(

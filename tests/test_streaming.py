@@ -224,7 +224,9 @@ def test_schedule_slices_match_the_whole_train():
             schedule.values(0, n + 1)
 
 
-@pytest.mark.parametrize("chunk, block", [(65536, 2500), (65536, 500), (128, 300)])
+@pytest.mark.parametrize(
+    "chunk, block", [(65536, 2500), (65536, 500), (128, 300), (1000, 2500)]
+)
 def test_streamed_blocks_equal_the_whole_train_blocks(chunk, block):
     """Blocks spanning chunk boundaries, or whole chunks, reduce as in one array."""
     config = REFERENCE if chunk > 1000 else replace(REFERENCE, schedule=_ramp(10_001))
@@ -234,6 +236,47 @@ def test_streamed_blocks_equal_the_whole_train_blocks(chunk, block):
         whole = block_variance_trace(sample_pulses(scan, chunk_size=chunk), block)
         assert np.array_equal(streamed[0], whole[0])
         assert np.array_equal(streamed[1], whole[1])
+
+
+def test_fringe_tables_are_read_only():
+    for table in simulate_module._fringe_tables(0.01, 100):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 0.0
+
+
+@pytest.mark.parametrize("block", [500, 2500, 70_000])
+def test_block_phase_means_equal_those_of_the_whole_schedule(block):
+    """Reduced a chunk's worth of blocks at a time, or a block at a time when
+    a block outgrows a chunk, every mean is that of the whole schedule."""
+    for schedule in (_ramp(200_003), PhaseSchedule.linear_ramp(0.3, -2.0, 150_001),
+                     PhaseSchedule.constant(0.7, 150_000)):
+        used = len(schedule) - len(schedule) % block
+        whole = schedule.values()[:used].reshape(-1, block).mean(axis=1)
+        means = simulate_module._block_phase_means(schedule, block)
+        assert means.tobytes() == whole.tobytes()
+        assert not means.flags.writeable
+
+
+def test_returned_block_phases_do_not_reach_the_memo():
+    config = replace(REFERENCE, schedule=_ramp(10_000))
+    phases, _ = stream_block_variances(config, 2500)
+    expected = phases.copy()
+    phases[:] = -1.0
+    again, _ = stream_block_variances(config, 2500)
+    assert np.array_equal(again, expected)
+
+
+def test_one_report_builds_one_table_and_one_set_of_block_phases():
+    """The three scans share one ramp: the two fringe scans one table, all three
+    one set of block phases; the blocked-arm scan needs no table."""
+    simulate_module._fringe_tables.cache_clear()
+    simulate_module._block_phase_means.cache_clear()
+    end_to_end_report(reference_scenario().config, 50_000)
+    tables = simulate_module._fringe_tables.cache_info()
+    phases = simulate_module._block_phase_means.cache_info()
+    assert (tables.misses, tables.hits) == (1, 1)
+    assert (phases.misses, phases.hits) == (1, 2)
 
 
 def test_streamed_blocking_rejects_what_block_variance_trace_rejects():
@@ -296,7 +339,6 @@ def test_write_records_matches_savetxt(tmp_path):
     """Batched formatting writes the bytes np.savetxt wrote, across batches."""
     train = sample_pulses(replace(REFERENCE, schedule=_ramp(20_000), seed=3))
     odd = PulseTrain(
-        index=np.arange(5, dtype=np.int64),
         lo_phase=np.array([0.0, -0.0, 1e-300, 4.0 * math.pi, 1.5e300]),
         value=np.array([1.0, -2.5, 5e-324, 0.1, -1e-17]),
     )
