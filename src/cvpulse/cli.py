@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 a reproduction or consistency check failed,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -249,7 +250,9 @@ def cmd_scan_theta(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built once per process: parsing leaves the parser as it was
     parser = argparse.ArgumentParser(
         prog="cvpulse",
         description="Simulate and analyze pulsed homodyne measurements of "

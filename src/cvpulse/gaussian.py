@@ -13,6 +13,7 @@ ellipse of the bright output port by theta / 2.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import ClassVar
@@ -31,10 +32,16 @@ PHYSICALITY_TOL = 1e-9
 SYMMETRY_TOL = 1e-12
 
 
+@functools.lru_cache(maxsize=8)
 def symplectic_form(n_modes: int = 2) -> Matrix:
-    """Block-diagonal symplectic form matching the (X, P) interleaved ordering."""
+    """Block-diagonal symplectic form matching the (X, P) interleaved ordering.
+
+    Built once per mode count and shared, so the array is read-only.
+    """
     block = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    return np.kron(np.eye(n_modes), block)
+    omega = np.kron(np.eye(n_modes), block)
+    omega.flags.writeable = False
+    return omega
 
 
 def two_mode_squeezer(r: float) -> Matrix:

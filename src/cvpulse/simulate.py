@@ -260,7 +260,15 @@ def _port_rows(config: RunConfig, thetas) -> NDArray[np.float64]:
     rotations = np.tile(np.eye(4), (len(thetas), 1, 1))
     rotations[:, 2, 2] = rotations[:, 3, 3] = cos
     rotations[:, 2, 3], rotations[:, 3, 2] = sin, -sin
-    return beamsplitter(config.beamsplitter_r)[:2] @ rotations
+    return _beamsplitter_rows(config.beamsplitter_r) @ rotations
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _beamsplitter_rows(reflectivity: float) -> NDArray[np.float64]:
+    """Read-only rows of ``beamsplitter(reflectivity)`` that feed the measured port."""
+    rows = beamsplitter(reflectivity)[:2]
+    rows.flags.writeable = False
+    return rows
 
 
 def _detected_covariances(config: RunConfig, thetas) -> NDArray[np.float64]:
@@ -340,7 +348,10 @@ def _marginal_draw(config: RunConfig, chunk_size: int):
 
     ``draw(phases, rng, out=None)`` fills ``out`` (a new array of
     ``len(phases)`` when None) with the chunk's values.  Only ``phases[0]``
-    is read, so a caller that keeps no phases may pass that one alone.
+    is read, so a caller that keeps no phases may pass that one alone.  Every
+    draw built here owns one scratch of standard deviations, so a chunk
+    drawn into a given ``out`` allocates nothing of chunk size, and one draw
+    serves one stream at a time.
     """
     g = detected_covariance(config)
     a = 0.5 * (g[0, 0] + g[1, 1]) + config.detector.electronic_noise_var
@@ -367,19 +378,22 @@ def _marginal_draw(config: RunConfig, chunk_size: int):
     cos_table, sin_table = _fringe_tables(
         2.0 * schedule.step, min(chunk_size, len(schedule))
     )
+    scratch = np.empty(len(cos_table))
 
     def draw(phases, rng, out=None):
         m = len(phases) if out is None else len(out)
+        values = np.empty(m) if out is None else out
         cos_s, sin_s = math.cos(2.0 * phases[0]), math.sin(2.0 * phases[0])
         u = b * cos_s + c * sin_s
         w = c * cos_s - b * sin_s
-        # std = sqrt(a + u cos + w sin), in place: a chunk allocates two
-        # arrays besides its values
-        std = u * cos_table[:m]
+        # std = sqrt(a + u cos + w sin) in the scratch, with w sin parked in
+        # the values the draw then overwrites
+        w_sin = np.multiply(w, sin_table[:m], out=values)
+        std = np.multiply(u, cos_table[:m], out=scratch[:m])
         std += a
-        std += w * sin_table[:m]
+        std += w_sin
         np.sqrt(std, out=std)
-        values = rng.standard_normal(m, out=out)
+        rng.standard_normal(m, out=values)
         values *= std
         return values
 
@@ -489,6 +503,23 @@ def block_variance_trace(
     )
 
 
+def _reduce_blocks(blocks: NDArray[np.float64]) -> NDArray[np.float64]:
+    """``blocks.var(axis=1, ddof=1)`` bit for bit, overwriting ``blocks``.
+
+    The steps are numpy's own for ``var``: row sums divided by the row
+    length give the means, and the squared deviations' row sums divided by
+    the length less one give the variances.
+    """
+    n = blocks.shape[1]
+    mean = np.add.reduce(blocks, axis=1, keepdims=True)
+    mean /= n
+    blocks -= mean
+    blocks *= blocks
+    variances = np.add.reduce(blocks, axis=1)
+    variances /= n - 1
+    return variances
+
+
 @functools.lru_cache(maxsize=_MEMO_SIZE)
 def _block_phase_means(schedule: PhaseSchedule, block_size: int) -> NDArray[np.float64]:
     """Read-only mean LO phase of every complete block of a schedule.
@@ -519,8 +550,8 @@ def stream_block_variances(
     ``block_variance_trace(sample_pulses(config, chunk_size), block_size)``,
     in memory of O(chunk_size) instead of O(pulses).  Each chunk is drawn
     into one buffer right behind the partial block carried from the chunk
-    before; blocks run across chunk boundaries and are reduced as contiguous
-    rows, and a trailing partial block is discarded.
+    before; blocks run across chunk boundaries and are reduced in place as
+    contiguous rows, and a trailing partial block is discarded.
     """
     schedule = config.schedule
     chunks = _chunks(config, chunk_size, _STREAM_FAST)
@@ -535,8 +566,7 @@ def stream_block_variances(
         draw(schedule.values(start, start + 1), rng, out=buffer[carry:filled])
         used = filled - filled % block_size
         if used:
-            blocks = buffer[:used].reshape(-1, block_size)
-            variances.append(blocks.var(axis=1, ddof=1))
+            variances.append(_reduce_blocks(buffer[:used].reshape(-1, block_size)))
             buffer[: filled - used] = buffer[used:filled]
         carry = filled - used
     return phases, np.concatenate(variances)

@@ -135,6 +135,27 @@ def test_reproduce_paper_small_run(tmp_path, capsys):
     assert (tmp_path / "reproduction.json").exists()
 
 
+def test_one_parser_serves_each_command_with_its_own_defaults(tmp_path, monkeypatch):
+    """The parser is built once per process; no command's defaults reach another.
+
+    ``reproduce-paper`` writes nothing unless given ``--out``, the others
+    write to the working directory by default.
+    """
+    from cvpulse.cli import _build_parser
+
+    monkeypatch.chdir(tmp_path)
+    d, e = tmp_path / "d", tmp_path / "e"
+    assert main(["reproduce-paper", "--pulses", "100000", "--out", str(d)]) == EXIT_OK
+    assert (d / "reproduction.json").exists()
+    assert main(["scan-theta", "--out", str(e)]) == EXIT_OK
+    assert len((e / "theta_scan.csv").read_text().splitlines()) == 1 + 16
+    assert main(["simulate", "--pulses", "1000"]) == EXIT_OK
+    assert (tmp_path / "pulses.csv").exists()
+    assert main(["reproduce-paper", "--pulses", "100000"]) == EXIT_OK
+    assert not (tmp_path / "reproduction.json").exists()
+    assert _build_parser() is _build_parser()
+
+
 def test_reproduce_paper_text_table(capsys):
     assert main(["reproduce-paper", "--pulses", "100000"]) == EXIT_OK
     out = capsys.readouterr().out

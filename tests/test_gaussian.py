@@ -64,6 +64,15 @@ def test_symplectic_form_squares_to_minus_identity():
         np.testing.assert_allclose(omega @ omega, -np.eye(2 * n), atol=1e-15)
 
 
+def test_symplectic_form_is_one_read_only_array_per_mode_count():
+    for n in (1, 2, 3):
+        omega = symplectic_form(n)
+        assert omega is symplectic_form(n)
+        assert omega.tobytes() == np.kron(np.eye(n), [[0.0, 1.0], [-1.0, 0.0]]).tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            omega[0, 1] = 2.0
+
+
 def test_elementary_transforms_are_symplectic():
     """Squeezer, rotation and beamsplitter all preserve the symplectic form."""
     omega = symplectic_form(2)

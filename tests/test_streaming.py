@@ -335,6 +335,72 @@ def test_end_to_end_report_memory_is_order_chunk():
     assert peak < 8 * 1_000_000
 
 
+def test_streamed_scan_allocates_no_chunk_temporaries():
+    """A 10^6-pulse ramp at the default chunk peaks at the carry buffer plus
+    the draw's one scratch of standard deviations, both about a chunk long."""
+    config = replace(REFERENCE, schedule=_ramp(1_000_000))
+    stream_block_variances(config, 2500)  # builds the memoized tables first
+    tracemalloc.start()
+    try:
+        stream_block_variances(config, 2500)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.3 * 8 * simulate_module.DEFAULT_CHUNK_SIZE
+
+
+@pytest.mark.parametrize("schedule", [_ramp(70_000), PhaseSchedule.constant(0.7, 70_000)],
+                         ids=["ramp", "constant"])
+def test_draw_into_out_gives_the_returned_values(schedule):
+    config = replace(REFERENCE, schedule=schedule)
+    draw = simulate_module._marginal_draw(config, 65536)
+    phases = schedule.values(0, 65536)
+    returned = draw(phases, simulate_module._chunk_rng(1, 0, 0))
+    buffer = np.full(65536, np.nan)
+    filled = draw(phases, simulate_module._chunk_rng(1, 0, 0), out=buffer)
+    assert filled is buffer
+    assert returned.tobytes() == buffer.tobytes()
+
+
+def test_two_open_streams_do_not_share_a_scratch(monkeypatch):
+    """Two streams on one ramp share its fringe tables, not their scratch.
+
+    Stream b advances one chunk while stream a draws each of its chunks,
+    between a's standard deviations and its normals; both must give the
+    blocks they give when run one after the other.
+    """
+    a = replace(REFERENCE, schedule=_ramp(300_000), seed=21)
+    b = replace(a, theta=math.pi, seed=22)
+    expected_a = stream_block_variances(a, 2500, chunk_size=10_000)
+    expected_b = stream_block_variances(b, 2500, chunk_size=10_000)
+
+    draw_b = simulate_module._marginal_draw(b, 10_000)
+    stream_b = (draw_b(b.schedule.values(lo, hi), rng)
+                for lo, hi, rng in simulate_module._chunks(b, 10_000, simulate_module._STREAM_FAST))
+    values_b = []
+
+    class _Interleaved:
+        def __init__(self, rng):
+            self.rng = rng
+
+        def standard_normal(self, m, out=None):
+            values_b.append(next(stream_b))
+            return self.rng.standard_normal(m, out=out)
+
+    chunks = simulate_module._chunks
+    monkeypatch.setattr(
+        simulate_module, "_chunks",
+        lambda *args: ((lo, hi, _Interleaved(rng)) for lo, hi, rng in chunks(*args)),
+    )
+    phases_a, blocks_a = stream_block_variances(a, 2500, chunk_size=10_000)
+    monkeypatch.undo()
+    assert len(values_b) == 30
+    assert np.array_equal(phases_a, expected_a[0])
+    assert np.array_equal(blocks_a, expected_a[1])
+    blocks_b = np.concatenate(values_b).reshape(-1, 2500).var(axis=1, ddof=1)
+    assert np.array_equal(blocks_b, expected_b[1])
+
+
 def test_write_records_matches_savetxt(tmp_path):
     """Batched formatting writes the bytes np.savetxt wrote, across batches."""
     train = sample_pulses(replace(REFERENCE, schedule=_ramp(20_000), seed=3))
