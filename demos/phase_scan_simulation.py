@@ -14,7 +14,7 @@ from cvpulse import (
     SourceSpec,
     block_variance_trace,
     detected_variance,
-    fit_phase_scan,
+    fit_variance_curve,
     sample_pulses,
     write_records,
 )
@@ -43,7 +43,7 @@ for i in range(0, len(variances), 10):
     print(f"{i:5d}  {phases[i] / math.pi:11.3f}  {variances[i]:8.4f}")
 
 # fit the a + b cos(2 phi + c) fringe to the block trace
-estimate = fit_phase_scan(train)
+estimate = fit_variance_curve(phases, variances, 2500)
 print(f"\nfitted minimum   : {estimate.v_min:.4f} +/- {estimate.stderr:.4f}")
 print(f"fitted maximum   : {estimate.v_max:.4f}")
 print(f"phase of minimum : {estimate.phase_at_min / math.pi:.4f} pi")

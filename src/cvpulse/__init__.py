@@ -9,37 +9,20 @@ two-mode covariance matrix.
 """
 
 from .gaussian import (
-    PHYSICALITY_TOL,
-    PhysicalityResult,
     SourceSpec,
-    apply_transform,
-    beamsplitter,
-    loss_channel,
-    mode_block,
-    phase_rotation,
     physicality_check,
-    quadrature_variance,
     source_covariance,
     symmetric_two_mode_covariance,
-    symplectic_form,
-    two_mode_squeezer,
 )
 from .entanglement import (
     EPR_THRESHOLD,
     SEPARABILITY_THRESHOLD,
-    EntanglementMeasure,
-    WitnessResult,
     duan_simon,
-    entropy_from_duan_simon,
     entropy_of_formation,
-    evaluate_witnesses,
-    formation_entropy,
-    random_symmetric_state,
     reid_epr_product,
     variance_to_db,
 )
 from .simulate import (
-    DEFAULT_CHUNK_SIZE,
     DetectorModel,
     PhaseSchedule,
     PulseTrain,
@@ -50,7 +33,6 @@ from .simulate import (
     read_metadata,
     read_records,
     sample_pulses,
-    sample_pulses_joint,
     shot_noise_linearity_scan,
     stream_block_variances,
     theta_scan,
@@ -58,10 +40,8 @@ from .simulate import (
 )
 from .analysis import (
     EntanglementReport,
-    ScanEstimate,
     efficiency_inversion,
     end_to_end_report,
-    fit_phase_scan,
     fit_variance_curve,
     reconstruct_covariance,
 )
@@ -70,33 +50,16 @@ from .scenario import Scenario, ScenarioError, load_scenario, reference_scenario
 __version__ = "0.1.0"
 
 __all__ = [
-    "PHYSICALITY_TOL",
-    "PhysicalityResult",
     "SourceSpec",
-    "apply_transform",
-    "beamsplitter",
-    "loss_channel",
-    "mode_block",
-    "phase_rotation",
     "physicality_check",
-    "quadrature_variance",
     "source_covariance",
     "symmetric_two_mode_covariance",
-    "symplectic_form",
-    "two_mode_squeezer",
     "EPR_THRESHOLD",
     "SEPARABILITY_THRESHOLD",
-    "EntanglementMeasure",
-    "WitnessResult",
     "duan_simon",
-    "entropy_from_duan_simon",
     "entropy_of_formation",
-    "evaluate_witnesses",
-    "formation_entropy",
-    "random_symmetric_state",
     "reid_epr_product",
     "variance_to_db",
-    "DEFAULT_CHUNK_SIZE",
     "DetectorModel",
     "PhaseSchedule",
     "PulseTrain",
@@ -107,16 +70,13 @@ __all__ = [
     "read_metadata",
     "read_records",
     "sample_pulses",
-    "sample_pulses_joint",
     "shot_noise_linearity_scan",
     "stream_block_variances",
     "theta_scan",
     "write_records",
     "EntanglementReport",
-    "ScanEstimate",
     "efficiency_inversion",
     "end_to_end_report",
-    "fit_phase_scan",
     "fit_variance_curve",
     "reconstruct_covariance",
     "Scenario",

@@ -25,9 +25,7 @@ from .gaussian import Matrix, physicality_check, symmetric_two_mode_covariance
 from .simulate import (
     DEFAULT_BLOCK_SIZE,
     PhaseSchedule,
-    PulseTrain,
     RunConfig,
-    block_variance_trace,
     stream_block_variances,
 )
 
@@ -119,12 +117,6 @@ def fit_variance_curve(
         stderr=max(err_min, err_max),
         n_blocks=int(phases.size),
     )
-
-
-def fit_phase_scan(train: PulseTrain, block_size: int = DEFAULT_BLOCK_SIZE) -> ScanEstimate:
-    """Block a pulse train and fit the sinusoidal variance-versus-phase curve."""
-    phases, variances = block_variance_trace(train, block_size)
-    return fit_variance_curve(phases, variances, block_size)
 
 
 def efficiency_inversion(
@@ -230,7 +222,7 @@ def reconstruct_covariance(
         corrected_variance=v,
         corrected_correlation=k,
         duan_simon=ds,
-        entropy_of_formation=entropy_of_formation(gamma).ebits,
+        entropy_of_formation=entropy_of_formation(gamma),
         reid_product=reid_epr_product(gamma),
         nonseparable=ds < SEPARABILITY_THRESHOLD,
         covariance=gamma,

@@ -24,7 +24,7 @@ import numpy as np
 from .analysis import (
     EntanglementReport,
     end_to_end_report,
-    fit_phase_scan,
+    fit_variance_curve,
     report_from_levels,
 )
 from .entanglement import variance_to_db
@@ -42,6 +42,7 @@ from .simulate import (
     DEFAULT_CHUNK_SIZE,
     RunConfig,
     Sidecar,
+    block_variance_trace,
     read_metadata,
     read_records,
     sample_pulses,
@@ -123,19 +124,16 @@ def _emit_check_table(rows: list[CheckRow]) -> None:
         )
 
 
-def _load_or_default_scenario(args) -> Scenario:
-    overrides = dict(
-        seed_override=args.seed,
-        n_pulses_override=getattr(args, "pulses", None),
-        block_size_override=args.block_size,
-    )
-    if args.scenario is not None:
-        return load_scenario(args.scenario, **overrides)
+def _load_or_default_scenario(path: str | None, **overrides) -> Scenario:
+    if path is not None:
+        return load_scenario(path, **overrides)
     return scenario_from_dict({}, **overrides)
 
 
 def cmd_simulate(args) -> int:
-    scenario = _load_or_default_scenario(args)
+    scenario = _load_or_default_scenario(
+        args.scenario, seed_override=args.seed, n_pulses_override=args.pulses
+    )
     train = sample_pulses(scenario.config)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -173,7 +171,7 @@ def cmd_analyze(args) -> int:
     records_path = Path(args.records)
     config, block_size = _analysis_config(args, records_path)
     train = read_records(records_path)
-    fit = fit_phase_scan(train, block_size)
+    fit = fit_variance_curve(*block_variance_trace(train, block_size), block_size)
     # single-file route: no blocked-arm level, the corrected extremes set the diagonal
     report = report_from_levels(
         config.detector.efficiency, fit.v_min, fit.stderr, fit.v_max, seed=config.seed
@@ -219,7 +217,7 @@ def cmd_reproduce_paper(args) -> int:
 def cmd_scan_theta(args) -> int:
     if args.points < 1:
         raise ValueError(f"--points must be >= 1, got {args.points}")
-    scenario = _load_or_default_scenario(args)
+    scenario = _load_or_default_scenario(args.scenario)
     thetas = np.linspace(0.0, 2.0 * math.pi, args.points, endpoint=False)
     thetas, v_min, v_max, phi_min = theta_scan(scenario.config, thetas)
     out_dir = Path(args.out)
@@ -250,6 +248,18 @@ def cmd_scan_theta(args) -> int:
     return EXIT_OK
 
 
+# every flag a subcommand may take; each subcommand adds the ones it reads
+_FLAGS = {
+    "--scenario": dict(type=str, default=None, help="JSON scenario file"),
+    "--seed": dict(type=int, default=None, help="RNG seed (64-bit)"),
+    "--pulses": dict(type=int, default=None, help="pulses per run/scan"),
+    "--block-size": dict(type=int, default=None, help="pulses per variance block"),
+    "--points": dict(type=int, default=16, help="grid points in [0, 2 pi)"),
+    "--out": dict(type=str, default=".", help="output directory"),
+    "--json": dict(action="store_true", help="machine-readable output"),
+}
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     # built once per process: parsing leaves the parser as it was
@@ -260,36 +270,32 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, pulses=True):
-        p.add_argument("--scenario", type=str, default=None, help="JSON scenario file")
-        p.add_argument("--seed", type=int, default=None, help="RNG seed (64-bit)")
-        if pulses:
-            p.add_argument("--pulses", type=int, default=None, help="pulses per run/scan")
-        p.add_argument(
-            "--block-size", type=int, default=None, help="pulses per variance block"
-        )
-        p.add_argument("--out", type=str, default=".", help="output directory")
-        p.add_argument("--json", action="store_true", help="machine-readable output")
+    def command(name, func, help, flags, **defaults):
+        p = sub.add_parser(name, help=help)
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
+        p.set_defaults(func=func, **defaults)
+        return p
 
-    p_sim = sub.add_parser("simulate", help="generate a pulse-record CSV")
-    common(p_sim)
-    p_sim.set_defaults(func=cmd_simulate)
-
-    p_an = sub.add_parser("analyze", help="fit and correct an existing record CSV")
-    p_an.add_argument("records", type=str, help="pulse-record CSV path")
-    common(p_an, pulses=False)
-    p_an.set_defaults(func=cmd_analyze)
-
-    p_rep = sub.add_parser(
-        "reproduce-paper", help="run the built-in reference scenario and check it"
+    command(
+        "simulate", cmd_simulate, "generate a pulse-record CSV",
+        ("--scenario", "--seed", "--pulses", "--out", "--json"),
     )
-    common(p_rep)
-    p_rep.set_defaults(func=cmd_reproduce_paper, out=None)
-
-    p_theta = sub.add_parser("scan-theta", help="sweep the relative phase")
-    common(p_theta, pulses=False)
-    p_theta.add_argument("--points", type=int, default=16, help="grid points in [0, 2 pi)")
-    p_theta.set_defaults(func=cmd_scan_theta)
+    p_an = command(
+        "analyze", cmd_analyze, "fit and correct an existing record CSV",
+        ("--scenario", "--block-size", "--out", "--json"),
+    )
+    p_an.add_argument("records", type=str, help="pulse-record CSV path")
+    command(
+        "reproduce-paper", cmd_reproduce_paper,
+        "run the built-in reference scenario and check it",
+        ("--seed", "--pulses", "--block-size", "--out", "--json"),
+        out=None,
+    )
+    command(
+        "scan-theta", cmd_scan_theta, "sweep the relative phase",
+        ("--scenario", "--points", "--out", "--json"),
+    )
     return parser
 
 

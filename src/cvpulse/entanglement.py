@@ -7,19 +7,10 @@ All quantities are evaluated directly on 4x4 covariance matrices in the
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import (
-    Matrix,
-    SourceSpec,
-    apply_transform,
-    loss_channel,
-    phase_rotation,
-    physicality_check,
-    source_covariance,
-)
+from .gaussian import Matrix, physicality_check
 
 #: A sum variance below this value certifies nonseparability.
 SEPARABILITY_THRESHOLD = 2.0
@@ -64,28 +55,6 @@ def reid_epr_product(gamma: Matrix) -> float:
     return float(cond_x * cond_p)
 
 
-@dataclass(frozen=True)
-class WitnessResult:
-    """Joint verdict of both separability witnesses on one state."""
-
-    duan_simon: float
-    nonseparable: bool
-    reid_product: float
-    reid_satisfied: bool
-
-
-def evaluate_witnesses(gamma: Matrix) -> WitnessResult:
-    """Evaluate both witnesses and their threshold verdicts."""
-    ds = duan_simon(gamma)
-    reid = reid_epr_product(gamma)
-    return WitnessResult(
-        duan_simon=ds,
-        nonseparable=ds < SEPARABILITY_THRESHOLD,
-        reid_product=reid,
-        reid_satisfied=reid < EPR_THRESHOLD,
-    )
-
-
 def formation_entropy(x: float) -> float:
     """Entropy of formation, in ebits, of a symmetric state with squeezed variance ``x``.
 
@@ -100,14 +69,6 @@ def formation_entropy(x: float) -> float:
     c_minus = (x**-0.5 - x**0.5) ** 2 / 4.0
     low = c_minus * math.log2(c_minus) if c_minus > 0.0 else 0.0
     return c_plus * math.log2(c_plus) - low
-
-
-@dataclass(frozen=True)
-class EntanglementMeasure:
-    """Entropy of formation together with the variance argument it was evaluated at."""
-
-    ebits: float
-    argument: float
 
 
 def _symmetric_form_params(gamma: Matrix) -> tuple[float, float, float]:
@@ -127,7 +88,7 @@ def _symmetric_form_params(gamma: Matrix) -> tuple[float, float, float]:
     return float(diag.mean()), float(g[0, 2]), float(-g[1, 3])
 
 
-def entropy_of_formation(gamma: Matrix) -> EntanglementMeasure:
+def entropy_of_formation(gamma: Matrix) -> float:
     """Entropy of formation of a symmetric two-mode Gaussian state.
 
     Parameters
@@ -139,9 +100,10 @@ def entropy_of_formation(gamma: Matrix) -> EntanglementMeasure:
 
     Returns
     -------
-    EntanglementMeasure
-        Ebits of formation and the variance argument; the measure is zero
-        when the argument reaches 1 (separable boundary).
+    float
+        Ebits of formation, :func:`formation_entropy` of the geometric mean
+        of the two squeezed variances; zero at and beyond the separable
+        boundary, where that argument reaches 1.
     """
     v, k_x, k_p = _symmetric_form_params(gamma)
     verdict = physicality_check(gamma)
@@ -149,22 +111,7 @@ def entropy_of_formation(gamma: Matrix) -> EntanglementMeasure:
         raise ValueError(
             f"unphysical covariance (min eigenvalue {verdict.min_eigenvalue:.3e})"
         )
-    x = math.sqrt((v - k_x) * (v - k_p))
-    if x >= 1.0:
-        return EntanglementMeasure(ebits=0.0, argument=x)
-    return EntanglementMeasure(ebits=formation_entropy(x), argument=x)
-
-
-def entropy_from_duan_simon(sum_variance: float) -> float:
-    """Entropy of formation implied by a measured sum variance, for symmetric states.
-
-    For states in symmetric form with equal X and P correlations the witness
-    and the measure carry the same information: the variance argument is half
-    the sum variance.
-    """
-    if sum_variance <= 0.0:
-        raise ValueError(f"sum variance must be positive, got {sum_variance}")
-    return formation_entropy(sum_variance / 2.0)
+    return formation_entropy(math.sqrt((v - k_x) * (v - k_p)))
 
 
 def variance_to_db(variance: float) -> float:
@@ -172,24 +119,3 @@ def variance_to_db(variance: float) -> float:
     if variance <= 0.0:
         raise ValueError(f"variance must be positive, got {variance}")
     return 10.0 * math.log10(variance)
-
-
-def random_symmetric_state(
-    rng: np.random.Generator,
-    r_max: float = 1.5,
-    eta_range: tuple[float, float] = (0.3, 1.0),
-) -> Matrix:
-    """Draw a random physical two-mode covariance in symmetric form.
-
-    A pure two-mode squeezed state is dressed with equal-and-opposite phase
-    rotations of the two modes (which preserve both the state and the
-    symmetric form) and then degraded by a common loss channel.  Physicality
-    holds by construction.
-    """
-    r = rng.uniform(0.0, r_max)
-    alpha = rng.uniform(0.0, 2.0 * math.pi)
-    eta = rng.uniform(*eta_range)
-    gamma = source_covariance(SourceSpec.pure_nopa(r))
-    opposite = phase_rotation(alpha, 0) @ phase_rotation(-alpha, 1)
-    gamma = apply_transform(opposite, gamma)
-    return loss_channel(gamma, eta)

@@ -142,22 +142,6 @@ def loss_channel(gamma: Matrix, eta: float, mode: int | None = None) -> Matrix:
     return out
 
 
-def quadrature_variance(gamma: Matrix, mode: int, phi: float) -> float:
-    """Variance of the quadrature X cos(phi) + P sin(phi) of one mode.
-
-    Other modes are traced out implicitly; the result is the marginal variance
-    a homodyne detector with local-oscillator phase ``phi`` would see.
-    """
-    gamma = np.asarray(gamma, dtype=float)
-    n_modes = gamma.shape[0] // 2
-    if not 0 <= mode < n_modes:
-        raise ValueError(f"mode index {mode} out of range for {n_modes} modes")
-    u = np.zeros(gamma.shape[0])
-    u[2 * mode] = math.cos(phi)
-    u[2 * mode + 1] = math.sin(phi)
-    return float(u @ gamma @ u)
-
-
 def mode_block(gamma: Matrix, mode: int) -> Matrix:
     """2x2 marginal covariance of one mode."""
     gamma = np.asarray(gamma, dtype=float)
@@ -249,9 +233,6 @@ class PhysicalityResult:
 
     passed: bool
     min_eigenvalue: float
-
-    def __bool__(self) -> bool:
-        return self.passed
 
 
 def physicality_check(gamma: Matrix) -> PhysicalityResult:

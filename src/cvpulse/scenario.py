@@ -110,13 +110,11 @@ def scenario_from_dict(
         raise ScenarioError(str(exc)) from None
 
 
-def load_scenario(
-    path: str | Path,
-    seed_override: int | None = None,
-    n_pulses_override: int | None = None,
-    block_size_override: int | None = None,
-) -> Scenario:
-    """Load and validate a JSON scenario file."""
+def load_scenario(path: str | Path, **overrides) -> Scenario:
+    """Load and validate a JSON scenario file.
+
+    ``overrides`` are those of :func:`scenario_from_dict`.
+    """
     text = Path(path).read_text()
     try:
         data = json.loads(text)
@@ -124,9 +122,4 @@ def load_scenario(
         raise ScenarioError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(data, dict):
         raise ScenarioError(f"{path}: top level must be a JSON object")
-    return scenario_from_dict(
-        data,
-        seed_override=seed_override,
-        n_pulses_override=n_pulses_override,
-        block_size_override=block_size_override,
-    )
+    return scenario_from_dict(data, **overrides)

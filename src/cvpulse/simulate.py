@@ -346,12 +346,11 @@ def _marginal_draw(config: RunConfig, chunk_size: int):
     2phi = 2phi_s + 2jd, so one table of cos 2jd and sin 2jd and two scalars
     per chunk give every variance without per-pulse trig.
 
-    ``draw(phases, rng, out=None)`` fills ``out`` (a new array of
-    ``len(phases)`` when None) with the chunk's values.  Only ``phases[0]``
-    is read, so a caller that keeps no phases may pass that one alone.  Every
-    draw built here owns one scratch of standard deviations, so a chunk
-    drawn into a given ``out`` allocates nothing of chunk size, and one draw
-    serves one stream at a time.
+    ``draw(phases, rng, out)`` fills ``out`` with the chunk's values and
+    returns it.  Only ``phases[0]`` is read, so a caller that keeps no
+    phases may pass that one alone.  Every draw built here owns one scratch
+    of standard deviations, so a chunk allocates nothing of chunk size, and
+    one draw serves one stream at a time.
     """
     g = detected_covariance(config)
     a = 0.5 * (g[0, 0] + g[1, 1]) + config.detector.electronic_noise_var
@@ -368,10 +367,10 @@ def _marginal_draw(config: RunConfig, chunk_size: int):
         two_phi = 2.0 * schedule.phi
         std = math.sqrt(a + b * math.cos(two_phi) + c * math.sin(two_phi))
 
-        def draw(phases, rng, out=None):
-            values = rng.standard_normal(len(phases) if out is None else len(out), out=out)
-            values *= std
-            return values
+        def draw(phases, rng, out):
+            rng.standard_normal(len(out), out=out)
+            out *= std
+            return out
 
         return draw
 
@@ -380,22 +379,21 @@ def _marginal_draw(config: RunConfig, chunk_size: int):
     )
     scratch = np.empty(len(cos_table))
 
-    def draw(phases, rng, out=None):
-        m = len(phases) if out is None else len(out)
-        values = np.empty(m) if out is None else out
+    def draw(phases, rng, out):
+        m = len(out)
         cos_s, sin_s = math.cos(2.0 * phases[0]), math.sin(2.0 * phases[0])
         u = b * cos_s + c * sin_s
         w = c * cos_s - b * sin_s
         # std = sqrt(a + u cos + w sin) in the scratch, with w sin parked in
-        # the values the draw then overwrites
-        w_sin = np.multiply(w, sin_table[:m], out=values)
+        # ``out``, which the draw then overwrites
+        w_sin = np.multiply(w, sin_table[:m], out=out)
         std = np.multiply(u, cos_table[:m], out=scratch[:m])
         std += a
         std += w_sin
         np.sqrt(std, out=std)
-        rng.standard_normal(m, out=values)
-        values *= std
-        return values
+        rng.standard_normal(m, out=out)
+        out *= std
+        return out
 
     return draw
 
@@ -460,7 +458,7 @@ def _joint_draw(config: RunConfig, chunk_size: int):
     eta = config.detector.efficiency
     noise_std = math.sqrt(config.detector.electronic_noise_var)
 
-    def draw(phases, rng, out=None):
+    def draw(phases, rng, out):
         m = len(phases)
         z = rng.standard_normal((4, m))
         x_port, p_port = port_rows @ z
@@ -665,9 +663,9 @@ def write_records(
 def read_records(csv_path: str | Path) -> PulseTrain:
     """Read a pulse-train CSV written by :func:`write_records`.
 
-    Malformed input, a nan, an infinity or an index column other than
-    0, 1, ..., n - 1 included, raises ValueError naming the first offending
-    line.
+    Malformed input, a row of other than 3 fields, a nan, an infinity or an
+    index column other than 0, 1, ..., n - 1 included, raises ValueError
+    naming the first offending line.
     """
     csv_path = Path(csv_path)
     with open(csv_path) as fh:
@@ -684,7 +682,11 @@ def read_records(csv_path: str | Path) -> PulseTrain:
         except ValueError:
             _raise_at_first_bad_line(fh, csv_path.name)
             raise
-        if not np.isfinite(table).all() or np.any(table[:, 0] != np.arange(len(table))):
+        if (
+            table.shape[1] != 3
+            or not np.isfinite(table).all()
+            or np.any(table[:, 0] != np.arange(len(table)))
+        ):
             _raise_at_first_bad_line(fh, csv_path.name)
     if table.size == 0:
         raise ValueError(f"{csv_path.name}: no records")

@@ -7,20 +7,19 @@ import pytest
 
 from cvpulse.analysis import (
     EntanglementReport,
-    ScanEstimate,
     efficiency_inversion,
     end_to_end_report,
-    fit_phase_scan,
     fit_variance_curve,
     reconstruct_covariance,
     report_from_levels,
 )
-from cvpulse.entanglement import entropy_from_duan_simon
+from cvpulse.entanglement import formation_entropy
 from cvpulse.gaussian import SourceSpec, source_covariance, symmetric_two_mode_covariance
 from cvpulse.simulate import (
     DetectorModel,
     PhaseSchedule,
     RunConfig,
+    block_variance_trace,
     detected_variance,
     sample_pulses,
 )
@@ -90,10 +89,14 @@ def test_fit_input_validation():
         fit_variance_curve(phases, variances[:-1], 100)
 
 
+def _fit_phase_scan(train, block_size=2500):
+    return fit_variance_curve(*block_variance_trace(train, block_size), block_size)
+
+
 def test_fit_phase_scan_on_simulated_fringe():
     """A 10^6-pulse simulated scan reproduces the analytic extremes."""
     schedule = PhaseSchedule.linear_ramp(0.0, 4.0 * math.pi, 1_000_000)
-    estimate = fit_phase_scan(sample_pulses(_reference_config(schedule)))
+    estimate = _fit_phase_scan(sample_pulses(_reference_config(schedule)))
     assert estimate.n_blocks == 400
     assert estimate.v_min == pytest.approx(0.7008, abs=0.01)
     assert estimate.v_max == pytest.approx(1.9792, abs=0.02)
@@ -105,7 +108,7 @@ def test_fit_phase_scan_on_vacuum():
     """A blocked-signal scan fits a flat unit curve within its own error bars."""
     schedule = PhaseSchedule.linear_ramp(0.0, 4.0 * math.pi, 400_000)
     cfg = _reference_config(schedule, blocked_arm="signal", seed=4)
-    estimate = fit_phase_scan(sample_pulses(cfg))
+    estimate = _fit_phase_scan(sample_pulses(cfg))
     assert abs(estimate.v_min - 1.0) <= 5.0 * estimate.stderr
     assert abs(estimate.v_max - 1.0) <= 5.0 * estimate.stderr
 
@@ -347,7 +350,8 @@ def test_uncorrected_entanglement_degrades_with_loss():
             schedule=PhaseSchedule.constant(0.0, 1),
         )
         squeezed = detected_variance(cfg, math.pi / 2.0)
-        ebits.append(entropy_from_duan_simon(2.0 * squeezed))
+        # the sum variance is twice the squeezed level; the entropy takes half of it
+        ebits.append(formation_entropy(squeezed))
     diffs = np.diff(ebits)
     assert np.all(diffs >= -1e-12)
     assert ebits[-1] > ebits[0]  # strictly better at eta = 1 than at heavy loss

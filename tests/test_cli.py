@@ -1,8 +1,10 @@
 """Command-line interface: subcommands, exit codes, file outputs."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +17,8 @@ from cvpulse.cli import (
 )
 
 REFERENCE_EFFICIENCY = 0.93 * 0.88**2 * 0.945
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _write_scenario(path, payload):
@@ -287,6 +291,18 @@ def _index_7_on_line_2001(out):
     path.write_text("".join(lines))
 
 
+def _records_of_width(width):
+    """Rewrite every record of the CSV with ``width`` fields, keeping the header."""
+
+    def spoil(out):
+        path = out / "pulses.csv"
+        header, *rows = path.read_text().splitlines()
+        rows = [",".join((row.split(",") + ["0"])[:width]) for row in rows]
+        path.write_text("\n".join([header, *rows]) + "\n")
+
+    return spoil
+
+
 NAN, INF = float("nan"), float("inf")
 
 BAD_INPUTS = [
@@ -315,6 +331,10 @@ BAD_INPUTS = [
                  "line 2001: expected index 1999, got 7", id="index out of sequence"),
     pytest.param(_simulated(_format_version_3), EXIT_INVALID_INPUT, "format_version",
                  id="unknown format version"),
+    pytest.param(_simulated(_records_of_width(2)), EXIT_INVALID_INPUT,
+                 "pulses.csv line 2: expected 3 fields, got 2", id="two-field records"),
+    pytest.param(_simulated(_records_of_width(4)), EXIT_INVALID_INPUT,
+                 "pulses.csv line 2: expected 3 fields, got 4", id="four-field records"),
 ]
 
 
@@ -372,6 +392,10 @@ def test_output_path_through_file_is_io_error(tmp_path, capsys):
 
 def test_console_script_entry_point(tmp_path):
     """The installed command runs end to end in a real process."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
     result = subprocess.run(
         [
             sys.executable,
@@ -386,6 +410,26 @@ def test_console_script_entry_point(tmp_path):
         ],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert result.returncode == EXIT_OK
     assert json.loads(result.stdout)["points"] == 4
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["reproduce-paper", "--scenario", "x.json"], "--scenario"),
+        (["analyze", "pulses.csv", "--seed", "5"], "--seed"),
+        (["scan-theta", "--seed", "1"], "--seed"),
+        (["scan-theta", "--block-size", "3"], "--block-size"),
+        (["simulate", "--block-size", "3"], "--block-size"),
+    ],
+)
+def test_a_flag_the_command_does_not_read_is_rejected(capsys, argv, flag):
+    """Each subcommand accepts only the flags it reads; others are bad input."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_INVALID_INPUT
+    err = capsys.readouterr().err
+    assert f"unrecognized arguments: {flag}" in err

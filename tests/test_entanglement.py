@@ -5,15 +5,13 @@ import math
 import numpy as np
 import pytest
 
+from cvpulse.analysis import reconstruct_covariance
 from cvpulse.entanglement import (
     EPR_THRESHOLD,
     SEPARABILITY_THRESHOLD,
     duan_simon,
-    entropy_from_duan_simon,
     entropy_of_formation,
-    evaluate_witnesses,
     formation_entropy,
-    random_symmetric_state,
     reid_epr_product,
     variance_to_db,
 )
@@ -25,6 +23,7 @@ from cvpulse.gaussian import (
     source_covariance,
     symmetric_two_mode_covariance,
 )
+from symmetric_states import random_symmetric_state
 
 EXPERIMENTAL_STATE = symmetric_two_mode_covariance(1.50, 0.94, 0.94)
 
@@ -79,27 +78,27 @@ def test_reid_product_pure_pair():
 
 def test_entropy_of_formation_experimental_value():
     """The experimental state carries 0.435 ebit, quoted as 0.44."""
-    measure = entropy_of_formation(EXPERIMENTAL_STATE)
-    assert measure.argument == pytest.approx(0.56, abs=1e-12)
-    assert measure.ebits == pytest.approx(0.435, abs=1e-3)
-    assert round(measure.ebits, 2) == 0.44
+    ebits = entropy_of_formation(EXPERIMENTAL_STATE)
+    assert type(ebits) is float
+    assert ebits == pytest.approx(0.435, abs=1e-3)
+    assert round(ebits, 2) == 0.44
+    # the argument of the formula is the squeezed variance v - k = 0.56
+    assert ebits == pytest.approx(formation_entropy(0.56), rel=1e-12)
 
 
 def test_entropy_matches_witness_route():
     """For symmetric states the witness carries the full entropy information."""
     for g in (EXPERIMENTAL_STATE, source_covariance(SourceSpec.pure_nopa(0.1))):
-        direct = entropy_of_formation(g).ebits
-        via_witness = entropy_from_duan_simon(duan_simon(g))
+        direct = entropy_of_formation(g)
+        via_witness = formation_entropy(duan_simon(g) / 2.0)
         assert abs(direct - via_witness) < 1e-12
-    with pytest.raises(ValueError):
-        entropy_from_duan_simon(0.0)
 
 
 def test_entropy_clamps_at_separable_boundary():
     """States at or above the boundary carry exactly zero ebits."""
-    assert entropy_of_formation(np.eye(4)).ebits == 0.0
+    assert entropy_of_formation(np.eye(4)) == 0.0
     thermal = symmetric_two_mode_covariance(1.8, 0.8, 0.8)
-    assert entropy_of_formation(thermal).ebits == 0.0
+    assert entropy_of_formation(thermal) == 0.0
     assert formation_entropy(1.0) == 0.0
     assert formation_entropy(1.7) == 0.0
     with pytest.raises(ValueError):
@@ -123,7 +122,7 @@ def test_entropy_monotone_in_squeezing():
     for r in rs:
         g = source_covariance(SourceSpec.pure_nopa(float(r)))
         ds_values.append(duan_simon(g))
-        ef_values.append(entropy_of_formation(g).ebits)
+        ef_values.append(entropy_of_formation(g))
     assert np.all(np.diff(ds_values) < 0.0)
     assert np.all(np.diff(ef_values) > 0.0)
 
@@ -148,23 +147,22 @@ def test_reid_implies_duan_simon_on_random_states():
     reid_hits = 0
     for _ in range(10_000):
         g = random_symmetric_state(rng)
-        result = evaluate_witnesses(g)
-        if result.reid_satisfied:
+        if reid_epr_product(g) < EPR_THRESHOLD:
             reid_hits += 1
-            if not result.nonseparable:
+            if not duan_simon(g) < SEPARABILITY_THRESHOLD:
                 counterexamples += 1
     assert reid_hits > 1000  # the ensemble actually exercises the implication
     assert counterexamples == 0
 
 
 def test_witness_verdicts_are_consistent():
-    """Verdict booleans mirror the threshold comparisons."""
-    result = evaluate_witnesses(EXPERIMENTAL_STATE)
-    assert result.nonseparable and result.duan_simon < SEPARABILITY_THRESHOLD
-    assert result.reid_satisfied and result.reid_product < EPR_THRESHOLD
-    separable = evaluate_witnesses(np.eye(4))
+    """A reconstruction's verdict mirrors the threshold comparisons."""
+    report = reconstruct_covariance(1.50, 0.56)
+    assert report.nonseparable and report.duan_simon < SEPARABILITY_THRESHOLD
+    assert report.reid_product < EPR_THRESHOLD
+    separable = reconstruct_covariance(1.0, 1.0)
     assert not separable.nonseparable
-    assert not separable.reid_satisfied
+    assert not separable.reid_product < EPR_THRESHOLD
 
 
 def test_loss_degrades_entanglement():
@@ -172,8 +170,8 @@ def test_loss_degrades_entanglement():
     rng = np.random.default_rng(8)
     for _ in range(200):
         g = random_symmetric_state(rng, eta_range=(0.8, 1.0))
-        before = entropy_of_formation(g).ebits
-        after = entropy_of_formation(loss_channel(g, rng.uniform(0.3, 1.0))).ebits
+        before = entropy_of_formation(g)
+        after = entropy_of_formation(loss_channel(g, rng.uniform(0.3, 1.0)))
         assert after <= before + 1e-12
 
 

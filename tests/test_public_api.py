@@ -1,0 +1,85 @@
+"""The package's public surface: the pinned export list, and every name the
+benchmark and the demos reach on ``cvpulse``.
+
+``perfbench/`` and ``demos/`` call the package by these names, so a name
+dropped from the package must first leave them.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import cvpulse
+import cvpulse.cli  # noqa: F401  (perfbench reaches cvpulse.cli.main)
+
+ROOT = Path(__file__).resolve().parents[1]
+CALLERS = sorted((ROOT / "perfbench").glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
+
+EXPORTS = [
+    "SourceSpec",
+    "physicality_check",
+    "source_covariance",
+    "symmetric_two_mode_covariance",
+    "EPR_THRESHOLD",
+    "SEPARABILITY_THRESHOLD",
+    "duan_simon",
+    "entropy_of_formation",
+    "reid_epr_product",
+    "variance_to_db",
+    "DetectorModel",
+    "PhaseSchedule",
+    "PulseTrain",
+    "RunConfig",
+    "block_variance_trace",
+    "detected_covariance",
+    "detected_variance",
+    "read_metadata",
+    "read_records",
+    "sample_pulses",
+    "shot_noise_linearity_scan",
+    "stream_block_variances",
+    "theta_scan",
+    "write_records",
+    "EntanglementReport",
+    "efficiency_inversion",
+    "end_to_end_report",
+    "fit_variance_curve",
+    "reconstruct_covariance",
+    "Scenario",
+    "ScenarioError",
+    "load_scenario",
+    "reference_scenario",
+]
+
+
+def _names_reached_on_the_package(path):
+    """``X`` of every ``from cvpulse import X`` and every ``cvpulse.X`` in a file."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom) and node.module == "cvpulse":
+            yield from (alias.name for alias in node.names)
+        elif (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "cvpulse"
+        ):
+            yield node.attr
+
+
+def test_exports_are_the_pinned_list_and_resolve():
+    assert cvpulse.__all__ == EXPORTS
+    for name in cvpulse.__all__:
+        assert hasattr(cvpulse, name), name
+
+
+@pytest.mark.parametrize("path", CALLERS, ids=[f"{p.parent.name}/{p.name}" for p in CALLERS])
+def test_every_name_a_caller_reaches_resolves(path):
+    missing = sorted(
+        {name for name in _names_reached_on_the_package(path) if not hasattr(cvpulse, name)}
+    )
+    assert missing == [], f"{path.name} reaches cvpulse.{missing}"
+
+
+def test_the_scan_finds_names_the_benchmark_uses():
+    reached = set(_names_reached_on_the_package(ROOT / "perfbench" / "run.py"))
+    assert {"cli", "read_metadata", "read_records", "sample_pulses", "end_to_end_report"} <= reached

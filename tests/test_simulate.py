@@ -203,16 +203,15 @@ def test_chunks_are_independent_of_execution_order():
         lo, hi = idx * chunk, min((idx + 1) * chunk, n)
         # a fresh draw per chunk: nothing is carried over from another chunk
         draw = _marginal_draw(cfg, chunk)
-        stitched[lo:hi] = draw(cfg.schedule.values(lo, hi), _chunk_rng(cfg.seed, _STREAM_FAST, idx))
+        draw(cfg.schedule.values(lo, hi), _chunk_rng(cfg.seed, _STREAM_FAST, idx),
+             out=stitched[lo:hi])
     assert np.array_equal(stitched, full.value)
 
 
 class _UnitNormals:
-    """Stands in for a generator so that a draw returns its standard deviations."""
+    """Stands in for a generator so that a draw fills ``out`` with its standard deviations."""
 
-    def standard_normal(self, m, out=None):
-        if out is None:
-            out = np.empty(m)
+    def standard_normal(self, m, out):
         out.fill(1.0)
         return out
 
@@ -242,8 +241,10 @@ def test_sampled_std_matches_detected_variance(source, schedule, chunk):
                   schedule=schedule, theta=0.3)
     draw = _marginal_draw(cfg, chunk)
     n = len(schedule)
-    std = np.concatenate([draw(schedule.values(lo, min(lo + chunk, n)), _UnitNormals())
-                          for lo in range(0, n, chunk)])
+    std = np.empty(n)
+    for lo in range(0, n, chunk):
+        hi = min(lo + chunk, n)
+        draw(schedule.values(lo, hi), _UnitNormals(), out=std[lo:hi])
     expected = np.sqrt(detected_variance(cfg, schedule.values()))
     np.testing.assert_allclose(std, expected, rtol=1e-14, atol=0.0)
 

@@ -349,19 +349,6 @@ def test_streamed_scan_allocates_no_chunk_temporaries():
     assert peak < 2.3 * 8 * simulate_module.DEFAULT_CHUNK_SIZE
 
 
-@pytest.mark.parametrize("schedule", [_ramp(70_000), PhaseSchedule.constant(0.7, 70_000)],
-                         ids=["ramp", "constant"])
-def test_draw_into_out_gives_the_returned_values(schedule):
-    config = replace(REFERENCE, schedule=schedule)
-    draw = simulate_module._marginal_draw(config, 65536)
-    phases = schedule.values(0, 65536)
-    returned = draw(phases, simulate_module._chunk_rng(1, 0, 0))
-    buffer = np.full(65536, np.nan)
-    filled = draw(phases, simulate_module._chunk_rng(1, 0, 0), out=buffer)
-    assert filled is buffer
-    assert returned.tobytes() == buffer.tobytes()
-
-
 def test_two_open_streams_do_not_share_a_scratch(monkeypatch):
     """Two streams on one ramp share its fringe tables, not their scratch.
 
@@ -375,7 +362,7 @@ def test_two_open_streams_do_not_share_a_scratch(monkeypatch):
     expected_b = stream_block_variances(b, 2500, chunk_size=10_000)
 
     draw_b = simulate_module._marginal_draw(b, 10_000)
-    stream_b = (draw_b(b.schedule.values(lo, hi), rng)
+    stream_b = (draw_b(b.schedule.values(lo, hi), rng, np.empty(hi - lo))
                 for lo, hi, rng in simulate_module._chunks(b, 10_000, simulate_module._STREAM_FAST))
     values_b = []
 
