@@ -45,7 +45,7 @@ from .analysis import (
     fit_variance_curve,
     reconstruct_covariance,
 )
-from .scenario import Scenario, ScenarioError, load_scenario, reference_scenario
+from .scenario import Scenario, load_scenario, reference_scenario
 
 __version__ = "0.1.0"
 
@@ -80,7 +80,6 @@ __all__ = [
     "fit_variance_curve",
     "reconstruct_covariance",
     "Scenario",
-    "ScenarioError",
     "load_scenario",
     "reference_scenario",
 ]

@@ -229,21 +229,29 @@ def reconstruct_covariance(
     )
 
 
+def _efficiency(config: RunConfig) -> float:
+    """Detection efficiency of a run recombined 50/50, the only case reconstructed."""
+    r = config.beamsplitter_r
+    if r != 0.5:
+        raise schema.FieldError("beamsplitter_r", f"reconstruction needs 0.5 (50/50), got {r}")
+    return config.detector.efficiency
+
+
 def report_from_levels(
-    eta: float,
+    config: RunConfig,
     squeezed: float,
     squeezed_stderr: float,
     antisqueezed: float,
     single_beam: float | None = None,
-    seed: int | None = None,
 ) -> EntanglementReport:
-    """Reconstruct the source from measured levels by undoing the efficiency ``eta``.
+    """Reconstruct the source from measured levels by undoing ``config``'s efficiency eta.
 
     The diagonal variance is the corrected single-beam level when a
     blocked-arm level was measured; otherwise it is the mean of the two
     corrected extremes, (antisqueezed + squeezed) / 2.  The sum-variance
     error is 2 sigma / eta, sigma being the squeezed level's 1-sigma error.
     """
+    eta = _efficiency(config)
     squeezed_corr = efficiency_inversion(squeezed, eta)
     if single_beam is None:
         v_corr = 0.5 * (efficiency_inversion(antisqueezed, eta) + squeezed_corr)
@@ -257,7 +265,7 @@ def report_from_levels(
         raw_squeezed_variance=squeezed,
         raw_antisqueezed_variance=antisqueezed,
         raw_single_beam_variance=single_beam,
-        seed=seed,
+        seed=config.seed,
     )
 
 
@@ -302,8 +310,10 @@ def end_to_end_report(
     RuntimeError
         If the two recombined scans disagree beyond 4 sigma, which flags a
         miscalibrated relative phase.
+    FieldError
+        If ``config.beamsplitter_r`` is not 0.5, before any scan is drawn.
     """
-    eta = config.detector.efficiency
+    eta = _efficiency(config)
     noise = config.detector.electronic_noise_var
     ramp = PhaseSchedule.linear_ramp(0.0, 4.0 * math.pi, pulses_per_scan)
     seeds = _scan_seeds(config.seed, 3)
@@ -340,7 +350,7 @@ def end_to_end_report(
         single_level -= noise
 
     report = report_from_levels(
-        eta, squeezed_meas, squeezed_err, antisqueezed_meas, single_level, config.seed
+        config, squeezed_meas, squeezed_err, antisqueezed_meas, single_level
     )
 
     # The antisqueezed extreme is a prediction, not a fit input; compare at

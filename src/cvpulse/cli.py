@@ -32,14 +32,12 @@ from .schema import to_dict
 from .scenario import (
     DEFAULT_SEED,
     Scenario,
-    ScenarioError,
     load_scenario,
     reference_scenario,
     scenario_from_dict,
 )
 from .simulate import (
     DEFAULT_BLOCK_SIZE,
-    DEFAULT_CHUNK_SIZE,
     RunConfig,
     Sidecar,
     block_variance_trace,
@@ -124,21 +122,22 @@ def _emit_check_table(rows: list[CheckRow]) -> None:
         )
 
 
-def _load_or_default_scenario(path: str | None, **overrides) -> Scenario:
-    if path is not None:
-        return load_scenario(path, **overrides)
-    return scenario_from_dict({}, **overrides)
+def _scenario(args) -> Scenario:
+    """--seed, --pulses and --block-size laid over --scenario, or over the reference."""
+    overrides = dict(seed_override=args.seed, n_pulses_override=args.pulses,
+                     block_size_override=args.block_size)
+    if args.scenario is None:
+        return scenario_from_dict({}, **overrides)
+    return load_scenario(args.scenario, **overrides)
 
 
 def cmd_simulate(args) -> int:
-    scenario = _load_or_default_scenario(
-        args.scenario, seed_override=args.seed, n_pulses_override=args.pulses
-    )
+    scenario = _scenario(args)
     train = sample_pulses(scenario.config)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"{scenario.out_stem}.csv"
-    write_records(train, csv_path, config=scenario.config, chunk_size=DEFAULT_CHUNK_SIZE)
+    write_records(train, csv_path, config=scenario.config)
     summary = {
         "records": str(csv_path),
         "metadata": str(csv_path.with_suffix(".json")),
@@ -152,30 +151,31 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _analysis_config(args, records_path: Path) -> tuple[RunConfig | None, int]:
-    """Config for analyze: explicit scenario wins, then the CSV sidecar, then defaults."""
-    if args.scenario is not None:
-        scenario = load_scenario(args.scenario, block_size_override=args.block_size)
-        return scenario.config, scenario.block_size
+def _analysis_config(args, records_path: Path) -> tuple[RunConfig, int, int | None]:
+    """Config, block size and sidecar pulse count (None without a sidecar) for
+    analyze: an explicit scenario wins, then the CSV sidecar, then the reference."""
+    scenario = _scenario(args)
     sidecar = records_path.with_suffix(".json")
-    block = args.block_size if args.block_size is not None else DEFAULT_BLOCK_SIZE
-    if sidecar.exists():
-        try:
-            return Sidecar.from_dict(read_metadata(records_path)).config, block
-        except ValueError as exc:
-            raise ValueError(f"{sidecar}: {exc}") from None
-    return reference_scenario().config, block
+    if args.scenario is not None or not sidecar.exists():
+        return scenario.config, scenario.block_size, None
+    try:
+        meta = Sidecar.from_dict(read_metadata(records_path))
+    except ValueError as exc:
+        raise ValueError(f"{sidecar}: {exc}") from None
+    return meta.config, scenario.block_size, meta.n_pulses
 
 
 def cmd_analyze(args) -> int:
     records_path = Path(args.records)
-    config, block_size = _analysis_config(args, records_path)
+    config, block_size, n_pulses = _analysis_config(args, records_path)
     train = read_records(records_path)
+    if n_pulses not in (None, len(train)):
+        raise ValueError(
+            f"{records_path.name} holds {len(train)} records, its sidecar says {n_pulses}"
+        )
     fit = fit_variance_curve(*block_variance_trace(train, block_size), block_size)
     # single-file route: no blocked-arm level, the corrected extremes set the diagonal
-    report = report_from_levels(
-        config.detector.efficiency, fit.v_min, fit.stderr, fit.v_max, seed=config.seed
-    )
+    report = report_from_levels(config, fit.v_min, fit.stderr, fit.v_max)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     report_path = out_dir / "report.json"
@@ -189,11 +189,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_reproduce_paper(args) -> int:
-    pulses = args.pulses if args.pulses is not None else _REFERENCE_PULSES
-    seed = args.seed if args.seed is not None else DEFAULT_SEED
-    block = args.block_size if args.block_size is not None else DEFAULT_BLOCK_SIZE
-    report = run_reference_scans(pulses_per_scan=pulses, seed=seed, block_size=block)
-    rows = reference_check_rows(report, pulses)
+    report = run_reference_scans(args.pulses, args.seed, args.block_size)
+    rows = reference_check_rows(report, args.pulses)
     all_passed = all(r.passed for r in rows)
     if args.json:
         payload = {
@@ -217,7 +214,7 @@ def cmd_reproduce_paper(args) -> int:
 def cmd_scan_theta(args) -> int:
     if args.points < 1:
         raise ValueError(f"--points must be >= 1, got {args.points}")
-    scenario = _load_or_default_scenario(args.scenario)
+    scenario = _scenario(args)
     thetas = np.linspace(0.0, 2.0 * math.pi, args.points, endpoint=False)
     thetas, v_min, v_max, phi_min = theta_scan(scenario.config, thetas)
     out_dir = Path(args.out)
@@ -249,6 +246,7 @@ def cmd_scan_theta(args) -> int:
 
 
 # every flag a subcommand may take; each subcommand adds the ones it reads
+_RUN_FLAGS = ("scenario", "seed", "pulses", "block_size")
 _FLAGS = {
     "--scenario": dict(type=str, default=None, help="JSON scenario file"),
     "--seed": dict(type=int, default=None, help="RNG seed (64-bit)"),
@@ -274,7 +272,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help)
         for flag in flags:
             p.add_argument(flag, **_FLAGS[flag])
-        p.set_defaults(func=func, **defaults)
+        # the run flags a command lacks read as None in _scenario
+        p.set_defaults(**{**dict.fromkeys(_RUN_FLAGS), "func": func, **defaults})
         return p
 
     command(
@@ -290,7 +289,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "reproduce-paper", cmd_reproduce_paper,
         "run the built-in reference scenario and check it",
         ("--seed", "--pulses", "--block-size", "--out", "--json"),
-        out=None,
+        out=None, seed=DEFAULT_SEED, pulses=_REFERENCE_PULSES, block_size=DEFAULT_BLOCK_SIZE,
     )
     command(
         "scan-theta", cmd_scan_theta, "sweep the relative phase",
@@ -304,9 +303,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID_INPUT
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT if exc.filename else EXIT_IO_ERROR

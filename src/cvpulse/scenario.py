@@ -21,10 +21,6 @@ DEFAULT_SEED = 12345
 DEFAULT_PULSES = 250_000
 
 
-class ScenarioError(ValueError):
-    """A scenario file is malformed or inconsistent."""
-
-
 @dataclass(frozen=True)
 class Scenario:
     """A validated run description plus analysis defaults."""
@@ -93,7 +89,7 @@ def scenario_from_dict(
     allowed = [*schema.to_dict(reference.config), *settings]
     for key in data:
         if key not in allowed:
-            raise ScenarioError(f"unknown key {key!r}; allowed: {', '.join(allowed)}")
+            raise ValueError(f"unknown key {key!r}; allowed: {', '.join(allowed)}")
     config = _overlay(
         reference.config, {k: v for k, v in data.items() if k not in settings}
     )
@@ -104,10 +100,7 @@ def scenario_from_dict(
         config["schedule"]["n_pulses"] = n_pulses_override
     if block_size_override is not None:
         settings["block_size"] = block_size_override
-    try:
-        return Scenario(config=RunConfig.from_dict(config), **settings)
-    except ValueError as exc:
-        raise ScenarioError(str(exc)) from None
+    return Scenario(config=RunConfig.from_dict(config), **settings)
 
 
 def load_scenario(path: str | Path, **overrides) -> Scenario:
@@ -119,7 +112,7 @@ def load_scenario(path: str | Path, **overrides) -> Scenario:
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ScenarioError(f"{path}: not valid JSON ({exc})") from exc
+        raise ValueError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(data, dict):
-        raise ScenarioError(f"{path}: top level must be a JSON object")
+        raise ValueError(f"{path}: top level must be a JSON object")
     return scenario_from_dict(data, **overrides)

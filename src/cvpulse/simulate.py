@@ -260,15 +260,7 @@ def _port_rows(config: RunConfig, thetas) -> NDArray[np.float64]:
     rotations = np.tile(np.eye(4), (len(thetas), 1, 1))
     rotations[:, 2, 2] = rotations[:, 3, 3] = cos
     rotations[:, 2, 3], rotations[:, 3, 2] = sin, -sin
-    return _beamsplitter_rows(config.beamsplitter_r) @ rotations
-
-
-@functools.lru_cache(maxsize=_MEMO_SIZE)
-def _beamsplitter_rows(reflectivity: float) -> NDArray[np.float64]:
-    """Read-only rows of ``beamsplitter(reflectivity)`` that feed the measured port."""
-    rows = beamsplitter(reflectivity)[:2]
-    rows.flags.writeable = False
-    return rows
+    return beamsplitter(config.beamsplitter_r)[:2] @ rotations
 
 
 def _detected_covariances(config: RunConfig, thetas) -> NDArray[np.float64]:
@@ -346,11 +338,10 @@ def _marginal_draw(config: RunConfig, chunk_size: int):
     2phi = 2phi_s + 2jd, so one table of cos 2jd and sin 2jd and two scalars
     per chunk give every variance without per-pulse trig.
 
-    ``draw(phases, rng, out)`` fills ``out`` with the chunk's values and
-    returns it.  Only ``phases[0]`` is read, so a caller that keeps no
-    phases may pass that one alone.  Every draw built here owns one scratch
-    of standard deviations, so a chunk allocates nothing of chunk size, and
-    one draw serves one stream at a time.
+    ``draw(start, rng, out)`` fills ``out`` with the values of the chunk
+    whose first pulse is ``start`` and returns it.  Every draw built here
+    owns one scratch of standard deviations, so a chunk allocates nothing
+    of chunk size, and one draw serves one stream at a time.
     """
     g = detected_covariance(config)
     a = 0.5 * (g[0, 0] + g[1, 1]) + config.detector.electronic_noise_var
@@ -367,7 +358,7 @@ def _marginal_draw(config: RunConfig, chunk_size: int):
         two_phi = 2.0 * schedule.phi
         std = math.sqrt(a + b * math.cos(two_phi) + c * math.sin(two_phi))
 
-        def draw(phases, rng, out):
+        def draw(start, rng, out):
             rng.standard_normal(len(out), out=out)
             out *= std
             return out
@@ -379,9 +370,10 @@ def _marginal_draw(config: RunConfig, chunk_size: int):
     )
     scratch = np.empty(len(cos_table))
 
-    def draw(phases, rng, out):
+    def draw(start, rng, out):
         m = len(out)
-        cos_s, sin_s = math.cos(2.0 * phases[0]), math.sin(2.0 * phases[0])
+        two_phi = 2.0 * schedule.values(start, start + 1)[0]
+        cos_s, sin_s = math.cos(two_phi), math.sin(two_phi)
         u = b * cos_s + c * sin_s
         w = c * cos_s - b * sin_s
         # std = sqrt(a + u cos + w sin) in the scratch, with w sin parked in
@@ -407,9 +399,8 @@ def _collect(config: RunConfig, chunk_size: int, stream: int, make_draw) -> Puls
     train = PulseTrain(lo_phase=np.empty(n), value=np.empty(n))
     draw = make_draw(config, chunk_size)
     for start, stop, rng in chunks:
-        phases = train.lo_phase[start:stop]
-        phases[:] = config.schedule.values(start, stop)
-        draw(phases, rng, out=train.value[start:stop])
+        train.lo_phase[start:stop] = config.schedule.values(start, stop)
+        draw(start, rng, out=train.value[start:stop])
     return train
 
 
@@ -458,8 +449,9 @@ def _joint_draw(config: RunConfig, chunk_size: int):
     eta = config.detector.efficiency
     noise_std = math.sqrt(config.detector.electronic_noise_var)
 
-    def draw(phases, rng, out):
-        m = len(phases)
+    def draw(start, rng, out):
+        m = len(out)
+        phases = config.schedule.values(start, start + m)
         z = rng.standard_normal((4, m))
         x_port, p_port = port_rows @ z
         projected = np.cos(phases) * x_port + np.sin(phases) * p_port
@@ -560,8 +552,7 @@ def stream_block_variances(
     carry = 0
     for start, stop, rng in chunks:
         filled = carry + stop - start
-        # the draw reads only the chunk's first phase
-        draw(schedule.values(start, start + 1), rng, out=buffer[carry:filled])
+        draw(start, rng, out=buffer[carry:filled])
         used = filled - filled % block_size
         if used:
             variances.append(_reduce_blocks(buffer[:used].reshape(-1, block_size)))

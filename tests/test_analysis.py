@@ -14,6 +14,7 @@ from cvpulse.analysis import (
     report_from_levels,
 )
 from cvpulse.entanglement import formation_entropy
+from cvpulse.schema import FieldError
 from cvpulse.gaussian import SourceSpec, source_covariance, symmetric_two_mode_covariance
 from cvpulse.simulate import (
     DetectorModel,
@@ -176,7 +177,8 @@ def test_report_from_levels_diagonal_rules(single_v):
     squeezed = eta * (v - k) + 1.0 - eta
     antisqueezed = eta * (v + k) + 1.0 - eta
     single = None if single_v is None else 0.5 * eta * single_v + 1.0 - 0.5 * eta
-    report = report_from_levels(eta, squeezed, sigma, antisqueezed, single, seed=7)
+    config = _reference_config(PhaseSchedule.constant(0.0, 1), seed=7)  # efficiency 0.68
+    report = report_from_levels(config, squeezed, sigma, antisqueezed, single)
     diagonal = v if single_v is None else single_v
     assert report.corrected_variance == pytest.approx(diagonal, abs=1e-12)
     assert report.corrected_squeezed_variance == pytest.approx(v - k, abs=1e-12)
@@ -337,6 +339,22 @@ def test_scan_mismatch_detection(monkeypatch):
     cfg = _reference_config(PhaseSchedule.constant(0.0, 1), seed=3)
     with pytest.raises(RuntimeError, match="disagree"):
         end_to_end_report(cfg, pulses_per_scan=100_000)
+
+
+@pytest.mark.parametrize("r", [0.3, 0.1])
+def test_end_to_end_report_rejects_an_unbalanced_beamsplitter(monkeypatch, r):
+    """The reconstruction assumes a 50/50 recombination; any other r is refused
+    before a scan is drawn, not reported with a wrong Duan-Simon value."""
+    import cvpulse.analysis as analysis_module
+
+    def no_scan(*args, **kwargs):
+        raise AssertionError("a scan was drawn")
+
+    monkeypatch.setattr(analysis_module, "stream_block_variances", no_scan)
+    cfg = _reference_config(PhaseSchedule.constant(0.0, 1), beamsplitter_r=r)
+    with pytest.raises(FieldError, match="beamsplitter_r") as excinfo:
+        end_to_end_report(cfg, pulses_per_scan=100_000)
+    assert excinfo.value.key == "beamsplitter_r"
 
 
 def test_uncorrected_entanglement_degrades_with_loss():

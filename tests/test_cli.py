@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from cvpulse.analysis import fit_variance_curve
 from cvpulse.cli import (
     EXIT_CHECK_FAILED,
     EXIT_INVALID_INPUT,
@@ -15,6 +16,7 @@ from cvpulse.cli import (
     EXIT_OK,
     main,
 )
+from cvpulse.simulate import block_variance_trace, read_records
 
 REFERENCE_EFFICIENCY = 0.93 * 0.88**2 * 0.945
 
@@ -108,6 +110,39 @@ def test_analyze_scenario_overrides_sidecar(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["efficiency_used"] == pytest.approx(0.68, rel=1e-12)
     assert report["corrected_squeezed_variance"] == pytest.approx(0.56, abs=0.05)
+
+
+@pytest.mark.parametrize("config_source", ["scenario", "sidecar", "reference"])
+def test_analyze_block_size_holds_for_every_config_source(tmp_path, capsys, config_source):
+    """--block-size sets analyze's blocks whether the config comes from a
+    --scenario file (whose own block_size it beats), the sidecar or the
+    reference scenario."""
+    assert main(["simulate", "--pulses", "50000", "--out", str(tmp_path)]) == EXIT_OK
+    csv = tmp_path / "pulses.csv"
+    argv = ["analyze", str(csv), "--block-size", "5000", "--out", str(tmp_path), "--json"]
+    if config_source == "scenario":
+        argv += ["--scenario", _write_scenario(tmp_path / "s.json", {"block_size": 1000})]
+    elif config_source == "reference":
+        csv.with_suffix(".json").unlink()
+    capsys.readouterr()
+    assert main(argv) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    fit = fit_variance_curve(*block_variance_trace(read_records(csv), 5000), 5000)
+    assert report["raw_squeezed_variance"] == fit.v_min
+
+
+def test_analyze_refuses_an_unbalanced_beamsplitter(tmp_path, capsys):
+    """simulate takes any reflectivity, but the reconstruction needs 50/50:
+    records of r = 0.2 are bad input, not a report with a wrong verdict."""
+    scenario = _write_scenario(tmp_path / "s.json", {"beamsplitter_r": 0.2})
+    argv = ["--out", str(tmp_path)]
+    assert main(["simulate", "--scenario", scenario, "--pulses", "50000", *argv]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["analyze", str(tmp_path / "pulses.csv"), *argv]) == EXIT_INVALID_INPUT
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: invalid beamsplitter_r:")
+    assert not (tmp_path / "report.json").exists()
 
 
 def test_analyze_rejects_corrupt_header(tmp_path, capsys):
@@ -291,6 +326,14 @@ def _index_7_on_line_2001(out):
     path.write_text("".join(lines))
 
 
+def _cut_in_a_value_halfway(out):
+    """Keep the header, 2499 whole records and one whose value loses 7 digits:
+    the CSV still parses."""
+    path = out / "pulses.csv"
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines[:2500]) + lines[2500][:-8])
+
+
 def _records_of_width(width):
     """Rewrite every record of the CSV with ``width`` fields, keeping the header."""
 
@@ -335,6 +378,8 @@ BAD_INPUTS = [
                  "pulses.csv line 2: expected 3 fields, got 2", id="two-field records"),
     pytest.param(_simulated(_records_of_width(4)), EXIT_INVALID_INPUT,
                  "pulses.csv line 2: expected 3 fields, got 4", id="four-field records"),
+    pytest.param(_simulated(_cut_in_a_value_halfway), EXIT_INVALID_INPUT,
+                 "pulses.csv holds 2500 records, its sidecar says 5000", id="truncated records"),
 ]
 
 

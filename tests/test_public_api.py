@@ -6,6 +6,7 @@ dropped from the package must first leave them.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -47,10 +48,16 @@ EXPORTS = [
     "fit_variance_curve",
     "reconstruct_covariance",
     "Scenario",
-    "ScenarioError",
     "load_scenario",
     "reference_scenario",
 ]
+
+
+def test_readme_entry_point_table_is_the_export_list():
+    """README's "Key entry points by layer" table names what cvpulse exports."""
+    section = (ROOT / "README.md").read_text().split("Key entry points by layer:", 1)[1]
+    table = section.strip().split("\n\n", 1)[0]
+    assert set(re.findall(r"`(\w+)`", table)) == set(cvpulse.__all__)
 
 
 def _names_reached_on_the_package(path):

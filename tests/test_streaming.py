@@ -167,10 +167,12 @@ def test_pinned_sidecar_decodes_to_its_config():
 
 
 def test_version_1_sidecar_still_analyzes(tmp_path, capsys):
-    """analyze needs only the config of a sidecar, which version 1 shares."""
+    """analyze needs only the config and pulse count of a sidecar, which
+    version 1 shares; the pinned sidecar's count is set to the CSV's."""
     ramp = replace(REFERENCE, schedule=_ramp(50_000))
     csv = write_records(sample_pulses(ramp), tmp_path / "r.csv")
-    csv.with_suffix(".json").write_text(PURE_NOPA_CONSTANT_SIDECAR)
+    meta = {**json.loads(PURE_NOPA_CONSTANT_SIDECAR), "n_pulses": 50_000}
+    csv.with_suffix(".json").write_text(json.dumps(meta))
     assert main(["analyze", str(csv), "--out", str(tmp_path), "--json"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["efficiency_used"] == PURE_NOPA_CONSTANT.detector.efficiency
@@ -362,7 +364,7 @@ def test_two_open_streams_do_not_share_a_scratch(monkeypatch):
     expected_b = stream_block_variances(b, 2500, chunk_size=10_000)
 
     draw_b = simulate_module._marginal_draw(b, 10_000)
-    stream_b = (draw_b(b.schedule.values(lo, hi), rng, np.empty(hi - lo))
+    stream_b = (draw_b(lo, rng, np.empty(hi - lo))
                 for lo, hi, rng in simulate_module._chunks(b, 10_000, simulate_module._STREAM_FAST))
     values_b = []
 
