@@ -51,10 +51,11 @@ print(f"phase of minimum : {estimate.phase_at_min / math.pi:.4f} pi")
 print(f"\nanalytic minimum : {detected_variance(config, math.pi / 2.0):.4f}")
 print(f"analytic maximum : {detected_variance(config, 0.0):.4f}")
 
-# persist the raw records (about 11 MB) plus a metadata sidecar; a scratch
-# directory keeps the demo from leaving them wherever it was started
+# persist the raw records (about 11 MB) plus a metadata sidecar: write_records
+# draws the same run again chunk by chunk; a scratch directory keeps the demo
+# from leaving them wherever it was started
 with tempfile.TemporaryDirectory() as scratch:
-    path = write_records(train, Path(scratch) / "phase_scan_records.csv", config=config)
+    path = write_records(config, Path(scratch) / "phase_scan_records.csv")
     print(
         f"\nwrote {path.name} ({path.stat().st_size / 1e6:.1f} MB) and its metadata "
         f"{path.with_suffix('.json').name}; the scratch directory is removed on exit"

@@ -23,6 +23,7 @@ import numpy as np
 
 from .analysis import (
     EntanglementReport,
+    _efficiency,
     end_to_end_report,
     fit_variance_curve,
     report_from_levels,
@@ -43,7 +44,6 @@ from .simulate import (
     block_variance_trace,
     read_metadata,
     read_records,
-    sample_pulses,
     theta_scan,
     write_records,
 )
@@ -133,15 +133,13 @@ def _scenario(args) -> Scenario:
 
 def cmd_simulate(args) -> int:
     scenario = _scenario(args)
-    train = sample_pulses(scenario.config)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = out_dir / f"{scenario.out_stem}.csv"
-    write_records(train, csv_path, config=scenario.config)
+    csv_path = write_records(scenario.config, out_dir / "pulses.csv")
     summary = {
         "records": str(csv_path),
         "metadata": str(csv_path.with_suffix(".json")),
-        "n_pulses": len(train),
+        "n_pulses": len(scenario.config.schedule),
         "seed": scenario.config.seed,
     }
     if args.json:
@@ -153,16 +151,19 @@ def cmd_simulate(args) -> int:
 
 def _analysis_config(args, records_path: Path) -> tuple[RunConfig, int, int | None]:
     """Config, block size and sidecar pulse count (None without a sidecar) for
-    analyze: an explicit scenario wins, then the CSV sidecar, then the reference."""
+    analyze: an explicit scenario wins, then the CSV sidecar, then the reference.
+    A config the reconstruction cannot undo is refused before any record is read."""
     scenario = _scenario(args)
     sidecar = records_path.with_suffix(".json")
-    if args.scenario is not None or not sidecar.exists():
-        return scenario.config, scenario.block_size, None
-    try:
-        meta = Sidecar.from_dict(read_metadata(records_path))
-    except ValueError as exc:
-        raise ValueError(f"{sidecar}: {exc}") from None
-    return meta.config, scenario.block_size, meta.n_pulses
+    config, n_pulses = scenario.config, None
+    if args.scenario is None and sidecar.exists():
+        try:
+            meta = Sidecar.from_dict(read_metadata(records_path))
+        except ValueError as exc:
+            raise ValueError(f"{sidecar}: {exc}") from None
+        config, n_pulses = meta.config, meta.n_pulses
+    _efficiency(config)
+    return config, scenario.block_size, n_pulses
 
 
 def cmd_analyze(args) -> int:

@@ -27,14 +27,11 @@ class Scenario:
 
     config: RunConfig
     block_size: int = DEFAULT_BLOCK_SIZE
-    out_stem: str = "pulses"
 
     def __post_init__(self) -> None:
         check_fields(self)
         if self.block_size < 2:
             raise FieldError("block_size", f"must be >= 2, got {self.block_size}")
-        if not self.out_stem:
-            raise FieldError("out_stem", "must be a non-empty string")
 
 
 def reference_scenario(

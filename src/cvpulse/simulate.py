@@ -46,6 +46,9 @@ DEFAULT_BLOCK_SIZE = 2500
 #: Detector noise floor 11 dB below the shot-noise level.
 DEFAULT_ELECTRONIC_NOISE_VAR = 10.0 ** -1.1
 
+#: Raw-unit variance per local-oscillator photon in the shot-noise scan.
+GAIN_PER_PHOTON = 1e-8
+
 _CSV_HEADER = "index,lo_phase_rad,value"
 # 17 significant digits round-trip every float64
 _CSV_ROW = "%d,%.17g,%.17g\n"
@@ -587,18 +590,14 @@ def theta_scan(
 
 
 def shot_noise_linearity_scan(
-    detector: DetectorModel,
-    lo_levels,
-    pulses_per_level: int,
-    seed: int,
-    gain_per_photon: float = 1e-8,
+    detector: DetectorModel, lo_levels, pulses_per_level: int, seed: int
 ) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
     """Simulated raw-unit variance of a blocked-signal run versus LO pulse energy.
 
     The raw model is variance = gain * lo_photons + electronic offset, with
     the offset fixed by the detector's noise floor at its calibration LO
-    level; a zero level is the dark measurement.  ``gain_per_photon`` sets
-    the arbitrary raw-unit scale.
+    level; a zero level is the dark measurement.  :data:`GAIN_PER_PHOTON`
+    sets the arbitrary raw-unit scale.
 
     Returns (levels, sample variances), one variance per level from
     ``pulses_per_level`` Gaussian draws.
@@ -610,44 +609,47 @@ def shot_noise_linearity_scan(
         raise ValueError("local-oscillator levels must be >= 0")
     if pulses_per_level < 2:
         raise ValueError(f"need at least 2 pulses per level, got {pulses_per_level}")
-    dark_var = (
-        detector.electronic_noise_var * gain_per_photon * detector.lo_photons_per_pulse
-    )
+    dark_var = detector.electronic_noise_var * GAIN_PER_PHOTON * detector.lo_photons_per_pulse
     variances = np.empty_like(levels)
     for i, level in enumerate(levels):
-        true_var = gain_per_photon * level + dark_var
+        true_var = GAIN_PER_PHOTON * level + dark_var
         rng = _chunk_rng(seed, _STREAM_SHOT_NOISE, i)
         samples = math.sqrt(true_var) * rng.standard_normal(pulses_per_level)
         variances[i] = samples.var(ddof=1)
     return levels, variances
 
 
-def write_records(
-    train: PulseTrain,
-    csv_path: str | Path,
-    config: RunConfig | None = None,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
-) -> Path:
-    """Write a pulse train as CSV, plus a JSON metadata sidecar when given a config.
+def _rows(first: int, phases: NDArray[np.float64], values: NDArray[np.float64]) -> str:
+    """CSV text of pulses first, first + 1, ... with their LO phases and values."""
+    rows = zip(range(first, first + len(values)), phases.tolist(), values.tolist())
+    return "".join(map(_CSV_ROW.__mod__, rows))
 
-    The sidecar lands next to the CSV with extension ``.json`` and records
-    everything needed to regenerate the stream bit-for-bit.
+
+def write_records(
+    config: RunConfig, csv_path: str | Path, chunk_size: int = DEFAULT_CHUNK_SIZE
+) -> Path:
+    """Sample a run into a CSV, plus the JSON sidecar that regenerates it.
+
+    The records are those of ``sample_pulses(config, chunk_size)``, drawn
+    chunk by chunk into one reused buffer, so memory stays O(chunk_size).
+    The sidecar, the CSV's path with suffix ``.json``, names that chunk size.
     """
     csv_path = Path(csv_path)
+    chunks = _chunks(config, chunk_size, _STREAM_FAST)
+    buffer = np.empty(min(chunk_size, len(config.schedule)))
+    draw = _marginal_draw(config, chunk_size)
     with open(csv_path, "w") as fh:
         fh.write(_CSV_HEADER + "\n")
-        # formatted in batches of 1024 rows: a batch's row objects then fit
-        # in memory the interpreter already holds (8192 rows raised the
-        # process's peak RSS by about 1.5 MB, the whole train by about 60 MB)
-        for start in range(0, len(train), _WRITE_BATCH):
-            rows = slice(start, start + _WRITE_BATCH)
-            index = np.arange(start, min(start + _WRITE_BATCH, len(train)))
-            columns = (index, train.lo_phase[rows], train.value[rows])
-            fh.write("".join(map(_CSV_ROW.__mod__, zip(*(c.tolist() for c in columns)))))
-    if config is not None:
-        meta = Sidecar(FORMAT_VERSION, _CSV_HEADER, len(train), chunk_size, config)
-        sidecar = csv_path.with_suffix(".json")
-        sidecar.write_text(json.dumps(schema.to_dict(meta), indent=2) + "\n")
+        for start, stop, rng in chunks:
+            phases = config.schedule.values(start, stop)
+            values = draw(start, rng, buffer[: stop - start])
+            # formatted 1024 rows at a time: a batch's row objects then fit in
+            # memory the interpreter already holds (8192 raised peak RSS 1.5 MB)
+            for first in range(0, stop - start, _WRITE_BATCH):
+                batch = slice(first, first + _WRITE_BATCH)
+                fh.write(_rows(start + first, phases[batch], values[batch]))
+    meta = Sidecar(FORMAT_VERSION, _CSV_HEADER, len(config.schedule), chunk_size, config)
+    csv_path.with_suffix(".json").write_text(json.dumps(schema.to_dict(meta), indent=2) + "\n")
     return csv_path
 
 

@@ -133,16 +133,18 @@ def test_analyze_block_size_holds_for_every_config_source(tmp_path, capsys, conf
 
 def test_analyze_refuses_an_unbalanced_beamsplitter(tmp_path, capsys):
     """simulate takes any reflectivity, but the reconstruction needs 50/50:
-    records of r = 0.2 are bad input, not a report with a wrong verdict."""
+    records of r = 0.2 are bad input, not a report with a wrong verdict.
+    The refusal comes before the fit, so records too short to fit get it too."""
     scenario = _write_scenario(tmp_path / "s.json", {"beamsplitter_r": 0.2})
     argv = ["--out", str(tmp_path)]
-    assert main(["simulate", "--scenario", scenario, "--pulses", "50000", *argv]) == EXIT_OK
-    capsys.readouterr()
-    assert main(["analyze", str(tmp_path / "pulses.csv"), *argv]) == EXIT_INVALID_INPUT
-    err = capsys.readouterr().err
-    assert len(err.splitlines()) == 1
-    assert err.startswith("error: invalid beamsplitter_r:")
-    assert not (tmp_path / "report.json").exists()
+    for pulses in ("50000", "20000"):
+        assert main(["simulate", "--scenario", scenario, "--pulses", pulses, *argv]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["analyze", str(tmp_path / "pulses.csv"), *argv]) == EXIT_INVALID_INPUT
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: invalid beamsplitter_r:")
+        assert not (tmp_path / "report.json").exists()
 
 
 def test_analyze_rejects_corrupt_header(tmp_path, capsys):
@@ -281,10 +283,10 @@ def test_scenario_unknown_key(tmp_path, capsys):
     assert "unknown key" in capsys.readouterr().err
 
 
-def _scenario(payload):
+def _scenario(payload, command=("simulate",)):
     def prepare(tmp_path):
         path = _write_scenario(tmp_path / "s.json", payload)
-        return ["simulate", "--scenario", path, "--out", str(tmp_path)]
+        return [*command, "--scenario", path, "--out", str(tmp_path)]
 
     return prepare
 
@@ -366,6 +368,13 @@ BAD_INPUTS = [
                  id="detector not an object"),
     pytest.param(_scenario({"detectr": {}}), EXIT_INVALID_INPUT, "block_size",
                  id="unknown scenario key"),
+    pytest.param(_scenario({"out_stem": "run"}), EXIT_INVALID_INPUT, "unknown key 'out_stem'",
+                 id="output stem"),
+    pytest.param(_scenario({"block_size": 1}, command=("analyze", "pulses.csv")),
+                 EXIT_INVALID_INPUT, "invalid block_size: must be >= 2, got 1",
+                 id="analyze block size 1"),
+    pytest.param(_scenario([{"seed": 1}]), EXIT_INVALID_INPUT,
+                 "top level must be a JSON object", id="scenario is a list"),
     pytest.param(_simulated(_typo_in_sidecar), EXIT_INVALID_INPUT,
                  "'config.detector.eta_typo'", id="unknown sidecar key"),
     pytest.param(_simulated(_nan_on_line_1001), EXIT_INVALID_INPUT, "line 1001",
@@ -408,6 +417,18 @@ def test_scenario_invalid_json(tmp_path, capsys):
     code = main(["simulate", "--scenario", str(scenario), "--out", str(tmp_path)])
     assert code == EXIT_INVALID_INPUT
     assert "not valid JSON" in capsys.readouterr().err
+
+
+def test_integer_values_of_float_fields_are_stored_as_floats(tmp_path):
+    scenario = _write_scenario(
+        tmp_path / "s.json", {"theta": 0, "detector": {"eta_detector": 1}}
+    )
+    code = main(["simulate", "--scenario", scenario, "--pulses", "1000", "--out", str(tmp_path)])
+    assert code == EXIT_OK
+    text = (tmp_path / "pulses.json").read_text()
+    assert '"theta": 0.0,' in text and '"eta_detector": 1.0,' in text
+    config = json.loads(text)["config"]
+    assert type(config["theta"]) is float and type(config["detector"]["eta_detector"]) is float
 
 
 def test_scenario_seed_override(tmp_path):

@@ -1,11 +1,13 @@
-"""The package's public surface: the pinned export list, and every name the
-benchmark and the demos reach on ``cvpulse``.
+"""The package's public surface: the pinned export list, and every name and
+call shape the benchmark and the demos use on ``cvpulse``.
 
 ``perfbench/`` and ``demos/`` call the package by these names, so a name
-dropped from the package must first leave them.
+dropped from the package, or a parameter renamed or removed, must first
+leave them.
 """
 
 import ast
+import inspect
 import re
 from pathlib import Path
 
@@ -90,3 +92,66 @@ def test_every_name_a_caller_reaches_resolves(path):
 def test_the_scan_finds_names_the_benchmark_uses():
     reached = set(_names_reached_on_the_package(ROOT / "perfbench" / "run.py"))
     assert {"cli", "read_metadata", "read_records", "sample_pulses", "end_to_end_report"} <= reached
+
+
+def _calls_on_the_package(path):
+    """(dotted name, call node) of every ``cvpulse.X(...)``, ``cvpulse.X.Y(...)``,
+    ``X(...)`` and ``X.Y(...)`` in a file, ``X`` imported by ``from cvpulse import X``."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = {
+        alias.asname or alias.name: alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "cvpulse"
+        for alias in node.names
+    }
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        parts, func = [], node.func
+        while isinstance(func, ast.Attribute):
+            parts.insert(0, func.attr)
+            func = func.value
+        if not isinstance(func, ast.Name):
+            continue
+        if func.id == "cvpulse":
+            names = parts
+        elif func.id in imported:
+            names = [imported[func.id], *parts]
+        else:
+            continue
+        if 1 <= len(names) <= 2:
+            yield ".".join(names), node
+
+
+def _shape(call):
+    """Positional count and keyword names of a call."""
+    return len(call.args), tuple(k.arg for k in call.keywords)
+
+
+@pytest.mark.parametrize("path", CALLERS, ids=[f"{p.parent.name}/{p.name}" for p in CALLERS])
+def test_every_call_a_caller_makes_binds(path):
+    """Each call binds to the callee's signature by positional count and keyword names."""
+    unbound = []
+    for name, call in _calls_on_the_package(path):
+        target = cvpulse
+        for part in name.split("."):
+            target = getattr(target, part)
+        positional, keywords = _shape(call)
+        try:
+            inspect.signature(target).bind(*[None] * positional, **dict.fromkeys(keywords))
+        except TypeError as exc:
+            unbound.append(f"line {call.lineno}: {name}: {exc}")
+    assert unbound == [], f"{path.name}: {unbound}"
+
+
+def test_the_call_scan_finds_the_benchmark_call_shapes():
+    found = {
+        (name, _shape(call))
+        for name, call in _calls_on_the_package(ROOT / "perfbench" / "run.py")
+    }
+    assert {
+        ("cli.main", (1, ())),
+        ("sample_pulses", (1, ("chunk_size",))),
+        ("end_to_end_report", (2, ("block_size", "subtract_electronic_noise"))),
+        ("SourceSpec.symmetric_mixed", (2, ())),
+    } <= found

@@ -10,6 +10,7 @@ import pytest
 from cvpulse.gaussian import SourceSpec, beamsplitter, phase_rotation
 from cvpulse.scenario import reference_scenario
 from cvpulse.simulate import (
+    GAIN_PER_PHOTON,
     DetectorModel,
     PhaseSchedule,
     RunConfig,
@@ -339,9 +340,9 @@ def test_joint_sampler_agrees_with_fast_path():
 def test_shot_noise_linearity():
     """Raw variance grows linearly with LO energy; dark level is the noise floor."""
     det = DetectorModel()  # default floor, 11 dB below shot noise at 2.5e8
-    gain = 1e-8
+    gain = GAIN_PER_PHOTON
     levels = np.array([0.0, 1e8, 2e8, 2.5e8, 4e8])
-    _, variances = shot_noise_linearity_scan(det, levels, 400_000, seed=31, gain_per_photon=gain)
+    _, variances = shot_noise_linearity_scan(det, levels, 400_000, seed=31)
     dark = det.electronic_noise_var * gain * det.lo_photons_per_pulse
     assert variances[0] == pytest.approx(dark, rel=0.02)
     shot_parts = variances[1:] - dark
@@ -365,9 +366,9 @@ def test_shot_noise_linearity():
 def test_csv_round_trip(tmp_path):
     """Records survive CSV writing bit-for-bit, with full metadata alongside."""
     cfg = _config(schedule=PhaseSchedule.linear_ramp(0.0, 4.0 * math.pi, 300), seed=9)
-    train = sample_pulses(cfg)
+    train = sample_pulses(cfg, chunk_size=128)
     path = tmp_path / "records.csv"
-    write_records(train, path, config=cfg, chunk_size=128)
+    write_records(cfg, path, chunk_size=128)
     back = read_records(path)
     np.testing.assert_array_equal(back.index, train.index)
     np.testing.assert_array_equal(back.lo_phase, train.lo_phase)

@@ -20,7 +20,6 @@ from cvpulse.simulate import (
     FORMAT_VERSION,
     DetectorModel,
     PhaseSchedule,
-    PulseTrain,
     RunConfig,
     Sidecar,
     block_variance_trace,
@@ -148,7 +147,7 @@ PURE_NOPA_CONSTANT_SIDECAR_DIGEST = (
 @pytest.mark.parametrize("case", sorted(PINNED_SIDECARS))
 def test_sidecar_bytes_are_pinned(case, tmp_path):
     config, digest = PINNED_SIDECARS[case]
-    csv = write_records(sample_pulses(config), tmp_path / "r.csv", config=config)
+    csv = write_records(config, tmp_path / "r.csv")
     sidecar = csv.with_suffix(".json").read_bytes()
     assert hashlib.sha256(sidecar).hexdigest() == digest
     assert Sidecar.from_dict(json.loads(sidecar)).format_version == FORMAT_VERSION == 2
@@ -170,7 +169,7 @@ def test_version_1_sidecar_still_analyzes(tmp_path, capsys):
     """analyze needs only the config and pulse count of a sidecar, which
     version 1 shares; the pinned sidecar's count is set to the CSV's."""
     ramp = replace(REFERENCE, schedule=_ramp(50_000))
-    csv = write_records(sample_pulses(ramp), tmp_path / "r.csv")
+    csv = write_records(ramp, tmp_path / "r.csv")
     meta = {**json.loads(PURE_NOPA_CONSTANT_SIDECAR), "n_pulses": 50_000}
     csv.with_suffix(".json").write_text(json.dumps(meta))
     assert main(["analyze", str(csv), "--out", str(tmp_path), "--json"]) == 0
@@ -179,16 +178,20 @@ def test_version_1_sidecar_still_analyzes(tmp_path, capsys):
 
 
 def test_records_regenerate_from_their_sidecar(tmp_path):
-    """The route a reader takes: sidecar dict -> config -> sample_pulses == the CSV."""
-    config = replace(REFERENCE, schedule=_ramp(5000), seed=21)
-    written = write_records(sample_pulses(config, chunk_size=128), tmp_path / "r.csv",
-                            config=config, chunk_size=128)
-    meta = read_metadata(written)
-    fresh = sample_pulses(RunConfig.from_dict(meta["config"]), chunk_size=meta["chunk_size"])
-    train = read_records(written)
-    assert np.array_equal(fresh.value, train.value)
-    assert np.array_equal(fresh.lo_phase, train.lo_phase)
-    assert np.array_equal(fresh.index, train.index)
+    """The route a reader takes: sidecar dict -> config -> sample_pulses == the CSV.
+
+    70,001 pulses are a multiple of neither chunk size nor of the 1024-row
+    write batch, so the last chunk and the last batch are partial."""
+    config = replace(REFERENCE, schedule=_ramp(70_001), seed=21)
+    for chunk_size in (128, simulate_module.DEFAULT_CHUNK_SIZE):
+        written = write_records(config, tmp_path / "r.csv", chunk_size=chunk_size)
+        meta = read_metadata(written)
+        assert meta["chunk_size"] == chunk_size
+        fresh = sample_pulses(RunConfig.from_dict(meta["config"]), chunk_size=meta["chunk_size"])
+        train = read_records(written)
+        assert np.array_equal(fresh.value, train.value)
+        assert np.array_equal(fresh.lo_phase, train.lo_phase)
+        assert np.array_equal(fresh.index, train.index)
 
 
 # SHA-256 of two reports' JSON under format version 2: reordering a single
@@ -351,6 +354,27 @@ def test_streamed_scan_allocates_no_chunk_temporaries():
     assert peak < 2.3 * 8 * simulate_module.DEFAULT_CHUNK_SIZE
 
 
+def test_write_records_memory_does_not_grow_with_pulses(tmp_path, monkeypatch):
+    """One write_records call peaks at the same memory for 10^6 and 4x10^6
+    pulses: the records are drawn a chunk at a time, never as a whole train.
+
+    Rows are formatted to no text here: traced, the formatting of 4x10^6 rows
+    takes about a minute, and its text never exceeds one 1024-row batch.
+    """
+    monkeypatch.setattr(simulate_module, "_rows", lambda first, phases, values: "")
+    peaks = []
+    for n in (1_000_000, 4_000_000):
+        config = replace(REFERENCE, schedule=_ramp(n))
+        write_records(config, tmp_path / "r.csv")  # builds the memoized tables first
+        tracemalloc.start()
+        try:
+            write_records(config, tmp_path / "r.csv")
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0]
+
+
 def test_two_open_streams_do_not_share_a_scratch(monkeypatch):
     """Two streams on one ramp share its fringe tables, not their scratch.
 
@@ -391,14 +415,17 @@ def test_two_open_streams_do_not_share_a_scratch(monkeypatch):
 
 
 def test_write_records_matches_savetxt(tmp_path):
-    """Batched formatting writes the bytes np.savetxt wrote, across batches."""
-    train = sample_pulses(replace(REFERENCE, schedule=_ramp(20_000), seed=3))
-    odd = PulseTrain(
-        lo_phase=np.array([0.0, -0.0, 1e-300, 4.0 * math.pi, 1.5e300]),
-        value=np.array([1.0, -2.5, 5e-324, 0.1, -1e-17]),
-    )
-    for name, t in (("ramp", train), ("odd", odd)):
-        path = write_records(t, tmp_path / f"{name}.csv")
+    """Batched formatting writes the bytes np.savetxt wrote of the sampled run,
+    across batches and across chunks that end inside a batch."""
+    ramp = replace(REFERENCE, schedule=_ramp(20_000), seed=3)
+    blocked = replace(ramp, schedule=PhaseSchedule.constant(0.7, 20_000), blocked_arm="a")
+    for name, config, chunk_size in (
+        ("ramp", ramp, simulate_module.DEFAULT_CHUNK_SIZE),
+        ("ramp-128", ramp, 128),
+        ("blocked", blocked, 3000),
+    ):
+        path = write_records(config, tmp_path / f"{name}.csv", chunk_size=chunk_size)
+        t = sample_pulses(config, chunk_size)
         expected = tmp_path / f"{name}-savetxt.csv"
         np.savetxt(expected, np.column_stack([t.index, t.lo_phase, t.value]),
                    fmt="%d,%.17g,%.17g", header="index,lo_phase_rad,value", comments="")
