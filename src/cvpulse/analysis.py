@@ -9,6 +9,7 @@ squeezed and single-beam variances.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -24,6 +25,7 @@ from . import schema
 from .gaussian import Matrix, physicality_check, symmetric_two_mode_covariance
 from .simulate import (
     DEFAULT_BLOCK_SIZE,
+    DEFAULT_CHUNK_SIZE,
     PhaseSchedule,
     RunConfig,
     stream_block_variances,
@@ -274,6 +276,44 @@ def _scan_seeds(seed: int, count: int) -> list[int]:
     return [int(s) for s in state]
 
 
+def _draw_scans(configs: list[RunConfig], block_size: int) -> list:
+    """``stream_block_variances`` of every config, in order.
+
+    Scans of at least one chunk are drawn at the same time: the first on the
+    calling thread, each other on a thread of its own.  Nearly all of a
+    chunk's work is numpy calls that release the GIL, and every scan has its
+    own RNG streams and scratch, so the results are those of drawing the
+    scans one after another.  Shorter scans cost less than a thread hand-off
+    and are drawn in turn.  Every scan has stopped on return, and the first
+    error in scan order is raised.
+    """
+    if len(configs[0].schedule) < DEFAULT_CHUNK_SIZE:
+        return [stream_block_variances(c, block_size) for c in configs]
+    results: list = [None] * len(configs)
+    errors: list[BaseException | None] = [None] * len(configs)
+
+    def draw(i: int) -> None:
+        try:
+            results[i] = stream_block_variances(configs[i], block_size)
+        except BaseException as exc:  # raised below, once no scan is running
+            errors[i] = exc
+
+    workers = []
+    try:
+        for i in range(1, len(configs)):
+            worker = threading.Thread(target=draw, args=(i,))
+            worker.start()
+            workers.append(worker)
+        draw(0)
+    finally:
+        for worker in workers:
+            worker.join()
+    for error in errors:
+        if error is not None:
+            raise error
+    return results
+
+
 def end_to_end_report(
     config: RunConfig,
     pulses_per_scan: int,
@@ -288,6 +328,13 @@ def end_to_end_report(
     blocked.  The two scan minima are combined, corrected for the detection
     efficiency, and the single-beam level, corrected for efficiency and the
     half transmission of the beamsplitter, fixes the diagonal variance.
+
+    Once each scan is at least one RNG chunk long (``pulses_per_scan >=``
+    :data:`~cvpulse.simulate.DEFAULT_CHUNK_SIZE`), the three scans are drawn
+    concurrently, one of them on the calling thread; shorter scans are drawn
+    one after another.  The report does not depend on which thread drew
+    which scan: it is bit-identical either way.  On the concurrent path the
+    process's CPU time can exceed the call's wall time.
 
     Parameters
     ----------
@@ -318,15 +365,14 @@ def end_to_end_report(
     ramp = PhaseSchedule.linear_ramp(0.0, 4.0 * math.pi, pulses_per_scan)
     seeds = _scan_seeds(config.seed, 3)
 
-    def scan(theta: float, blocked_arm: str, seed: int):
-        # each scan is sampled and blocked chunk by chunk, never held whole
-        scan_config = replace(
-            config, schedule=ramp, theta=theta, blocked_arm=blocked_arm, seed=seed
-        )
-        return stream_block_variances(scan_config, block_size)
-
-    fit_zero = fit_variance_curve(*scan(0.0, "none", seeds[0]), block_size)
-    fit_pi = fit_variance_curve(*scan(math.pi, "none", seeds[1]), block_size)
+    scans = [
+        replace(config, schedule=ramp, theta=theta, blocked_arm=arm, seed=seed)
+        for theta, arm, seed in zip((0.0, math.pi, 0.0), ("none", "none", "b"), seeds)
+    ]
+    # each scan is sampled and blocked chunk by chunk, never held whole
+    zero, pi, (_, blocked_vars) = _draw_scans(scans, block_size)
+    fit_zero = fit_variance_curve(*zero, block_size)
+    fit_pi = fit_variance_curve(*pi, block_size)
     mismatch = abs(fit_zero.v_min - fit_pi.v_min)
     mismatch_err = math.hypot(fit_zero.stderr, fit_pi.stderr)
     if mismatch > 4.0 * mismatch_err:
@@ -334,7 +380,6 @@ def end_to_end_report(
             f"recombined scans disagree: |{fit_zero.v_min:.4f} - {fit_pi.v_min:.4f}| "
             f"exceeds 4 x {mismatch_err:.4f}; relative phase looks miscalibrated"
         )
-    _, blocked_vars = scan(0.0, "b", seeds[2])
     single_level = float(blocked_vars.mean())
     single_err = float(blocked_vars.std(ddof=1) / math.sqrt(len(blocked_vars)))
 

@@ -158,7 +158,11 @@ class PhaseSchedule:
             )
         if self.kind == "constant":
             return np.full(stop - start, float(self.phi))
-        return self.phi_start + self.step * np.arange(start, stop)
+        # phi_start + step * k, built in place: no second array of the slice
+        ramp = np.arange(start, stop, dtype=float)
+        ramp *= self.step
+        ramp += self.phi_start
+        return ramp
 
 
 @dataclass(frozen=True)

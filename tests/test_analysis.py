@@ -1,6 +1,8 @@
 """Fitting, efficiency inversion, covariance reconstruction, full pipeline."""
 
 import math
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -355,6 +357,60 @@ def test_end_to_end_report_rejects_an_unbalanced_beamsplitter(monkeypatch, r):
     with pytest.raises(FieldError, match="beamsplitter_r") as excinfo:
         end_to_end_report(cfg, pulses_per_scan=100_000)
     assert excinfo.value.key == "beamsplitter_r"
+
+
+def test_scans_of_a_chunk_or_more_are_drawn_on_threads(monkeypatch):
+    """Scans of at least one chunk are drawn concurrently; shorter ones, where
+    a thread hand-off costs more than it saves, on the caller's thread alone."""
+    import cvpulse.analysis as analysis_module
+
+    real_scan = analysis_module.stream_block_variances
+    drawn_on = []
+
+    def recorded(*args, **kwargs):
+        drawn_on.append(threading.get_ident())
+        return real_scan(*args, **kwargs)
+
+    monkeypatch.setattr(analysis_module, "stream_block_variances", recorded)
+    cfg = _reference_config(PhaseSchedule.constant(0.0, 1), seed=5)
+    end_to_end_report(cfg, pulses_per_scan=200_000)
+    assert len(drawn_on) == 3
+    assert len(set(drawn_on)) >= 2
+    drawn_on.clear()
+    end_to_end_report(cfg, pulses_per_scan=20_000, block_size=500)
+    assert drawn_on == [threading.get_ident()] * 3
+
+
+class _ScanFailed(Exception):
+    pass
+
+
+def test_a_failed_scan_is_raised_once_no_scan_is_running(monkeypatch):
+    """A scan's error reaches the caller after every scan has stopped; when
+    two scans fail, the error of the first in scan order wins."""
+    import cvpulse.analysis as analysis_module
+
+    real_scan = analysis_module.stream_block_variances
+    failing = set()
+
+    def scan(config, *args, **kwargs):
+        result = real_scan(config, *args, **kwargs)
+        if (config.theta, config.blocked_arm) in failing:
+            time.sleep(0.05)  # fail well after the caller's own scan is done
+            raise _ScanFailed(config.theta, config.blocked_arm)
+        return result
+
+    monkeypatch.setattr(analysis_module, "stream_block_variances", scan)
+    cfg = _reference_config(PhaseSchedule.constant(0.0, 1), seed=3)
+    pi_scan, blocked_scan = (math.pi, "none"), (0.0, "b")
+    for failing_scans in ({pi_scan}, {pi_scan, blocked_scan}):
+        failing.clear()
+        failing.update(failing_scans)
+        before = threading.active_count()
+        with pytest.raises(_ScanFailed) as excinfo:
+            end_to_end_report(cfg, pulses_per_scan=200_000)
+        assert excinfo.value.args == pi_scan
+        assert threading.active_count() == before
 
 
 def test_uncorrected_entanglement_degrades_with_loss():

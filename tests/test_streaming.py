@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import math
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -216,6 +217,21 @@ def test_end_to_end_report_is_pinned():
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED_END_TO_END_REPORT
 
 
+def test_concurrent_scans_from_cold_memos_give_the_pinned_report():
+    """The three scans of a report, on threads switching every microsecond and
+    all building the shared memo tables at once, still give the pinned bits."""
+    simulate_module._fringe_tables.cache_clear()
+    simulate_module._block_phase_means.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        report = end_to_end_report(reference_scenario().config, 200_000)
+    finally:
+        sys.setswitchinterval(interval)
+    text = json.dumps(report.to_dict())
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_END_TO_END_REPORT
+
+
 def test_schedule_slices_match_the_whole_train():
     for schedule in (_ramp(1001), PhaseSchedule.linear_ramp(0.3, -2.0, 77),
                      PhaseSchedule.constant(0.7, 50)):
@@ -227,6 +243,18 @@ def test_schedule_slices_match_the_whole_train():
             schedule.values(5, 4)
         with pytest.raises(ValueError):
             schedule.values(0, n + 1)
+
+
+def test_schedule_slice_allocates_only_its_result():
+    """A ramp slice is built in place: one chunk of phases peaks at its own size."""
+    schedule = _ramp(1_000_000)
+    tracemalloc.start()
+    try:
+        phases = schedule.values(65_536, 131_072)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * phases.nbytes
 
 
 @pytest.mark.parametrize(
