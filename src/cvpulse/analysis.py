@@ -9,6 +9,7 @@ squeezed and single-beam variances.
 from __future__ import annotations
 
 import math
+import os
 import threading
 from dataclasses import dataclass, field, replace
 
@@ -283,11 +284,14 @@ def _draw_scans(configs: list[RunConfig], block_size: int) -> list:
     calling thread, each other on a thread of its own.  Nearly all of a
     chunk's work is numpy calls that release the GIL, and every scan has its
     own RNG streams and scratch, so the results are those of drawing the
-    scans one after another.  Shorter scans cost less than a thread hand-off
-    and are drawn in turn.  Every scan has stopped on return, and the first
-    error in scan order is raised.
+    scans one after another.  Shorter scans cost less than a thread hand-off,
+    and on a single usable CPU the threads only interleave, so these are drawn
+    in turn.  Every scan has stopped on return, and the first error in scan
+    order is raised.
     """
-    if len(configs[0].schedule) < DEFAULT_CHUNK_SIZE:
+    affinity = getattr(os, "sched_getaffinity", None)
+    cpus = len(affinity(0)) if affinity else os.cpu_count()
+    if len(configs[0].schedule) < DEFAULT_CHUNK_SIZE or cpus == 1:
         return [stream_block_variances(c, block_size) for c in configs]
     results: list = [None] * len(configs)
     errors: list[BaseException | None] = [None] * len(configs)

@@ -381,6 +381,33 @@ def test_scans_of_a_chunk_or_more_are_drawn_on_threads(monkeypatch):
     assert drawn_on == [threading.get_ident()] * 3
 
 
+def test_scans_are_drawn_in_turn_on_one_usable_cpu(monkeypatch):
+    """A process that may use a single CPU draws even chunk-long scans on the
+    caller's thread: there, concurrent scans only interleave."""
+    import os
+
+    import cvpulse.analysis as analysis_module
+
+    real_scan = analysis_module.stream_block_variances
+    drawn_on = []
+
+    def recorded(*args, **kwargs):
+        drawn_on.append(threading.get_ident())
+        return real_scan(*args, **kwargs)
+
+    monkeypatch.setattr(analysis_module, "stream_block_variances", recorded)
+    cfg = _reference_config(PhaseSchedule.constant(0.0, 1), seed=5)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    expected = end_to_end_report(cfg, pulses_per_scan=200_000)
+    assert drawn_on == [threading.get_ident()] * 3
+    drawn_on.clear()
+    monkeypatch.delattr(os, "sched_getaffinity")  # as where it does not exist
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    report = end_to_end_report(cfg, pulses_per_scan=200_000)
+    assert report.duan_simon == expected.duan_simon
+    assert drawn_on == [threading.get_ident()] * 3
+
+
 class _ScanFailed(Exception):
     pass
 

@@ -7,6 +7,7 @@ import math
 import sys
 import tracemalloc
 from dataclasses import replace
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -181,7 +182,7 @@ def test_version_1_sidecar_still_analyzes(tmp_path, capsys):
 def test_records_regenerate_from_their_sidecar(tmp_path):
     """The route a reader takes: sidecar dict -> config -> sample_pulses == the CSV.
 
-    70,001 pulses are a multiple of neither chunk size nor of the 1024-row
+    70,001 pulses are a multiple of neither chunk size nor of the 2048-row
     write batch, so the last chunk and the last batch are partial."""
     config = replace(REFERENCE, schedule=_ramp(70_001), seed=21)
     for chunk_size in (128, simulate_module.DEFAULT_CHUNK_SIZE):
@@ -458,3 +459,71 @@ def test_write_records_matches_savetxt(tmp_path):
         np.savetxt(expected, np.column_stack([t.index, t.lo_phase, t.value]),
                    fmt="%d,%.17g,%.17g", header="index,lo_phase_rad,value", comments="")
         assert path.read_bytes() == expected.read_bytes()
+
+
+def _format_cases():
+    """10^6 float64 values that reach every path of the record formatter."""
+    rng = np.random.default_rng(2024)
+    powers = np.array([float(f"1e{k}") for k in range(-8, 18)])  # every exponent layout
+    neighbours = np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)])
+    ties = []  # odd M / 2^(j+1) with M 5^j / 2 in [1e16, 1e17): 18 digits ending in 5
+    for j in range(1, 25):
+        low, high = -(-2 * 10**16 // 5**j), min(2 * 10**17 // 5**j, 2**53)
+        ties.append(np.ldexp(2.0 * rng.integers(low // 2, high // 2, 2500) + 1.0, -(j + 1)))
+    ties = np.concatenate(ties)
+    for x in ties[::2500].tolist():
+        digits = Decimal(x).as_tuple().digits
+        assert len(digits) == 18 and digits[-1] == 5
+    special = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300,
+               math.nan, -math.nan, math.inf, -math.inf]
+    cases = np.concatenate([
+        rng.integers(0, 2**64, 200_000, dtype=np.uint64).view(np.float64),
+        rng.choice([-1.0, 1.0], 400_000) * 10.0 ** rng.uniform(-9.0, 19.0, 400_000),
+        rng.uniform(0.0, 4.0 * math.pi, 170_000),
+        rng.normal(0.0, 1.3, 170_000),
+        ties, neighbours, -neighbours, special,
+    ])
+    return rng.permutation(cases)
+
+
+def test_rows_are_the_bytes_percent_formatting_writes():
+    """The numpy record formatter writes exactly "%d,%.17g,%.17g\\n" % row, on
+    random bit patterns, 10^-9 to 10^19, every exponent layout with its powers
+    of ten and their neighbours, exact ties at the 17th digit, zeros,
+    subnormals, huge and non-finite values, and index columns that widen
+    inside a batch (rows 9999 and 10000 share one)."""
+    cases = _format_cases()
+    assert cases.size >= 1_000_000
+    phases, values = cases[: cases.size // 2], cases[cases.size // 2 : 2 * (cases.size // 2)]
+    batch = simulate_module._FORMAT_BATCH
+    assert 10**4 % batch != 0
+    for first in range(0, len(values), batch):
+        rows = slice(first, first + batch)
+        got = simulate_module._rows(first, phases[rows], values[rows])
+        expected = "".join(
+            "%d,%.17g,%.17g\n" % row
+            for row in zip(itertools.count(first), phases[rows].tolist(), values[rows].tolist())
+        )
+        if got != expected:
+            line = next(i for i, (g, e) in enumerate(zip(got.splitlines(), expected.splitlines()))
+                        if g != e)
+            pytest.fail(f"row {first + line}: {got.splitlines()[line]!r} "
+                        f"!= {expected.splitlines()[line]!r}")
+
+
+def test_write_records_memory_is_bounded_while_formatting(tmp_path):
+    """write_records, formatting every row, peaks at the same traced memory for
+    1.3x10^5 and 5.2x10^5 pulses, and below 4 MB: rows are formatted a batch
+    at a time."""
+    peaks = []
+    for n in (130_000, 520_000):
+        config = replace(REFERENCE, schedule=_ramp(n))
+        write_records(config, tmp_path / "r.csv")  # builds the memoized tables first
+        tracemalloc.start()
+        try:
+            write_records(config, tmp_path / "r.csv")
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0]
+    assert peaks[1] < 4 * 2**20
