@@ -13,7 +13,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import ClassVar
@@ -653,9 +652,10 @@ def _template(k: int | None, negative: int, fraction: int) -> bytes:
 
 @functools.cache
 def _format_tables() -> tuple[NDArray, ...]:
-    """The formatter's tables, built on first use, not at import: 10^j and
-    its two halves, the templates, the masks of d0..dj, and 10^k rounded."""
-    pow10 = np.array([float(10**j) for j in range(21)])  # 10^j is exact for j <= 22
+    """The formatter's and the parser's tables, built on first use, not at
+    import: 10^j and its two halves, the templates, the masks of d0..dj,
+    10^k rounded, 10^j as integers, and the masks of the last t of 24 bytes."""
+    pow10 = np.array([float(10**j) for j in range(23)])  # 10^j is exact for j <= 22
     pow10_hi = _SPLIT * pow10 - (_SPLIT * pow10 - pow10)
     # template 4 (k + 4) + 2 negative + fraction, then 80 + negative for a zero
     templates = b"".join(
@@ -668,7 +668,20 @@ def _format_tables() -> tuple[NDArray, ...]:
     return (
         pow10, pow10_hi, pow10 - pow10_hi, np.frombuffer(templates, _WORD).reshape(-1, 11),
         np.frombuffer(digits_to, _WORD).reshape(17, 3), decades,
+        np.array([10**j for j in range(20)], np.uint64),
+        np.frombuffer(b"".join(b"\0" * (24 - t) + b"\xff" * t for t in range(25)), "V24"),
     )
+
+
+def _times_power_of_ten(a: NDArray[np.float64], scale) -> tuple[NDArray, NDArray]:
+    """a 10^scale as p + e exactly, for 0 <= scale <= 22 (Dekker's product)."""
+    pow10, pow10_hi, pow10_lo = _format_tables()[:3]
+    p = a * pow10[scale]
+    a_hi = _SPLIT * a
+    a_hi -= a_hi - a
+    a_lo = a - a_hi
+    b_hi, b_lo = pow10_hi[scale], pow10_lo[scale]
+    return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
 
 
 def _shift_left(words: NDArray[np.uint64], bits: NDArray[np.uint64]) -> NDArray[np.uint64]:
@@ -692,7 +705,7 @@ def _eight_digits(x: NDArray[np.uint64]) -> NDArray[np.uint64]:
 def _fixed_notation(v: NDArray[np.float64]) -> tuple[NDArray[np.uint64], NDArray[np.bool_]]:
     """'%.17g' % x of each x of v as three NUL-padded words along axis 0, and
     the mask of the x these are right for: zeros and fixed-notation values."""
-    pow10, pow10_hi, pow10_lo, templates, digits_to, decades = _format_tables()
+    templates, digits_to, decades = _format_tables()[3:6]
     negative = np.signbit(v)
     a = np.abs(v)
     zero = a == 0.0
@@ -701,13 +714,7 @@ def _fixed_notation(v: NDArray[np.float64]) -> tuple[NDArray[np.uint64], NDArray
     k = np.floor(np.log10(a)).astype(np.intp)
     k -= a < decades[k + 5]  # log10 may be off by one next to a power of ten
     k += a >= decades[k + 6]
-    scale = 16 - k
-    p = a * pow10[scale]
-    a_hi = _SPLIT * a
-    a_hi -= a_hi - a
-    a_lo = a - a_hi
-    b_hi, b_lo = pow10_hi[scale], pow10_lo[scale]
-    e = ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+    p, e = _times_power_of_ten(a, 16 - k)
     digits = (p.astype(np.int64) + np.rint(e).astype(np.int64)).view(np.uint64)
 
     # d0, then d1-d8 and d9-d16 a byte each; the last digit is the last nonzero one
@@ -809,54 +816,26 @@ def read_records(csv_path: str | Path) -> PulseTrain:
     Malformed input, a row of other than 3 fields, a nan, an infinity or an
     index column other than 0, 1, ..., n - 1 included, raises ValueError
     naming the first offending line.
+
+    The file is read a block of whole lines at a time.  Each line of an
+    index and two fixed-notation values of at most 19 significant digits,
+    and under 10^8, is parsed by numpy: a value's digits D and decimal
+    places f give D / 10^f, rounded once by Dekker's product, and kept
+    where its residual lies within 0.95 of the half-gap on its side, so it
+    is the correctly rounded value, which np.loadtxt (PyOS_string_to_double)
+    gives too.  A 17-digit '%.17g' of a double v, 10^k <= |v|, is within
+    0.5 10^(k-16) of v, and the half-gap on its side is 2^(e-53) for
+    2^e <= |v| < 2^(e+1), or 2^(e-54) below |v| = 2^e; so it lies within
+    2^53 / 10^16 ~ 0.9007 of that half-gap: every line write_records
+    writes with fixed-notation values under 10^8 is parsed.  Every other
+    line (exponent notation, whitespace, '\r', '#', '+', leading zeros,
+    nan, blank lines) is read by np.loadtxt.  Where those lines raise, or
+    a check fails, the whole file is read again as one np.loadtxt call,
+    whose errors name the line.
     """
-    csv_path = Path(csv_path)
-    with open(csv_path) as fh:
-        first = fh.readline().strip()
-        if first != _CSV_HEADER:
-            raise ValueError(
-                f"{csv_path.name} line 1: expected header {_CSV_HEADER!r}, got {first!r}"
-            )
-        try:
-            with warnings.catch_warnings():
-                # empty input is reported explicitly below, not as a warning
-                warnings.simplefilter("ignore", UserWarning)
-                table = np.loadtxt(fh, delimiter=",", ndmin=2)
-        except ValueError:
-            _raise_at_first_bad_line(fh, csv_path.name)
-            raise
-        if (
-            table.shape[1] != 3
-            or not np.isfinite(table).all()
-            or np.any(table[:, 0] != np.arange(len(table)))
-        ):
-            _raise_at_first_bad_line(fh, csv_path.name)
-    if table.size == 0:
-        raise ValueError(f"{csv_path.name}: no records")
-    return PulseTrain(lo_phase=table[:, 1].copy(), value=table[:, 2].copy())
+    from .readcsv import read  # compiled on first use, not by every run that imports simulate
 
-
-def _raise_at_first_bad_line(fh, name: str) -> None:
-    """Rescan a records file and raise ValueError at its first malformed row."""
-    fh.seek(0)
-    row = 0
-    for lineno, line in enumerate(fh, start=1):
-        if lineno == 1 or not line.strip():
-            continue
-        parts = line.strip().split(",")
-        if len(parts) != 3:
-            raise ValueError(f"{name} line {lineno}: expected 3 fields, got {len(parts)}")
-        try:
-            fields = [float(p) for p in parts]
-        except ValueError:
-            raise ValueError(
-                f"{name} line {lineno}: non-numeric field in {line.strip()!r}"
-            ) from None
-        if not all(map(math.isfinite, fields)):
-            raise ValueError(f"{name} line {lineno}: non-finite field in {line.strip()!r}")
-        if fields[0] != row:
-            raise ValueError(f"{name} line {lineno}: expected index {row}, got {parts[0]}")
-        row += 1
+    return read(Path(csv_path))
 
 
 def read_metadata(csv_path: str | Path) -> dict:

@@ -336,6 +336,21 @@ def _cut_in_a_value_halfway(out):
     path.write_text("".join(lines[:2500]) + lines[2500][:-8])
 
 
+def _underscore_on_line_2(out):
+    """1_0 is a number to Python's float(), not to np.loadtxt."""
+    path = out / "pulses.csv"
+    lines = path.read_text().splitlines(keepends=True)
+    lines[1] = lines[1].rsplit(",", 1)[0] + ",1_0\n"
+    path.write_text("".join(lines))
+
+
+def _byte_ff_on_line_3(out):
+    path = out / "pulses.csv"
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[2] = lines[2].replace(b",", b",\xff", 1)
+    path.write_bytes(b"".join(lines))
+
+
 def _records_of_width(width):
     """Rewrite every record of the CSV with ``width`` fields, keeping the header."""
 
@@ -383,6 +398,10 @@ BAD_INPUTS = [
                  "line 2001: expected index 1999, got 7", id="index out of sequence"),
     pytest.param(_simulated(_format_version_3), EXIT_INVALID_INPUT, "format_version",
                  id="unknown format version"),
+    pytest.param(_simulated(_underscore_on_line_2), EXIT_INVALID_INPUT,
+                 "pulses.csv line 2: non-numeric field", id="underscore in a number"),
+    pytest.param(_simulated(_byte_ff_on_line_3), EXIT_INVALID_INPUT,
+                 "pulses.csv line 3: byte 0xff is not UTF-8 text", id="byte not UTF-8"),
     pytest.param(_simulated(_records_of_width(2)), EXIT_INVALID_INPUT,
                  "pulses.csv line 2: expected 3 fields, got 2", id="two-field records"),
     pytest.param(_simulated(_records_of_width(4)), EXIT_INVALID_INPUT,

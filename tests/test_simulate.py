@@ -397,6 +397,21 @@ def test_csv_rejects_malformed_input(tmp_path):
         read_records(path)
 
 
+def test_csv_names_the_line_of_a_field_loadtxt_rejects(tmp_path):
+    """A field np.loadtxt rejects, or a byte that is not UTF-8, is named by
+    file and line, not by np.loadtxt's row count or the codec's offset."""
+    path = tmp_path / "bad.csv"
+    path.write_text("index,lo_phase_rad,value\n0,0.5,1_0\n")
+    with pytest.raises(ValueError, match=r"^bad\.csv line 2: non-numeric field in '0,0.5,1_0'$"):
+        read_records(path)
+    path.write_bytes(b"index,lo_phase_rad,value\n0,0.5,1.0\n1,0.5,\xff1.0\n")
+    with pytest.raises(ValueError, match=r"^bad\.csv line 3: byte 0xff is not UTF-8 text$"):
+        read_records(path)
+    path.write_bytes(b"index,lo_phase_rad,value # \xff\n0,0.5,1.0\n")
+    with pytest.raises(ValueError, match=r"^bad\.csv line 1: byte 0xff"):
+        read_records(path)
+
+
 def test_run_config_validation():
     """Config invariants are enforced at construction."""
     with pytest.raises(ValueError):

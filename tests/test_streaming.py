@@ -12,6 +12,7 @@ from decimal import Decimal
 import numpy as np
 import pytest
 
+import cvpulse.readcsv as readcsv
 import cvpulse.simulate as simulate_module
 from cvpulse.analysis import end_to_end_report
 from cvpulse.cli import main
@@ -388,7 +389,7 @@ def test_write_records_memory_does_not_grow_with_pulses(tmp_path, monkeypatch):
     pulses: the records are drawn a chunk at a time, never as a whole train.
 
     Rows are formatted to no text here: traced, the formatting of 4x10^6 rows
-    takes about a minute, and its text never exceeds one 1024-row batch.
+    takes about a minute, and its text never exceeds one 2048-row batch.
     """
     monkeypatch.setattr(simulate_module, "_rows", lambda first, phases, values: "")
     peaks = []
@@ -527,3 +528,114 @@ def test_write_records_memory_is_bounded_while_formatting(tmp_path):
             tracemalloc.stop()
     assert peaks[1] <= 1.1 * peaks[0]
     assert peaks[1] < 4 * 2**20
+
+
+def _loadtxt_columns(path):
+    """The phase and value columns as one np.loadtxt call reads them."""
+    with open(path) as fh:
+        fh.readline()
+        table = np.loadtxt(fh, delimiter=",", ndmin=2)
+    return table[:, 1], table[:, 2]
+
+
+def _assert_reads_as_loadtxt(path):
+    train = read_records(path)
+    phase, value = _loadtxt_columns(path)
+    assert train.lo_phase.view(np.uint64).tolist() == phase.view(np.uint64).tolist()
+    assert train.value.view(np.uint64).tolist() == value.view(np.uint64).tolist()
+
+
+def _near_ties():
+    """Decimals next to the midpoints of neighbouring doubles, each midpoint
+    rounded down and up to 16-19 significant digits, then the midpoints in
+    full (too many digits for the fast path)."""
+    rng = np.random.default_rng(7)
+    doubles = np.concatenate([
+        rng.uniform(0.0, 4.0 * math.pi, 300), rng.normal(0.0, 1.3, 300),
+        10.0 ** rng.uniform(-4.0, 8.0, 300),
+    ])
+    mids = [(Decimal(x) + Decimal(math.nextafter(x, math.inf))) / 2 for x in doubles.tolist()]
+    return [
+        f"{mid.quantize(Decimal(1).scaleb(mid.adjusted() - digits + 1), rounding=rounding):f}"
+        for mid in mids for digits in range(16, 20) for rounding in ("ROUND_FLOOR", "ROUND_CEILING")
+    ] + [f"{mid:f}" for mid in mids]
+
+
+def _write_lines(path, fields):
+    """A records file of the given field texts, one row per pair of them."""
+    with open(path, "w") as fh:
+        fh.write("index,lo_phase_rad,value\n")
+        fh.writelines(f"{i},{a},{b}\n" for i, (a, b) in enumerate(zip(fields[::2], fields[1::2])))
+
+
+def test_read_records_equals_loadtxt_bit_for_bit(tmp_path, monkeypatch):
+    """read_records returns np.loadtxt's values bit for bit: on every finite
+    value of the formatter's cases as write_records writes them (the bytes
+    np.savetxt writes), never declining one it parses; on decimals next to
+    midpoints of neighbouring doubles, declining some; on powers of two with
+    their neighbours, -0 and exponent notation; and on lines only np.loadtxt
+    reads, in blocks whose boundaries fall inside rows."""
+    declined = []
+    decimal_value = readcsv._decimal_value
+
+    def counting(digits, places):
+        value, exact = decimal_value(digits, places)
+        declined.append(np.count_nonzero(~exact))
+        return value, exact
+
+    monkeypatch.setattr(readcsv, "_decimal_value", counting)
+    cases = _format_cases()
+    fixed = (np.abs(cases) >= 1e-4) & (np.abs(cases) < 1e8) | (cases == 0)
+    cases = np.concatenate([cases[fixed], cases[~fixed & np.isfinite(cases)]])  # fast rows first
+    phases, values = cases[0::2][: cases.size // 2], cases[1::2][: cases.size // 2]
+    rows_path = tmp_path / "rows.csv"
+    with open(rows_path, "w") as fh:
+        fh.write("index,lo_phase_rad,value\n")
+        for first in range(0, len(values), simulate_module._FORMAT_BATCH):
+            batch = slice(first, first + simulate_module._FORMAT_BATCH)
+            fh.write(simulate_module._rows(first, phases[batch], values[batch]))
+    _assert_reads_as_loadtxt(rows_path)
+    assert sum(declined) == 0
+    ties_path = tmp_path / "ties.csv"
+    _write_lines(ties_path, _near_ties())
+    _assert_reads_as_loadtxt(ties_path)
+    assert sum(declined) > 0
+
+    powers = np.ldexp(1.0, np.arange(-60, 27))
+    twos = np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)])
+    texts = [
+        f"{sign}{x:.{digits}g}" for x in twos.tolist() for digits in (16, 17, 18, 19)
+        for sign in ("", "-")
+    ] + ["-0", "-0.0", "0", "0.0", "00.5", "-00", "1e-05", "5.0265482457436693e-05",
+         "-1.2345678901234567e-07", "1E+3", "+1.5", " 2.5", "3.5 ", ".5", "5."]
+    lines = [f"{i},{t},{texts[-1 - i]}\n" for i, t in enumerate(texts)]
+    odd = {  # lines np.loadtxt reads that the fast path leaves to it
+        5: "5,1.0,2.0\r\n", 9: "9,1.0,2.0 # comment\n", 12: "+12,1,2\n", 14: "014,1,2\n",
+        20: " 20 , 0.25 , -0.5 \n", 21: "21,1,2\r",
+    }
+    for i, line in odd.items():
+        lines[i] = line
+    lines[30:30] = ["\n", "# a comment line\n"]
+    path = tmp_path / "mixed.csv"
+    path.write_text("index,lo_phase_rad,value\n" + "".join(lines).rstrip("\n"), newline="")
+    assert readcsv._READ_BLOCK < rows_path.stat().st_size
+    for block in (1, 61, 1000, readcsv._READ_BLOCK):
+        monkeypatch.setattr(readcsv, "_READ_BLOCK", block)
+        _assert_reads_as_loadtxt(path)
+
+
+def test_read_records_memory_grows_only_with_its_arrays(tmp_path):
+    """read_records' traced peak grows from 1.3x10^5 to 5.2x10^5 pulses by
+    about the 16 bytes per pulse of the arrays it returns, not by the 45
+    bytes per row of the file: it holds one block of text at a time."""
+    peaks = []
+    for n in (130_000, 520_000):
+        path = write_records(replace(REFERENCE, schedule=_ramp(n)), tmp_path / f"r{n}.csv")
+        read_records(path)  # builds the memoized tables first
+        tracemalloc.start()
+        try:
+            read_records(path)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] <= 1.1 * 16 * (520_000 - 130_000)
