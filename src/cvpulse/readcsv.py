@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 from numpy.typing import NDArray
 
-from .simulate import _CSV_HEADER, _WORD, PulseTrain, _format_tables, _times_power_of_ten
+from .simulate import _CSV_HEADER, _WORD, PulseTrain, _times_power_of_ten
 
 # Records are read back by a numpy parser that inverts simulate._rows, a block of whole
 # lines at a time.  A line takes the fast path when its index is 1-16 digits
@@ -35,6 +35,11 @@ _READ_BLOCK = 2**17
 _LOOKBACK = 24  # bytes kept before a block's first line: a field's windows reach back 24
 _HEADER_LINE = (_CSV_HEADER + "\n").encode()
 _ZEROS, _LOW_7 = 0x3030303030303030, 0x7F7F7F7F7F7F7F7F
+_POW10 = np.array([float(10**j) for j in range(23)])  # 10^j is exact for j <= 22
+_POW10_INT = np.array([10**j for j in range(20)], np.uint64)
+_LAST_BYTES = np.frombuffer(  # the masks of the last t of 24 bytes
+    b"".join(b"\0" * (24 - t) + b"\xff" * t for t in range(25)), "V24"
+)
 
 
 def _non_digits(x: NDArray[np.uint64]) -> NDArray[np.uint64]:
@@ -70,7 +75,7 @@ def _decimal_value(digits: NDArray[np.uint64], places: NDArray[np.intp]):
     and a tie or near-tie, where one rounding might err, is never taken.
     The residual carries about one rounding of itself, far inside that margin.
     """
-    power = _format_tables()[0][places]
+    power = _POW10[places]
     high = digits.astype(np.float64)  # digits = high + low exactly
     low = (digits - high.astype(np.uint64)).view(np.int64)
     q = high / power
@@ -95,7 +100,6 @@ def _parse_block(data: bytes, stop: int) -> NDArray[np.float64] | None:
     """The index, phase and value rows (3, n) of the lines of
     data[_LOOKBACK:stop], each ending in a newline; None where np.loadtxt
     raises on them or gives other than 3 columns of finite values."""
-    pow10_int, last_bytes = _format_tables()[6:]
     a = np.frombuffer(data, np.uint8, stop)
     seps = np.flatnonzero(a < ord("-"))  # ',', '\n', and bytes no fast line has
     seps = seps[np.searchsorted(seps, _LOOKBACK - 1) :]
@@ -123,12 +127,12 @@ def _parse_block(data: bytes, stop: int) -> NDArray[np.float64] | None:
     np.maximum(point, -1, out=point)
     point += end - 24
     tail = end - point - 1  # digits after it
-    x &= last_bytes[tail].view(_WORD).reshape(x.shape)
+    x &= _LAST_BYTES[tail].view(_WORD).reshape(x.shape)
     dot = a[point] == ord(".")
     whole = np.where(dot[1:], point[1:] - start[1:], 0)  # digits before a point
     y = np.ndarray((stop - 7,), "V8", data, 0, (1,))[point[1:] - 8].view(_WORD)
     y ^= _ZEROS
-    y &= last_bytes.view(_WORD)[2::3][np.clip(whole, 0, 8)]
+    y &= _LAST_BYTES.view(_WORD)[2::3][np.clip(whole, 0, 8)]
 
     lead = tail.copy()  # digits before the point, or in all
     lead[1:] = np.where(dot[1:], whole, tail[1:])
@@ -139,7 +143,7 @@ def _parse_block(data: bytes, stop: int) -> NDArray[np.float64] | None:
     x, y = _sum_digits(x), _sum_digits(y)
     ok[1:] &= (whole + tail[1:] <= 19) | ((y == 0) & (x[1:, :, 0] < 1000))  # significant digits
     d = x[..., 0] * 10**16 + x[..., 1] * 10**8 + x[..., 2]
-    d[1:] += y * pow10_int[np.minimum(tail[1:], 19)]
+    d[1:] += y * _POW10_INT[np.minimum(tail[1:], 19)]
     value, exact = _decimal_value(d[1:] * ok[1:], tail[1:] * (ok[1:] & dot[1:]))
     value.view(np.uint64)[:] |= negative.astype(np.uint64) << 63
     fast = ok[0] & (ok[1:] & exact).all(axis=0)
@@ -151,9 +155,6 @@ def _parse_block(data: bytes, stop: int) -> NDArray[np.float64] | None:
     if lines.all():
         return table
     runs = np.flatnonzero(np.diff(lines, prepend=True, append=True)).reshape(-1, 2)
-    if 16 * len(runs) > len(lines):  # a call to np.loadtxt costs about 16 of its lines
-        rows = _loadtxt_rows(data[_LOOKBACK:stop])
-        return None if rows is None else rows.T
     table = table[:, fast]
     pieces, taken, skipped = [], 0, 0
     starts = seps[newlines] + 1
@@ -229,17 +230,19 @@ def _read_whole(csv_path: Path) -> PulseTrain:
     with open(csv_path, encoding="utf-8") as fh:
         try:
             first = fh.readline().strip()
-            if first == _CSV_HEADER:
-                with warnings.catch_warnings():
-                    # empty input is reported explicitly below, not as a warning
-                    warnings.simplefilter("ignore", UserWarning)
-                    table = np.loadtxt(fh, delimiter=",", ndmin=2)
+            if first != _CSV_HEADER:
+                raise ValueError(
+                    f"{csv_path.name} line 1: expected header {_CSV_HEADER!r}, got {first!r}"
+                )
+            with warnings.catch_warnings():
+                # empty input is reported explicitly below, not as a warning
+                warnings.simplefilter("ignore", UserWarning)
+                table = np.loadtxt(fh, delimiter=",", ndmin=2)
         except ValueError:  # a UnicodeDecodeError too
             _raise_at_first_bad_line(csv_path)
             raise
     if (
-        first != _CSV_HEADER
-        or table.shape[1] != 3
+        table.shape[1] != 3
         or not np.isfinite(table).all()
         or np.any(table[:, 0] != np.arange(len(table)))
     ):

@@ -652,9 +652,8 @@ def _template(k: int | None, negative: int, fraction: int) -> bytes:
 
 @functools.cache
 def _format_tables() -> tuple[NDArray, ...]:
-    """The formatter's and the parser's tables, built on first use, not at
-    import: 10^j and its two halves, the templates, the masks of d0..dj,
-    10^k rounded, 10^j as integers, and the masks of the last t of 24 bytes."""
+    """The formatter's tables, built on first use, not at import: 10^j and
+    its two halves, the templates, the masks of d0..dj, and 10^k rounded."""
     pow10 = np.array([float(10**j) for j in range(23)])  # 10^j is exact for j <= 22
     pow10_hi = _SPLIT * pow10 - (_SPLIT * pow10 - pow10)
     # template 4 (k + 4) + 2 negative + fraction, then 80 + negative for a zero
@@ -668,8 +667,6 @@ def _format_tables() -> tuple[NDArray, ...]:
     return (
         pow10, pow10_hi, pow10 - pow10_hi, np.frombuffer(templates, _WORD).reshape(-1, 11),
         np.frombuffer(digits_to, _WORD).reshape(17, 3), decades,
-        np.array([10**j for j in range(20)], np.uint64),
-        np.frombuffer(b"".join(b"\0" * (24 - t) + b"\xff" * t for t in range(25)), "V24"),
     )
 
 

@@ -344,6 +344,10 @@ def _underscore_on_line_2(out):
     path.write_text("".join(lines))
 
 
+def _emptied(out):
+    (out / "pulses.csv").write_bytes(b"")
+
+
 def _byte_ff_on_line_3(out):
     path = out / "pulses.csv"
     lines = path.read_bytes().splitlines(keepends=True)
@@ -402,6 +406,9 @@ BAD_INPUTS = [
                  "pulses.csv line 2: non-numeric field", id="underscore in a number"),
     pytest.param(_simulated(_byte_ff_on_line_3), EXIT_INVALID_INPUT,
                  "pulses.csv line 3: byte 0xff is not UTF-8 text", id="byte not UTF-8"),
+    pytest.param(_simulated(_emptied), EXIT_INVALID_INPUT,
+                 "pulses.csv line 1: expected header 'index,lo_phase_rad,value', got ''",
+                 id="empty records file"),
     pytest.param(_simulated(_records_of_width(2)), EXIT_INVALID_INPUT,
                  "pulses.csv line 2: expected 3 fields, got 2", id="two-field records"),
     pytest.param(_simulated(_records_of_width(4)), EXIT_INVALID_INPUT,

@@ -397,6 +397,14 @@ def test_csv_rejects_malformed_input(tmp_path):
         read_records(path)
 
 
+def test_csv_rejects_an_empty_file(tmp_path):
+    """A file of no bytes has no header: line 1 is named, as for a wrong one."""
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"")
+    with pytest.raises(ValueError, match=r"^bad\.csv line 1: expected header .*, got ''$"):
+        read_records(path)
+
+
 def test_csv_names_the_line_of_a_field_loadtxt_rejects(tmp_path):
     """A field np.loadtxt rejects, or a byte that is not UTF-8, is named by
     file and line, not by np.loadtxt's row count or the codec's offset."""
