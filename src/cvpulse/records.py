@@ -1,7 +1,7 @@
-"""The numpy reader of record CSVs behind :func:`cvpulse.simulate.read_records`.
+"""The text format of record CSVs, written and read by numpy.
 
-It is imported when records are first read, so a run that only samples or
-writes records does not compile it.
+:func:`cvpulse.simulate.write_records` and :func:`cvpulse.simulate.read_records`
+import this module on their first call, so a run without records does not compile it.
 """
 
 from __future__ import annotations
@@ -12,13 +12,174 @@ import os
 import re
 import warnings
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .simulate import _CSV_HEADER, _WORD, PulseTrain, _times_power_of_ten
+HEADER = "index,lo_phase_rad,value"
 
-# Records are read back by a numpy parser that inverts simulate._rows, a block of whole
+_SPLIT = 2.0**27 + 1.0
+_WORD = np.dtype("<u8")
+_POW10 = np.array([float(10**j) for j in range(23)])  # 10^j is exact for j <= 22
+_POW10_HI = _SPLIT * _POW10 - (_SPLIT * _POW10 - _POW10)
+_POW10_LO = _POW10 - _POW10_HI
+
+
+def _times_power_of_ten(a: NDArray[np.float64], scale) -> tuple[NDArray, NDArray]:
+    """a 10^scale as p + e exactly, for 0 <= scale <= 22 (Dekker's product)."""
+    p = a * _POW10[scale]
+    a_hi = _SPLIT * a
+    a_hi -= a_hi - a
+    a_lo = a - a_hi
+    b_hi, b_lo = _POW10_HI[scale], _POW10_LO[scale]
+    return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+
+
+# Rows are laid out by numpy in little-endian 8-byte words (17 significant
+# digits round-trip every float64).  '%.17g' writes a value with
+# 10^k <= |v| < 10^(k+1), -4 <= k <= 15, in fixed notation, and
+# |v| 10^(16-k) = p + e exactly (10^(16-k) is exact, and so is Dekker's
+# product).  p >= 1e16 > 2^53 is an even integer, so p + rint(e) is the
+# half-even 17-digit rounding '%.17g' makes; it never reaches 10^17, as no
+# float64 in this window lies within 5e-18 relative below a power of ten.
+# Zeros are laid out too; '%.17g' itself writes every other value.
+
+
+def _template(k: int | None, negative: int, fraction: int) -> bytes:
+    """Fixed-notation '%.17g' of a value with exponent k (None: a zero), for
+    its digits d0..d16 in bytes 0..16, as 11 little-endian words: its literal
+    bytes, the masks of the digits before and after the point (three words
+    each), and the bits each group is shifted by."""
+    sign = b"-" * negative
+    if k is None:
+        literal, before, after, shift = sign + b"0", b"", b"", 0
+    elif k < 0:
+        literal = sign + b"0." + b"0" * (-k - 1)
+        before, after, shift = b"", b"\xff" * 17, len(literal)
+    else:
+        literal = sign + b"\0" * (k + 1) + b"." * fraction
+        before = b"\xff" * (k + 1)
+        after, shift = b"\0" * (k + 1) + b"\xff" * (16 - k), len(sign) + 1
+    words = b"".join(part.ljust(24, b"\0") for part in (literal, before, after))
+    return words + (8 * len(sign)).to_bytes(8, "little") + (8 * shift).to_bytes(8, "little")
+
+
+# template 4 (k + 4) + 2 negative + fraction, then 80 + negative for a zero
+_TEMPLATES = np.frombuffer(
+    b"".join(
+        _template(k, negative, fraction)
+        for k in range(-4, 16) for negative in (0, 1) for fraction in (0, 1)
+    ) + _template(None, 0, 0) + _template(None, 1, 0),
+    _WORD,
+).reshape(-1, 11)
+_DIGITS_TO = np.frombuffer(  # the masks of d0..dj
+    b"".join((b"\xff" * (j + 1)).ljust(24, b"\0") for j in range(17)), _WORD
+).reshape(17, 3)
+# k = -5..17: no 10^k rounds below itself, so |v| >= 10^k iff |v| >= it
+_DECADES = np.array([float(f"1e{k}") for k in range(-5, 18)])
+
+
+def _shift_left(words: NDArray[np.uint64], bits: NDArray[np.uint64]) -> NDArray[np.uint64]:
+    """Multiword integers, least significant word first, shifted left by
+    bits < 64 (a numpy shift by 64 gives 0)."""
+    out = words << bits
+    out[1:] |= words[:-1] >> 64 - bits
+    return out
+
+
+def _eight_digits(x: NDArray[np.uint64]) -> NDArray[np.uint64]:
+    """The decimal digits of x < 10^8 as bytes, the first in the low byte."""
+    top = x // 10**4
+    x = top | (x - top * 10**4) << 32  # 4-digit lanes
+    top = x * 10486 >> 20 & 0x0000007F0000007F  # lane // 100
+    x = top | (x - top * 100) << 16  # 2-digit lanes
+    top = x * 103 >> 10 & 0x000F000F000F000F  # lane // 10
+    return top | (x - top * 10) << 8
+
+
+def _fixed_notation(v: NDArray[np.float64]) -> tuple[NDArray[np.uint64], NDArray[np.bool_]]:
+    """'%.17g' % x of each x of v as three NUL-padded words along axis 0, and
+    the mask of the x these are right for: zeros and fixed-notation values."""
+    negative = np.signbit(v)
+    a = np.abs(v)
+    zero = a == 0.0
+    fixed = (a >= 1e-4) & (a < 1e16)
+    a[~fixed] = 1.0
+    k = np.floor(np.log10(a)).astype(np.intp)
+    k -= a < _DECADES[k + 5]  # log10 may be off by one next to a power of ten
+    k += a >= _DECADES[k + 6]
+    p, e = _times_power_of_ten(a, 16 - k)
+    digits = (p.astype(np.int64) + np.rint(e).astype(np.int64)).view(np.uint64)
+
+    # d0, then d1-d8 and d9-d16 a byte each; the last digit is the last nonzero one
+    high = digits // 10**8
+    d0 = high // 10**8
+    eights = _eight_digits(np.stack((high - d0 * 10**8, digits - high * 10**8)))
+    top_byte = (np.frexp(eights.astype(float))[1] - 1) >> 3  # -1 for no nonzero byte
+    last = np.where(top_byte[1] >= 0, 9 + top_byte[1], 1 + top_byte[0])
+    eights |= 0x3030303030303030
+    x = np.stack((d0 | 0x30 | eights[0] << 8, eights[0] >> 56 | eights[1] << 8, eights[1] >> 56))
+    x &= np.moveaxis(np.take(_DIGITS_TO, np.maximum(last, k), axis=0), -1, 0)  # 0s after the point
+
+    index = 4 * (k + 4) + 2 * negative + (last > k)
+    index[zero] = 80 + negative[zero]
+    template = np.moveaxis(np.take(_TEMPLATES, index, axis=0), -1, 0)
+    words = (
+        template[:3]
+        | _shift_left(x & template[3:6], template[9])
+        | _shift_left(x & template[6:9], template[10])
+    )
+    return words, fixed | zero
+
+
+def _rows(first: int, phases: NDArray[np.float64], values: NDArray[np.float64]) -> str:
+    """CSV text of pulses first, first + 1, ... with their LO phases and values.
+
+    Each row is laid out in a row of 8-byte words, NUL where it has no byte:
+    the index and its comma, then each value in three words and its separator
+    in one.  The rows' bytes are all that are not NUL.
+    """
+    n = len(values)
+    width = len(str(first + n - 1))
+    lead = width // 8 + 1  # words of the index and its comma
+    row = np.zeros(lead + 8, _WORD)
+    row.view(np.uint8)[8 * lead - 1] = ord(",")
+    row[lead + 3 :: 4] = (ord(","), ord("\n"))
+    text = np.empty((n, lead + 8), _WORD)
+    text[:] = row
+    chars = text.view(np.uint8)
+    rest = np.arange(first, first + n)
+    for i in range(width):
+        quotient = rest // 10
+        chars[:, 8 * lead - 2 - i] = rest - 10 * quotient + ord("0")
+        rest = quotient
+    for i in range(1, width):  # no leading zeros: rows below 10^i have i digits or fewer
+        chars[: max(10**i - first, 0), 8 * lead - 2 - i] = 0
+
+    v = np.stack((phases, values), axis=1)
+    words, laid_out = _fixed_notation(v)
+    fields = text[:, lead:].reshape(n, 2, 4)
+    for word in range(3):
+        fields[..., word] = words[word]
+    rows, columns = np.nonzero(~laid_out)
+    written = b"".join((b"%.17g" % x).ljust(24, b"\0") for x in v[rows, columns].tolist())
+    fields[rows, columns, :3] = np.frombuffer(written, _WORD).reshape(-1, 3)
+    return chars[chars != 0].tobytes().decode("ascii")
+
+
+# Rows per _rows call: a 250k-pulse write_records peaks at 3.1 MB traced with
+# 2048 and at 4.6 MB with 4096, which was no faster.
+_FORMAT_BATCH = 2048
+
+
+def format_rows(first: int, phases: NDArray, values: NDArray) -> Iterator[str]:
+    """The text of pulses first, first + 1, ..., a batch of rows at a time."""
+    for i in range(0, len(values), _FORMAT_BATCH):
+        yield _rows(first + i, phases[i : i + _FORMAT_BATCH], values[i : i + _FORMAT_BATCH])
+
+
+# Records are read back by a parser that inverts _rows, a block of whole
 # lines at a time.  A line takes the fast path when its index is 1-16 digits
 # with no leading zero and each value is an optional '-', then 1-8 integer
 # digits with no leading zero, then optionally '.' and 1-22 digits, with at
@@ -33,10 +194,9 @@ from .simulate import _CSV_HEADER, _WORD, PulseTrain, _times_power_of_ten
 # 6.1, 8.1 and 5.1 MB (its arrays are 4 MB).
 _READ_BLOCK = 2**17
 _LOOKBACK = 24  # bytes kept before a block's first line: a field's windows reach back 24
-_HEADER_LINE = (_CSV_HEADER + "\n").encode()
+_HEADER_LINE = (HEADER + "\n").encode()
 _ZEROS, _LOW_7 = 0x3030303030303030, 0x7F7F7F7F7F7F7F7F
-_POW10 = np.array([float(10**j) for j in range(23)])  # 10^j is exact for j <= 22
-_POW10_INT = np.array([10**j for j in range(20)], np.uint64)
+_POW10_INT = _POW10[:20].astype(np.uint64)
 _LAST_BYTES = np.frombuffer(  # the masks of the last t of 24 bytes
     b"".join(b"\0" * (24 - t) + b"\xff" * t for t in range(25)), "V24"
 )
@@ -184,18 +344,13 @@ def _loadtxt_rows(lines: bytes) -> NDArray[np.float64] | None:
     return rows if rows.shape[1] == 3 and np.isfinite(rows).all() else None
 
 
-def read(csv_path: Path) -> PulseTrain:
-    """The records of csv_path, as :func:`cvpulse.simulate.read_records` reads them."""
-    train = _read_blocks(csv_path)
-    return _read_whole(csv_path) if train is None else train
-
-
-def _read_blocks(csv_path: Path) -> PulseTrain | None:
-    """The records, read block by block; None where the file must be read whole."""
+def read(csv_path: Path) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    """The LO phase and value columns of csv_path, read block by block, or
+    read whole where a block cannot be, as read_records reads them."""
     phase, value, rows = np.empty(0), np.empty(0), 0
     with open(csv_path, "rb") as fh:
         if fh.readline() != _HEADER_LINE:
-            return None
+            return _read_whole(csv_path)
         size = os.fstat(fh.fileno()).st_size
         data = _HEADER_LINE[-_LOOKBACK:]
         while True:
@@ -208,7 +363,7 @@ def _read_blocks(csv_path: Path) -> PulseTrain | None:
                 continue
             table = _parse_block(data, stop)
             if table is None or np.any(table[0] != np.arange(rows, rows + table.shape[1])):
-                return None
+                return _read_whole(csv_path)
             new = rows + table.shape[1]
             if new > len(phase):  # size the columns by the rows per byte so far
                 estimate = new * size // (fh.tell() - len(data) + stop)
@@ -218,21 +373,21 @@ def _read_blocks(csv_path: Path) -> PulseTrain | None:
             rows = new
             data = data[stop - _LOOKBACK :]
     if rows == 0:
-        return None
+        return _read_whole(csv_path)
     phase.resize(rows, refcheck=False)
     value.resize(rows, refcheck=False)
-    return PulseTrain(lo_phase=phase, value=value)
+    return phase, value
 
 
-def _read_whole(csv_path: Path) -> PulseTrain:
-    """The records as one np.loadtxt call reads them, with the checks of
+def _read_whole(csv_path: Path) -> tuple[NDArray, NDArray]:
+    """The columns as one np.loadtxt call reads them, with the checks of
     read_records; a rescan names the first line that fails."""
     with open(csv_path, encoding="utf-8") as fh:
         try:
             first = fh.readline().strip()
-            if first != _CSV_HEADER:
+            if first != HEADER:
                 raise ValueError(
-                    f"{csv_path.name} line 1: expected header {_CSV_HEADER!r}, got {first!r}"
+                    f"{csv_path.name} line 1: expected header {HEADER!r}, got {first!r}"
                 )
             with warnings.catch_warnings():
                 # empty input is reported explicitly below, not as a warning
@@ -249,7 +404,7 @@ def _read_whole(csv_path: Path) -> PulseTrain:
         _raise_at_first_bad_line(csv_path)
     if table.size == 0:
         raise ValueError(f"{csv_path.name}: no records")
-    return PulseTrain(lo_phase=table[:, 1].copy(), value=table[:, 2].copy())
+    return table[:, 1].copy(), table[:, 2].copy()
 
 
 # A field np.loadtxt reads (PyOS_string_to_double after stripping whitespace).
@@ -274,9 +429,9 @@ def _raise_at_first_bad_line(csv_path: Path) -> None:
                         f"{name} line {lineno}: byte 0x{byte:02x} is not UTF-8 text"
                     ) from None
             if lineno == 1:
-                if text.strip() != _CSV_HEADER:
+                if text.strip() != HEADER:
                     raise ValueError(
-                        f"{name} line 1: expected header {_CSV_HEADER!r}, got {text.strip()!r}"
+                        f"{name} line 1: expected header {HEADER!r}, got {text.strip()!r}"
                     )
                 continue
             text = text.split("#", 1)[0]

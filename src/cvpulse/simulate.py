@@ -48,8 +48,6 @@ DEFAULT_ELECTRONIC_NOISE_VAR = 10.0 ** -1.1
 #: Raw-unit variance per local-oscillator photon in the shot-noise scan.
 GAIN_PER_PHOTON = 1e-8
 
-_CSV_HEADER = "index,lo_phase_rad,value"
-
 # RNG stream tags keep the fast sampler, the joint oracle and the shot-noise
 # scan statistically independent even under a shared seed.
 _STREAM_FAST = 0
@@ -619,162 +617,6 @@ def shot_noise_linearity_scan(
     return levels, variances
 
 
-# Rows are the bytes "%d,%.17g,%.17g\n" % row writes (17 significant digits
-# round-trip every float64), laid out by numpy in little-endian 8-byte words.
-# '%.17g' writes a value with 10^k <= |v| < 10^(k+1), -4 <= k <= 15, in fixed
-# notation, and |v| 10^(16-k) = p + e exactly (10^(16-k) is exact, and so is
-# Dekker's product).  p >= 1e16 > 2^53 is an even integer, so p + rint(e) is
-# the half-even 17-digit rounding '%.17g' makes; it never reaches 10^17, as no
-# float64 in this window lies within 5e-18 relative below a power of ten.
-# Zeros are laid out too; '%.17g' itself writes every other value.
-_SPLIT = 2.0**27 + 1.0
-_WORD = np.dtype("<u8")
-
-
-def _template(k: int | None, negative: int, fraction: int) -> bytes:
-    """Fixed-notation '%.17g' of a value with exponent k (None: a zero), for
-    its digits d0..d16 in bytes 0..16, as 11 little-endian words: its literal
-    bytes, the masks of the digits before and after the point (three words
-    each), and the bits each group is shifted by."""
-    sign = b"-" * negative
-    if k is None:
-        literal, before, after, shift = sign + b"0", b"", b"", 0
-    elif k < 0:
-        literal = sign + b"0." + b"0" * (-k - 1)
-        before, after, shift = b"", b"\xff" * 17, len(literal)
-    else:
-        literal = sign + b"\0" * (k + 1) + b"." * fraction
-        before = b"\xff" * (k + 1)
-        after, shift = b"\0" * (k + 1) + b"\xff" * (16 - k), len(sign) + 1
-    words = b"".join(part.ljust(24, b"\0") for part in (literal, before, after))
-    return words + (8 * len(sign)).to_bytes(8, "little") + (8 * shift).to_bytes(8, "little")
-
-
-@functools.cache
-def _format_tables() -> tuple[NDArray, ...]:
-    """The formatter's tables, built on first use, not at import: 10^j and
-    its two halves, the templates, the masks of d0..dj, and 10^k rounded."""
-    pow10 = np.array([float(10**j) for j in range(23)])  # 10^j is exact for j <= 22
-    pow10_hi = _SPLIT * pow10 - (_SPLIT * pow10 - pow10)
-    # template 4 (k + 4) + 2 negative + fraction, then 80 + negative for a zero
-    templates = b"".join(
-        _template(k, negative, fraction)
-        for k in range(-4, 16) for negative in (0, 1) for fraction in (0, 1)
-    ) + _template(None, 0, 0) + _template(None, 1, 0)
-    digits_to = b"".join((b"\xff" * (j + 1)).ljust(24, b"\0") for j in range(17))
-    # k = -5..17: no 10^k rounds below itself, so |v| >= 10^k iff |v| >= it
-    decades = np.array([float(f"1e{k}") for k in range(-5, 18)])
-    return (
-        pow10, pow10_hi, pow10 - pow10_hi, np.frombuffer(templates, _WORD).reshape(-1, 11),
-        np.frombuffer(digits_to, _WORD).reshape(17, 3), decades,
-    )
-
-
-def _times_power_of_ten(a: NDArray[np.float64], scale) -> tuple[NDArray, NDArray]:
-    """a 10^scale as p + e exactly, for 0 <= scale <= 22 (Dekker's product)."""
-    pow10, pow10_hi, pow10_lo = _format_tables()[:3]
-    p = a * pow10[scale]
-    a_hi = _SPLIT * a
-    a_hi -= a_hi - a
-    a_lo = a - a_hi
-    b_hi, b_lo = pow10_hi[scale], pow10_lo[scale]
-    return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
-
-
-def _shift_left(words: NDArray[np.uint64], bits: NDArray[np.uint64]) -> NDArray[np.uint64]:
-    """Multiword integers, least significant word first, shifted left by
-    bits < 64 (a numpy shift by 64 gives 0)."""
-    out = words << bits
-    out[1:] |= words[:-1] >> 64 - bits
-    return out
-
-
-def _eight_digits(x: NDArray[np.uint64]) -> NDArray[np.uint64]:
-    """The decimal digits of x < 10^8 as bytes, the first in the low byte."""
-    top = x // 10**4
-    x = top | (x - top * 10**4) << 32  # 4-digit lanes
-    top = x * 10486 >> 20 & 0x0000007F0000007F  # lane // 100
-    x = top | (x - top * 100) << 16  # 2-digit lanes
-    top = x * 103 >> 10 & 0x000F000F000F000F  # lane // 10
-    return top | (x - top * 10) << 8
-
-
-def _fixed_notation(v: NDArray[np.float64]) -> tuple[NDArray[np.uint64], NDArray[np.bool_]]:
-    """'%.17g' % x of each x of v as three NUL-padded words along axis 0, and
-    the mask of the x these are right for: zeros and fixed-notation values."""
-    templates, digits_to, decades = _format_tables()[3:6]
-    negative = np.signbit(v)
-    a = np.abs(v)
-    zero = a == 0.0
-    fixed = (a >= 1e-4) & (a < 1e16)
-    a[~fixed] = 1.0
-    k = np.floor(np.log10(a)).astype(np.intp)
-    k -= a < decades[k + 5]  # log10 may be off by one next to a power of ten
-    k += a >= decades[k + 6]
-    p, e = _times_power_of_ten(a, 16 - k)
-    digits = (p.astype(np.int64) + np.rint(e).astype(np.int64)).view(np.uint64)
-
-    # d0, then d1-d8 and d9-d16 a byte each; the last digit is the last nonzero one
-    high = digits // 10**8
-    d0 = high // 10**8
-    eights = _eight_digits(np.stack((high - d0 * 10**8, digits - high * 10**8)))
-    top_byte = (np.frexp(eights.astype(float))[1] - 1) >> 3  # -1 for no nonzero byte
-    last = np.where(top_byte[1] >= 0, 9 + top_byte[1], 1 + top_byte[0])
-    eights |= 0x3030303030303030
-    x = np.stack((d0 | 0x30 | eights[0] << 8, eights[0] >> 56 | eights[1] << 8, eights[1] >> 56))
-    x &= np.moveaxis(np.take(digits_to, np.maximum(last, k), axis=0), -1, 0)  # 0s after the point
-
-    index = 4 * (k + 4) + 2 * negative + (last > k)
-    index[zero] = 80 + negative[zero]
-    template = np.moveaxis(np.take(templates, index, axis=0), -1, 0)
-    words = (
-        template[:3]
-        | _shift_left(x & template[3:6], template[9])
-        | _shift_left(x & template[6:9], template[10])
-    )
-    return words, fixed | zero
-
-
-def _rows(first: int, phases: NDArray[np.float64], values: NDArray[np.float64]) -> str:
-    """CSV text of pulses first, first + 1, ... with their LO phases and values.
-
-    Each row is laid out in a row of 8-byte words, NUL where it has no byte:
-    the index and its comma, then each value in three words and its separator
-    in one.  The rows' bytes are all that are not NUL.
-    """
-    n = len(values)
-    width = len(str(first + n - 1))
-    lead = width // 8 + 1  # words of the index and its comma
-    row = np.zeros(lead + 8, _WORD)
-    row.view(np.uint8)[8 * lead - 1] = ord(",")
-    row[lead + 3 :: 4] = (ord(","), ord("\n"))
-    text = np.empty((n, lead + 8), _WORD)
-    text[:] = row
-    chars = text.view(np.uint8)
-    rest = np.arange(first, first + n)
-    for i in range(width):
-        quotient = rest // 10
-        chars[:, 8 * lead - 2 - i] = rest - 10 * quotient + ord("0")
-        rest = quotient
-    for i in range(1, width):  # no leading zeros: rows below 10^i have i digits or fewer
-        chars[: max(10**i - first, 0), 8 * lead - 2 - i] = 0
-
-    v = np.stack((phases, values), axis=1)
-    words, laid_out = _fixed_notation(v)
-    fields = text[:, lead:].reshape(n, 2, 4)
-    for word in range(3):
-        fields[..., word] = words[word]
-    rows, columns = np.nonzero(~laid_out)
-    written = b"".join((b"%.17g" % x).ljust(24, b"\0") for x in v[rows, columns].tolist())
-    fields[rows, columns, :3] = np.frombuffer(written, _WORD).reshape(-1, 3)
-    return chars[chars != 0].tobytes().decode("ascii")
-
-
-# Rows per _rows call: a 250k-pulse write_records peaks at 3.1 MB traced with
-# 2048 and at 4.6 MB with 4096, which was no faster.
-_FORMAT_BATCH = 2048
-
-
 def write_records(
     config: RunConfig, csv_path: str | Path, chunk_size: int = DEFAULT_CHUNK_SIZE
 ) -> Path:
@@ -790,19 +632,18 @@ def write_records(
     every other value (smaller, larger or non-finite).  The sidecar, the
     CSV's path with suffix ``.json``, names the chunk size.
     """
+    from . import records  # compiled on first use, not by every run that imports simulate
+
     csv_path = Path(csv_path)
     chunks = _chunks(config, chunk_size, _STREAM_FAST)
     buffer = np.empty(min(chunk_size, len(config.schedule)))
     draw = _marginal_draw(config, chunk_size)
     with open(csv_path, "w") as fh:
-        fh.write(_CSV_HEADER + "\n")
+        fh.write(records.HEADER + "\n")
         for start, stop, rng in chunks:
-            phases = config.schedule.values(start, stop)
             values = draw(start, rng, buffer[: stop - start])
-            for first in range(0, stop - start, _FORMAT_BATCH):
-                batch = slice(first, first + _FORMAT_BATCH)
-                fh.write(_rows(start + first, phases[batch], values[batch]))
-    meta = Sidecar(FORMAT_VERSION, _CSV_HEADER, len(config.schedule), chunk_size, config)
+            fh.writelines(records.format_rows(start, config.schedule.values(start, stop), values))
+    meta = Sidecar(FORMAT_VERSION, records.HEADER, len(config.schedule), chunk_size, config)
     csv_path.with_suffix(".json").write_text(json.dumps(schema.to_dict(meta), indent=2) + "\n")
     return csv_path
 
@@ -830,9 +671,9 @@ def read_records(csv_path: str | Path) -> PulseTrain:
     a check fails, the whole file is read again as one np.loadtxt call,
     whose errors name the line.
     """
-    from .readcsv import read  # compiled on first use, not by every run that imports simulate
+    from . import records  # compiled on first use, not by every run that imports simulate
 
-    return read(Path(csv_path))
+    return PulseTrain(*records.read(Path(csv_path)))
 
 
 def read_metadata(csv_path: str | Path) -> dict:

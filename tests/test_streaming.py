@@ -12,7 +12,7 @@ from decimal import Decimal
 import numpy as np
 import pytest
 
-import cvpulse.readcsv as readcsv
+import cvpulse.records as records
 import cvpulse.simulate as simulate_module
 from cvpulse.analysis import end_to_end_report
 from cvpulse.cli import main
@@ -391,7 +391,7 @@ def test_write_records_memory_does_not_grow_with_pulses(tmp_path, monkeypatch):
     Rows are formatted to no text here: traced, the formatting of 4x10^6 rows
     takes about a minute, and its text never exceeds one 2048-row batch.
     """
-    monkeypatch.setattr(simulate_module, "_rows", lambda first, phases, values: "")
+    monkeypatch.setattr(records, "_rows", lambda first, phases, values: "")
     peaks = []
     for n in (1_000_000, 4_000_000):
         config = replace(REFERENCE, schedule=_ramp(n))
@@ -496,11 +496,11 @@ def test_rows_are_the_bytes_percent_formatting_writes():
     cases = _format_cases()
     assert cases.size >= 1_000_000
     phases, values = cases[: cases.size // 2], cases[cases.size // 2 : 2 * (cases.size // 2)]
-    batch = simulate_module._FORMAT_BATCH
+    batch = records._FORMAT_BATCH
     assert 10**4 % batch != 0
     for first in range(0, len(values), batch):
         rows = slice(first, first + batch)
-        got = simulate_module._rows(first, phases[rows], values[rows])
+        got = records._rows(first, phases[rows], values[rows])
         expected = "".join(
             "%d,%.17g,%.17g\n" % row
             for row in zip(itertools.count(first), phases[rows].tolist(), values[rows].tolist())
@@ -576,14 +576,14 @@ def test_read_records_equals_loadtxt_bit_for_bit(tmp_path, monkeypatch):
     their neighbours, -0 and exponent notation; and on lines only np.loadtxt
     reads, in blocks whose boundaries fall inside rows."""
     declined = []
-    decimal_value = readcsv._decimal_value
+    decimal_value = records._decimal_value
 
     def counting(digits, places):
         value, exact = decimal_value(digits, places)
         declined.append(np.count_nonzero(~exact))
         return value, exact
 
-    monkeypatch.setattr(readcsv, "_decimal_value", counting)
+    monkeypatch.setattr(records, "_decimal_value", counting)
     cases = _format_cases()
     fixed = (np.abs(cases) >= 1e-4) & (np.abs(cases) < 1e8) | (cases == 0)
     cases = np.concatenate([cases[fixed], cases[~fixed & np.isfinite(cases)]])  # fast rows first
@@ -591,9 +591,9 @@ def test_read_records_equals_loadtxt_bit_for_bit(tmp_path, monkeypatch):
     rows_path = tmp_path / "rows.csv"
     with open(rows_path, "w") as fh:
         fh.write("index,lo_phase_rad,value\n")
-        for first in range(0, len(values), simulate_module._FORMAT_BATCH):
-            batch = slice(first, first + simulate_module._FORMAT_BATCH)
-            fh.write(simulate_module._rows(first, phases[batch], values[batch]))
+        for first in range(0, len(values), records._FORMAT_BATCH):
+            batch = slice(first, first + records._FORMAT_BATCH)
+            fh.write(records._rows(first, phases[batch], values[batch]))
     _assert_reads_as_loadtxt(rows_path)
     assert sum(declined) == 0
     ties_path = tmp_path / "ties.csv"
@@ -618,9 +618,9 @@ def test_read_records_equals_loadtxt_bit_for_bit(tmp_path, monkeypatch):
     lines[30:30] = ["\n", "# a comment line\n"]
     path = tmp_path / "mixed.csv"
     path.write_text("index,lo_phase_rad,value\n" + "".join(lines).rstrip("\n"), newline="")
-    assert readcsv._READ_BLOCK < rows_path.stat().st_size
-    for block in (1, 61, 1000, readcsv._READ_BLOCK):
-        monkeypatch.setattr(readcsv, "_READ_BLOCK", block)
+    assert records._READ_BLOCK < rows_path.stat().st_size
+    for block in (1, 61, 1000, records._READ_BLOCK):
+        monkeypatch.setattr(records, "_READ_BLOCK", block)
         _assert_reads_as_loadtxt(path)
 
 
