@@ -84,7 +84,13 @@ def fit_variance_curve(
         )
     if samples_per_block < 2:
         raise ValueError(f"samples_per_block must be >= 2, got {samples_per_block}")
-    weights = (samples_per_block - 1) / (2.0 * np.maximum(variances, 1e-12) ** 2)
+    with np.errstate(over="ignore"):  # refused below, by name
+        weights = (samples_per_block - 1) / (2.0 * np.maximum(variances, 1e-12) ** 2)
+    if not np.all(np.isfinite(weights) & (weights > 0.0)):
+        raise ValueError(
+            f"fit weights overflow: block variances reach {variances.max():.3g}, and the "
+            "weights (n - 1) / (2 s^4) of those above about 1.3e154 are 0"
+        )
     design = np.column_stack(
         [np.ones_like(phases), np.cos(2.0 * phases), np.sin(2.0 * phases)]
     )

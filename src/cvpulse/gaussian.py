@@ -31,6 +31,12 @@ PHYSICALITY_TOL = 1e-9
 #: Absolute tolerance on matrix-symmetry checks.
 SYMMETRY_TOL = 1e-12
 
+#: Largest quadrature variance v + |k| of a source (60 dB above shot noise).
+#: The squeezed variance, at least 1 / (v + |k|), then keeps 12 of its bits
+#: next to the rounding of v + |k|, so detected variances stay positive; from
+#: about 2^27 on they can round to negative values, and records to nan.
+MAX_VARIANCE = 2.0**20
+
 
 @functools.lru_cache(maxsize=8)
 def symplectic_form(n_modes: int = 2) -> Matrix:
@@ -193,9 +199,19 @@ class SourceSpec:
         if self.kind == "pure_nopa":
             if self.r < 0.0:
                 raise FieldError("r", f"squeezing parameter must be >= 0, got {self.r}")
+            if 2.0 * self.r > math.log(MAX_VARIANCE):
+                raise FieldError(
+                    "r", f"largest quadrature variance e^(2r) exceeds {MAX_VARIANCE:g}, "
+                    f"got r = {self.r}"
+                )
         else:
             if self.v < 1.0:
                 raise FieldError("v", f"diagonal variance must be >= 1, got {self.v}")
+            if self.v + abs(self.k) > MAX_VARIANCE:
+                raise FieldError(
+                    "v", f"largest quadrature variance v + |k| exceeds {MAX_VARIANCE:g}, "
+                    f"got {self.v + abs(self.k):g}"
+                )
             if abs(self.k) > self.v:
                 raise ValueError(f"correlation |{self.k}| exceeds diagonal variance {self.v}")
             # uncertainty bound for the symmetric form: v - k >= 1 / (v + k)

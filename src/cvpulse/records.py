@@ -43,7 +43,8 @@ def _times_power_of_ten(a: NDArray[np.float64], scale) -> tuple[NDArray, NDArray
 # product).  p >= 1e16 > 2^53 is an even integer, so p + rint(e) is the
 # half-even 17-digit rounding '%.17g' makes; it never reaches 10^17, as no
 # float64 in this window lies within 5e-18 relative below a power of ten.
-# Zeros are laid out too; '%.17g' itself writes every other value.
+# Zeros are laid out too; '%.17g' itself writes every other value (smaller,
+# larger or non-finite).
 
 
 def _template(k: int | None, negative: int, fraction: int) -> bytes:
@@ -188,7 +189,10 @@ def format_rows(first: int, phases: NDArray, values: NDArray) -> Iterator[str]:
 # the field ends (and one that ends at its point): XOR with '0' leaves a
 # digit as 0-9, a mask clears the bytes before the digits, and three
 # multiply-shift steps sum the word.  The same words mark every byte that is
-# not a digit.  Every other line goes to np.loadtxt.
+# not a digit.  Every other line (exponent notation, whitespace, '\r', '#',
+# '+', leading zeros, nan, blank lines) goes to np.loadtxt.  Where those
+# lines raise, or a check fails, the whole file is read again as one
+# np.loadtxt call, and a rescan names the first line that fails.
 # Bytes read per block: a 250k-pulse file reads in 104 ms with 2^17 (best of
 # 12, 2 CPUs), 101 ms with 2^18 and 119 ms with 2^16, at traced peaks of
 # 6.1, 8.1 and 5.1 MB (its arrays are 4 MB).
@@ -232,8 +236,14 @@ def _decimal_value(digits: NDArray[np.uint64], places: NDArray[np.intp]):
     then q + r / 10^f, rounded once.  The result is accepted only where the
     residual, carried over to it, lies within 0.95 of the half-gap to the
     neighbouring double on its side: then it is the correctly rounded value,
-    and a tie or near-tie, where one rounding might err, is never taken.
-    The residual carries about one rounding of itself, far inside that margin.
+    the one np.loadtxt (PyOS_string_to_double) gives, and a tie or
+    near-tie, where one rounding might err, is never taken.  The residual
+    carries about one rounding of itself, far inside that margin.
+
+    Every fixed-notation value _rows writes is accepted: a 17-digit '%.17g'
+    of a double v, 10^k <= |v|, is within 0.5 10^(k-16) of v, and the
+    half-gap on its side is 2^(e-53) for 2^e <= |v| < 2^(e+1), or 2^(e-54)
+    below |v| = 2^e; so it lies within 2^53 / 10^16 ~ 0.9007 of that half-gap.
     """
     power = _POW10[places]
     high = digits.astype(np.float64)  # digits = high + low exactly

@@ -624,13 +624,8 @@ def write_records(
 
     The records are those of ``sample_pulses(config, chunk_size)``, drawn
     chunk by chunk into one reused buffer, so memory stays O(chunk_size).
-    Each row is the bytes ``"%d,%.17g,%.17g\n" % row`` writes, formatted by
-    numpy a batch of rows at a time.  For 1e-4 <= |v| < 1e16, |v| times an
-    exact power of ten is a 17-digit integer plus an error that Dekker's
-    product gives exactly, so rounding that sum half-even gives the digits
-    of '%.17g'.  Zeros are laid out directly, and '%.17g' itself formats
-    every other value (smaller, larger or non-finite).  The sidecar, the
-    CSV's path with suffix ``.json``, names the chunk size.
+    Each row is the bytes ``"%d,%.17g,%.17g\n" % row`` writes.  The
+    sidecar, the CSV's path with suffix ``.json``, names the chunk size.
     """
     from . import records  # compiled on first use, not by every run that imports simulate
 
@@ -651,25 +646,10 @@ def write_records(
 def read_records(csv_path: str | Path) -> PulseTrain:
     """Read a pulse-train CSV written by :func:`write_records`.
 
-    Malformed input, a row of other than 3 fields, a nan, an infinity or an
-    index column other than 0, 1, ..., n - 1 included, raises ValueError
-    naming the first offending line.
-
-    The file is read a block of whole lines at a time.  Each line of an
-    index and two fixed-notation values of at most 19 significant digits,
-    and under 10^8, is parsed by numpy: a value's digits D and decimal
-    places f give D / 10^f, rounded once by Dekker's product, and kept
-    where its residual lies within 0.95 of the half-gap on its side, so it
-    is the correctly rounded value, which np.loadtxt (PyOS_string_to_double)
-    gives too.  A 17-digit '%.17g' of a double v, 10^k <= |v|, is within
-    0.5 10^(k-16) of v, and the half-gap on its side is 2^(e-53) for
-    2^e <= |v| < 2^(e+1), or 2^(e-54) below |v| = 2^e; so it lies within
-    2^53 / 10^16 ~ 0.9007 of that half-gap: every line write_records
-    writes with fixed-notation values under 10^8 is parsed.  Every other
-    line (exponent notation, whitespace, '\r', '#', '+', leading zeros,
-    nan, blank lines) is read by np.loadtxt.  Where those lines raise, or
-    a check fails, the whole file is read again as one np.loadtxt call,
-    whose errors name the line.
+    The values are those np.loadtxt reads, bit for bit.  Malformed input,
+    a row of other than 3 fields, a nan, an infinity or an index column
+    other than 0, 1, ..., n - 1 included, raises ValueError naming the
+    first offending line.
     """
     from . import records  # compiled on first use, not by every run that imports simulate
 

@@ -75,7 +75,8 @@ def test_fit_recovers_shifted_minimum():
 
 
 def test_fit_input_validation():
-    """Too few blocks, short span, degenerate pattern, bad block size all raise."""
+    """Too few blocks, short span, degenerate pattern, bad block size and
+    overflowing weights all raise."""
     phases = np.linspace(0.0, 2.0 * math.pi, 40, endpoint=False)
     variances = np.ones_like(phases)
     with pytest.raises(ValueError, match="4 blocks"):
@@ -90,6 +91,9 @@ def test_fit_input_validation():
         fit_variance_curve(degenerate, np.ones(6), 100)
     with pytest.raises(ValueError):
         fit_variance_curve(phases, variances[:-1], 100)
+    # block variances of a pure_nopa r = 200 source: their weights 1 / s^4 overflow to 0
+    with pytest.raises(ValueError, match="fit weights overflow"):
+        fit_variance_curve(phases, math.exp(400.0) * (1.0 + 0.5 * np.cos(2.0 * phases)), 100)
 
 
 def _fit_phase_scan(train, block_size=2500):

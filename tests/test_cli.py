@@ -383,6 +383,14 @@ BAD_INPUTS = [
     pytest.param(_scenario({"seed": True}), EXIT_INVALID_INPUT, "invalid seed", id="bool seed"),
     pytest.param(_scenario({"source": {"kind": "pure_nopa", "r": 0.4, "v": 3}}),
                  EXIT_INVALID_INPUT, "'source.v'", id="field of another kind"),
+    pytest.param(_scenario({"source": {"kind": "pure_nopa", "r": 355}}), EXIT_INVALID_INPUT,
+                 "invalid source.r: largest quadrature variance", id="squeezing writes nan"),
+    pytest.param(_scenario({"source": {"kind": "pure_nopa", "r": 400}}), EXIT_INVALID_INPUT,
+                 "invalid source.r: largest quadrature variance", id="squeezing overflows cosh"),
+    pytest.param(_scenario({"source": {"kind": "symmetric_mixed", "v": 1e308, "k": 1e308}},
+                           command=("scan-theta",)),
+                 EXIT_INVALID_INPUT, "invalid source.v: largest quadrature variance",
+                 id="mixed source scans nan"),
     pytest.param(_scenario({"detector": [1]}), EXIT_INVALID_INPUT, "invalid detector",
                  id="detector not an object"),
     pytest.param(_scenario({"detectr": {}}), EXIT_INVALID_INPUT, "block_size",
@@ -506,6 +514,44 @@ def test_console_script_entry_point(tmp_path):
     )
     assert result.returncode == EXIT_OK
     assert json.loads(result.stdout)["points"] == 4
+
+
+def _imports_records(tmp_path, *commands):
+    """Run ``main`` on each command in one fresh process; after each, whether
+    ``cvpulse.records`` had been imported."""
+    script = (
+        "import json, sys\n"
+        "import cvpulse, cvpulse.cli\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    assert cvpulse.cli.main(argv) == 0, argv\n"
+        "    print('records imported:', 'cvpulse.records' in sys.modules, file=sys.stderr)\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(commands)],
+        capture_output=True, text=True, env=env, cwd=tmp_path,
+    )
+    assert result.returncode == 0, result.stderr
+    return [line.split(": ")[1] == "True" for line in result.stderr.splitlines()
+            if line.startswith("records imported: ")]
+
+
+def test_only_runs_with_records_import_the_record_format(tmp_path):
+    """reproduce-paper and scan-theta never compile the record format;
+    simulate and analyze, each in a fresh process, do."""
+    out = str(tmp_path)
+    assert _imports_records(
+        tmp_path,
+        ["reproduce-paper", "--pulses", "100000", "--json", "--out", out],
+        ["scan-theta", "--out", out],
+        ["simulate", "--pulses", "100000", "--out", out],
+    ) == [False, False, True]
+    assert _imports_records(tmp_path, ["analyze", str(tmp_path / "pulses.csv"), "--out", out]) == [
+        True
+    ]
 
 
 @pytest.mark.parametrize(

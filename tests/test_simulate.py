@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cvpulse.gaussian import SourceSpec, beamsplitter, phase_rotation
+from cvpulse.gaussian import MAX_VARIANCE, SourceSpec, beamsplitter, phase_rotation
 from cvpulse.scenario import reference_scenario
 from cvpulse.simulate import (
     GAIN_PER_PHOTON,
@@ -378,6 +378,33 @@ def test_csv_round_trip(tmp_path):
     assert meta["n_pulses"] == 300
     assert RunConfig.from_dict(meta["config"]) == cfg
     assert path.read_text().splitlines()[0] == "index,lo_phase_rad,value"
+
+
+@pytest.mark.parametrize(
+    "detector", [DetectorModel(), DetectorModel(1.0, 1.0, 1.0, 0.0)], ids=["reference", "ideal"]
+)
+def test_largest_accepted_source_writes_finite_records(tmp_path, detector):
+    """At the largest quadrature variance a source may have, pure or mixed,
+    no step of writing records or scanning theta overflows or takes the root
+    of a negative variance, and the records are finite; one step further,
+    the source is refused."""
+    r_max = 0.5 * math.log(MAX_VARIANCE)
+    v = 0.5 * (MAX_VARIANCE + 1.0 / MAX_VARIANCE)  # v + k = MAX_VARIANCE, v - k = its inverse
+    schedule = PhaseSchedule.linear_ramp(0.0, 4.0 * math.pi, 20_000)
+    with np.errstate(all="raise"):
+        for source in (SourceSpec.pure_nopa(r_max), SourceSpec.symmetric_mixed(v, MAX_VARIANCE - v)):
+            for theta in (0.0, 1.0, math.pi / 2, math.pi):
+                for r in (0.5, 0.3):
+                    config = _config(source=source, detector=detector, schedule=schedule,
+                                     theta=theta, beamsplitter_r=r)
+                    train = read_records(write_records(config, tmp_path / "r.csv"))
+                    assert np.isfinite(train.value).all()
+                    _, v_min, v_max, _ = theta_scan(config, np.linspace(0.0, 2.0 * math.pi, 64))
+                    assert np.isfinite(v_min).all() and np.isfinite(v_max).all()
+    with pytest.raises(ValueError, match="invalid r: largest quadrature variance"):
+        SourceSpec.pure_nopa(math.nextafter(r_max, math.inf))
+    with pytest.raises(ValueError, match="invalid v: largest quadrature variance"):
+        SourceSpec.symmetric_mixed(math.nextafter(MAX_VARIANCE, math.inf), 0.0)
 
 
 def test_csv_rejects_malformed_input(tmp_path):
