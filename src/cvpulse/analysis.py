@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 import threading
 from dataclasses import dataclass, field, replace
 
@@ -84,13 +85,15 @@ def fit_variance_curve(
         )
     if samples_per_block < 2:
         raise ValueError(f"samples_per_block must be >= 2, got {samples_per_block}")
-    with np.errstate(over="ignore"):  # refused below, by name
-        weights = (samples_per_block - 1) / (2.0 * np.maximum(variances, 1e-12) ** 2)
-    if not np.all(np.isfinite(weights) & (weights > 0.0)):
+    # the largest variance has the smallest weight (n - 1) / (2 s^4), and it
+    # is 0 where 2 s^4 overflows; a nan fails this test too
+    largest = float(variances.max())
+    if not largest * largest < sys.float_info.max / 2.0:
         raise ValueError(
-            f"fit weights overflow: block variances reach {variances.max():.3g}, and the "
-            "weights (n - 1) / (2 s^4) of those above about 1.3e154 are 0"
+            f"fit weights overflow: block variances reach {largest:.3g}, and the "
+            "weights (n - 1) / (2 s^4) of those above about 9.5e153 are 0"
         )
+    weights = (samples_per_block - 1) / (2.0 * np.maximum(variances, 1e-12) ** 2)
     design = np.column_stack(
         [np.ones_like(phases), np.cos(2.0 * phases), np.sin(2.0 * phases)]
     )

@@ -386,8 +386,8 @@ def test_csv_round_trip(tmp_path):
 def test_largest_accepted_source_writes_finite_records(tmp_path, detector):
     """At the largest quadrature variance a source may have, pure or mixed,
     no step of writing records or scanning theta overflows or takes the root
-    of a negative variance, and the records are finite; one step further,
-    the source is refused."""
+    of a negative variance, the records are finite and every scanned minimum
+    variance is positive; one step further, the source is refused."""
     r_max = 0.5 * math.log(MAX_VARIANCE)
     v = 0.5 * (MAX_VARIANCE + 1.0 / MAX_VARIANCE)  # v + k = MAX_VARIANCE, v - k = its inverse
     schedule = PhaseSchedule.linear_ramp(0.0, 4.0 * math.pi, 20_000)
@@ -400,7 +400,7 @@ def test_largest_accepted_source_writes_finite_records(tmp_path, detector):
                     train = read_records(write_records(config, tmp_path / "r.csv"))
                     assert np.isfinite(train.value).all()
                     _, v_min, v_max, _ = theta_scan(config, np.linspace(0.0, 2.0 * math.pi, 64))
-                    assert np.isfinite(v_min).all() and np.isfinite(v_max).all()
+                    assert (v_min > 0.0).all() and np.isfinite(v_max).all()
     with pytest.raises(ValueError, match="invalid r: largest quadrature variance"):
         SourceSpec.pure_nopa(math.nextafter(r_max, math.inf))
     with pytest.raises(ValueError, match="invalid v: largest quadrature variance"):
