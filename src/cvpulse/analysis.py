@@ -19,7 +19,7 @@ from numpy.typing import NDArray
 
 from .entanglement import (
     duan_simon,
-    entropy_of_formation,
+    formation_entropy,
     reid_epr_product,
     SEPARABILITY_THRESHOLD,
 )
@@ -234,7 +234,9 @@ def reconstruct_covariance(
         corrected_variance=v,
         corrected_correlation=k,
         duan_simon=ds,
-        entropy_of_formation=entropy_of_formation(gamma),
+        # entropy_of_formation(gamma), whose symmetric-form and physicality
+        # checks gamma has passed by construction and above
+        entropy_of_formation=formation_entropy(math.sqrt((v - k) * (v - k))),
         reid_product=reid_epr_product(gamma),
         nonseparable=ds < SEPARABILITY_THRESHOLD,
         covariance=gamma,

@@ -215,6 +215,11 @@ class SourceSpec:
             if abs(self.k) > self.v:
                 raise ValueError(f"correlation |{self.k}| exceeds diagonal variance {self.v}")
             # uncertainty bound for the symmetric form: v - k >= 1 / (v + k)
+            if self.v + self.k == 0.0:
+                raise ValueError(
+                    f"unphysical source: v + k = 0 is below 1 / (v - k) = "
+                    f"{1.0 / (self.v - self.k):.6g}"
+                )
             if self.v - self.k < 1.0 / (self.v + self.k) - PHYSICALITY_TOL:
                 raise ValueError(
                     f"unphysical source: v - k = {self.v - self.k:.6g} is below "

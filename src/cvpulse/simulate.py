@@ -48,8 +48,8 @@ DEFAULT_ELECTRONIC_NOISE_VAR = 10.0 ** -1.1
 #: Raw-unit variance per local-oscillator photon in the shot-noise scan.
 GAIN_PER_PHOTON = 1e-8
 
-# RNG stream tags keep the fast sampler, the joint oracle and the shot-noise
-# scan statistically independent even under a shared seed.
+# RNG stream tags keep the fast sampler, the tests' brute-force joint sampler
+# and the shot-noise scan statistically independent even under a shared seed.
 _STREAM_FAST = 0
 _STREAM_JOINT = 1
 _STREAM_SHOT_NOISE = 2
@@ -58,6 +58,11 @@ _BLOCKED_ARMS = ("none", "a", "b", "signal")
 
 # Entries per schedule memo: a report's three scans share one ramp, as do a sweep's reports
 _MEMO_SIZE = 8
+
+# Entries in the physics memo: a report and its theta scan ask for 4 keys, so a
+# sweep round of 9 (source, efficiency) pairs asks for 36; an LRU smaller than
+# a round would miss on every call
+_PHYSICS_MEMO_SIZE = 64
 
 
 @dataclass(frozen=True)
@@ -234,23 +239,23 @@ class PulseTrain:
         return np.arange(len(self), dtype=np.int64)
 
 
-def _input_covariance(config: RunConfig) -> Matrix:
+def _input_covariance(source: SourceSpec, blocked_arm: str) -> Matrix:
     """Two-mode covariance entering the beamsplitter, after any blocking."""
-    gamma = source_covariance(config.source)
-    if config.blocked_arm == "a":
+    gamma = source_covariance(source)
+    if blocked_arm == "a":
         out = np.eye(4)
         out[2:, 2:] = mode_block(gamma, 1)
         return out
-    if config.blocked_arm == "b":
+    if blocked_arm == "b":
         out = np.eye(4)
         out[:2, :2] = mode_block(gamma, 0)
         return out
-    if config.blocked_arm == "signal":
+    if blocked_arm == "signal":
         return np.eye(4)
     return gamma
 
 
-def _port_rows(config: RunConfig, thetas) -> NDArray[np.float64]:
+def _port_rows(reflectivity: float, thetas) -> NDArray[np.float64]:
     """Rows of the phase-shift-then-beamsplitter chain that feed the measured
     port, one 2x4 block per relative phase theta."""
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float)).tolist()
@@ -261,24 +266,48 @@ def _port_rows(config: RunConfig, thetas) -> NDArray[np.float64]:
     rotations = np.tile(np.eye(4), (len(thetas), 1, 1))
     rotations[:, 2, 2] = rotations[:, 3, 3] = cos
     rotations[:, 2, 3], rotations[:, 3, 2] = sin, -sin
-    return beamsplitter(config.beamsplitter_r)[:2] @ rotations
+    return beamsplitter(reflectivity)[:2] @ rotations
+
+
+@functools.lru_cache(maxsize=_PHYSICS_MEMO_SIZE)
+def _covariance_stack(
+    source: SourceSpec, efficiency: float, reflectivity: float, blocked_arm: str, thetas: bytes
+) -> NDArray[np.float64]:
+    """Read-only detected covariances of the float64 thetas whose bytes are ``thetas``.
+
+    Keyed on values, so sources that differ only in the sign of a zero share
+    an entry; that changes no bit, since the final ``(1 - eta) I`` adds +0.0
+    to every entry and so leaves no -0.0 in any result.
+    """
+    rows = _port_rows(reflectivity, np.frombuffer(thetas))
+    g = rows @ _input_covariance(source, blocked_arm) @ rows.transpose(0, 2, 1)
+    out = efficiency * (0.5 * (g + g.transpose(0, 2, 1))) + (1.0 - efficiency) * np.eye(2)
+    out.flags.writeable = False
+    return out
 
 
 def _detected_covariances(config: RunConfig, thetas) -> NDArray[np.float64]:
-    """Detected 2x2 covariances, one per theta, without electronic noise."""
-    rows = _port_rows(config, thetas)
-    g = rows @ _input_covariance(config) @ rows.transpose(0, 2, 1)
-    eta = config.detector.efficiency
-    return eta * (0.5 * (g + g.transpose(0, 2, 1))) + (1.0 - eta) * np.eye(2)
+    """Read-only detected 2x2 covariances, one per theta, without electronic noise.
+
+    Memoized on what they depend on, the thetas by their bits: runs that
+    differ only in seed, schedule or electronic noise share one entry.
+    """
+    return _covariance_stack(
+        config.source,
+        config.detector.efficiency,
+        config.beamsplitter_r,
+        config.blocked_arm,
+        np.asarray(thetas, dtype=float).tobytes(),
+    )
 
 
 def detected_covariance(config: RunConfig) -> Matrix:
     """2x2 covariance of the measured output port after recombination and loss.
 
     Electronic noise is not included; it enters additively in
-    :func:`detected_variance`.
+    :func:`detected_variance`.  The array is the caller's own.
     """
-    return _detected_covariances(config, config.theta)[0]
+    return _detected_covariances(config, config.theta)[0].copy()
 
 
 def detected_variance(config: RunConfig, lo_phase):
@@ -286,7 +315,7 @@ def detected_variance(config: RunConfig, lo_phase):
 
     Accepts a scalar or an array of phases; electronic noise is included.
     """
-    g = detected_covariance(config)
+    g = _detected_covariances(config, config.theta)[0]
     phi = np.asarray(lo_phase, dtype=float)
     c, s = np.cos(phi), np.sin(phi)
     var = c * c * g[0, 0] + 2.0 * c * s * g[0, 1] + s * s * g[1, 1]
@@ -334,8 +363,8 @@ def _marginal_draw(config: RunConfig, chunk_size: int):
     """The per-chunk draw of the fast sampler, format version 2.
 
     The detected variance is A + B cos 2phi + C sin 2phi, with A, B and C
-    taken once from :func:`detected_covariance` and the electronic noise in
-    A.  On a ramp of step d, pulse j of a chunk starting at phase phi_s has
+    taken once from the detected covariance and the electronic noise in A.
+    On a ramp of step d, pulse j of a chunk starting at phase phi_s has
     2phi = 2phi_s + 2jd, so one table of cos 2jd and sin 2jd and two scalars
     per chunk give every variance without per-pulse trig.
 
@@ -344,7 +373,7 @@ def _marginal_draw(config: RunConfig, chunk_size: int):
     owns one scratch of standard deviations, so a chunk allocates nothing
     of chunk size, and one draw serves one stream at a time.
     """
-    g = detected_covariance(config)
+    g = _detected_covariances(config, config.theta)[0]
     a = 0.5 * (g[0, 0] + g[1, 1]) + config.detector.electronic_noise_var
     b, c = 0.5 * (g[0, 0] - g[1, 1]), g[0, 1]
     if config.blocked_arm != "none":
@@ -426,45 +455,6 @@ def sample_pulses(config: RunConfig, chunk_size: int = DEFAULT_CHUNK_SIZE) -> Pu
     PulseTrain
     """
     return _collect(config, chunk_size, _STREAM_FAST, _marginal_draw)
-
-
-def sample_pulses_joint(
-    config: RunConfig, chunk_size: int = DEFAULT_CHUNK_SIZE
-) -> PulseTrain:
-    """Brute-force sampler used as an independent cross-check of :func:`sample_pulses`.
-
-    Instead of collapsing the chain to a single variance, every pulse draws
-    the full four-dimensional quadrature vector of the source, pushes it
-    through the phase shift and the beamsplitter explicitly, projects the
-    bright port onto the LO phase, and applies loss as a literal vacuum
-    admixture plus electronic noise.
-    """
-    return _collect(config, chunk_size, _STREAM_JOINT, _joint_draw)
-
-
-def _joint_draw(config: RunConfig, chunk_size: int):
-    """The per-chunk draw of :func:`sample_pulses_joint`, called as the fast one is."""
-    chol = np.linalg.cholesky(_input_covariance(config))
-    # rows producing the measured port's (X, P) from the 4 source normals
-    port_rows = _port_rows(config, config.theta)[0] @ chol
-    eta = config.detector.efficiency
-    noise_std = math.sqrt(config.detector.electronic_noise_var)
-
-    def draw(start, rng, out):
-        m = len(out)
-        phases = config.schedule.values(start, start + m)
-        z = rng.standard_normal((4, m))
-        x_port, p_port = port_rows @ z
-        projected = np.cos(phases) * x_port + np.sin(phases) * p_port
-        vacuum = rng.standard_normal(m)
-        electronic = rng.standard_normal(m)
-        return np.add(
-            math.sqrt(eta) * projected + math.sqrt(1.0 - eta) * vacuum,
-            noise_std * electronic,
-            out=out,
-        )
-
-    return draw
 
 
 def _block_count(n_pulses: int, block_size: int) -> int:

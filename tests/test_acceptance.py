@@ -39,9 +39,9 @@ from cvpulse.simulate import (
     RunConfig,
     detected_variance,
     sample_pulses,
-    sample_pulses_joint,
     theta_scan,
 )
+from joint_sampler import sample_pulses_joint
 from symmetric_states import random_symmetric_state
 
 REFERENCE_GAMMA = symmetric_two_mode_covariance(1.50, 0.94, 0.94)

@@ -391,6 +391,9 @@ BAD_INPUTS = [
                            command=("scan-theta",)),
                  EXIT_INVALID_INPUT, "invalid source.v: largest quadrature variance",
                  id="mixed source scans nan"),
+    pytest.param(_scenario({"source": {"kind": "symmetric_mixed", "v": 2.0, "k": -2.0}}),
+                 EXIT_INVALID_INPUT, "invalid source: unphysical source: v + k = 0",
+                 id="noiseless quadrature sum"),
     pytest.param(_scenario({"detector": [1]}), EXIT_INVALID_INPUT, "invalid detector",
                  id="detector not an object"),
     pytest.param(_scenario({"detectr": {}}), EXIT_INVALID_INPUT, "block_size",

@@ -309,6 +309,20 @@ def test_source_spec_validation():
         SourceSpec(kind="thermal")
 
 
+def test_source_with_noiseless_quadrature_sum_is_refused():
+    """k = -v leaves var(X_A + X_B) = 2(v + k) = 0: refused as unphysical, not divided by.
+
+    The sources beside it keep their verdicts: the bound (v - k)(v + k) >= 1
+    accepts k = -1.7 and refuses k = -1.75 at v = 2.
+    """
+    for v in (1.0, 2.0, 1e3):
+        with pytest.raises(ValueError, match=r"unphysical source: v \+ k = 0 is below"):
+            SourceSpec.symmetric_mixed(v, -v)
+    SourceSpec.symmetric_mixed(2.0, -1.7)
+    with pytest.raises(ValueError, match=r"unphysical source: v - k = 3.75 is below"):
+        SourceSpec.symmetric_mixed(2.0, -1.75)
+
+
 def test_experimental_matrix_is_physical():
     """The reconstructed experimental state passes the uncertainty test."""
     g = symmetric_two_mode_covariance(1.50, 0.94, 0.94)

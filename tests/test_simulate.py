@@ -20,11 +20,11 @@ from cvpulse.simulate import (
     read_metadata,
     read_records,
     sample_pulses,
-    sample_pulses_joint,
     shot_noise_linearity_scan,
     theta_scan,
     write_records,
 )
+from joint_sampler import sample_pulses_joint
 
 # detector with the published overall efficiency as a single exact factor
 FLAT_DETECTOR = DetectorModel(
@@ -176,7 +176,7 @@ def test_port_rows_equal_the_matrix_chain(r):
     from cvpulse.simulate import _port_rows
 
     thetas = np.concatenate([[0.0, -0.0, math.pi], np.linspace(-20.0, 20.0, 61)])
-    rows = _port_rows(_config(beamsplitter_r=r), thetas)
+    rows = _port_rows(r, thetas)
     for theta, row in zip(thetas, rows):
         expected = (beamsplitter(r) @ phase_rotation(float(theta), mode=1))[:2]
         assert row.tobytes() == expected.tobytes()

@@ -30,10 +30,11 @@ from cvpulse.simulate import (
     read_metadata,
     read_records,
     sample_pulses,
-    sample_pulses_joint,
     stream_block_variances,
+    theta_scan,
     write_records,
 )
+from joint_sampler import sample_pulses_joint
 
 REFERENCE = reference_scenario(n_pulses=200_003, seed=12345).config  # 3 chunks + 3 pulses
 
@@ -312,6 +313,120 @@ def test_one_report_builds_one_table_and_one_set_of_block_phases():
     phases = simulate_module._block_phase_means.cache_info()
     assert (tables.misses, tables.hits) == (1, 1)
     assert (phases.misses, phases.hits) == (1, 2)
+
+
+PHYSICS_SOURCES = {
+    "pure_nopa": SourceSpec.pure_nopa(0.472),
+    "mixed": SourceSpec.symmetric_mixed(1.5, 0.94),
+}
+PHYSICS_THETAS = (0.0, -0.0, 0.7, math.pi)
+BLOCKED_ARMS = ("none", "a", "b", "signal")
+
+
+def _physics_outputs(config, before_each_call=lambda: None):
+    """Bytes of every output that reads the physics memo, for one config."""
+    calls = (
+        lambda: [detected_covariance(config)],
+        lambda: theta_scan(config, (config.theta,)),
+        lambda: theta_scan(config, PHYSICS_THETAS),
+        lambda: stream_block_variances(config, 50, chunk_size=256),
+    )
+    outputs = []
+    for call in calls:
+        before_each_call()
+        outputs += [array.tobytes() for array in call()]
+    return outputs
+
+
+def _physics_config(**overrides):
+    return replace(REFERENCE, schedule=_ramp(1000), detector=DetectorModel(), **overrides)
+
+
+@pytest.mark.parametrize("kind", sorted(PHYSICS_SOURCES))
+def test_physics_memo_changes_no_output_bit(kind):
+    """Outputs read from the memo, filled by any of its readers, are the bits of
+    outputs computed with the memo emptied before every call."""
+    from cvpulse.simulate import _PHYSICS_MEMO_SIZE, _covariance_stack
+
+    configs = [
+        _physics_config(source=PHYSICS_SOURCES[kind], blocked_arm=arm, beamsplitter_r=r,
+                        theta=theta)
+        for arm, r, theta in itertools.product(BLOCKED_ARMS, (0.5, 0.3), PHYSICS_THETAS)
+    ]
+    uncached = [_physics_outputs(c, _covariance_stack.cache_clear) for c in configs]
+    _covariance_stack.cache_clear()
+    filling = [_physics_outputs(c) for c in configs]
+    filled = _covariance_stack.cache_info()
+    assert filled.currsize <= _PHYSICS_MEMO_SIZE
+    cached = [_physics_outputs(c) for c in configs]
+    assert _covariance_stack.cache_info().misses == filled.misses
+    assert filling == uncached
+    assert cached == uncached
+
+
+@pytest.mark.parametrize("arm", BLOCKED_ARMS)
+def test_signed_zeros_never_change_an_output_bit(arm):
+    """Whichever sign of a zero theta, k or r filled the memo, the other sign
+    reads the bits it gets from an empty memo."""
+    from cvpulse.simulate import _covariance_stack
+
+    pairs = [
+        (_physics_config(theta=0.0), _physics_config(theta=-0.0)),
+        (_physics_config(source=SourceSpec.symmetric_mixed(1.5, 0.0)),
+         _physics_config(source=SourceSpec.symmetric_mixed(1.5, -0.0))),
+        (_physics_config(source=SourceSpec.pure_nopa(0.0)),
+         _physics_config(source=SourceSpec.pure_nopa(-0.0))),
+    ]
+    for first, second in pairs:
+        for filler, reader in ((first, second), (second, first)):
+            filler, reader = replace(filler, blocked_arm=arm), replace(reader, blocked_arm=arm)
+            _covariance_stack.cache_clear()
+            expected = _physics_outputs(reader)
+            _covariance_stack.cache_clear()
+            _physics_outputs(filler)
+            assert _physics_outputs(reader) == expected
+
+
+def test_two_seeds_of_a_sweep_grid_miss_once_per_distinct_key():
+    """18 reports of 2x10^4 pulses, each with a 64-theta scan, for two seeds.
+
+    A report asks for 3 keys (theta 0 and pi, and 0 with arm b) and its theta
+    scan for one more, and the two noise settings share every key, so the 9
+    (source, efficiency) pairs have 36 distinct keys: 36 misses in 144 lookups.
+    """
+    from cvpulse.simulate import _covariance_stack
+
+    thetas = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
+    grid = itertools.product(
+        (1, 2), ((1.5, 0.94), (1.5, 0.6), (2.0, 1.3)), (0.93, 0.85, 0.75), (0.0, 10.0**-1.1)
+    )
+    _covariance_stack.cache_clear()
+    for seed, (v, k), transmission, noise in grid:
+        config = RunConfig(
+            source=SourceSpec.symmetric_mixed(v, k),
+            detector=DetectorModel(eta_transmission=transmission, electronic_noise_var=noise),
+            schedule=_ramp(20_000),
+            seed=seed,
+        )
+        end_to_end_report(config, 20_000, block_size=500)
+        theta_scan(config, thetas)
+    info = _covariance_stack.cache_info()
+    assert (info.misses, info.hits) == (36, 2 * 18 * 4 - 36)
+
+
+def test_detected_covariance_is_the_callers_own():
+    """Writing into the returned matrix leaves the memo, and every later output,
+    as it was; the memo's own arrays refuse writes."""
+    from cvpulse.simulate import _detected_covariances
+
+    config = _physics_config(theta=0.7)
+    expected = _physics_outputs(config)
+    detected_covariance(config)[:] = -1.0
+    assert _physics_outputs(config) == expected
+    stack = _detected_covariances(config, config.theta)
+    assert not stack.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        stack[0, 0, 0] = 0.0
 
 
 def test_streamed_blocking_rejects_what_block_variance_trace_rejects():
