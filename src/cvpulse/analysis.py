@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import os
 import sys
-import threading
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -292,7 +291,7 @@ def _draw_scans(configs: list[RunConfig], block_size: int) -> list:
     """``stream_block_variances`` of every config, in order.
 
     Scans of at least one chunk are drawn at the same time: the first on the
-    calling thread, each other on a thread of its own.  Nearly all of a
+    calling thread, the others on a thread pool of their own.  Nearly all of a
     chunk's work is numpy calls that release the GIL, and every scan has its
     own RNG streams and scratch, so the results are those of drawing the
     scans one after another.  Shorter scans cost less than a thread hand-off,
@@ -304,29 +303,13 @@ def _draw_scans(configs: list[RunConfig], block_size: int) -> list:
     cpus = len(affinity(0)) if affinity else os.cpu_count()
     if len(configs[0].schedule) < DEFAULT_CHUNK_SIZE or cpus == 1:
         return [stream_block_variances(c, block_size) for c in configs]
-    results: list = [None] * len(configs)
-    errors: list[BaseException | None] = [None] * len(configs)
+    # imported here: only runs that draw concurrently pay for it
+    from concurrent.futures import ThreadPoolExecutor
 
-    def draw(i: int) -> None:
-        try:
-            results[i] = stream_block_variances(configs[i], block_size)
-        except BaseException as exc:  # raised below, once no scan is running
-            errors[i] = exc
-
-    workers = []
-    try:
-        for i in range(1, len(configs)):
-            worker = threading.Thread(target=draw, args=(i,))
-            worker.start()
-            workers.append(worker)
-        draw(0)
-    finally:
-        for worker in workers:
-            worker.join()
-    for error in errors:
-        if error is not None:
-            raise error
-    return results
+    with ThreadPoolExecutor(len(configs) - 1) as pool:
+        others = [pool.submit(stream_block_variances, c, block_size) for c in configs[1:]]
+        first = stream_block_variances(configs[0], block_size)
+    return [first, *(scan.result() for scan in others)]
 
 
 def end_to_end_report(

@@ -6,7 +6,7 @@ scenario and check the published values), ``scan-theta`` (sweep the relative
 phase and tabulate the noise-ellipse rotation).
 
 Exit codes: 0 success, 1 a reproduction or consistency check failed,
-2 invalid input, 3 I/O failure.
+2 invalid input (a run too large to allocate included), 3 I/O failure.
 """
 
 from __future__ import annotations
@@ -315,6 +315,9 @@ def main(argv=None) -> int:
         return EXIT_CHECK_FAILED
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVALID_INPUT
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
 
 

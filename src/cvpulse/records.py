@@ -12,7 +12,8 @@ import os
 import re
 import warnings
 from pathlib import Path
-from typing import Iterator
+from itertools import chain
+from typing import Iterator, NoReturn
 
 import numpy as np
 from numpy.typing import NDArray
@@ -189,10 +190,10 @@ def format_rows(first: int, phases: NDArray, values: NDArray) -> Iterator[str]:
 # the field ends (and one that ends at its point): XOR with '0' leaves a
 # digit as 0-9, a mask clears the bytes before the digits, and three
 # multiply-shift steps sum the word.  The same words mark every byte that is
-# not a digit.  Every other line (exponent notation, whitespace, '\r', '#',
-# '+', leading zeros, nan, blank lines) goes to np.loadtxt.  Where those
-# lines raise, or a check fails, the whole file is read again as one
-# np.loadtxt call, and a rescan names the first line that fails.
+# not a digit.  A CRLF is read as a newline, as text mode reads it.  Every
+# other line (exponent notation, whitespace, a lone '\r', '#', '+', leading
+# zeros, nan, blank lines) goes to np.loadtxt.  Where those lines raise, or
+# a check fails, a rescan names the first line that fails.
 # Bytes read per block: a 250k-pulse file reads in 104 ms with 2^17 (best of
 # 12, 2 CPUs), 101 ms with 2^18 and 119 ms with 2^16, at traced peaks of
 # 6.1, 8.1 and 5.1 MB (its arrays are 4 MB).
@@ -355,25 +356,32 @@ def _loadtxt_rows(lines: bytes) -> NDArray[np.float64] | None:
 
 
 def read(csv_path: Path) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-    """The LO phase and value columns of csv_path, read block by block, or
-    read whole where a block cannot be, as read_records reads them."""
+    """The LO phase and value columns of csv_path, read block by block, as
+    read_records reads them.
+
+    The header line ends at a CR, CRLF or LF, as in text mode, and matches
+    after str.strip(); what follows a lone CR on its line is read as rows.
+    """
     phase, value, rows = np.empty(0), np.empty(0), 0
     with open(csv_path, "rb") as fh:
-        if fh.readline() != _HEADER_LINE:
-            return _read_whole(csv_path)
+        header, *data = re.split(rb"\r\n?|\n", fh.readline(), maxsplit=1)
+        if header.decode("utf-8", "replace").strip() != HEADER:
+            _raise_at_first_bad_line(csv_path)
         size = os.fstat(fh.fileno()).st_size
-        data = _HEADER_LINE[-_LOOKBACK:]
+        data = _HEADER_LINE[-_LOOKBACK:] + b"".join(data)  # text after a lone CR
         while True:
             chunk = fh.read(_READ_BLOCK)
             if not chunk and len(data) == _LOOKBACK:
                 break
+            if b"\r" in chunk:  # a CRLF ends a line, as in text mode
+                chunk = chunk.replace(b"\r\n", b"\n")
             data += chunk or b"\n"  # a last line may have no newline
             stop = data.rfind(b"\n", _LOOKBACK) + 1
             if stop == 0:
                 continue
             table = _parse_block(data, stop)
             if table is None or np.any(table[0] != np.arange(rows, rows + table.shape[1])):
-                return _read_whole(csv_path)
+                _raise_at_first_bad_line(csv_path)
             new = rows + table.shape[1]
             if new > len(phase):  # size the columns by the rows per byte so far
                 estimate = new * size // (fh.tell() - len(data) + stop)
@@ -383,38 +391,10 @@ def read(csv_path: Path) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
             rows = new
             data = data[stop - _LOOKBACK :]
     if rows == 0:
-        return _read_whole(csv_path)
+        _raise_at_first_bad_line(csv_path)
     phase.resize(rows, refcheck=False)
     value.resize(rows, refcheck=False)
     return phase, value
-
-
-def _read_whole(csv_path: Path) -> tuple[NDArray, NDArray]:
-    """The columns as one np.loadtxt call reads them, with the checks of
-    read_records; a rescan names the first line that fails."""
-    with open(csv_path, encoding="utf-8") as fh:
-        try:
-            first = fh.readline().strip()
-            if first != HEADER:
-                raise ValueError(
-                    f"{csv_path.name} line 1: expected header {HEADER!r}, got {first!r}"
-                )
-            with warnings.catch_warnings():
-                # empty input is reported explicitly below, not as a warning
-                warnings.simplefilter("ignore", UserWarning)
-                table = np.loadtxt(fh, delimiter=",", ndmin=2)
-        except ValueError:  # a UnicodeDecodeError too
-            _raise_at_first_bad_line(csv_path)
-            raise
-    if (
-        table.shape[1] != 3
-        or not np.isfinite(table).all()
-        or np.any(table[:, 0] != np.arange(len(table)))
-    ):
-        _raise_at_first_bad_line(csv_path)
-    if table.size == 0:
-        raise ValueError(f"{csv_path.name}: no records")
-    return table[:, 1].copy(), table[:, 2].copy()
 
 
 # A field np.loadtxt reads (PyOS_string_to_double after stripping whitespace).
@@ -423,12 +403,14 @@ _FLOAT_FIELD = re.compile(
 )
 
 
-def _raise_at_first_bad_line(csv_path: Path) -> None:
+def _raise_at_first_bad_line(csv_path: Path) -> NoReturn:
     """Rescan a records file and raise ValueError at its first line that is
-    not UTF-8 text, or that np.loadtxt or the checks of read_records reject."""
+    not UTF-8 text, or that np.loadtxt or the checks of read_records reject;
+    a file read rejects with no such line holds no records."""
     name, row = csv_path.name, 0
     with open(csv_path, encoding="utf-8", errors="surrogateescape") as fh:
-        for lineno, line in enumerate(fh, start=1):
+        # an empty file's line 1 is ''
+        for lineno, line in enumerate(chain([fh.readline()], fh), start=1):
             text = line.rstrip("\n")
             if not text.isascii():
                 try:
@@ -458,3 +440,4 @@ def _raise_at_first_bad_line(csv_path: Path) -> None:
             if fields[0] != row:
                 raise ValueError(f"{name} line {lineno}: expected index {row}, got {parts[0]}")
             row += 1
+    raise ValueError(f"{name}: no records")

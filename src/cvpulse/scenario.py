@@ -105,7 +105,11 @@ def load_scenario(path: str | Path, **overrides) -> Scenario:
 
     ``overrides`` are those of :func:`scenario_from_dict`.
     """
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        byte, offset = exc.object[exc.start], exc.start
+        raise ValueError(f"{path}: not UTF-8 text (byte 0x{byte:02x} at offset {offset})") from None
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:

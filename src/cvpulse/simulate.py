@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import ClassVar
@@ -123,8 +124,10 @@ class PhaseSchedule:
 
     def __post_init__(self) -> None:
         check_fields(self)
-        if self.n_pulses < 0:
-            raise FieldError("n_pulses", f"pulse count must be >= 0, got {self.n_pulses}")
+        if not 0 <= self.n_pulses <= sys.maxsize:  # len() holds at most sys.maxsize
+            raise FieldError(
+                "n_pulses", f"pulse count must lie in [0, {sys.maxsize}], got {self.n_pulses}"
+            )
 
     @classmethod
     def constant(cls, phi: float, n_pulses: int) -> "PhaseSchedule":

@@ -348,6 +348,16 @@ def _emptied(out):
     (out / "pulses.csv").write_bytes(b"")
 
 
+def _run(*argv):
+    """A command with no scenario file."""
+    return lambda tmp_path: [*argv, "--out", str(tmp_path)]
+
+
+def _scenario_not_utf8(tmp_path):
+    (tmp_path / "s.json").write_bytes(b"\xff\xfe{}")
+    return ["simulate", "--scenario", str(tmp_path / "s.json"), "--out", str(tmp_path)]
+
+
 def _byte_ff_on_line_3(out):
     path = out / "pulses.csv"
     lines = path.read_bytes().splitlines(keepends=True)
@@ -405,6 +415,20 @@ BAD_INPUTS = [
                  id="analyze block size 1"),
     pytest.param(_scenario([{"seed": 1}]), EXIT_INVALID_INPUT,
                  "top level must be a JSON object", id="scenario is a list"),
+    pytest.param(_scenario_not_utf8, EXIT_INVALID_INPUT,
+                 "s.json: not UTF-8 text (byte 0xff at offset 0)", id="scenario not UTF-8"),
+    pytest.param(_run("simulate", "--pulses", str(10**19)), EXIT_INVALID_INPUT,
+                 "invalid schedule.n_pulses: pulse count must lie in [0, 9223372036854775807]",
+                 id="pulse count above sys.maxsize"),
+    pytest.param(_run("reproduce-paper", "--pulses", str(10**19)), EXIT_INVALID_INPUT,
+                 "invalid n_pulses: pulse count must lie in [0, 9223372036854775807]",
+                 id="reproduced pulse count above sys.maxsize"),
+    # arrays of more than 2^57 bytes: no overcommit setting allocates them
+    pytest.param(_run("scan-theta", "--points", str(10**17)), EXIT_INVALID_INPUT,
+                 "error: out of memory: Unable to allocate", id="theta grid beyond memory"),
+    pytest.param(_run("reproduce-paper", "--pulses", "9000000000000000000", "--block-size", "16"),
+                 EXIT_INVALID_INPUT, "error: out of memory: Unable to allocate",
+                 id="block phases beyond memory"),
     pytest.param(_simulated(_typo_in_sidecar), EXIT_INVALID_INPUT,
                  "'config.detector.eta_typo'", id="unknown sidecar key"),
     pytest.param(_simulated(_nan_on_line_1001), EXIT_INVALID_INPUT, "line 1001",
@@ -519,42 +543,60 @@ def test_console_script_entry_point(tmp_path):
     assert json.loads(result.stdout)["points"] == 4
 
 
-def _imports_records(tmp_path, *commands):
+def _imports(tmp_path, module, *commands):
     """Run ``main`` on each command in one fresh process; after each, whether
-    ``cvpulse.records`` had been imported."""
+    ``module`` had been imported."""
     script = (
         "import json, sys\n"
         "import cvpulse, cvpulse.cli\n"
-        "for argv in json.loads(sys.argv[1]):\n"
+        "module, commands = json.loads(sys.argv[1])\n"
+        "for argv in commands:\n"
         "    assert cvpulse.cli.main(argv) == 0, argv\n"
-        "    print('records imported:', 'cvpulse.records' in sys.modules, file=sys.stderr)\n"
+        "    print('imported:', module in sys.modules, file=sys.stderr)\n"
     )
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
     result = subprocess.run(
-        [sys.executable, "-c", script, json.dumps(commands)],
+        [sys.executable, "-c", script, json.dumps([module, commands])],
         capture_output=True, text=True, env=env, cwd=tmp_path,
     )
     assert result.returncode == 0, result.stderr
     return [line.split(": ")[1] == "True" for line in result.stderr.splitlines()
-            if line.startswith("records imported: ")]
+            if line.startswith("imported: ")]
 
 
 def test_only_runs_with_records_import_the_record_format(tmp_path):
     """reproduce-paper and scan-theta never compile the record format;
     simulate and analyze, each in a fresh process, do."""
     out = str(tmp_path)
-    assert _imports_records(
+    assert _imports(
         tmp_path,
+        "cvpulse.records",
         ["reproduce-paper", "--pulses", "100000", "--json", "--out", out],
         ["scan-theta", "--out", out],
         ["simulate", "--pulses", "100000", "--out", out],
     ) == [False, False, True]
-    assert _imports_records(tmp_path, ["analyze", str(tmp_path / "pulses.csv"), "--out", out]) == [
-        True
-    ]
+    assert _imports(
+        tmp_path, "cvpulse.records", ["analyze", str(tmp_path / "pulses.csv"), "--out", out]
+    ) == [True]
+
+
+def test_only_runs_that_draw_concurrently_import_the_executor(tmp_path):
+    """Importing the CLI and runs whose scans are shorter than a chunk leave
+    concurrent.futures unimported; scans of a chunk or more import it where
+    more than one CPU is usable."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    cpus = len(affinity(0)) if affinity else os.cpu_count()
+    out = str(tmp_path)
+    assert _imports(
+        tmp_path,
+        "concurrent.futures",
+        ["reproduce-paper", "--pulses", "20000", "--block-size", "500", "--out", out],
+        ["reproduce-paper", "--pulses", "65535", "--out", out],
+        ["reproduce-paper", "--pulses", "65536", "--out", out],
+    ) == [False, False, cpus > 1]
 
 
 @pytest.mark.parametrize(

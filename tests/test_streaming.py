@@ -739,6 +739,36 @@ def test_read_records_equals_loadtxt_bit_for_bit(tmp_path, monkeypatch):
         _assert_reads_as_loadtxt(path)
 
 
+_HEADER = "index,lo_phase_rad,value"
+_ROWS = ["0,0.5,1.25", "1,1e-05,-2.5", "2,3.1415926535897931,0.125", "3,12.5,-0.0001"]
+
+
+@pytest.mark.parametrize("text, error", [
+    pytest.param(_HEADER + "\r\n" + "\r\n".join(_ROWS) + "\r\n", None, id="CRLF"),
+    pytest.param(_HEADER + "\r" + "\r".join(_ROWS) + "\r", None, id="CR only"),
+    pytest.param(_HEADER + "\r" + "\n".join(_ROWS), None, id="rows after a CR header"),
+    pytest.param("  " + _HEADER + " \t\n" + "\n".join(_ROWS) + "\n", None,
+                 id="space-padded header"),
+    pytest.param(_HEADER + "\r\n", "odd.csv: no records", id="CRLF header, no rows"),
+    pytest.param("", f"odd.csv line 1: expected header {_HEADER!r}, got ''", id="zero bytes"),
+    pytest.param("\n" + _HEADER + "\n" + "\n".join(_ROWS) + "\n",
+                 f"odd.csv line 1: expected header {_HEADER!r}, got ''", id="blank first line"),
+    pytest.param(_HEADER + "\n# a comment\n# another\n", "odd.csv: no records",
+                 id="comment-only body"),
+])
+def test_odd_records_files_read_as_loadtxt_or_name_their_fault(tmp_path, text, error):
+    """Line ends text mode reads, a padded header, and files with no rows:
+    read_records gives np.loadtxt's arrays bit for bit, or one error."""
+    path = tmp_path / "odd.csv"
+    path.write_bytes(text.encode())
+    if error is None:
+        _assert_reads_as_loadtxt(path)
+    else:
+        with pytest.raises(ValueError) as excinfo:
+            read_records(path)
+        assert str(excinfo.value) == error
+
+
 def test_read_records_memory_grows_only_with_its_arrays(tmp_path):
     """read_records' traced peak grows from 1.3x10^5 to 5.2x10^5 pulses by
     about the 16 bytes per pulse of the arrays it returns, not by the 45
