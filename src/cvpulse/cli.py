@@ -34,7 +34,6 @@ from .scenario import (
     DEFAULT_SEED,
     Scenario,
     load_scenario,
-    reference_scenario,
     scenario_from_dict,
 )
 from .simulate import (
@@ -73,7 +72,7 @@ def run_reference_scans(
     block_size: int = DEFAULT_BLOCK_SIZE,
 ) -> EntanglementReport:
     """Run the built-in reference scenario through the three-scan protocol."""
-    config = reference_scenario(n_pulses=pulses_per_scan, seed=seed).config
+    config = scenario_from_dict({}, seed_override=seed, n_pulses_override=pulses_per_scan).config
     return end_to_end_report(config, pulses_per_scan, block_size=block_size)
 
 
@@ -168,6 +167,8 @@ def _analysis_config(args, records_path: Path) -> tuple[RunConfig, int, int | No
 
 def cmd_analyze(args) -> int:
     records_path = Path(args.records)
+    if records_path.is_dir():  # '.' and '/' too, which have no name to give a sidecar
+        raise ValueError(f"{args.records} is a directory, not a records CSV")
     config, block_size, n_pulses = _analysis_config(args, records_path)
     train = read_records(records_path)
     if n_pulses not in (None, len(train)):

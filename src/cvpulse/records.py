@@ -6,11 +6,9 @@ import this module on their first call, so a run without records does not compil
 
 from __future__ import annotations
 
-import io
 import math
 import os
 import re
-import warnings
 from pathlib import Path
 from itertools import chain
 from typing import Iterator, NoReturn
@@ -190,10 +188,10 @@ def format_rows(first: int, phases: NDArray, values: NDArray) -> Iterator[str]:
 # the field ends (and one that ends at its point): XOR with '0' leaves a
 # digit as 0-9, a mask clears the bytes before the digits, and three
 # multiply-shift steps sum the word.  The same words mark every byte that is
-# not a digit.  A CRLF is read as a newline, as text mode reads it.  Every
-# other line (exponent notation, whitespace, a lone '\r', '#', '+', leading
-# zeros, nan, blank lines) goes to np.loadtxt.  Where those lines raise, or
-# a check fails, a rescan names the first line that fails.
+# not a digit.  A CRLF or a lone CR is read as a newline, as text mode reads
+# it.  Every other line (exponent notation, whitespace, '#', '+', leading
+# zeros, nan, blank lines) is read by _fields, in Python.  Where a line is
+# rejected, or a check fails, a rescan names the first line that fails.
 # Bytes read per block: a 250k-pulse file reads in 104 ms with 2^17 (best of
 # 12, 2 CPUs), 101 ms with 2^18 and 119 ms with 2^16, at traced peaks of
 # 6.1, 8.1 and 5.1 MB (its arrays are 4 MB).
@@ -269,8 +267,8 @@ def _decimal_value(digits: NDArray[np.uint64], places: NDArray[np.intp]):
 
 def _parse_block(data: bytes, stop: int) -> NDArray[np.float64] | None:
     """The index, phase and value rows (3, n) of the lines of
-    data[_LOOKBACK:stop], each ending in a newline; None where np.loadtxt
-    raises on them or gives other than 3 columns of finite values."""
+    data[_LOOKBACK:stop], each ending in a newline; None where a line the
+    fast path declines is not UTF-8 or _fields rejects it."""
     a = np.frombuffer(data, np.uint8, stop)
     seps = np.flatnonzero(a < ord("-"))  # ',', '\n', and bytes no fast line has
     seps = seps[np.searchsorted(seps, _LOOKBACK - 1) :]
@@ -325,71 +323,58 @@ def _parse_block(data: bytes, stop: int) -> NDArray[np.float64] | None:
     lines[candidates[fast]] = True
     if lines.all():
         return table
-    runs = np.flatnonzero(np.diff(lines, prepend=True, append=True)).reshape(-1, 2)
-    table = table[:, fast]
-    pieces, taken, skipped = [], 0, 0
-    starts = seps[newlines] + 1
-    for first, last in runs:
-        pieces.append(table[:, taken : first - skipped])  # the fast rows before this run
-        taken, skipped = first - skipped, skipped + last - first
-        rows = _loadtxt_rows(data[starts[first] : starts[last]])
-        if rows is None:
+    rows = np.empty((3, len(ends)))
+    rows[:, lines] = table[:, fast]
+    starts = (seps[newlines] + 1).tolist()
+    for i in np.flatnonzero(~lines).tolist():
+        try:
+            fields = _fields(data[starts[i] : starts[i + 1] - 1].decode())
+        except ValueError:  # UnicodeDecodeError included
             return None
-        pieces.append(rows.T)
-    pieces.append(table[:, taken:])
-    return np.concatenate(pieces, axis=1)
+        if fields is not None:
+            rows[:, i] = fields
+            lines[i] = True
+    return rows[:, lines]
 
 
-def _loadtxt_rows(lines: bytes) -> NDArray[np.float64] | None:
-    """np.loadtxt of whole lines of a records file, read as the file's text
-    would be; None where it raises or gives other than 3 finite columns."""
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # lines of no data are fine here
-            text = io.TextIOWrapper(io.BytesIO(lines), encoding="utf-8")
-            rows = np.loadtxt(text, delimiter=",", ndmin=2)
-    except ValueError:
-        return None
-    if rows.size == 0:
-        return rows.reshape(0, 3)
-    return rows if rows.shape[1] == 3 and np.isfinite(rows).all() else None
+def _text_blocks(fh) -> Iterator[bytes]:
+    """The blocks of a binary file with each CRLF and lone CR made a newline,
+    as text mode reads them (a CRLF split between blocks adds an empty line)."""
+    while chunk := fh.read(_READ_BLOCK):
+        if b"\r" in chunk:  # rebound, so the block as read is not held while it is parsed
+            chunk = chunk.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        yield chunk
 
 
 def read(csv_path: Path) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
     """The LO phase and value columns of csv_path, read block by block, as
-    read_records reads them.
-
-    The header line ends at a CR, CRLF or LF, as in text mode, and matches
-    after str.strip(); what follows a lone CR on its line is read as rows.
-    """
-    phase, value, rows = np.empty(0), np.empty(0), 0
+    read_records reads them; the header line matches after str.strip()."""
+    phase, value, rows, header = np.empty(0), np.empty(0), 0, b""
     with open(csv_path, "rb") as fh:
-        header, *data = re.split(rb"\r\n?|\n", fh.readline(), maxsplit=1)
+        size = os.fstat(fh.fileno()).st_size
+        blocks = chain(_text_blocks(fh), [b"\n"])  # a last line may have no newline
+        while b"\n" not in header:
+            header += next(blocks)
+        header, _, chunk = header.partition(b"\n")
         if header.decode("utf-8", "replace").strip() != HEADER:
             _raise_at_first_bad_line(csv_path)
-        size = os.fstat(fh.fileno()).st_size
-        data = _HEADER_LINE[-_LOOKBACK:] + b"".join(data)  # text after a lone CR
-        while True:
-            chunk = fh.read(_READ_BLOCK)
-            if not chunk and len(data) == _LOOKBACK:
-                break
-            if b"\r" in chunk:  # a CRLF ends a line, as in text mode
-                chunk = chunk.replace(b"\r\n", b"\n")
-            data += chunk or b"\n"  # a last line may have no newline
+        data = _HEADER_LINE[-_LOOKBACK:]
+        while chunk is not None:
+            data += chunk
             stop = data.rfind(b"\n", _LOOKBACK) + 1
-            if stop == 0:
-                continue
-            table = _parse_block(data, stop)
-            if table is None or np.any(table[0] != np.arange(rows, rows + table.shape[1])):
-                _raise_at_first_bad_line(csv_path)
-            new = rows + table.shape[1]
-            if new > len(phase):  # size the columns by the rows per byte so far
-                estimate = new * size // (fh.tell() - len(data) + stop)
-                phase.resize(max(estimate * 21 // 20, new), refcheck=False)
-                value.resize(len(phase), refcheck=False)
-            phase[rows:new], value[rows:new] = table[1:]
-            rows = new
-            data = data[stop - _LOOKBACK :]
+            if stop:
+                table = _parse_block(data, stop)
+                if table is None or np.any(table[0] != np.arange(rows, rows + table.shape[1])):
+                    _raise_at_first_bad_line(csv_path)
+                new = rows + table.shape[1]
+                if new > len(phase):  # size the columns by the rows per byte so far
+                    estimate = new * size // (fh.tell() - len(data) + stop)
+                    phase.resize(max(estimate * 21 // 20, new), refcheck=False)
+                    value.resize(len(phase), refcheck=False)
+                phase[rows:new], value[rows:new] = table[1:]
+                rows = new
+                data = data[stop - _LOOKBACK :]
+            chunk = next(blocks, None)
     if rows == 0:
         _raise_at_first_bad_line(csv_path)
     phase.resize(rows, refcheck=False)
@@ -401,6 +386,24 @@ def read(csv_path: Path) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
 _FLOAT_FIELD = re.compile(
     r"[+-]?(?:(?:\d+\.?\d*|\.\d+)(?:e[+-]?\d+)?|inf(?:inity)?|nan)", re.ASCII | re.IGNORECASE
 )
+
+
+def _fields(line: str) -> list[float] | None:
+    """The index, phase and value of a records line (without its newline) as
+    np.loadtxt reads them, or None for a line it skips; raises ValueError,
+    naming the fault, where np.loadtxt rejects the line or a value is not finite."""
+    text = line.split("#", 1)[0]
+    if not text:  # np.loadtxt skips empty and comment lines, not blank ones
+        return None
+    parts = [part.strip() for part in text.split(",")]
+    if len(parts) != 3:
+        raise ValueError(f"expected 3 fields, got {len(parts)}")
+    if not all(_FLOAT_FIELD.fullmatch(part) for part in parts):
+        raise ValueError(f"non-numeric field in {line.strip()!r}")
+    fields = [float(part) for part in parts]
+    if not all(map(math.isfinite, fields)):
+        raise ValueError(f"non-finite field in {line.strip()!r}")
+    return fields
 
 
 def _raise_at_first_bad_line(csv_path: Path) -> NoReturn:
@@ -426,18 +429,12 @@ def _raise_at_first_bad_line(csv_path: Path) -> NoReturn:
                         f"{name} line 1: expected header {HEADER!r}, got {text.strip()!r}"
                     )
                 continue
-            text = text.split("#", 1)[0]
-            if not text:  # np.loadtxt skips empty and comment lines, not blank ones
-                continue
-            parts = [part.strip() for part in text.split(",")]
-            if len(parts) != 3:
-                raise ValueError(f"{name} line {lineno}: expected 3 fields, got {len(parts)}")
-            if not all(_FLOAT_FIELD.fullmatch(part) for part in parts):
-                raise ValueError(f"{name} line {lineno}: non-numeric field in {line.strip()!r}")
-            fields = [float(part) for part in parts]
-            if not all(map(math.isfinite, fields)):
-                raise ValueError(f"{name} line {lineno}: non-finite field in {line.strip()!r}")
-            if fields[0] != row:
-                raise ValueError(f"{name} line {lineno}: expected index {row}, got {parts[0]}")
-            row += 1
+            try:
+                fields = _fields(text)
+                if fields is not None and fields[0] != row:
+                    raise ValueError(f"expected index {row}, got {text.split(',', 1)[0].strip()}")
+            except ValueError as error:
+                raise ValueError(f"{name} line {lineno}: {error}") from None
+            if fields is not None:
+                row += 1
     raise ValueError(f"{name}: no records")

@@ -421,8 +421,13 @@ BAD_INPUTS = [
                  "invalid schedule.n_pulses: pulse count must lie in [0, 9223372036854775807]",
                  id="pulse count above sys.maxsize"),
     pytest.param(_run("reproduce-paper", "--pulses", str(10**19)), EXIT_INVALID_INPUT,
-                 "invalid n_pulses: pulse count must lie in [0, 9223372036854775807]",
+                 "invalid schedule.n_pulses: pulse count must lie in [0, 9223372036854775807]",
                  id="reproduced pulse count above sys.maxsize"),
+    pytest.param(_run("analyze", "."), EXIT_INVALID_INPUT,
+                 "error: . is a directory, not a records CSV", id="records path with no name"),
+    pytest.param(lambda tmp_path: ["analyze", str(tmp_path), "--out", str(tmp_path)],
+                 EXIT_INVALID_INPUT, "is a directory, not a records CSV",
+                 id="records path a directory"),
     # arrays of more than 2^57 bytes: no overcommit setting allocates them
     pytest.param(_run("scan-theta", "--points", str(10**17)), EXIT_INVALID_INPUT,
                  "error: out of memory: Unable to allocate", id="theta grid beyond memory"),

@@ -772,10 +772,16 @@ def test_odd_records_files_read_as_loadtxt_or_name_their_fault(tmp_path, text, e
 def test_read_records_memory_grows_only_with_its_arrays(tmp_path):
     """read_records' traced peak grows from 1.3x10^5 to 5.2x10^5 pulses by
     about the 16 bytes per pulse of the arrays it returns, not by the 45
-    bytes per row of the file: it holds one block of text at a time."""
+    bytes per row of the file: it holds one block of text at a time, also
+    where each line ends in a lone CR."""
+    paths = [
+        write_records(replace(REFERENCE, schedule=_ramp(n)), tmp_path / f"r{n}.csv")
+        for n in (130_000, 520_000)
+    ]
+    paths.append(tmp_path / "cr.csv")
+    paths[2].write_bytes(paths[0].read_bytes().replace(b"\n", b"\r"))
     peaks = []
-    for n in (130_000, 520_000):
-        path = write_records(replace(REFERENCE, schedule=_ramp(n)), tmp_path / f"r{n}.csv")
+    for path in paths:
         read_records(path)  # builds the memoized tables first
         tracemalloc.start()
         try:
@@ -784,3 +790,39 @@ def test_read_records_memory_grows_only_with_its_arrays(tmp_path):
         finally:
             tracemalloc.stop()
     assert peaks[1] - peaks[0] <= 1.1 * 16 * (520_000 - 130_000)
+    assert peaks[2] <= 1.1 * peaks[0]
+
+
+_ODD_FIELDS = [
+    "1_0", "١", "\xa01\xa0", "\x1c1\x1c", "\x0b1\x0b", "\t1 ", " 1", "1\x85",
+    "1e400", "-1e400", "1e-400", "Infinity", "-inf", "nan", "NaN", "0x10", "1e", "e5", ".",
+    "--1", "1..2", "+.5", "5.e3", "", "1e0", "1E+0", "01", "-0", "1 0", "1.0000000000000001",
+]
+
+
+@pytest.mark.parametrize("column", ["index", "phase", "value"])
+@pytest.mark.parametrize("text", _ODD_FIELDS, ids=ascii)
+def test_an_odd_field_is_read_as_loadtxt_reads_it_or_names_its_line(tmp_path, text, column):
+    """One grammar: an odd field, most of which the fast path declines, gives
+    np.loadtxt's value bit for bit where np.loadtxt reads it and read_records'
+    checks pass, and one error naming its line otherwise (a rejection, a
+    non-finite value or an index out of sequence)."""
+    row = ["1", "0.5", "-0.25"]
+    row[["index", "phase", "value"].index(column)] = text
+    path = tmp_path / "odd.csv"
+    path.write_text(f"{_HEADER}\n0,1.5,2.5\n{','.join(row)}\n2,3.5,4.5\n", encoding="utf-8")
+    try:
+        _loadtxt_columns(path)
+    except ValueError:
+        reason = "non-numeric field"
+    else:
+        values = [float(field.strip()) for field in row]  # as np.loadtxt read them
+        if not np.isfinite(values).all():
+            reason = "non-finite field"
+        elif values[0] != 1:
+            reason = "expected index 1,"
+        else:
+            _assert_reads_as_loadtxt(path)
+            return
+    with pytest.raises(ValueError, match=rf"^odd\.csv line 3: {reason} "):
+        read_records(path)
