@@ -5,6 +5,12 @@ correct an existing CSV), ``reproduce-paper`` (run the built-in reference
 scenario and check the published values), ``scan-theta`` (sweep the relative
 phase and tabulate the noise-ellipse rotation).
 
+``main`` makes the ``--out`` directory before a command runs (a path that is a
+file, or lies under one, is invalid input), then prints the command's JSON
+payload with ``--json`` and its text otherwise.  ``analyze`` checks the record
+count against the CSV's sidecar whenever one exists, and refuses a blocked-arm
+config before it reads any record.
+
 Exit codes: 0 success, 1 a reproduction or consistency check failed,
 2 invalid input (a run too large to allocate included), 3 I/O failure.
 """
@@ -29,7 +35,7 @@ from .analysis import (
     report_from_levels,
 )
 from .entanglement import variance_to_db
-from .schema import to_dict
+from .schema import FieldError, to_dict
 from .scenario import (
     DEFAULT_SEED,
     Scenario,
@@ -110,15 +116,16 @@ def reference_check_rows(
     return rows
 
 
-def _emit_check_table(rows: list[CheckRow]) -> None:
+def _check_table(rows: list[CheckRow]) -> str:
     width = max(len(r.name) for r in rows)
-    print(f"{'check':<{width}}  {'target':>8}  {'simulated':>10}  {'tol':>7}  status")
+    lines = [f"{'check':<{width}}  {'target':>8}  {'simulated':>10}  {'tol':>7}  status"]
     for r in rows:
         status = "PASS" if r.passed else "FAIL"
-        print(
+        lines.append(
             f"{r.name:<{width}}  {r.target:8.2f}  {r.simulated:10.4f}  "
             f"{r.tolerance:7.4f}  {status}"
         )
+    return "\n".join(lines)
 
 
 def _scenario(args) -> Scenario:
@@ -130,10 +137,8 @@ def _scenario(args) -> Scenario:
     return load_scenario(args.scenario, **overrides)
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args, out_dir: Path) -> tuple[int, dict, str]:
     scenario = _scenario(args)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = write_records(scenario.config, out_dir / "pulses.csv")
     summary = {
         "records": str(csv_path),
@@ -141,31 +146,34 @@ def cmd_simulate(args) -> int:
         "n_pulses": len(scenario.config.schedule),
         "seed": scenario.config.seed,
     }
-    if args.json:
-        print(json.dumps(summary, indent=2))
-    else:
-        print(f"wrote {summary['n_pulses']} pulses to {summary['records']}")
-    return EXIT_OK
+    return EXIT_OK, summary, f"wrote {summary['n_pulses']} pulses to {summary['records']}"
 
 
 def _analysis_config(args, records_path: Path) -> tuple[RunConfig, int, int | None]:
     """Config, block size and sidecar pulse count (None without a sidecar) for
-    analyze: an explicit scenario wins, then the CSV sidecar, then the reference.
-    A config the reconstruction cannot undo is refused before any record is read."""
+    analyze: an explicit scenario wins, then the CSV sidecar, then the reference;
+    a sidecar is read whenever it exists, a scenario replacing only its config.
+    A config the one-file reconstruction cannot undo is refused before any record is read."""
     scenario = _scenario(args)
     sidecar = records_path.with_suffix(".json")
     config, n_pulses = scenario.config, None
-    if args.scenario is None and sidecar.exists():
+    if sidecar.exists():
         try:
             meta = Sidecar.from_dict(read_metadata(records_path))
         except ValueError as exc:
             raise ValueError(f"{sidecar}: {exc}") from None
-        config, n_pulses = meta.config, meta.n_pulses
+        n_pulses = meta.n_pulses
+        if args.scenario is None:
+            config = meta.config
     _efficiency(config)
+    if config.blocked_arm != "none":
+        raise FieldError(
+            "blocked_arm", f"analyze reads a recombined scan, got {config.blocked_arm!r}"
+        )
     return config, scenario.block_size, n_pulses
 
 
-def cmd_analyze(args) -> int:
+def cmd_analyze(args, out_dir: Path) -> tuple[int, dict, str]:
     records_path = Path(args.records)
     if records_path.is_dir():  # '.' and '/' too, which have no name to give a sidecar
         raise ValueError(f"{args.records} is a directory, not a records CSV")
@@ -178,49 +186,31 @@ def cmd_analyze(args) -> int:
     fit = fit_variance_curve(*block_variance_trace(train, block_size), block_size)
     # single-file route: no blocked-arm level, the corrected extremes set the diagonal
     report = report_from_levels(config, fit.v_min, fit.stderr, fit.v_max)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     report_path = out_dir / "report.json"
-    report_path.write_text(json.dumps(report.to_dict(), indent=2) + "\n")
-    if args.json:
-        print(json.dumps(report.to_dict(), indent=2))
-    else:
-        print(report.text_table())
-        print(f"report written to {report_path}")
-    return EXIT_OK
+    doc = report.to_dict()
+    report_path.write_text(json.dumps(doc, indent=2) + "\n")
+    return EXIT_OK, doc, f"{report.text_table()}\nreport written to {report_path}"
 
 
-def cmd_reproduce_paper(args) -> int:
+def cmd_reproduce_paper(args, out_dir: Path | None) -> tuple[int, dict, str]:
     report = run_reference_scans(args.pulses, args.seed, args.block_size)
     rows = reference_check_rows(report, args.pulses)
     all_passed = all(r.passed for r in rows)
-    if args.json:
-        payload = {
-            "checks": [to_dict(r) for r in rows],
-            "all_passed": all_passed,
-            "report": report.to_dict(),
-        }
-        print(json.dumps(payload, indent=2))
-    else:
-        _emit_check_table(rows)
-        print("all checks passed" if all_passed else "SOME CHECKS FAILED")
-    if args.out is not None:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "reproduction.json").write_text(
-            json.dumps(report.to_dict(), indent=2) + "\n"
-        )
-    return EXIT_OK if all_passed else EXIT_CHECK_FAILED
+    doc = report.to_dict()
+    if out_dir is not None:
+        (out_dir / "reproduction.json").write_text(json.dumps(doc, indent=2) + "\n")
+    payload = {"checks": [to_dict(r) for r in rows], "all_passed": all_passed, "report": doc}
+    verdict = "all checks passed" if all_passed else "SOME CHECKS FAILED"
+    code = EXIT_OK if all_passed else EXIT_CHECK_FAILED
+    return code, payload, f"{_check_table(rows)}\n{verdict}"
 
 
-def cmd_scan_theta(args) -> int:
+def cmd_scan_theta(args, out_dir: Path) -> tuple[int, dict, str]:
     if args.points < 1:
         raise ValueError(f"--points must be >= 1, got {args.points}")
     scenario = _scenario(args)
     thetas = np.linspace(0.0, 2.0 * math.pi, args.points, endpoint=False)
     thetas, v_min, v_max, phi_min = theta_scan(scenario.config, thetas)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "theta_scan.csv"
     table = np.column_stack([thetas, v_min, v_max, phi_min])
     np.savetxt(
@@ -237,14 +227,10 @@ def cmd_scan_theta(args) -> int:
         "v_max_spread": float(v_max.max() - v_max.min()),
         "csv": str(csv_path),
     }
-    if args.json:
-        print(json.dumps(summary, indent=2))
-    else:
-        print(
-            f"{summary['points']} points -> {csv_path}; extreme variances are "
-            f"theta-independent to {max(summary['v_min_spread'], summary['v_max_spread']):.2e}"
-        )
-    return EXIT_OK
+    return EXIT_OK, summary, (
+        f"{summary['points']} points -> {csv_path}; extreme variances are "
+        f"theta-independent to {max(summary['v_min_spread'], summary['v_max_spread']):.2e}"
+    )
 
 
 # every flag a subcommand may take; each subcommand adds the ones it reads
@@ -300,11 +286,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+def _out_dir(out: str | None) -> Path | None:
+    """--out made before the command runs; a path that is or lies under a file is bad input."""
+    if out is None:
+        return None
     try:
-        return args.func(args)
+        Path(out).mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError):
+        raise ValueError(f"--out {out} is not a directory") from None
+    return Path(out)
+
+
+def main(argv=None) -> int:
+    args = _build_parser().parse_args(argv)
+    try:
+        code, payload, text = args.func(args, _out_dir(args.out))
+        print(json.dumps(payload, indent=2) if args.json else text)
+        return code
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT if exc.filename else EXIT_IO_ERROR

@@ -291,13 +291,38 @@ def _scenario(payload, command=("simulate",)):
     return prepare
 
 
-def _simulated(spoil):
-    """Simulate a short run, let ``spoil`` edit its files, then analyze it."""
+def _simulated(spoil, scenario=None):
+    """Simulate a short run, let ``spoil`` edit its files, then analyze it,
+    with ``scenario`` as its --scenario file when one is given."""
 
     def prepare(tmp_path):
         assert main(["simulate", "--pulses", "5000", "--out", str(tmp_path)]) == EXIT_OK
         spoil(tmp_path)
-        return ["analyze", str(tmp_path / "pulses.csv"), "--out", str(tmp_path)]
+        argv = ["analyze", str(tmp_path / "pulses.csv"), "--out", str(tmp_path)]
+        if scenario is None:
+            return argv
+        return [*argv, "--scenario", _write_scenario(tmp_path / "s.json", scenario)]
+
+    return prepare
+
+
+def _blocked_arm_records(tmp_path):
+    """A single-beam run long enough to fit, then analyzed as one file."""
+    scenario = _write_scenario(tmp_path / "s.json", {"blocked_arm": "b"})
+    argv = ["--out", str(tmp_path)]
+    assert main(["simulate", "--scenario", scenario, "--pulses", "50000", *argv]) == EXIT_OK
+    return ["analyze", str(tmp_path / "pulses.csv"), *argv]
+
+
+def _out_at(out, command):
+    """``command`` with --out naming ``out`` under tmp_path, where ``afile`` is a
+    regular file; analyze gets a short run's records to read."""
+
+    def prepare(tmp_path):
+        assert main(["simulate", "--pulses", "5000", "--out", str(tmp_path)]) == EXIT_OK
+        (tmp_path / "afile").write_text("plain file")
+        records = [str(tmp_path / "pulses.csv")] if command == "analyze" else []
+        return [command, *records, "--out", str(tmp_path / out)]
 
     return prepare
 
@@ -455,6 +480,17 @@ BAD_INPUTS = [
                  "pulses.csv line 2: expected 3 fields, got 4", id="four-field records"),
     pytest.param(_simulated(_cut_in_a_value_halfway), EXIT_INVALID_INPUT,
                  "pulses.csv holds 2500 records, its sidecar says 5000", id="truncated records"),
+    pytest.param(_simulated(_cut_in_a_value_halfway, scenario={"block_size": 250}),
+                 EXIT_INVALID_INPUT, "pulses.csv holds 2500 records, its sidecar says 5000",
+                 id="truncated records analyzed with a scenario"),
+    pytest.param(_blocked_arm_records, EXIT_INVALID_INPUT,
+                 "error: invalid blocked_arm: analyze reads a recombined scan, got 'b'",
+                 id="blocked-arm records"),
+    *(pytest.param(_out_at("afile", command), EXIT_INVALID_INPUT,
+                   "afile is not a directory", id=f"{command} out a file")
+      for command in ("simulate", "analyze", "reproduce-paper", "scan-theta")),
+    pytest.param(_out_at("afile/sub", "simulate"), EXIT_INVALID_INPUT,
+                 "afile/sub is not a directory", id="out under a file"),
 ]
 
 
@@ -511,15 +547,48 @@ def test_scenario_seed_override(tmp_path):
     assert meta["config"]["schedule"]["n_pulses"] == 1000
 
 
-def test_output_path_through_file_is_io_error(tmp_path, capsys):
-    """Using an existing file as a directory component maps to exit 3."""
-    blocker = tmp_path / "blocker"
-    blocker.write_text("plain file")
-    code = main(
-        ["simulate", "--pulses", "100", "--out", str(blocker / "sub")]
-    )
-    assert code == EXIT_IO_ERROR
-    assert "I/O error" in capsys.readouterr().err
+def test_an_output_file_that_cannot_be_written_is_io_error(tmp_path, capsys):
+    """--out is a directory, but a directory stands where the CSV goes: exit 3."""
+    (tmp_path / "pulses.csv").mkdir()
+    assert main(["simulate", "--pulses", "100", "--out", str(tmp_path)]) == EXIT_IO_ERROR
+    assert capsys.readouterr().err.startswith("I/O error: [Errno 21] Is a directory")
+
+
+def test_a_bad_out_is_refused_before_any_work(tmp_path, monkeypatch, capsys):
+    """--out is made before a command runs: no command samples, reads or
+    writes records, or scans, when its --out is a file."""
+    import cvpulse.cli as cli_module
+
+    def never(*args, **kwargs):
+        raise AssertionError("the command ran before --out was made")
+
+    for name in ("write_records", "read_records", "run_reference_scans", "theta_scan"):
+        monkeypatch.setattr(cli_module, name, never)
+    afile = tmp_path / "afile"
+    afile.write_text("plain file")
+    (tmp_path / "pulses.csv").write_text("index,lo_phase_rad,value\n")
+    for argv in (["simulate"], ["analyze", str(tmp_path / "pulses.csv")],
+                 ["reproduce-paper"], ["scan-theta"]):
+        assert main([*argv, "--out", str(afile)]) == EXIT_INVALID_INPUT
+        assert capsys.readouterr().err == f"error: --out {afile} is not a directory\n"
+
+
+def test_stdout_is_the_document_written(tmp_path, capsys):
+    """--json prints the document a command writes; text ends on the path
+    written or on the verdict."""
+    assert main(["simulate", "--pulses", "50000", "--out", str(tmp_path)]) == EXIT_OK
+    csv, report = str(tmp_path / "pulses.csv"), tmp_path / "report.json"
+    capsys.readouterr()
+    assert main(["analyze", csv, "--out", str(tmp_path), "--json"]) == EXIT_OK
+    assert capsys.readouterr().out == report.read_text()
+    assert main(["analyze", csv, "--out", str(tmp_path)]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[-1] == f"report written to {report}"
+    d = tmp_path / "d"
+    assert main(["reproduce-paper", "--pulses", "100000", "--json", "--out", str(d)]) == EXIT_OK
+    reproduction = json.loads((d / "reproduction.json").read_text())
+    assert json.loads(capsys.readouterr().out)["report"] == reproduction
+    assert main(["reproduce-paper", "--pulses", "100000"]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[-1] == "all checks passed"
 
 
 def test_console_script_entry_point(tmp_path):
