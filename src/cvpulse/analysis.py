@@ -29,10 +29,15 @@ from .simulate import (
     DEFAULT_CHUNK_SIZE,
     PhaseSchedule,
     RunConfig,
+    _blocked_scan,
+    _chunk_blocks,
+    _Stitch,
     stream_block_variances,
 )
 
 _MIN_PHASE_SPAN = math.pi - 1e-9
+#: Most threads a report draws on; each holds two chunk-long rows.
+_DRAW_THREADS = 4
 
 
 @dataclass(frozen=True)
@@ -288,28 +293,82 @@ def _scan_seeds(seed: int, count: int) -> list[int]:
 
 
 def _draw_scans(configs: list[RunConfig], block_size: int) -> list:
-    """``stream_block_variances`` of every config, in order.
+    """``stream_block_variances`` of every config, in order, bit for bit.
 
-    Scans of at least one chunk are drawn at the same time: the first on the
-    calling thread, the others on a thread pool of their own.  Nearly all of a
-    chunk's work is numpy calls that release the GIL, and every scan has its
-    own RNG streams and scratch, so the results are those of drawing the
-    scans one after another.  Shorter scans cost less than a thread hand-off,
-    and on a single usable CPU the threads only interleave, so these are drawn
-    in turn.  Every scan has stopped on return, and the first error in scan
-    order is raised.
+    Once every scan is at least one chunk long, the chunk tasks of all the
+    scans form one queue in (scan, chunk) order.  The calling thread and up
+    to :data:`_DRAW_THREADS` - 1 pool threads each take the next task when
+    free, draw it into their own buffer and scratch, and stitch whatever
+    results are next in order, at most two tasks per thread past the oldest
+    result not yet stitched.  A chunk's numpy calls release the GIL, and
+    every chunk has its own RNG stream, so the results are those of drawing
+    the chunks in turn, as shorter scans (cheaper than a thread hand-off)
+    and a process with one usable CPU do on the calling thread.
+
+    Sizes are checked and block phases allocated before the first task is
+    taken.  Once a task fails no more are taken, and when none is running
+    the first error in (scan, chunk) order is raised.
     """
     affinity = getattr(os, "sched_getaffinity", None)
-    cpus = len(affinity(0)) if affinity else os.cpu_count()
+    cpus = (len(affinity(0)) if affinity else os.cpu_count()) or 1
     if len(configs[0].schedule) < DEFAULT_CHUNK_SIZE or cpus == 1:
         return [stream_block_variances(c, block_size) for c in configs]
-    # imported here: only runs that draw concurrently pay for it
+    # imported here: only runs that draw concurrently pay for them
+    import threading
     from concurrent.futures import ThreadPoolExecutor
 
-    with ThreadPoolExecutor(len(configs) - 1) as pool:
-        others = [pool.submit(stream_block_variances, c, block_size) for c in configs[1:]]
-        first = stream_block_variances(configs[0], block_size)
-    return [first, *(scan.result() for scan in others)]
+    scans = [_blocked_scan(c, block_size, DEFAULT_CHUNK_SIZE) for c in configs]
+    stitches = [_Stitch(block_size) for _ in scans]
+    tasks = enumerate(
+        (stitch, draw, chunk)
+        for stitch, (_, draw, chunks) in zip(stitches, scans)
+        for chunk in chunks
+    )
+    threads = min(cpus, _DRAW_THREADS)
+    turn = threading.Condition()
+    done = {}  # task index -> (stitch, result) or the task's error, until stitched
+    taken = stitched = 0
+    failed = False
+
+    def work():
+        nonlocal taken, stitched, failed
+        try:
+            own = np.empty((2, DEFAULT_CHUNK_SIZE))
+            while True:
+                with turn:
+                    turn.wait_for(lambda: failed or taken < stitched + 2 * threads)
+                    task = None if failed else next(tasks, None)
+                    if task is None:
+                        return
+                    taken += 1
+                index, (stitch, draw, chunk) = task
+                try:
+                    result = stitch, _chunk_blocks(draw, block_size, own, *chunk)
+                except Exception as exc:
+                    result = exc
+                with turn:
+                    done[index] = result
+                    failed = failed or isinstance(result, Exception)
+                    while isinstance(done.get(stitched), tuple):
+                        stitch, blocks = done.pop(stitched)
+                        stitch.add(*blocks)
+                        stitched += 1
+                    turn.notify_all()
+        except BaseException:
+            # what escapes a thread (a failed stitch, an interrupt) stops them all
+            with turn:
+                failed = True
+                turn.notify_all()
+            raise
+
+    with ThreadPoolExecutor(threads - 1) as pool:
+        helpers = [pool.submit(work) for _ in range(threads - 1)]
+        work()
+    for helper in helpers:
+        helper.result()
+    if failed:
+        raise done[stitched]
+    return [(phases, stitch.variances()) for (phases, _, _), stitch in zip(scans, stitches)]
 
 
 def end_to_end_report(
@@ -327,12 +386,15 @@ def end_to_end_report(
     efficiency, and the single-beam level, corrected for efficiency and the
     half transmission of the beamsplitter, fixes the diagonal variance.
 
-    Once each scan is at least one RNG chunk long (``pulses_per_scan >=``
-    :data:`~cvpulse.simulate.DEFAULT_CHUNK_SIZE`), the three scans are drawn
-    concurrently, one of them on the calling thread; shorter scans are drawn
-    one after another.  The report does not depend on which thread drew
-    which scan: it is bit-identical either way.  On the concurrent path the
-    process's CPU time can exceed the call's wall time.
+    Each scan is drawn and blocked one RNG chunk at a time, never held whole.
+    Once each scan is at least one chunk long (``pulses_per_scan >=``
+    :data:`~cvpulse.simulate.DEFAULT_CHUNK_SIZE`), the chunks of all three
+    scans form one queue that the calling thread and a small thread pool
+    draw from, each chunk's blocks stitched to its scan in chunk order;
+    shorter scans are drawn one chunk after another on the calling thread.
+    The report does not depend on which thread drew which chunk: it is
+    bit-identical either way.  On the concurrent path the process's CPU
+    time can exceed the call's wall time.
 
     Parameters
     ----------
@@ -367,7 +429,6 @@ def end_to_end_report(
         replace(config, schedule=ramp, theta=theta, blocked_arm=arm, seed=seed)
         for theta, arm, seed in zip((0.0, math.pi, 0.0), ("none", "none", "b"), seeds)
     ]
-    # each scan is sampled and blocked chunk by chunk, never held whole
     zero, pi, (_, blocked_vars) = _draw_scans(scans, block_size)
     fit_zero = fit_variance_curve(*zero, block_size)
     fit_pi = fit_variance_curve(*pi, block_size)

@@ -7,9 +7,10 @@ phase and tabulate the noise-ellipse rotation).
 
 ``main`` makes the ``--out`` directory before a command runs (a path that is a
 file, or lies under one, is invalid input), then prints the command's JSON
-payload with ``--json`` and its text otherwise.  ``analyze`` checks the record
-count against the CSV's sidecar whenever one exists, and refuses a blocked-arm
-config before it reads any record.
+payload with ``--json`` and its text otherwise.  ``analyze`` reads the CSV's
+sidecar whenever one exists: it checks the record count against it, and refuses
+records its config gives a blocked arm or an unbalanced beamsplitter before it
+reads any, whatever ``--scenario`` says.
 
 Exit codes: 0 success, 1 a reproduction or consistency check failed,
 2 invalid input (a run too large to allocate included), 3 I/O failure.
@@ -22,7 +23,7 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -151,9 +152,11 @@ def cmd_simulate(args, out_dir: Path) -> tuple[int, dict, str]:
 
 def _analysis_config(args, records_path: Path) -> tuple[RunConfig, int, int | None]:
     """Config, block size and sidecar pulse count (None without a sidecar) for
-    analyze: an explicit scenario wins, then the CSV sidecar, then the reference;
-    a sidecar is read whenever it exists, a scenario replacing only its config.
-    A config the one-file reconstruction cannot undo is refused before any record is read."""
+    analyze.  A sidecar is read whenever it exists and its config describes the
+    records; an explicit scenario then supplies only the detector (efficiency
+    and electronic noise).  Without a sidecar the scenario, or else the
+    reference, is the config.  Records the one-file reconstruction cannot undo
+    are refused before any is read."""
     scenario = _scenario(args)
     sidecar = records_path.with_suffix(".json")
     config, n_pulses = scenario.config, None
@@ -163,8 +166,9 @@ def _analysis_config(args, records_path: Path) -> tuple[RunConfig, int, int | No
         except ValueError as exc:
             raise ValueError(f"{sidecar}: {exc}") from None
         n_pulses = meta.n_pulses
-        if args.scenario is None:
-            config = meta.config
+        config = meta.config
+        if args.scenario is not None:
+            config = replace(config, detector=scenario.config.detector)
     _efficiency(config)
     if config.blocked_arm != "none":
         raise FieldError(

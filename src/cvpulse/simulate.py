@@ -371,10 +371,11 @@ def _marginal_draw(config: RunConfig, chunk_size: int):
     2phi = 2phi_s + 2jd, so one table of cos 2jd and sin 2jd and two scalars
     per chunk give every variance without per-pulse trig.
 
-    ``draw(start, rng, out)`` fills ``out`` with the values of the chunk
-    whose first pulse is ``start`` and returns it.  Every draw built here
-    owns one scratch of standard deviations, so a chunk allocates nothing
-    of chunk size, and one draw serves one stream at a time.
+    ``draw(start, rng, out, scratch)`` fills ``out`` with the values of the
+    chunk whose first pulse is ``start`` and returns it.  ``scratch``, at
+    least as long as ``out``, takes the standard deviations, so a chunk
+    allocates nothing of chunk size; the draw itself holds no state, and
+    threads that each pass their own ``out`` and ``scratch`` may share it.
     """
     g = _detected_covariances(config, config.theta)[0]
     a = 0.5 * (g[0, 0] + g[1, 1]) + config.detector.electronic_noise_var
@@ -391,7 +392,7 @@ def _marginal_draw(config: RunConfig, chunk_size: int):
         two_phi = 2.0 * schedule.phi
         std = math.sqrt(a + b * math.cos(two_phi) + c * math.sin(two_phi))
 
-        def draw(start, rng, out):
+        def draw(start, rng, out, scratch):
             rng.standard_normal(len(out), out=out)
             out *= std
             return out
@@ -401,9 +402,8 @@ def _marginal_draw(config: RunConfig, chunk_size: int):
     cos_table, sin_table = _fringe_tables(
         2.0 * schedule.step, min(chunk_size, len(schedule))
     )
-    scratch = np.empty(len(cos_table))
 
-    def draw(start, rng, out):
+    def draw(start, rng, out, scratch):
         m = len(out)
         two_phi = 2.0 * schedule.values(start, start + 1)[0]
         cos_s, sin_s = math.cos(two_phi), math.sin(two_phi)
@@ -431,9 +431,10 @@ def _collect(config: RunConfig, chunk_size: int, stream: int, make_draw) -> Puls
     n = len(config.schedule)
     train = PulseTrain(lo_phase=np.empty(n), value=np.empty(n))
     draw = make_draw(config, chunk_size)
+    scratch = np.empty(min(chunk_size, n))
     for start, stop, rng in chunks:
         train.lo_phase[start:stop] = config.schedule.values(start, stop)
-        draw(start, rng, out=train.value[start:stop])
+        draw(start, rng, train.value[start:stop], scratch)
     return train
 
 
@@ -523,6 +524,63 @@ def _block_phase_means(schedule: PhaseSchedule, block_size: int) -> NDArray[np.f
     return means
 
 
+def _blocked_scan(config: RunConfig, block_size: int, chunk_size: int):
+    """What every chunk task of a scan shares: (block phases, draw, chunks).
+
+    The sizes are checked and the block phases, a copy the caller may
+    keep, are allocated here, before any chunk is drawn.
+    """
+    chunks = _chunks(config, chunk_size, _STREAM_FAST)
+    phases = _block_phase_means(config.schedule, block_size).copy()
+    return phases, _marginal_draw(config, chunk_size), chunks
+
+
+def _chunk_blocks(draw, block_size: int, work: NDArray[np.float64], start, stop, rng):
+    """The chunk task: draw pulses [start, stop) and reduce the whole blocks inside.
+
+    ``work`` is two reused rows, each at least ``stop - start`` long: the
+    values, then the draw's scratch.  Returns (head, variances, tail): copies
+    of the values before the chunk's first block boundary and after its
+    last, and the variances of the blocks between them, reduced in place.
+    A chunk that holds no boundary is all head.
+    """
+    values = draw(start, rng, work[0, : stop - start], work[1])
+    first = min(-start % block_size, stop - start)
+    last = max(first, stop - stop % block_size - start)
+    head, tail = values[:first].copy(), values[last:].copy()
+    return head, _reduce_blocks(values[first:last].reshape(-1, block_size)), tail
+
+
+class _Stitch:
+    """A scan's block variances, joined from its chunk tasks' results in chunk order.
+
+    A block that straddles chunk boundaries, one longer than a chunk
+    included, is joined from the tail and heads that hold it and reduced as
+    a one-row block, so every variance is that of the whole train bit for
+    bit.  A trailing partial block is dropped.
+    """
+
+    def __init__(self, block_size: int):
+        self._straddling = np.empty(block_size)
+        self._filled = 0
+        self._variances = []
+
+    def add(self, head, inner, tail) -> None:
+        """Take the next chunk's (head, variances, tail) from :func:`_chunk_blocks`."""
+        block = self._straddling
+        block[self._filled : self._filled + len(head)] = head
+        self._filled += len(head)
+        if self._filled == len(block):
+            self._variances.append(_reduce_blocks(block[None]))
+            self._filled = 0
+        self._variances.append(inner)
+        block[self._filled : self._filled + len(tail)] = tail
+        self._filled += len(tail)
+
+    def variances(self) -> NDArray[np.float64]:
+        return np.concatenate(self._variances)
+
+
 def stream_block_variances(
     config: RunConfig,
     block_size: int = DEFAULT_BLOCK_SIZE,
@@ -532,27 +590,18 @@ def stream_block_variances(
 
     Returns exactly
     ``block_variance_trace(sample_pulses(config, chunk_size), block_size)``,
-    in memory of O(chunk_size) instead of O(pulses).  Each chunk is drawn
-    into one buffer right behind the partial block carried from the chunk
-    before; blocks run across chunk boundaries and are reduced in place as
-    contiguous rows, and a trailing partial block is discarded.
+    in memory of O(chunk_size + block_size) instead of O(pulses).  The
+    chunk tasks run in order on the calling thread, each drawing into one
+    reused buffer and scratch and reducing the whole blocks inside its
+    chunk, and hand their results to the stitch, which reduces the blocks
+    that straddle chunk boundaries and discards a trailing partial block.
     """
-    schedule = config.schedule
-    chunks = _chunks(config, chunk_size, _STREAM_FAST)
-    phases = _block_phase_means(schedule, block_size).copy()
-    buffer = np.empty(min(chunk_size, len(schedule)) + block_size)
-    draw = _marginal_draw(config, chunk_size)
-    variances = []
-    carry = 0
-    for start, stop, rng in chunks:
-        filled = carry + stop - start
-        draw(start, rng, out=buffer[carry:filled])
-        used = filled - filled % block_size
-        if used:
-            variances.append(_reduce_blocks(buffer[:used].reshape(-1, block_size)))
-            buffer[: filled - used] = buffer[used:filled]
-        carry = filled - used
-    return phases, np.concatenate(variances)
+    phases, draw, chunks = _blocked_scan(config, block_size, chunk_size)
+    work = np.empty((2, min(chunk_size, len(config.schedule))))
+    stitch = _Stitch(block_size)
+    for chunk in chunks:
+        stitch.add(*_chunk_blocks(draw, block_size, work, *chunk))
+    return phases, stitch.variances()
 
 
 def theta_scan(
@@ -624,12 +673,12 @@ def write_records(
 
     csv_path = Path(csv_path)
     chunks = _chunks(config, chunk_size, _STREAM_FAST)
-    buffer = np.empty(min(chunk_size, len(config.schedule)))
+    buffer, scratch = np.empty((2, min(chunk_size, len(config.schedule))))
     draw = _marginal_draw(config, chunk_size)
     with open(csv_path, "w") as fh:
         fh.write(records.HEADER + "\n")
         for start, stop, rng in chunks:
-            values = draw(start, rng, buffer[: stop - start])
+            values = draw(start, rng, buffer[: stop - start], scratch)
             fh.writelines(records.format_rows(start, config.schedule.values(start, stop), values))
     meta = Sidecar(FORMAT_VERSION, records.HEADER, len(config.schedule), chunk_size, config)
     csv_path.with_suffix(".json").write_text(json.dumps(schema.to_dict(meta), indent=2) + "\n")

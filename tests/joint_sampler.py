@@ -34,7 +34,8 @@ def sample_pulses_joint(
 
 
 def _joint_draw(config: RunConfig, chunk_size: int):
-    """The per-chunk draw of :func:`sample_pulses_joint`, called as the fast one is."""
+    """The per-chunk draw of :func:`sample_pulses_joint`, called as the fast one is;
+    it needs no scratch."""
     chol = np.linalg.cholesky(_input_covariance(config.source, config.blocked_arm))
     # rows producing the measured port's (X, P) from the 4 source normals
     chain = beamsplitter(config.beamsplitter_r) @ phase_rotation(config.theta, mode=1)
@@ -42,7 +43,7 @@ def _joint_draw(config: RunConfig, chunk_size: int):
     eta = config.detector.efficiency
     noise_std = math.sqrt(config.detector.electronic_noise_var)
 
-    def draw(start, rng, out):
+    def draw(start, rng, out, scratch):
         m = len(out)
         phases = config.schedule.values(start, start + m)
         z = rng.standard_normal((4, m))

@@ -329,19 +329,33 @@ def test_electronic_noise_subtraction():
     assert not biased.antisqueezed_consistent
 
 
+def _wrap_draws(monkeypatch, wrap):
+    """Make every scan's per-chunk draw ``wrap(config, draw)``, the seam every
+    chunk task passes through, on the calling thread or on a pool thread."""
+    import cvpulse.simulate as simulate_module
+
+    real = simulate_module._marginal_draw
+    monkeypatch.setattr(
+        simulate_module, "_marginal_draw",
+        lambda config, chunk_size: wrap(config, real(config, chunk_size)),
+    )
+
+
 def test_scan_mismatch_detection(monkeypatch):
     """A doctored phase-pi scan trips the cross-scan consistency guard."""
-    import cvpulse.analysis as analysis_module
 
-    real_scan = analysis_module.stream_block_variances
+    def skewed(config, draw):
+        if abs(config.theta - math.pi) > 1e-9:
+            return draw
 
-    def skewed(config, *args, **kwargs):
-        phases, variances = real_scan(config, *args, **kwargs)
-        if abs(config.theta - math.pi) < 1e-9:
-            return phases, variances * 1.3**2  # every pulse value scaled by 1.3
-        return phases, variances
+        def scaled(start, rng, out, scratch):
+            out = draw(start, rng, out, scratch)
+            out *= 1.3  # every pulse value scaled by 1.3
+            return out
 
-    monkeypatch.setattr(analysis_module, "stream_block_variances", skewed)
+        return scaled
+
+    _wrap_draws(monkeypatch, skewed)
     cfg = _reference_config(PhaseSchedule.constant(0.0, 1), seed=3)
     with pytest.raises(RuntimeError, match="disagree"):
         end_to_end_report(cfg, pulses_per_scan=100_000)
@@ -350,35 +364,41 @@ def test_scan_mismatch_detection(monkeypatch):
 @pytest.mark.parametrize("r", [0.3, 0.1])
 def test_end_to_end_report_rejects_an_unbalanced_beamsplitter(monkeypatch, r):
     """The reconstruction assumes a 50/50 recombination; any other r is refused
-    before a scan is drawn, not reported with a wrong Duan-Simon value."""
-    import cvpulse.analysis as analysis_module
+    before a scan's draw is built, not reported with a wrong Duan-Simon value."""
 
-    def no_scan(*args, **kwargs):
+    def no_draw(config, draw):
         raise AssertionError("a scan was drawn")
 
-    monkeypatch.setattr(analysis_module, "stream_block_variances", no_scan)
+    _wrap_draws(monkeypatch, no_draw)
     cfg = _reference_config(PhaseSchedule.constant(0.0, 1), beamsplitter_r=r)
     with pytest.raises(FieldError, match="beamsplitter_r") as excinfo:
         end_to_end_report(cfg, pulses_per_scan=100_000)
     assert excinfo.value.key == "beamsplitter_r"
 
 
-def test_scans_of_a_chunk_or_more_are_drawn_on_threads(monkeypatch):
-    """Scans of at least one chunk are drawn concurrently; shorter ones, where
-    a thread hand-off costs more than it saves, on the caller's thread alone."""
-    import cvpulse.analysis as analysis_module
-
-    real_scan = analysis_module.stream_block_variances
+def _record_threads(monkeypatch):
+    """The thread of every chunk drawn from now on, in the order drawn."""
     drawn_on = []
 
-    def recorded(*args, **kwargs):
-        drawn_on.append(threading.get_ident())
-        return real_scan(*args, **kwargs)
+    def recorded(config, draw):
+        def on_thread(*args):
+            drawn_on.append(threading.get_ident())
+            return draw(*args)
 
-    monkeypatch.setattr(analysis_module, "stream_block_variances", recorded)
+        return on_thread
+
+    _wrap_draws(monkeypatch, recorded)
+    return drawn_on
+
+
+def test_scans_of_a_chunk_or_more_are_drawn_on_threads(monkeypatch):
+    """The chunks of scans of at least one chunk are drawn concurrently; those
+    of shorter scans, where a thread hand-off costs more than it saves, on the
+    caller's thread alone."""
+    drawn_on = _record_threads(monkeypatch)
     cfg = _reference_config(PhaseSchedule.constant(0.0, 1), seed=5)
     end_to_end_report(cfg, pulses_per_scan=200_000)
-    assert len(drawn_on) == 3
+    assert len(drawn_on) == 3 * 4  # 200 000 pulses are 4 chunks of 65 536 or less
     assert len(set(drawn_on)) >= 2
     drawn_on.clear()
     end_to_end_report(cfg, pulses_per_scan=20_000, block_size=500)
@@ -386,30 +406,47 @@ def test_scans_of_a_chunk_or_more_are_drawn_on_threads(monkeypatch):
 
 
 def test_scans_are_drawn_in_turn_on_one_usable_cpu(monkeypatch):
-    """A process that may use a single CPU draws even chunk-long scans on the
-    caller's thread: there, concurrent scans only interleave."""
+    """A process that may use a single CPU draws every chunk of even
+    chunk-long scans on the caller's thread: there, threads only interleave."""
     import os
 
-    import cvpulse.analysis as analysis_module
-
-    real_scan = analysis_module.stream_block_variances
-    drawn_on = []
-
-    def recorded(*args, **kwargs):
-        drawn_on.append(threading.get_ident())
-        return real_scan(*args, **kwargs)
-
-    monkeypatch.setattr(analysis_module, "stream_block_variances", recorded)
+    drawn_on = _record_threads(monkeypatch)
     cfg = _reference_config(PhaseSchedule.constant(0.0, 1), seed=5)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     expected = end_to_end_report(cfg, pulses_per_scan=200_000)
-    assert drawn_on == [threading.get_ident()] * 3
+    assert drawn_on == [threading.get_ident()] * 12
     drawn_on.clear()
     monkeypatch.delattr(os, "sched_getaffinity")  # as where it does not exist
     monkeypatch.setattr(os, "cpu_count", lambda: 1)
     report = end_to_end_report(cfg, pulses_per_scan=200_000)
     assert report.duan_simon == expected.duan_simon
-    assert drawn_on == [threading.get_ident()] * 3
+    assert drawn_on == [threading.get_ident()] * 12
+
+
+def test_threads_run_at_most_two_chunks_each_past_the_oldest_unstitched(monkeypatch):
+    """While the first chunk stalls, the other thread of two draws the next
+    three chunks and no more: memory stays bounded whatever a thread waits on."""
+    import os
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    started, started_during_stall = [], []
+
+    def stalling(config, draw):
+        first_scan = (config.theta, config.blocked_arm) == (0.0, "none")
+
+        def drawn(start, *args):
+            started.append(start)
+            if first_scan and start == 0:
+                time.sleep(0.2)
+                started_during_stall.append(len(started))
+            return draw(start, *args)
+
+        return drawn
+
+    _wrap_draws(monkeypatch, stalling)
+    end_to_end_report(_reference_config(PhaseSchedule.constant(0.0, 1)), 200_000)
+    assert started_during_stall == [4]
+    assert len(started) == 12
 
 
 class _ScanFailed(Exception):
@@ -417,21 +454,25 @@ class _ScanFailed(Exception):
 
 
 def test_a_failed_scan_is_raised_once_no_scan_is_running(monkeypatch):
-    """A scan's error reaches the caller after every scan has stopped; when
-    two scans fail, the error of the first in scan order wins."""
-    import cvpulse.analysis as analysis_module
-
-    real_scan = analysis_module.stream_block_variances
+    """A chunk's error reaches the caller after every chunk has stopped; when
+    several chunks fail, the error of the first in (scan, chunk) order wins,
+    even when a later one fails first."""
     failing = set()
 
-    def scan(config, *args, **kwargs):
-        result = real_scan(config, *args, **kwargs)
-        if (config.theta, config.blocked_arm) in failing:
-            time.sleep(0.05)  # fail well after the caller's own scan is done
-            raise _ScanFailed(config.theta, config.blocked_arm)
-        return result
+    def failing_draw(config, draw):
+        scan = (config.theta, config.blocked_arm)
+        if scan not in failing:
+            return draw
 
-    monkeypatch.setattr(analysis_module, "stream_block_variances", scan)
+        def fail(start, *args):
+            draw(start, *args)
+            if start == 0:
+                time.sleep(0.05)  # fail well after the scan's next chunk has
+            raise _ScanFailed(*scan, start)
+
+        return fail
+
+    _wrap_draws(monkeypatch, failing_draw)
     cfg = _reference_config(PhaseSchedule.constant(0.0, 1), seed=3)
     pi_scan, blocked_scan = (math.pi, "none"), (0.0, "b")
     for failing_scans in ({pi_scan}, {pi_scan, blocked_scan}):
@@ -440,7 +481,7 @@ def test_a_failed_scan_is_raised_once_no_scan_is_running(monkeypatch):
         before = threading.active_count()
         with pytest.raises(_ScanFailed) as excinfo:
             end_to_end_report(cfg, pulses_per_scan=200_000)
-        assert excinfo.value.args == pi_scan
+        assert excinfo.value.args == (*pi_scan, 0)
         assert threading.active_count() == before
 
 

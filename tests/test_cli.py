@@ -81,7 +81,7 @@ def test_analyze_text_output(tmp_path, capsys):
 
 
 def test_analyze_scenario_overrides_sidecar(tmp_path, capsys):
-    """An explicit scenario file wins over the CSV's sidecar metadata."""
+    """An explicit scenario file's detector wins over the CSV's sidecar metadata."""
     assert main(["simulate", "--pulses", "100000", "--out", str(tmp_path)]) == EXIT_OK
     capsys.readouterr()  # drop the simulate banner
     scenario = _write_scenario(
@@ -314,6 +314,20 @@ def _blocked_arm_records(tmp_path):
     return ["analyze", str(tmp_path / "pulses.csv"), *argv]
 
 
+def _analyzed_with_an_empty_scenario(records_scenario):
+    """Records simulated from ``records_scenario``, analyzed with ``--scenario {}``:
+    the sidecar, not the scenario, says what the records are."""
+
+    def prepare(tmp_path):
+        argv = ["--out", str(tmp_path)]
+        simulated = _write_scenario(tmp_path / "records.json", records_scenario)
+        assert main(["simulate", "--scenario", simulated, "--pulses", "50000", *argv]) == EXIT_OK
+        empty = _write_scenario(tmp_path / "s.json", {})
+        return ["analyze", str(tmp_path / "pulses.csv"), "--scenario", empty, *argv]
+
+    return prepare
+
+
 def _out_at(out, command):
     """``command`` with --out naming ``out`` under tmp_path, where ``afile`` is a
     regular file; analyze gets a short run's records to read."""
@@ -486,6 +500,12 @@ BAD_INPUTS = [
     pytest.param(_blocked_arm_records, EXIT_INVALID_INPUT,
                  "error: invalid blocked_arm: analyze reads a recombined scan, got 'b'",
                  id="blocked-arm records"),
+    pytest.param(_analyzed_with_an_empty_scenario({"blocked_arm": "b"}), EXIT_INVALID_INPUT,
+                 "error: invalid blocked_arm: analyze reads a recombined scan, got 'b'",
+                 id="blocked-arm records analyzed with a scenario"),
+    pytest.param(_analyzed_with_an_empty_scenario({"beamsplitter_r": 0.3}), EXIT_INVALID_INPUT,
+                 "error: invalid beamsplitter_r: reconstruction needs 0.5 (50/50), got 0.3",
+                 id="unbalanced records analyzed with a scenario"),
     *(pytest.param(_out_at("afile", command), EXIT_INVALID_INPUT,
                    "afile is not a directory", id=f"{command} out a file")
       for command in ("simulate", "analyze", "reproduce-paper", "scan-theta")),

@@ -204,7 +204,7 @@ def test_chunks_are_independent_of_execution_order():
         lo, hi = idx * chunk, min((idx + 1) * chunk, n)
         # a fresh draw per chunk: nothing is carried over from another chunk
         draw = _marginal_draw(cfg, chunk)
-        draw(lo, _chunk_rng(cfg.seed, _STREAM_FAST, idx), out=stitched[lo:hi])
+        draw(lo, _chunk_rng(cfg.seed, _STREAM_FAST, idx), stitched[lo:hi], np.empty(hi - lo))
     assert np.array_equal(stitched, full.value)
 
 
@@ -244,7 +244,7 @@ def test_sampled_std_matches_detected_variance(source, schedule, chunk):
     std = np.empty(n)
     for lo in range(0, n, chunk):
         hi = min(lo + chunk, n)
-        draw(lo, _UnitNormals(), out=std[lo:hi])
+        draw(lo, _UnitNormals(), std[lo:hi], np.empty(hi - lo))
     expected = np.sqrt(detected_variance(cfg, schedule.values()))
     np.testing.assert_allclose(std, expected, rtol=1e-14, atol=0.0)
 

@@ -487,9 +487,56 @@ def test_end_to_end_report_memory_is_order_chunk():
     assert peak < 8 * 1_000_000
 
 
+def test_end_to_end_report_memory_does_not_grow_with_pulses():
+    """A report peaks at the same memory for 10^6 and 4x10^6 pulses per scan:
+    each chunk's result is stitched and dropped, never held to the end."""
+    peaks = []
+    for n in (1_000_000, 4_000_000):
+        config = reference_scenario(n_pulses=n).config
+        end_to_end_report(config, pulses_per_scan=n)  # builds the memoized tables first
+        tracemalloc.start()
+        try:
+            end_to_end_report(config, pulses_per_scan=n)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0]
+
+
+@pytest.mark.parametrize("cpus", [2, 4])
+@pytest.mark.parametrize("block", [2, 7, 2500, 70_000])
+def test_scans_drawn_on_threads_equal_scans_drawn_in_turn(monkeypatch, block, cpus):
+    """The chunks of three scans drawn on threads and stitched in order give
+    the blocks of each scan streamed alone, bit for bit: blocks of the
+    minimum size, blocks that straddle chunk boundaries, blocks longer than a
+    chunk, and a trailing partial chunk and block.  Four threads on two CPUs
+    that switch every microsecond would show a stitch out of order."""
+    import os
+
+    from cvpulse import analysis
+
+    ramp = _ramp(3 * simulate_module.DEFAULT_CHUNK_SIZE + 1234)
+    scans = [
+        replace(REFERENCE, schedule=ramp, theta=theta, blocked_arm=arm, seed=seed)
+        for theta, arm, seed in ((0.0, "none", 31), (math.pi, "none", 32), (0.0, "b", 33))
+    ]
+    expected = [stream_block_variances(scan, block) for scan in scans]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        drawn = analysis._draw_scans(scans, block)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(drawn) == len(expected)
+    for (phases, blocks), (want_phases, want_blocks) in zip(drawn, expected):
+        assert phases.tobytes() == want_phases.tobytes()
+        assert blocks.tobytes() == want_blocks.tobytes()
+
+
 def test_streamed_scan_allocates_no_chunk_temporaries():
-    """A 10^6-pulse ramp at the default chunk peaks at the carry buffer plus
-    the draw's one scratch of standard deviations, both about a chunk long."""
+    """A 10^6-pulse ramp at the default chunk peaks at the chunk task's reused
+    buffer and scratch, each a chunk long, plus the stitch's one block."""
     config = replace(REFERENCE, schedule=_ramp(1_000_000))
     stream_block_variances(config, 2500)  # builds the memoized tables first
     tracemalloc.start()
@@ -535,7 +582,7 @@ def test_two_open_streams_do_not_share_a_scratch(monkeypatch):
     expected_b = stream_block_variances(b, 2500, chunk_size=10_000)
 
     draw_b = simulate_module._marginal_draw(b, 10_000)
-    stream_b = (draw_b(lo, rng, np.empty(hi - lo))
+    stream_b = (draw_b(lo, rng, np.empty(hi - lo), np.empty(hi - lo))
                 for lo, hi, rng in simulate_module._chunks(b, 10_000, simulate_module._STREAM_FAST))
     values_b = []
 
