@@ -31,7 +31,6 @@ from .simulate import (
     RunConfig,
     _blocked_scan,
     _chunk_blocks,
-    _Stitch,
     stream_block_variances,
 )
 
@@ -66,7 +65,7 @@ def fit_variance_curve(
     Parameters
     ----------
     phases, variances : arrays
-        Block centers and block variances, e.g. from block_variance_trace.
+        Mean LO phase and unbiased variance of each block of pulses.
     samples_per_block : int
         Pulses that entered each variance estimate.
 
@@ -318,11 +317,8 @@ def _draw_scans(configs: list[RunConfig], block_size: int) -> list:
     from concurrent.futures import ThreadPoolExecutor
 
     scans = [_blocked_scan(c, block_size, DEFAULT_CHUNK_SIZE) for c in configs]
-    stitches = [_Stitch(block_size) for _ in scans]
     tasks = enumerate(
-        (stitch, draw, chunk)
-        for stitch, (_, draw, chunks) in zip(stitches, scans)
-        for chunk in chunks
+        (stitch, draw, chunk) for _, draw, chunks, stitch in scans for chunk in chunks
     )
     threads = min(cpus, _DRAW_THREADS)
     turn = threading.Condition()
@@ -368,7 +364,7 @@ def _draw_scans(configs: list[RunConfig], block_size: int) -> list:
         helper.result()
     if failed:
         raise done[stitched]
-    return [(phases, stitch.variances()) for (phases, _, _), stitch in zip(scans, stitches)]
+    return [(phases, stitch.blocks()) for phases, _, _, stitch in scans]
 
 
 def end_to_end_report(

@@ -9,8 +9,8 @@ phase and tabulate the noise-ellipse rotation).
 file, or lies under one, is invalid input), then prints the command's JSON
 payload with ``--json`` and its text otherwise.  ``analyze`` reads the CSV's
 sidecar whenever one exists: it checks the record count against it, and refuses
-records its config gives a blocked arm or an unbalanced beamsplitter before it
-reads any, whatever ``--scenario`` says.
+records its config gives a blocked arm or an unbalanced beamsplitter, or fewer
+pulses than a block, before it reads any, whatever ``--scenario`` says.
 
 Exit codes: 0 success, 1 a reproduction or consistency check failed,
 2 invalid input (a run too large to allocate included), 3 I/O failure.
@@ -47,9 +47,9 @@ from .simulate import (
     DEFAULT_BLOCK_SIZE,
     RunConfig,
     Sidecar,
-    block_variance_trace,
+    _block_count,
+    _read_blocks,
     read_metadata,
-    read_records,
     theta_scan,
     write_records,
 )
@@ -182,12 +182,13 @@ def cmd_analyze(args, out_dir: Path) -> tuple[int, dict, str]:
     if records_path.is_dir():  # '.' and '/' too, which have no name to give a sidecar
         raise ValueError(f"{args.records} is a directory, not a records CSV")
     config, block_size, n_pulses = _analysis_config(args, records_path)
-    train = read_records(records_path)
-    if n_pulses not in (None, len(train)):
-        raise ValueError(
-            f"{records_path.name} holds {len(train)} records, its sidecar says {n_pulses}"
-        )
-    fit = fit_variance_curve(*block_variance_trace(train, block_size), block_size)
+    if n_pulses is not None:
+        _block_count(n_pulses, block_size)  # a block longer than the run is refused unread
+    phases, variances, rows = _read_blocks(records_path, block_size)
+    if n_pulses not in (None, rows):
+        raise ValueError(f"{records_path.name} holds {rows} records, its sidecar says {n_pulses}")
+    _block_count(rows, block_size)
+    fit = fit_variance_curve(phases, variances, block_size)
     # single-file route: no blocked-arm level, the corrected extremes set the diagonal
     report = report_from_levels(config, fit.v_min, fit.stderr, fit.v_max)
     report_path = out_dir / "report.json"

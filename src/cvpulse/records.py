@@ -1,13 +1,13 @@
 """The text format of record CSVs, written and read by numpy.
 
-:func:`cvpulse.simulate.write_records` and :func:`cvpulse.simulate.read_records`
-import this module on their first call, so a run without records does not compile it.
+:func:`cvpulse.simulate.write_records`, :func:`cvpulse.simulate.read_records` and the
+reader ``analyze`` uses import this module on their first call, so a run without records
+does not compile it.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import re
 from pathlib import Path
 from itertools import chain
@@ -346,12 +346,11 @@ def _text_blocks(fh) -> Iterator[bytes]:
         yield chunk
 
 
-def read(csv_path: Path) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-    """The LO phase and value columns of csv_path, read block by block, as
-    read_records reads them; the header line matches after str.strip()."""
-    phase, value, rows, header = np.empty(0), np.empty(0), 0, b""
+def read(csv_path: Path) -> Iterator[tuple[NDArray[np.float64], NDArray[np.float64], int]]:
+    """(LO phases, values, file offset of the end) of each block of whole lines of csv_path,
+    its index checked, as read_records reads them; the header matches after str.strip()."""
+    rows, header = 0, b""
     with open(csv_path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
         blocks = chain(_text_blocks(fh), [b"\n"])  # a last line may have no newline
         while b"\n" not in header:
             header += next(blocks)
@@ -366,20 +365,12 @@ def read(csv_path: Path) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
                 table = _parse_block(data, stop)
                 if table is None or np.any(table[0] != np.arange(rows, rows + table.shape[1])):
                     _raise_at_first_bad_line(csv_path)
-                new = rows + table.shape[1]
-                if new > len(phase):  # size the columns by the rows per byte so far
-                    estimate = new * size // (fh.tell() - len(data) + stop)
-                    phase.resize(max(estimate * 21 // 20, new), refcheck=False)
-                    value.resize(len(phase), refcheck=False)
-                phase[rows:new], value[rows:new] = table[1:]
-                rows = new
+                rows += table.shape[1]
+                yield table[1], table[2], fh.tell() - len(data) + stop
                 data = data[stop - _LOOKBACK :]
             chunk = next(blocks, None)
     if rows == 0:
         _raise_at_first_bad_line(csv_path)
-    phase.resize(rows, refcheck=False)
-    value.resize(rows, refcheck=False)
-    return phase, value
 
 
 # A field np.loadtxt reads (PyOS_string_to_double after stripping whitespace).

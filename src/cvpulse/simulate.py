@@ -488,20 +488,23 @@ def block_variance_trace(
     )
 
 
+def _block_means(blocks: NDArray[np.float64]) -> NDArray[np.float64]:
+    """``blocks.mean(axis=1)`` bit for bit: numpy's own row sums over the row length."""
+    means = np.add.reduce(blocks, axis=1)
+    means /= blocks.shape[1]
+    return means
+
+
 def _reduce_blocks(blocks: NDArray[np.float64]) -> NDArray[np.float64]:
     """``blocks.var(axis=1, ddof=1)`` bit for bit, overwriting ``blocks``.
 
-    The steps are numpy's own for ``var``: row sums divided by the row
-    length give the means, and the squared deviations' row sums divided by
-    the length less one give the variances.
+    The steps are numpy's own for ``var``: the row means, then the squared
+    deviations' row sums divided by the row length less one.
     """
-    n = blocks.shape[1]
-    mean = np.add.reduce(blocks, axis=1, keepdims=True)
-    mean /= n
-    blocks -= mean
+    blocks -= _block_means(blocks)[:, None]
     blocks *= blocks
     variances = np.add.reduce(blocks, axis=1)
-    variances /= n - 1
+    variances /= blocks.shape[1] - 1
     return variances
 
 
@@ -525,60 +528,62 @@ def _block_phase_means(schedule: PhaseSchedule, block_size: int) -> NDArray[np.f
 
 
 def _blocked_scan(config: RunConfig, block_size: int, chunk_size: int):
-    """What every chunk task of a scan shares: (block phases, draw, chunks).
+    """What every chunk task of a scan shares: (block phases, draw, chunks, stitch).
 
     The sizes are checked and the block phases, a copy the caller may
-    keep, are allocated here, before any chunk is drawn.
+    keep, and the stitch are allocated here, before any chunk is drawn.
     """
     chunks = _chunks(config, chunk_size, _STREAM_FAST)
     phases = _block_phase_means(config.schedule, block_size).copy()
-    return phases, _marginal_draw(config, chunk_size), chunks
+    return phases, _marginal_draw(config, chunk_size), chunks, _Stitch(block_size, _reduce_blocks)
+
+
+def _split(values: NDArray[np.float64], start: int, block_size: int, reduce):
+    """Pulses [start, start + len(values)) cut at block boundaries into (head, reduced, tail):
+    copies of the values before the first boundary and after the last (all head where there
+    is none), and ``reduce`` of the whole blocks between, as rows it may overwrite."""
+    first = min(-start % block_size, len(values))
+    last = max(first, len(values) - (start + len(values)) % block_size)
+    head, tail = values[:first].copy(), values[last:].copy()
+    return head, reduce(values[first:last].reshape(-1, block_size)), tail
 
 
 def _chunk_blocks(draw, block_size: int, work: NDArray[np.float64], start, stop, rng):
-    """The chunk task: draw pulses [start, stop) and reduce the whole blocks inside.
-
-    ``work`` is two reused rows, each at least ``stop - start`` long: the
-    values, then the draw's scratch.  Returns (head, variances, tail): copies
-    of the values before the chunk's first block boundary and after its
-    last, and the variances of the blocks between them, reduced in place.
-    A chunk that holds no boundary is all head.
-    """
+    """The chunk task: draw pulses [start, stop) into the reused row ``work[0]``, with
+    ``work[1]`` as the draw's scratch, and split them into (head, variances, tail)."""
     values = draw(start, rng, work[0, : stop - start], work[1])
-    first = min(-start % block_size, stop - start)
-    last = max(first, stop - stop % block_size - start)
-    head, tail = values[:first].copy(), values[last:].copy()
-    return head, _reduce_blocks(values[first:last].reshape(-1, block_size)), tail
+    return _split(values, start, block_size, _reduce_blocks)
 
 
 class _Stitch:
-    """A scan's block variances, joined from its chunk tasks' results in chunk order.
+    """A scan's reduced blocks, joined from its pieces' splits in pulse order.
 
-    A block that straddles chunk boundaries, one longer than a chunk
-    included, is joined from the tail and heads that hold it and reduced as
-    a one-row block, so every variance is that of the whole train bit for
-    bit.  A trailing partial block is dropped.
+    A block that straddles pieces, one longer than a piece included, is
+    joined from the tail and heads that hold it and reduced as a one-row
+    block, so every block is reduced as in the whole train bit for bit.  A
+    trailing partial block is dropped.
     """
 
-    def __init__(self, block_size: int):
+    def __init__(self, block_size: int, reduce):
         self._straddling = np.empty(block_size)
         self._filled = 0
-        self._variances = []
+        self._reduce = reduce
+        self._blocks = []
 
     def add(self, head, inner, tail) -> None:
-        """Take the next chunk's (head, variances, tail) from :func:`_chunk_blocks`."""
+        """Take the next piece's (head, reduced blocks, tail) from :func:`_split`."""
         block = self._straddling
         block[self._filled : self._filled + len(head)] = head
         self._filled += len(head)
         if self._filled == len(block):
-            self._variances.append(_reduce_blocks(block[None]))
+            self._blocks.append(self._reduce(block[None]))
             self._filled = 0
-        self._variances.append(inner)
+        self._blocks.append(inner)
         block[self._filled : self._filled + len(tail)] = tail
         self._filled += len(tail)
 
-    def variances(self) -> NDArray[np.float64]:
-        return np.concatenate(self._variances)
+    def blocks(self) -> NDArray[np.float64]:
+        return np.concatenate(self._blocks)
 
 
 def stream_block_variances(
@@ -596,12 +601,11 @@ def stream_block_variances(
     chunk, and hand their results to the stitch, which reduces the blocks
     that straddle chunk boundaries and discards a trailing partial block.
     """
-    phases, draw, chunks = _blocked_scan(config, block_size, chunk_size)
+    phases, draw, chunks, stitch = _blocked_scan(config, block_size, chunk_size)
     work = np.empty((2, min(chunk_size, len(config.schedule))))
-    stitch = _Stitch(block_size)
     for chunk in chunks:
         stitch.add(*_chunk_blocks(draw, block_size, work, *chunk))
-    return phases, stitch.variances()
+    return phases, stitch.blocks()
 
 
 def theta_scan(
@@ -686,7 +690,7 @@ def write_records(
 
 
 def read_records(csv_path: str | Path) -> PulseTrain:
-    """Read a pulse-train CSV written by :func:`write_records`.
+    """Read a CSV written by :func:`write_records`, for callers who want the whole train.
 
     The values are those np.loadtxt reads, bit for bit.  Malformed input,
     a row of other than 3 fields, a nan, an infinity or an index column
@@ -695,7 +699,32 @@ def read_records(csv_path: str | Path) -> PulseTrain:
     """
     from . import records  # compiled on first use, not by every run that imports simulate
 
-    return PulseTrain(*records.read(Path(csv_path)))
+    phase, value, rows = np.empty(0), np.empty(0), 0
+    for phases, values, end in records.read(Path(csv_path)):
+        new = rows + len(values)
+        if new > len(phase):  # size the columns by the rows per byte so far
+            estimate = new * Path(csv_path).stat().st_size // end
+            phase.resize(max(estimate * 21 // 20, new), refcheck=False)
+            value.resize(len(phase), refcheck=False)
+        phase[rows:new], value[rows:new] = phases, values
+        rows = new
+    phase.resize(rows, refcheck=False)
+    value.resize(rows, refcheck=False)
+    return PulseTrain(phase, value)
+
+
+def _read_blocks(csv_path: Path, block_size: int):
+    """``block_variance_trace(read_records(csv_path), block_size)`` and the record count
+    bit for bit, each block of lines split and stitched as it is read: O(block + read
+    block) memory.  No full block is no error, so a caller can check the count first."""
+    from . import records
+    means, variances = _Stitch(block_size, _block_means), _Stitch(block_size, _reduce_blocks)
+    rows = 0
+    for phases, values, _ in records.read(csv_path):
+        means.add(*_split(phases, rows, block_size, _block_means))
+        variances.add(*_split(values, rows, block_size, _reduce_blocks))
+        rows += len(values)
+    return means.blocks(), variances.blocks(), rows
 
 
 def read_metadata(csv_path: str | Path) -> dict:

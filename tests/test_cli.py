@@ -582,7 +582,7 @@ def test_a_bad_out_is_refused_before_any_work(tmp_path, monkeypatch, capsys):
     def never(*args, **kwargs):
         raise AssertionError("the command ran before --out was made")
 
-    for name in ("write_records", "read_records", "run_reference_scans", "theta_scan"):
+    for name in ("write_records", "_read_blocks", "run_reference_scans", "theta_scan"):
         monkeypatch.setattr(cli_module, name, never)
     afile = tmp_path / "afile"
     afile.write_text("plain file")
@@ -591,6 +591,25 @@ def test_a_bad_out_is_refused_before_any_work(tmp_path, monkeypatch, capsys):
                  ["reproduce-paper"], ["scan-theta"]):
         assert main([*argv, "--out", str(afile)]) == EXIT_INVALID_INPUT
         assert capsys.readouterr().err == f"error: --out {afile} is not a directory\n"
+
+
+def test_a_block_longer_than_the_run_is_refused_before_any_record_is_read(
+    tmp_path, monkeypatch, capsys
+):
+    """With a sidecar, a --block-size above its n_pulses exits 2 unread."""
+    import cvpulse.records as records
+
+    def never(*args, **kwargs):
+        raise AssertionError("records were read")
+
+    assert main(["simulate", "--pulses", "5000", "--out", str(tmp_path)]) == EXIT_OK
+    monkeypatch.setattr(records, "read", never)
+    capsys.readouterr()
+    csv = str(tmp_path / "pulses.csv")
+    argv = ["analyze", csv, "--block-size", "5001", "--out", str(tmp_path)]
+    assert main(argv) == EXIT_INVALID_INPUT
+    err = capsys.readouterr().err
+    assert err == "error: need at least one full block of 5001 pulses, got 5000\n"
 
 
 def test_stdout_is_the_document_written(tmp_path, capsys):

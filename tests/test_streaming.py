@@ -842,6 +842,65 @@ def test_read_records_memory_grows_only_with_its_arrays(tmp_path):
     assert peaks[2] <= 1.1 * peaks[0]
 
 
+def test_analyze_memory_does_not_grow_with_pulses(tmp_path, capsys):
+    """analyze peaks at the same traced memory for 2.5x10^5 and 10^6 pulses:
+    each block of lines is split and stitched as it is read, and no train
+    of the records is ever held."""
+    runs = []
+    for n in (250_000, 1_000_000):
+        out = tmp_path / f"r{n}"
+        out.mkdir()
+        write_records(replace(REFERENCE, schedule=_ramp(n)), out / "pulses.csv")
+        runs.append(["analyze", str(out / "pulses.csv"), "--out", str(out)])
+    assert main(runs[0]) == 0  # imports the record format and builds the parser first
+    peaks = []
+    for argv in runs:
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    capsys.readouterr()
+    assert peaks[1] <= 1.1 * peaks[0]
+
+
+@pytest.fixture(scope="module")
+def record_files(tmp_path_factory):
+    """(path, read_records of it) of a written file of 80,001 pulses, of its
+    CR-only and CRLF copies, and of a copy with a comment line, an empty
+    line and a '%.17e' row, lines the fast path leaves to records._fields."""
+    out = tmp_path_factory.mktemp("records")
+    written = write_records(replace(REFERENCE, schedule=_ramp(80_001)), out / "written.csv")
+    text = written.read_bytes()
+    lines = text.splitlines(keepends=True)
+    index, phase, value = lines[40_001].decode().split(",")
+    lines[40_001] = f"{index},{float(phase):.17e},{float(value):.17e}\n".encode()
+    lines[50_001:50_001] = [b"\n"]
+    lines[30_001:30_001] = [b"# an edited file\n"]
+    copies = {"cr.csv": text.replace(b"\n", b"\r"), "crlf.csv": text.replace(b"\n", b"\r\n"),
+              "edited.csv": b"".join(lines)}
+    for name, data in copies.items():
+        (out / name).write_bytes(data)
+    paths = [written, *(out / name for name in copies)]
+    return [(path, read_records(path)) for path in paths]
+
+
+@pytest.mark.parametrize("block", [2, 7, 2500, 70_000])
+def test_records_read_block_by_block_give_the_blocks_of_the_whole_train(record_files, block):
+    """analyze's route, each block of lines split and stitched as it is read,
+    gives the block phases, block variances and record count of the whole
+    train bit for bit: blocks of the minimum size, blocks that straddle read
+    blocks, a block longer than a 128 kB read block and a trailing partial
+    block, on LF, CR-only and CRLF files and on lines the fast path declines."""
+    for path, train in record_files:
+        phases, variances, rows = simulate_module._read_blocks(path, block)
+        want_phases, want_variances = block_variance_trace(train, block)
+        assert rows == len(train) == 80_001
+        assert phases.tobytes() == want_phases.tobytes()
+        assert variances.tobytes() == want_variances.tobytes()
+
+
 _ODD_FIELDS = [
     "1_0", "١", "\xa01\xa0", "\x1c1\x1c", "\x0b1\x0b", "\t1 ", " 1", "1\x85",
     "1e400", "-1e400", "1e-400", "Infinity", "-inf", "nan", "NaN", "0x10", "1e", "e5", ".",
