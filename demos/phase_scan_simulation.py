@@ -35,15 +35,16 @@ print(
     f"LO phase {train.lo_phase[0]:.4f} rad, value {train.value[0]:.4f}"
 )
 
-# every 2500 consecutive pulses become one variance estimate
-phases, variances = block_variance_trace(train, block_size=2500)
+# every 2500 consecutive pulses become one variance estimate, with the
+# block's mean cos 2phi and sin 2phi: the fringe's exact weights in it
+columns, variances = block_variance_trace(train, block_size=2500)
 print(f"{len(variances)} blocks of 2500 pulses")
-print("block  lo_phase/pi  variance")
+print("block  <cos 2phi>  <sin 2phi>  variance")
 for i in range(0, len(variances), 10):
-    print(f"{i:5d}  {phases[i] / math.pi:11.3f}  {variances[i]:8.4f}")
+    print(f"{i:5d}  {columns[i, 0]:10.3f}  {columns[i, 1]:10.3f}  {variances[i]:8.4f}")
 
 # fit the a + b cos(2 phi + c) fringe to the block trace
-estimate = fit_variance_curve(phases, variances, 2500)
+estimate = fit_variance_curve(columns, variances, 2500)
 print(f"\nfitted minimum   : {estimate.v_min:.4f} +/- {estimate.stderr:.4f}")
 print(f"fitted maximum   : {estimate.v_max:.4f}")
 print(f"phase of minimum : {estimate.phase_at_min / math.pi:.4f} pi")

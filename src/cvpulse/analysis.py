@@ -34,7 +34,11 @@ from .simulate import (
     stream_block_variances,
 )
 
-_MIN_PHASE_SPAN = math.pi - 1e-9
+#: Largest condition number of a fit's design [1, cos 2phi, sin 2phi], one
+#: row per block.  Short blocks spread evenly over an LO phase span of pi
+#: give sqrt 2, over 0.6 pi 3.2 and over pi/2 4.7; a ramp over 4 pi cut
+#: into 6 blocks gives 3.4 and into 5 blocks 6.0.
+_MAX_CONDITION = 4.0
 #: Most threads a report draws on; each holds two chunk-long rows.
 _DRAW_THREADS = 4
 
@@ -51,21 +55,29 @@ class ScanEstimate:
 
 
 def fit_variance_curve(
-    phases: NDArray[np.float64],
+    columns: NDArray[np.float64],
     variances: NDArray[np.float64],
     samples_per_block: int,
 ) -> ScanEstimate:
     """Weighted least-squares fit of a block-variance trace to a + b cos(2 phi + c).
 
+    A block's expected variance is a + (b cos c) C - (b sin c) S, where C and
+    S are its pulses' means of cos 2phi and sin 2phi, so the fit is linear
+    in those columns and exact however far the phase moves within a block.
     Weights follow the chi-square error of an unbiased sample variance,
     var(s^2) = 2 s^4 / (n - 1), and are propagated through the linear
     reparameterization (a, b cos c, -b sin c) to 1-sigma errors on the
-    extremes a -/+ |b|.
+    extremes a -/+ |b|.  Columns that do not determine the fringe are
+    refused: a rank-deficient design [1, C, S], or one whose condition
+    number exceeds :data:`_MAX_CONDITION`.
 
     Parameters
     ----------
-    phases, variances : arrays
-        Mean LO phase and unbiased variance of each block of pulses.
+    columns : array of shape (blocks, 2)
+        Mean cos 2phi and mean sin 2phi of each block, as
+        :func:`~cvpulse.simulate.block_variance_trace` returns them.
+    variances : array
+        Unbiased variance of each block of pulses.
     samples_per_block : int
         Pulses that entered each variance estimate.
 
@@ -75,16 +87,29 @@ def fit_variance_curve(
         ``stderr`` is the larger of the two propagated extreme errors and
         ``phase_at_min`` is reported modulo pi.
     """
-    phases = np.asarray(phases, dtype=float)
+    columns = np.asarray(columns, dtype=float)
     variances = np.asarray(variances, dtype=float)
-    if phases.shape != variances.shape or phases.ndim != 1:
-        raise ValueError("phases and variances must be 1-d arrays of equal length")
-    if phases.size < 4:
-        raise ValueError(f"need at least 4 blocks to fit 3 parameters, got {phases.size}")
-    if phases.max() - phases.min() < _MIN_PHASE_SPAN:
+    if variances.ndim != 1 or columns.shape != (variances.size, 2):
         raise ValueError(
-            "phase coverage too small: the scan must span at least half a fringe "
-            f"(pi), got {phases.max() - phases.min():.3f}"
+            "columns must hold one (cos, sin) row per block of the 1-d variances"
+        )
+    n_blocks = len(variances)
+    if n_blocks < 4:
+        raise ValueError(f"need at least 4 blocks to fit 3 parameters, got {n_blocks}")
+    design = np.column_stack([np.ones(n_blocks), columns])
+    singular = np.linalg.svd(design, compute_uv=False)
+    if not singular[-1] > singular[0] * n_blocks * np.finfo(float).eps:
+        raise ValueError(
+            f"degenerate fit: the {n_blocks} blocks' means of cos 2phi and sin 2phi do "
+            "not sample the fringe independently; use more pulses per scan or a "
+            "smaller block"
+        )
+    if singular[0] > _MAX_CONDITION * singular[-1]:
+        raise ValueError(
+            f"phase coverage too small: the {n_blocks} blocks must span enough of the "
+            "fringe that the fit's condition number stays at most "
+            f"{_MAX_CONDITION:g}, got {singular[0] / singular[-1]:.3g}; scan an LO "
+            "phase span of pi in blocks that each span well under pi"
         )
     if samples_per_block < 2:
         raise ValueError(f"samples_per_block must be >= 2, got {samples_per_block}")
@@ -97,19 +122,8 @@ def fit_variance_curve(
             "weights (n - 1) / (2 s^4) of those above about 9.5e153 are 0"
         )
     weights = (samples_per_block - 1) / (2.0 * np.maximum(variances, 1e-12) ** 2)
-    design = np.column_stack(
-        [np.ones_like(phases), np.cos(2.0 * phases), np.sin(2.0 * phases)]
-    )
     sqrt_w = np.sqrt(weights)
-    coef, _, rank, _ = np.linalg.lstsq(
-        design * sqrt_w[:, None], variances * sqrt_w, rcond=None
-    )
-    if rank < 3:
-        raise ValueError(
-            f"degenerate fit: the centres of the {phases.size} blocks do not sample "
-            "cos 2phi and sin 2phi independently; use more pulses per scan or a "
-            "smaller block"
-        )
+    coef = np.linalg.lstsq(design * sqrt_w[:, None], variances * sqrt_w, rcond=None)[0]
     offset, cos_amp, sin_amp = coef
     amplitude = math.hypot(cos_amp, sin_amp)
     # parameter covariance of weighted LSQ with known per-point variances
@@ -130,7 +144,7 @@ def fit_variance_curve(
         v_max=float(offset + amplitude),
         phase_at_min=phase_at_min,
         stderr=max(err_min, err_max),
-        n_blocks=int(phases.size),
+        n_blocks=n_blocks,
     )
 
 
@@ -304,7 +318,7 @@ def _draw_scans(configs: list[RunConfig], block_size: int) -> list:
     the chunks in turn, as shorter scans (cheaper than a thread hand-off)
     and a process with one usable CPU do on the calling thread.
 
-    Sizes are checked and block phases allocated before the first task is
+    Sizes are checked and block columns allocated before the first task is
     taken.  Once a task fails no more are taken, and when none is running
     the first error in (scan, chunk) order is raised.
     """
@@ -364,7 +378,7 @@ def _draw_scans(configs: list[RunConfig], block_size: int) -> list:
         helper.result()
     if failed:
         raise done[stitched]
-    return [(phases, stitch.blocks()) for phases, _, _, stitch in scans]
+    return [(columns, stitch.blocks()) for columns, _, _, stitch in scans]
 
 
 def end_to_end_report(

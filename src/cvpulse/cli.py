@@ -184,11 +184,11 @@ def cmd_analyze(args, out_dir: Path) -> tuple[int, dict, str]:
     config, block_size, n_pulses = _analysis_config(args, records_path)
     if n_pulses is not None:
         _block_count(n_pulses, block_size)  # a block longer than the run is refused unread
-    phases, variances, rows = _read_blocks(records_path, block_size)
+    columns, variances, rows = _read_blocks(records_path, block_size)
     if n_pulses not in (None, rows):
         raise ValueError(f"{records_path.name} holds {rows} records, its sidecar says {n_pulses}")
     _block_count(rows, block_size)
-    fit = fit_variance_curve(phases, variances, block_size)
+    fit = fit_variance_curve(columns, variances, block_size)
     # single-file route: no blocked-arm level, the corrected extremes set the diagonal
     report = report_from_levels(config, fit.v_min, fit.stderr, fit.v_max)
     report_path = out_dir / "report.json"

@@ -52,11 +52,16 @@ def _noiseless_detector(eta):
     )
 
 
+def _point_columns(phases):
+    """Fringe columns of blocks whose pulses all sit at one phase each."""
+    return np.column_stack([np.cos(2.0 * phases), np.sin(2.0 * phases)])
+
+
 def test_fit_recovers_exact_sinusoid():
     """A noiseless a + b cos(2 phi) curve is recovered to near machine precision."""
     phases = np.linspace(0.0, 2.0 * math.pi, 40, endpoint=False)
     variances = 1.33 + 0.63 * np.cos(2.0 * phases)
-    estimate = fit_variance_curve(phases, variances, samples_per_block=2500)
+    estimate = fit_variance_curve(_point_columns(phases), variances, samples_per_block=2500)
     assert estimate.v_min == pytest.approx(0.70, abs=1e-9)
     assert estimate.v_max == pytest.approx(1.96, abs=1e-9)
     assert estimate.phase_at_min == pytest.approx(math.pi / 2.0, abs=1e-9)
@@ -68,7 +73,7 @@ def test_fit_recovers_shifted_minimum():
     """An arbitrary phase offset lands the minimum where the curve says."""
     phases = np.linspace(0.0, 2.0 * math.pi, 50, endpoint=False)
     variances = 1.2 + 0.4 * np.cos(2.0 * phases + 0.8)
-    estimate = fit_variance_curve(phases, variances, samples_per_block=1000)
+    estimate = fit_variance_curve(_point_columns(phases), variances, samples_per_block=1000)
     assert estimate.v_min == pytest.approx(0.8, abs=1e-9)
     expected_min = ((math.pi - 0.8) / 2.0) % math.pi
     assert estimate.phase_at_min == pytest.approx(expected_min, abs=1e-9)
@@ -78,22 +83,25 @@ def test_fit_input_validation():
     """Too few blocks, short span, degenerate pattern, bad block size and
     overflowing weights all raise."""
     phases = np.linspace(0.0, 2.0 * math.pi, 40, endpoint=False)
+    columns = _point_columns(phases)
     variances = np.ones_like(phases)
     with pytest.raises(ValueError, match="4 blocks"):
-        fit_variance_curve(phases[:3], variances[:3], 100)
+        fit_variance_curve(columns[:3], variances[:3], 100)
     with pytest.raises(ValueError, match="span"):
-        fit_variance_curve(phases[:10] * 0.1, variances[:10], 100)
+        fit_variance_curve(_point_columns(phases[:10] * 0.1), variances[:10], 100)
     with pytest.raises(ValueError, match="samples_per_block"):
-        fit_variance_curve(phases, variances, 1)
+        fit_variance_curve(columns, variances, 1)
     # exactly two distinct phases pi apart: spans pi but cannot fix 3 parameters
     degenerate = np.array([0.0, math.pi, 0.0, math.pi, 0.0, math.pi])
     with pytest.raises(ValueError, match="degenerate"):
-        fit_variance_curve(degenerate, np.ones(6), 100)
+        fit_variance_curve(_point_columns(degenerate), np.ones(6), 100)
     with pytest.raises(ValueError):
-        fit_variance_curve(phases, variances[:-1], 100)
+        fit_variance_curve(columns, variances[:-1], 100)
+    with pytest.raises(ValueError):
+        fit_variance_curve(phases, variances, 100)  # phases, not columns
     # block variances of a pure_nopa r = 200 source: their weights 1 / s^4 overflow to 0
     with pytest.raises(ValueError, match="fit weights overflow"):
-        fit_variance_curve(phases, math.exp(400.0) * (1.0 + 0.5 * np.cos(2.0 * phases)), 100)
+        fit_variance_curve(columns, math.exp(400.0) * (1.0 + 0.5 * np.cos(2.0 * phases)), 100)
 
 
 def _fit_phase_scan(train, block_size=2500):

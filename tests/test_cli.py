@@ -306,6 +306,18 @@ def _simulated(spoil, scenario=None):
     return prepare
 
 
+def _records_of_schedule(schedule):
+    """A 50,000-pulse run on ``schedule``, then analyzed as one file."""
+
+    def prepare(tmp_path):
+        scenario = _write_scenario(tmp_path / "s.json", {"schedule": schedule})
+        argv = ["--out", str(tmp_path)]
+        assert main(["simulate", "--scenario", scenario, "--pulses", "50000", *argv]) == EXIT_OK
+        return ["analyze", str(tmp_path / "pulses.csv"), *argv]
+
+    return prepare
+
+
 def _blocked_arm_records(tmp_path):
     """A single-beam run long enough to fit, then analyzed as one file."""
     scenario = _write_scenario(tmp_path / "s.json", {"blocked_arm": "b"})
@@ -347,9 +359,9 @@ def _typo_in_sidecar(out):
     (out / "pulses.json").write_text(json.dumps(meta))
 
 
-def _format_version_3(out):
+def _format_version_4(out):
     meta = json.loads((out / "pulses.json").read_text())
-    meta["format_version"] = 3
+    meta["format_version"] = 4
     (out / "pulses.json").write_text(json.dumps(meta))
 
 
@@ -479,7 +491,7 @@ BAD_INPUTS = [
                  id="non-finite record"),
     pytest.param(_simulated(_index_7_on_line_2001), EXIT_INVALID_INPUT,
                  "line 2001: expected index 1999, got 7", id="index out of sequence"),
-    pytest.param(_simulated(_format_version_3), EXIT_INVALID_INPUT, "format_version",
+    pytest.param(_simulated(_format_version_4), EXIT_INVALID_INPUT, "format_version",
                  id="unknown format version"),
     pytest.param(_simulated(_underscore_on_line_2), EXIT_INVALID_INPUT,
                  "pulses.csv line 2: non-numeric field", id="underscore in a number"),
@@ -497,6 +509,10 @@ BAD_INPUTS = [
     pytest.param(_simulated(_cut_in_a_value_halfway, scenario={"block_size": 250}),
                  EXIT_INVALID_INPUT, "pulses.csv holds 2500 records, its sidecar says 5000",
                  id="truncated records analyzed with a scenario"),
+    pytest.param(_records_of_schedule({"kind": "linear_ramp", "phi_end": 1.25}),
+                 EXIT_INVALID_INPUT, "phase coverage too small", id="records over 0.4 pi"),
+    pytest.param(_records_of_schedule({"kind": "constant", "phi": 0.3}), EXIT_INVALID_INPUT,
+                 "degenerate fit", id="records at one phase"),
     pytest.param(_blocked_arm_records, EXIT_INVALID_INPUT,
                  "error: invalid blocked_arm: analyze reads a recombined scan, got 'b'",
                  id="blocked-arm records"),
@@ -710,6 +726,22 @@ def test_only_runs_that_draw_concurrently_import_the_executor(tmp_path):
         ["reproduce-paper", "--pulses", "65535", "--out", out],
         ["reproduce-paper", "--pulses", "65536", "--out", out],
     ) == [False, False, cpus > 1]
+
+
+def test_reproduce_paper_just_below_a_chunk_passes_for_nearly_every_seed(capsys):
+    """65,535 pulses per scan, 26 blocks each, for seeds 0-199: a block's fringe
+    is averaged over its phase span (factor 0.962 here), which a fit at the
+    block centres read as a shallower fringe, v_min 0.024 high against a 0.027
+    tolerance, so 94 of these seeds failed their reference checks; the block
+    columns make the fit exact, and at most 2 may fail by chance."""
+    failed = []
+    for seed in range(200):
+        code = main(["reproduce-paper", "--pulses", "65535", "--seed", str(seed)])
+        capsys.readouterr()
+        assert code in (EXIT_OK, EXIT_CHECK_FAILED)
+        if code != EXIT_OK:
+            failed.append(seed)
+    assert len(failed) <= 2, failed
 
 
 @pytest.mark.parametrize(

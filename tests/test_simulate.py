@@ -289,14 +289,16 @@ def test_block_variance_trace_vacuum_calibration():
         schedule=PhaseSchedule.linear_ramp(0.0, 4.0 * math.pi, n_blocks * block),
         seed=21,
     )
-    phases, variances = block_variance_trace(sample_pulses(cfg), block)
+    columns, variances = block_variance_trace(sample_pulses(cfg), block)
     assert len(variances) == n_blocks
     spread = 3.0 * math.sqrt(2.0 / (block - 1))
     inside = np.mean(np.abs(variances - 1.0) <= spread)
     assert inside >= 0.99
-    # block phases are the mean schedule phase of each block
-    expected_first = cfg.schedule.values()[:block].mean()
-    assert phases[0] == pytest.approx(expected_first, rel=1e-12)
+    # block columns are the mean cos 2phi and sin 2phi of each block's schedule phases
+    two_phi = 2.0 * cfg.schedule.values()[:block]
+    expected_first = [np.cos(two_phi).mean(), np.sin(two_phi).mean()]
+    assert columns.shape == (n_blocks, 2)
+    assert columns[0] == pytest.approx(expected_first, rel=1e-12)
 
 
 def test_block_variance_discards_partial_tail():

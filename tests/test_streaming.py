@@ -44,13 +44,12 @@ def _ramp(n):
 
 
 # (sampler, config, chunk size, SHA-256 of value bytes, SHA-256 of lo_phase bytes)
-# under format version 2.  The lo_phase digests, and the values of the
-# constant and joint streams, are those of version 1: only a ramp's or a
-# blocked arm's standard deviations changed, in their last bits.
+# under format version 3.  The lo_phase digests are those of versions 1 and 2:
+# version 3 changed only the normals each chunk draws (SFC64, not PCG64).
 PINNED_STREAMS = {
     "ramp_partial_chunk": (
         sample_pulses, REFERENCE, 65536,
-        "0d2d0a2ef1c8cb21ff2efd2c22cee6512dc72f0f78f9ff937b14e55ea38843f4",
+        "d9afed25160fe4d243438d98390772cb1ea3eb80dcbfd7dba5e6f5f7bcf422b6",
         "d4f5c2326033145fc46be355126d38c49d9a16da1761a189d23138fbda852310",
     ),
     "constant": (
@@ -58,17 +57,17 @@ PINNED_STREAMS = {
         replace(REFERENCE, schedule=PhaseSchedule.constant(0.7, 70_000),
                 detector=DetectorModel(), theta=0.4, seed=7),
         65536,
-        "a23d45454b91ed570eea5358403d8a72d9cd1782a126b4e96e1532dc5a130374",
+        "1d3f521911c30cefd08d3fc2e3a3760f981c6d0d3c45f1af0abca72c29176392",
         "3a26c75ce0df49c62cb9bffcc2dc627bc1da32548eb7513ceb297858185fad94",
     ),
     "blocked_b": (
         sample_pulses, replace(REFERENCE, blocked_arm="b", seed=11), 65536,
-        "9f9c9f8660bbda293c18c51a02b11961b224187545c8bcd4bd6569ab7fb3fdb0",
+        "d18e5ac988c199697d1553c8093f809d00f29253518f63852c5b9250ebb42b2d",
         "d4f5c2326033145fc46be355126d38c49d9a16da1761a189d23138fbda852310",
     ),
     "chunk_128": (
         sample_pulses, replace(REFERENCE, schedule=_ramp(1000), seed=5), 128,
-        "ef0cd0f11420fd18108248f6470f6aba9633ae1d0cef9ce14a88af892564def9",
+        "1808793fc2f57ff2d9229376af8d9e4893f3dbd8d8ea0d2b05587510d86fc822",
         "05bc28637e452c5e350a531d432f2052f4a95a38e81e20ac8a6690c01b760483",
     ),
     "joint": (
@@ -76,7 +75,7 @@ PINNED_STREAMS = {
         replace(REFERENCE, schedule=_ramp(70_000), detector=DetectorModel(),
                 theta=0.4, seed=13),
         65536,
-        "8486f74b3b2ed30107e9a3ac7696d9ba4eecc100c8bf8fae0214d88ed626f44b",
+        "b88e1b8fbdd175fbd7564655a1387b8e89c5ccefe6617d51b23a737f5c171f39",
         "84d885f1381367f1a2da6e43a1c89d7dfb2ca268b8595e633181ee1176b46259",
     ),
 }
@@ -100,15 +99,15 @@ PURE_NOPA_CONSTANT = RunConfig(
     blocked_arm="a",
 )
 
-# (config, SHA-256 of the sidecar JSON bytes written by format version 2)
+# (config, SHA-256 of the sidecar JSON bytes written by format version 3)
 PINNED_SIDECARS = {
     "reference": (
         reference_scenario(n_pulses=1000, seed=12345).config,
-        "965fd46dd85bb85652629f512f9dc6c03024c3fb75de8ba659b01425f3e3b2ee",
+        "71edd594ae0c9464132011720c4090c90a3bfba0a1283f3e59746eebaab23845",
     ),
     "pure_nopa_constant": (
         PURE_NOPA_CONSTANT,
-        "f387a1a33c278e0baf5d7d363f360942ad061e0f2e3d883d4fde041781094e61",
+        "a3db8d36cdb2a656b295edbf7d77a3b37064824a9b2e6f0006b0af953207bb10",
     ),
 }
 
@@ -154,7 +153,7 @@ def test_sidecar_bytes_are_pinned(case, tmp_path):
     csv = write_records(config, tmp_path / "r.csv")
     sidecar = csv.with_suffix(".json").read_bytes()
     assert hashlib.sha256(sidecar).hexdigest() == digest
-    assert Sidecar.from_dict(json.loads(sidecar)).format_version == FORMAT_VERSION == 2
+    assert Sidecar.from_dict(json.loads(sidecar)).format_version == FORMAT_VERSION == 3
 
 
 def test_pinned_sidecar_decodes_to_its_config():
@@ -183,6 +182,19 @@ def test_version_1_sidecar_still_analyzes(tmp_path, capsys):
     assert report["efficiency_used"] == PURE_NOPA_CONSTANT.detector.efficiency
 
 
+def test_version_2_sidecar_still_analyzes(tmp_path, capsys):
+    """Records of contract 2 differ only in their normals, which analyze reads
+    from the CSV: a sidecar that says version 2 analyzes as version 3 does."""
+    csv = write_records(replace(REFERENCE, schedule=_ramp(50_000)), tmp_path / "r.csv")
+    assert main(["analyze", str(csv), "--out", str(tmp_path), "--json"]) == 0
+    as_version_3 = capsys.readouterr().out
+    meta = json.loads(csv.with_suffix(".json").read_text())
+    assert meta["format_version"] == 3
+    csv.with_suffix(".json").write_text(json.dumps({**meta, "format_version": 2}))
+    assert main(["analyze", str(csv), "--out", str(tmp_path), "--json"]) == 0
+    assert capsys.readouterr().out == as_version_3
+
+
 def test_records_regenerate_from_their_sidecar(tmp_path):
     """The route a reader takes: sidecar dict -> config -> sample_pulses == the CSV.
 
@@ -200,11 +212,11 @@ def test_records_regenerate_from_their_sidecar(tmp_path):
         assert np.array_equal(fresh.index, train.index)
 
 
-# SHA-256 of two reports' JSON under format version 2: reordering a single
+# SHA-256 of two reports' JSON under format version 3: reordering a single
 # floating-point operation in the sampler, the fit, the correction or the
 # reconstruction changes them
-PINNED_ANALYZE_STDOUT = "5feff2824ba112f2a8b4ef9c91de13545b66fbee4c8535b8cf2aaa8be52fd773"
-PINNED_END_TO_END_REPORT = "e83f34790d10455f46aac7bdf126dec76440b78cd19dc6daa825c728d43083b6"
+PINNED_ANALYZE_STDOUT = "7211597f62866d5f61faf2a941a1eec44073a905da34c7cd1b60d21ae76b1533"
+PINNED_END_TO_END_REPORT = "5c66c0875dd7db79739f05b30d563c6c3d9c6337319105650e76fd84c5411c3c"
 
 
 def test_analyze_report_is_pinned(tmp_path, capsys):
@@ -226,7 +238,7 @@ def test_concurrent_scans_from_cold_memos_give_the_pinned_report():
     """The three scans of a report, on threads switching every microsecond and
     all building the shared memo tables at once, still give the pinned bits."""
     simulate_module._fringe_tables.cache_clear()
-    simulate_module._block_phase_means.cache_clear()
+    simulate_module._block_columns.cache_clear()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -286,35 +298,38 @@ def test_fringe_tables_are_read_only():
 @pytest.mark.parametrize("block", [500, 2500, 70_000])
 def test_block_phase_means_equal_those_of_the_whole_schedule(block):
     """Reduced a chunk's worth of blocks at a time, or a block at a time when
-    a block outgrows a chunk, every mean is that of the whole schedule."""
+    a block outgrows a chunk, every block's mean of cos 2phi and of sin 2phi
+    is that of the whole schedule."""
     for schedule in (_ramp(200_003), PhaseSchedule.linear_ramp(0.3, -2.0, 150_001),
                      PhaseSchedule.constant(0.7, 150_000)):
         used = len(schedule) - len(schedule) % block
-        whole = schedule.values()[:used].reshape(-1, block).mean(axis=1)
-        means = simulate_module._block_phase_means(schedule, block)
-        assert means.tobytes() == whole.tobytes()
-        assert not means.flags.writeable
+        two_phi = 2.0 * schedule.values()[:used]
+        whole = np.column_stack([np.cos(two_phi).reshape(-1, block).mean(axis=1),
+                                 np.sin(two_phi).reshape(-1, block).mean(axis=1)])
+        columns = simulate_module._block_columns(schedule, block)
+        assert columns.tobytes() == whole.tobytes()
+        assert not columns.flags.writeable
 
 
 def test_returned_block_phases_do_not_reach_the_memo():
     config = replace(REFERENCE, schedule=_ramp(10_000))
-    phases, _ = stream_block_variances(config, 2500)
-    expected = phases.copy()
-    phases[:] = -1.0
+    columns, _ = stream_block_variances(config, 2500)
+    expected = columns.copy()
+    columns[:] = -1.0
     again, _ = stream_block_variances(config, 2500)
     assert np.array_equal(again, expected)
 
 
 def test_one_report_builds_one_table_and_one_set_of_block_phases():
     """The three scans share one ramp: the two fringe scans one table, all three
-    one set of block phases; the blocked-arm scan needs no table."""
+    one set of block columns; the blocked-arm scan needs no table."""
     simulate_module._fringe_tables.cache_clear()
-    simulate_module._block_phase_means.cache_clear()
+    simulate_module._block_columns.cache_clear()
     end_to_end_report(reference_scenario().config, 50_000)
     tables = simulate_module._fringe_tables.cache_info()
-    phases = simulate_module._block_phase_means.cache_info()
+    columns = simulate_module._block_columns.cache_info()
     assert (tables.misses, tables.hits) == (1, 1)
-    assert (phases.misses, phases.hits) == (1, 2)
+    assert (columns.misses, columns.hits) == (1, 2)
 
 
 PHYSICS_SOURCES = {
@@ -459,6 +474,8 @@ def test_blocked_arm_scan_is_isotropic_and_trig_free(monkeypatch, source, arm):
         g = detected_covariance(config)
         np.testing.assert_allclose(g, g[0, 0] * np.eye(2), rtol=0.0, atol=1e-14)
 
+        # the block columns are the schedule's, memoized: trig once per ramp, not per scan
+        simulate_module._block_columns(config.schedule, 2500)
         monkeypatch.setattr(simulate_module, "np", _NoArrayTrig())
         _, streamed = stream_block_variances(config, 2500)
         monkeypatch.undo()
@@ -529,8 +546,8 @@ def test_scans_drawn_on_threads_equal_scans_drawn_in_turn(monkeypatch, block, cp
     finally:
         sys.setswitchinterval(interval)
     assert len(drawn) == len(expected)
-    for (phases, blocks), (want_phases, want_blocks) in zip(drawn, expected):
-        assert phases.tobytes() == want_phases.tobytes()
+    for (columns, blocks), (want_columns, want_blocks) in zip(drawn, expected):
+        assert columns.tobytes() == want_columns.tobytes()
         assert blocks.tobytes() == want_blocks.tobytes()
 
 
@@ -599,10 +616,10 @@ def test_two_open_streams_do_not_share_a_scratch(monkeypatch):
         simulate_module, "_chunks",
         lambda *args: ((lo, hi, _Interleaved(rng)) for lo, hi, rng in chunks(*args)),
     )
-    phases_a, blocks_a = stream_block_variances(a, 2500, chunk_size=10_000)
+    columns_a, blocks_a = stream_block_variances(a, 2500, chunk_size=10_000)
     monkeypatch.undo()
     assert len(values_b) == 30
-    assert np.array_equal(phases_a, expected_a[0])
+    assert np.array_equal(columns_a, expected_a[0])
     assert np.array_equal(blocks_a, expected_a[1])
     blocks_b = np.concatenate(values_b).reshape(-1, 2500).var(axis=1, ddof=1)
     assert np.array_equal(blocks_b, expected_b[1])
@@ -889,15 +906,15 @@ def record_files(tmp_path_factory):
 @pytest.mark.parametrize("block", [2, 7, 2500, 70_000])
 def test_records_read_block_by_block_give_the_blocks_of_the_whole_train(record_files, block):
     """analyze's route, each block of lines split and stitched as it is read,
-    gives the block phases, block variances and record count of the whole
+    gives the block columns, block variances and record count of the whole
     train bit for bit: blocks of the minimum size, blocks that straddle read
     blocks, a block longer than a 128 kB read block and a trailing partial
     block, on LF, CR-only and CRLF files and on lines the fast path declines."""
     for path, train in record_files:
-        phases, variances, rows = simulate_module._read_blocks(path, block)
-        want_phases, want_variances = block_variance_trace(train, block)
+        columns, variances, rows = simulate_module._read_blocks(path, block)
+        want_columns, want_variances = block_variance_trace(train, block)
         assert rows == len(train) == 80_001
-        assert phases.tobytes() == want_phases.tobytes()
+        assert columns.tobytes() == want_columns.tobytes()
         assert variances.tobytes() == want_variances.tobytes()
 
 
