@@ -9,7 +9,6 @@ squeezed and single-beam variances.
 from __future__ import annotations
 
 import math
-import os
 import sys
 from dataclasses import dataclass, field, replace
 
@@ -24,23 +23,13 @@ from .entanglement import (
 )
 from . import schema
 from .gaussian import Matrix, physicality_check, symmetric_two_mode_covariance
-from .simulate import (
-    DEFAULT_BLOCK_SIZE,
-    DEFAULT_CHUNK_SIZE,
-    PhaseSchedule,
-    RunConfig,
-    _blocked_scan,
-    _chunk_blocks,
-    stream_block_variances,
-)
+from .simulate import DEFAULT_BLOCK_SIZE, PhaseSchedule, RunConfig, _stream_scans
 
 #: Largest condition number of a fit's design [1, cos 2phi, sin 2phi], one
 #: row per block.  Short blocks spread evenly over an LO phase span of pi
 #: give sqrt 2, over 0.6 pi 3.2 and over pi/2 4.7; a ramp over 4 pi cut
 #: into 6 blocks gives 3.4 and into 5 blocks 6.0.
 _MAX_CONDITION = 4.0
-#: Most threads a report draws on; each holds two chunk-long rows.
-_DRAW_THREADS = 4
 
 
 @dataclass(frozen=True)
@@ -67,9 +56,10 @@ def fit_variance_curve(
     Weights follow the chi-square error of an unbiased sample variance,
     var(s^2) = 2 s^4 / (n - 1), and are propagated through the linear
     reparameterization (a, b cos c, -b sin c) to 1-sigma errors on the
-    extremes a -/+ |b|.  Columns that do not determine the fringe are
-    refused: a rank-deficient design [1, C, S], or one whose condition
-    number exceeds :data:`_MAX_CONDITION`.
+    extremes a -/+ |b|.  A nan or an infinity in the columns or the
+    variances is refused before either is used.  Columns that do not
+    determine the fringe are refused: a rank-deficient design [1, C, S], or
+    one whose condition number exceeds :data:`_MAX_CONDITION`.
 
     Parameters
     ----------
@@ -93,6 +83,9 @@ def fit_variance_curve(
         raise ValueError(
             "columns must hold one (cos, sin) row per block of the 1-d variances"
         )
+    for name, values in (("columns", columns), ("variances", variances)):
+        if not np.isfinite(values).all():
+            raise ValueError(f"non-finite block {name}: the fit needs finite values")
     n_blocks = len(variances)
     if n_blocks < 4:
         raise ValueError(f"need at least 4 blocks to fit 3 parameters, got {n_blocks}")
@@ -114,7 +107,7 @@ def fit_variance_curve(
     if samples_per_block < 2:
         raise ValueError(f"samples_per_block must be >= 2, got {samples_per_block}")
     # the largest variance has the smallest weight (n - 1) / (2 s^4), and it
-    # is 0 where 2 s^4 overflows; a nan fails this test too
+    # is 0 where 2 s^4 overflows
     largest = float(variances.max())
     if not largest * largest < sys.float_info.max / 2.0:
         raise ValueError(
@@ -305,82 +298,6 @@ def _scan_seeds(seed: int, count: int) -> list[int]:
     return [int(s) for s in state]
 
 
-def _draw_scans(configs: list[RunConfig], block_size: int) -> list:
-    """``stream_block_variances`` of every config, in order, bit for bit.
-
-    Once every scan is at least one chunk long, the chunk tasks of all the
-    scans form one queue in (scan, chunk) order.  The calling thread and up
-    to :data:`_DRAW_THREADS` - 1 pool threads each take the next task when
-    free, draw it into their own buffer and scratch, and stitch whatever
-    results are next in order, at most two tasks per thread past the oldest
-    result not yet stitched.  A chunk's numpy calls release the GIL, and
-    every chunk has its own RNG stream, so the results are those of drawing
-    the chunks in turn, as shorter scans (cheaper than a thread hand-off)
-    and a process with one usable CPU do on the calling thread.
-
-    Sizes are checked and block columns allocated before the first task is
-    taken.  Once a task fails no more are taken, and when none is running
-    the first error in (scan, chunk) order is raised.
-    """
-    affinity = getattr(os, "sched_getaffinity", None)
-    cpus = (len(affinity(0)) if affinity else os.cpu_count()) or 1
-    if len(configs[0].schedule) < DEFAULT_CHUNK_SIZE or cpus == 1:
-        return [stream_block_variances(c, block_size) for c in configs]
-    # imported here: only runs that draw concurrently pay for them
-    import threading
-    from concurrent.futures import ThreadPoolExecutor
-
-    scans = [_blocked_scan(c, block_size, DEFAULT_CHUNK_SIZE) for c in configs]
-    tasks = enumerate(
-        (stitch, draw, chunk) for _, draw, chunks, stitch in scans for chunk in chunks
-    )
-    threads = min(cpus, _DRAW_THREADS)
-    turn = threading.Condition()
-    done = {}  # task index -> (stitch, result) or the task's error, until stitched
-    taken = stitched = 0
-    failed = False
-
-    def work():
-        nonlocal taken, stitched, failed
-        try:
-            own = np.empty((2, DEFAULT_CHUNK_SIZE))
-            while True:
-                with turn:
-                    turn.wait_for(lambda: failed or taken < stitched + 2 * threads)
-                    task = None if failed else next(tasks, None)
-                    if task is None:
-                        return
-                    taken += 1
-                index, (stitch, draw, chunk) = task
-                try:
-                    result = stitch, _chunk_blocks(draw, block_size, own, *chunk)
-                except Exception as exc:
-                    result = exc
-                with turn:
-                    done[index] = result
-                    failed = failed or isinstance(result, Exception)
-                    while isinstance(done.get(stitched), tuple):
-                        stitch, blocks = done.pop(stitched)
-                        stitch.add(*blocks)
-                        stitched += 1
-                    turn.notify_all()
-        except BaseException:
-            # what escapes a thread (a failed stitch, an interrupt) stops them all
-            with turn:
-                failed = True
-                turn.notify_all()
-            raise
-
-    with ThreadPoolExecutor(threads - 1) as pool:
-        helpers = [pool.submit(work) for _ in range(threads - 1)]
-        work()
-    for helper in helpers:
-        helper.result()
-    if failed:
-        raise done[stitched]
-    return [(columns, stitch.blocks()) for columns, _, _, stitch in scans]
-
-
 def end_to_end_report(
     config: RunConfig,
     pulses_per_scan: int,
@@ -397,14 +314,16 @@ def end_to_end_report(
     half transmission of the beamsplitter, fixes the diagonal variance.
 
     Each scan is drawn and blocked one RNG chunk at a time, never held whole.
-    Once each scan is at least one chunk long (``pulses_per_scan >=``
-    :data:`~cvpulse.simulate.DEFAULT_CHUNK_SIZE`), the chunks of all three
-    scans form one queue that the calling thread and a small thread pool
-    draw from, each chunk's blocks stitched to its scan in chunk order;
-    shorter scans are drawn one chunk after another on the calling thread.
-    The report does not depend on which thread drew which chunk: it is
-    bit-identical either way.  On the concurrent path the process's CPU
-    time can exceed the call's wall time.
+    The chunks of all three scans form one queue, drawn by the one scan loop
+    that :func:`~cvpulse.simulate.stream_block_variances` runs too: once each
+    scan is at least one chunk long (``pulses_per_scan >=``
+    :data:`~cvpulse.simulate.DEFAULT_CHUNK_SIZE`), by the calling thread and
+    a small thread pool, and otherwise by the calling thread alone.  Each
+    chunk's blocks are filed with its scan by block index as soon as they are
+    drawn, in any order, so a stalled chunk holds back no other.  The report
+    does not depend on which thread drew which chunk: it is bit-identical
+    either way.  Where a pool draws, the process's CPU time can exceed the
+    call's wall time.
 
     Parameters
     ----------
@@ -439,7 +358,7 @@ def end_to_end_report(
         replace(config, schedule=ramp, theta=theta, blocked_arm=arm, seed=seed)
         for theta, arm, seed in zip((0.0, math.pi, 0.0), ("none", "none", "b"), seeds)
     ]
-    zero, pi, (_, blocked_vars) = _draw_scans(scans, block_size)
+    zero, pi, (_, blocked_vars) = _stream_scans(scans, block_size)
     fit_zero = fit_variance_curve(*zero, block_size)
     fit_pi = fit_variance_curve(*pi, block_size)
     mismatch = abs(fit_zero.v_min - fit_pi.v_min)

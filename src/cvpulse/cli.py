@@ -160,6 +160,8 @@ def _analysis_config(args, records_path: Path) -> tuple[RunConfig, int, int | No
     scenario = _scenario(args)
     sidecar = records_path.with_suffix(".json")
     config, n_pulses = scenario.config, None
+    if sidecar.is_dir():
+        raise ValueError(f"{sidecar} is a directory, not a sidecar")
     if sidecar.exists():
         try:
             meta = Sidecar.from_dict(read_metadata(records_path))

@@ -107,6 +107,8 @@ def load_scenario(path: str | Path, **overrides) -> Scenario:
     """
     try:
         text = Path(path).read_bytes().decode("utf-8")
+    except IsADirectoryError:
+        raise ValueError(f"{path} is a directory, not a scenario file") from None
     except UnicodeDecodeError as exc:
         byte, offset = exc.object[exc.start], exc.start
         raise ValueError(f"{path}: not UTF-8 text (byte 0x{byte:02x} at offset {offset})") from None

@@ -13,7 +13,9 @@ from __future__ import annotations
 import functools
 import json
 import math
+import os
 import sys
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import ClassVar
@@ -65,6 +67,9 @@ _MEMO_SIZE = 8
 # sweep round of 9 (source, efficiency) pairs asks for 36; an LRU smaller than
 # a round would miss on every call
 _PHYSICS_MEMO_SIZE = 64
+
+#: Most threads that draw a run's scans; each holds two chunk-long rows.
+_DRAW_THREADS = 4
 
 
 @dataclass(frozen=True)
@@ -540,17 +545,6 @@ def _block_columns(schedule: PhaseSchedule, block_size: int) -> NDArray[np.float
     return columns
 
 
-def _blocked_scan(config: RunConfig, block_size: int, chunk_size: int):
-    """What every chunk task of a scan shares: (block columns, draw, chunks, stitch).
-
-    The sizes are checked and the block columns, a copy the caller may
-    keep, and the stitch are allocated here, before any chunk is drawn.
-    """
-    chunks = _chunks(config, chunk_size, _STREAM_FAST)
-    columns = _block_columns(config.schedule, block_size).copy()
-    return columns, _marginal_draw(config, chunk_size), chunks, _Stitch(block_size, _reduce_blocks)
-
-
 def _split(values: NDArray[np.float64], start: int, block_size: int, reduce):
     """Pulses [start, start + len(values)) cut at block boundaries into (head, reduced, tail):
     copies of the values before the first boundary and after the last (all head where there
@@ -561,42 +555,118 @@ def _split(values: NDArray[np.float64], start: int, block_size: int, reduce):
     return head, reduce(values[first:last].reshape(-1, block_size)), tail
 
 
-def _chunk_blocks(draw, block_size: int, work: NDArray[np.float64], start, stop, rng):
-    """The chunk task: draw pulses [start, stop) into the reused row ``work[0]``, with
-    ``work[1]`` as the draw's scratch, and split them into (head, variances, tail)."""
-    values = draw(start, rng, work[0, : stop - start], work[1])
-    return _split(values, start, block_size, _reduce_blocks)
-
-
 class _Stitch:
-    """A scan's reduced blocks, joined from its pieces' splits in pulse order.
+    """A scan's reduced blocks, filed by block index from its pieces' splits in any order.
 
-    A block that straddles pieces, one longer than a piece included, is
-    joined from the tail and heads that hold it and reduced as a one-row
-    block, so every block is reduced as in the whole train bit for bit.  A
-    trailing partial block is dropped.
+    A piece's whole blocks are filed under the index of its first.  Its head
+    and tail are copied into the blocks that straddle pieces, one longer than
+    a piece included, and such a block is reduced as a one-row block once its
+    last fragment arrives, so every block is reduced as in the whole train
+    bit for bit.  A trailing partial block never completes and is dropped.
     """
 
     def __init__(self, block_size: int, reduce):
-        self._straddling = np.empty(block_size)
-        self._filled = 0
+        self._size = block_size
         self._reduce = reduce
-        self._blocks = []
+        self._done = {}  # first block index -> reduced rows
+        self._partial = {}  # block index -> (its values, pulses filled)
 
-    def add(self, head, inner, tail) -> None:
-        """Take the next piece's (head, reduced blocks, tail) from :func:`_split`."""
-        block = self._straddling
-        block[self._filled : self._filled + len(head)] = head
-        self._filled += len(head)
-        if self._filled == len(block):
-            self._blocks.append(self._reduce(block[None]))
-            self._filled = 0
-        self._blocks.append(inner)
-        block[self._filled : self._filled + len(tail)] = tail
-        self._filled += len(tail)
+    def _fill(self, index: int, offset: int, fragment) -> None:
+        block, filled = self._partial.pop(index, None) or (np.empty(self._size), 0)
+        block[offset : offset + len(fragment)] = fragment
+        filled += len(fragment)
+        if filled < self._size:
+            self._partial[index] = block, filled
+        else:
+            self._done[index] = self._reduce(block[None])
+
+    def add(self, start: int, head, inner, tail) -> None:
+        """File the (head, reduced blocks, tail) :func:`_split` cut from pulses ``start`` on."""
+        first = (start + len(head)) // self._size  # the first block that starts in the piece
+        if len(head):
+            self._fill(start // self._size, start % self._size, head)
+        if len(inner):
+            self._done[first] = inner
+        if len(tail):
+            self._fill(first + len(inner), 0, tail)
 
     def blocks(self) -> NDArray[np.float64]:
-        return np.concatenate(self._blocks)
+        """The reduced blocks in block order."""
+        return np.concatenate([np.empty(0), *(self._done[i] for i in sorted(self._done))])
+
+
+def _stream_scans(
+    configs: list[RunConfig],
+    block_size: int,
+    chunk_size: int = DEFAULT_CHUNK_SIZE,
+    threads: int | None = None,
+) -> list[tuple[NDArray[np.float64], NDArray[np.float64]]]:
+    """:func:`stream_block_variances` of every config, in order, bit for bit: the one scan loop.
+
+    The chunk tasks of all the scans form one queue in (scan, chunk) order.
+    Each of ``threads`` threads, the calling one among them, takes the next
+    task when free, draws it into its own buffer and scratch, reduces the
+    whole blocks inside its chunk and files the result with its scan's
+    stitch, whichever tasks finish first.  A chunk's numpy calls release the
+    GIL, and every chunk has its own RNG stream, so the blocks do not depend
+    on which thread drew which chunk.  By default scans of at least one chunk
+    are drawn on one thread per CPU the process may use, at most
+    :data:`_DRAW_THREADS`; shorter scans, which a thread hand-off costs more
+    than it saves, on the calling thread alone.
+
+    Sizes are checked and block columns allocated before the first task is
+    taken.  Once a task fails no more are taken, and when none is running
+    the first error in (scan, chunk) order is raised; one outside any task,
+    an interrupt say, comes first.
+    """
+    scans = [
+        (_chunks(c, chunk_size, _STREAM_FAST), _block_columns(c.schedule, block_size).copy(),
+         _marginal_draw(c, chunk_size), _Stitch(block_size, _reduce_blocks))
+        for c in configs
+    ]
+    lengths = [len(c.schedule) for c in configs]
+    if threads is None:
+        affinity = getattr(os, "sched_getaffinity", None)
+        cpus = (len(affinity(0)) if affinity else os.cpu_count()) or 1
+        threads = 1 if min(lengths) < chunk_size else min(cpus, _DRAW_THREADS)
+    tasks = enumerate(
+        (stitch, draw, chunk) for chunks, _, draw, stitch in scans for chunk in chunks
+    )
+    lock = threading.Lock()  # guards the tasks, the stitches and the errors
+    errors = {}  # task index, or -1 outside any task -> the error raised there
+
+    def work():
+        index = -1
+        try:
+            buffer, scratch = np.empty((2, min(chunk_size, max(lengths))))
+            while True:
+                with lock:
+                    task = None if errors else next(tasks, None)
+                if task is None:
+                    return
+                index, (stitch, draw, (start, stop, rng)) = task
+                values = draw(start, rng, buffer[: stop - start], scratch)
+                piece = _split(values, start, block_size, _reduce_blocks)
+                with lock:
+                    stitch.add(start, *piece)
+                index = -1
+        except BaseException as exc:
+            with lock:
+                errors[index] = exc
+
+    if threads == 1:
+        work()
+    else:
+        # imported here: only runs that draw concurrently pay for it
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(threads - 1) as pool:
+            for _ in range(threads - 1):
+                pool.submit(work)
+            work()
+    if errors:
+        raise errors[min(errors)]
+    return [(columns, stitch.blocks()) for _, columns, _, stitch in scans]
 
 
 def stream_block_variances(
@@ -608,17 +678,13 @@ def stream_block_variances(
 
     Returns exactly
     ``block_variance_trace(sample_pulses(config, chunk_size), block_size)``,
-    in memory of O(chunk_size + block_size) instead of O(pulses).  The
-    chunk tasks run in order on the calling thread, each drawing into one
-    reused buffer and scratch and reducing the whole blocks inside its
-    chunk, and hand their results to the stitch, which reduces the blocks
-    that straddle chunk boundaries and discards a trailing partial block.
+    in memory of O(chunk_size + block_size) instead of O(pulses).  It is the
+    one scan loop every simulated scan runs, here on the calling thread
+    alone: each chunk is drawn into one reused buffer and scratch, the whole
+    blocks inside it are reduced in place, and the stitch reduces the blocks
+    that straddle chunk boundaries and drops a trailing partial block.
     """
-    columns, draw, chunks, stitch = _blocked_scan(config, block_size, chunk_size)
-    work = np.empty((2, min(chunk_size, len(config.schedule))))
-    for chunk in chunks:
-        stitch.add(*_chunk_blocks(draw, block_size, work, *chunk))
-    return columns, stitch.blocks()
+    return _stream_scans([config], block_size, chunk_size, threads=1)[0]
 
 
 def theta_scan(
@@ -736,9 +802,9 @@ def _read_blocks(csv_path: Path, block_size: int):
     rows = 0
     for phases, values, _ in records.read(csv_path):
         two_phi = 2.0 * phases
-        cos_means.add(*_split(np.cos(two_phi), rows, block_size, _block_means))
-        sin_means.add(*_split(np.sin(two_phi, out=two_phi), rows, block_size, _block_means))
-        variances.add(*_split(values, rows, block_size, _reduce_blocks))
+        cos_means.add(rows, *_split(np.cos(two_phi), rows, block_size, _block_means))
+        sin_means.add(rows, *_split(np.sin(two_phi, out=two_phi), rows, block_size, _block_means))
+        variances.add(rows, *_split(values, rows, block_size, _reduce_blocks))
         rows += len(values)
     columns = np.column_stack([cos_means.blocks(), sin_means.blocks()])
     return columns, variances.blocks(), rows

@@ -19,6 +19,7 @@ from cvpulse.entanglement import formation_entropy
 from cvpulse.schema import FieldError
 from cvpulse.gaussian import SourceSpec, source_covariance, symmetric_two_mode_covariance
 from cvpulse.simulate import (
+    DEFAULT_CHUNK_SIZE,
     DetectorModel,
     PhaseSchedule,
     RunConfig,
@@ -79,9 +80,10 @@ def test_fit_recovers_shifted_minimum():
     assert estimate.phase_at_min == pytest.approx(expected_min, abs=1e-9)
 
 
-def test_fit_input_validation():
-    """Too few blocks, short span, degenerate pattern, bad block size and
-    overflowing weights all raise."""
+def test_fit_input_validation(capfd):
+    """Too few blocks, short span, degenerate pattern, bad block size,
+    overflowing weights and a nan or an infinity in the input all raise, the
+    last before any of it reaches LAPACK."""
     phases = np.linspace(0.0, 2.0 * math.pi, 40, endpoint=False)
     columns = _point_columns(phases)
     variances = np.ones_like(phases)
@@ -102,6 +104,16 @@ def test_fit_input_validation():
     # block variances of a pure_nopa r = 200 source: their weights 1 / s^4 overflow to 0
     with pytest.raises(ValueError, match="fit weights overflow"):
         fit_variance_curve(columns, math.exp(400.0) * (1.0 + 0.5 * np.cos(2.0 * phases)), 100)
+    for bad in (math.nan, math.inf):
+        spoiled = columns.copy()
+        spoiled[5, 0] = bad
+        with pytest.raises(ValueError, match="non-finite block columns"):
+            fit_variance_curve(spoiled, variances, 100)
+    spoiled = variances.copy()
+    spoiled[5] = math.nan
+    with pytest.raises(ValueError, match="non-finite block variances"):
+        fit_variance_curve(columns, spoiled, 100)
+    assert capfd.readouterr() == ("", "")
 
 
 def _fit_phase_scan(train, block_size=2500):
@@ -431,30 +443,87 @@ def test_scans_are_drawn_in_turn_on_one_usable_cpu(monkeypatch):
     assert drawn_on == [threading.get_ident()] * 12
 
 
-def test_threads_run_at_most_two_chunks_each_past_the_oldest_unstitched(monkeypatch):
-    """While the first chunk stalls, the other thread of two draws the next
-    three chunks and no more: memory stays bounded whatever a thread waits on."""
+def test_a_stalled_chunk_holds_back_no_other_chunk_and_no_memory(monkeypatch):
+    """While the first chunk of a 10^6-pulse report stalls on one of two
+    threads, the other draws every other chunk, and the report's traced peak
+    stays within 1.1x that of a report that does not stall: each chunk's
+    blocks are filed as soon as they are drawn, whatever a thread waits on."""
     import os
+    import tracemalloc
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    started, started_during_stall = [], []
+    cfg, n = _reference_config(PhaseSchedule.constant(0.0, 1)), 1_000_000
+    tasks = 3 * math.ceil(n / DEFAULT_CHUNK_SIZE)
+
+    def traced_peak():
+        tracemalloc.start()
+        try:
+            end_to_end_report(cfg, n)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    end_to_end_report(cfg, n)  # builds the memoized tables first
+    unstalled = traced_peak()
+    drawn, drawn_during_stall = [], []
+    others_drawn = threading.Event()
 
     def stalling(config, draw):
         first_scan = (config.theta, config.blocked_arm) == (0.0, "none")
 
-        def drawn(start, *args):
-            started.append(start)
+        def stalled(start, *args):
             if first_scan and start == 0:
-                time.sleep(0.2)
-                started_during_stall.append(len(started))
-            return draw(start, *args)
+                others_drawn.wait(timeout=10.0)
+                drawn_during_stall.append(len(drawn))
+            out = draw(start, *args)
+            drawn.append(start)
+            if len(drawn) == tasks - 1:
+                others_drawn.set()
+            return out
+
+        return stalled
+
+    _wrap_draws(monkeypatch, stalling)
+    stalled = traced_peak()
+    assert drawn_during_stall == [tasks - 1]
+    assert len(drawn) == tasks
+    assert stalled <= 1.1 * unstalled
+
+
+class _Interrupt(BaseException):
+    """Raised as KeyboardInterrupt would be: no ``Exception``."""
+
+
+def test_an_interrupt_on_a_pool_thread_stops_every_thread(monkeypatch):
+    """A BaseException a draw raises on a pool thread reaches the caller; no
+    task is taken after it but one the caller's thread may take before it is
+    filed, and no pool thread outlives the call."""
+    import os
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    caller, started, raised_at = threading.get_ident(), [], []
+    interrupted = threading.Event()
+
+    def interrupting(config, draw):
+        def drawn(*args):
+            started.append(threading.get_ident())
+            if threading.get_ident() == caller:
+                interrupted.wait(timeout=10.0)  # the pool thread takes a task first
+            else:
+                raised_at.append(len(started))
+                interrupted.set()
+                raise _Interrupt
+            return draw(*args)
 
         return drawn
 
-    _wrap_draws(monkeypatch, stalling)
-    end_to_end_report(_reference_config(PhaseSchedule.constant(0.0, 1)), 200_000)
-    assert started_during_stall == [4]
-    assert len(started) == 12
+    _wrap_draws(monkeypatch, interrupting)
+    before = threading.active_count()
+    with pytest.raises(_Interrupt):
+        end_to_end_report(_reference_config(PhaseSchedule.constant(0.0, 1)), 200_000)
+    assert threading.active_count() == before
+    assert len(raised_at) == 1
+    assert len(started) <= raised_at[0] + 1 < 12
 
 
 class _ScanFailed(Exception):

@@ -409,6 +409,19 @@ def _scenario_not_utf8(tmp_path):
     return ["simulate", "--scenario", str(tmp_path / "s.json"), "--out", str(tmp_path)]
 
 
+def _scenario_a_directory(*command):
+    def prepare(tmp_path):
+        (tmp_path / "s.json").mkdir()
+        return [*command, "--scenario", str(tmp_path / "s.json"), "--out", str(tmp_path)]
+
+    return prepare
+
+
+def _sidecar_a_directory(out):
+    (out / "pulses.json").unlink()
+    (out / "pulses.json").mkdir()
+
+
 def _byte_ff_on_line_3(out):
     path = out / "pulses.csv"
     lines = path.read_bytes().splitlines(keepends=True)
@@ -479,6 +492,12 @@ BAD_INPUTS = [
     pytest.param(lambda tmp_path: ["analyze", str(tmp_path), "--out", str(tmp_path)],
                  EXIT_INVALID_INPUT, "is a directory, not a records CSV",
                  id="records path a directory"),
+    *(pytest.param(_scenario_a_directory(*command), EXIT_INVALID_INPUT,
+                   "s.json is a directory, not a scenario file",
+                   id=f"{command[0]} scenario a directory")
+      for command in (("simulate",), ("scan-theta",), ("analyze", "pulses.csv"))),
+    pytest.param(_simulated(_sidecar_a_directory), EXIT_INVALID_INPUT,
+                 "pulses.json is a directory, not a sidecar", id="sidecar a directory"),
     # arrays of more than 2^57 bytes: no overcommit setting allocates them
     pytest.param(_run("scan-theta", "--points", str(10**17)), EXIT_INVALID_INPUT,
                  "error: out of memory: Unable to allocate", id="theta grid beyond memory"),

@@ -523,14 +523,12 @@ def test_end_to_end_report_memory_does_not_grow_with_pulses():
 @pytest.mark.parametrize("cpus", [2, 4])
 @pytest.mark.parametrize("block", [2, 7, 2500, 70_000])
 def test_scans_drawn_on_threads_equal_scans_drawn_in_turn(monkeypatch, block, cpus):
-    """The chunks of three scans drawn on threads and stitched in order give
-    the blocks of each scan streamed alone, bit for bit: blocks of the
+    """The chunks of three scans drawn on threads and stitched as they finish
+    give the blocks of each scan streamed alone, bit for bit: blocks of the
     minimum size, blocks that straddle chunk boundaries, blocks longer than a
     chunk, and a trailing partial chunk and block.  Four threads on two CPUs
-    that switch every microsecond would show a stitch out of order."""
+    that switch every microsecond would show a block filed in the wrong place."""
     import os
-
-    from cvpulse import analysis
 
     ramp = _ramp(3 * simulate_module.DEFAULT_CHUNK_SIZE + 1234)
     scans = [
@@ -542,13 +540,38 @@ def test_scans_drawn_on_threads_equal_scans_drawn_in_turn(monkeypatch, block, cp
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        drawn = analysis._draw_scans(scans, block)
+        drawn = simulate_module._stream_scans(scans, block)
     finally:
         sys.setswitchinterval(interval)
     assert len(drawn) == len(expected)
     for (columns, blocks), (want_columns, want_blocks) in zip(drawn, expected):
         assert columns.tobytes() == want_columns.tobytes()
         assert blocks.tobytes() == want_blocks.tobytes()
+
+
+@pytest.mark.parametrize("block", [2, 7, 2500, 70_000])
+def test_stitch_takes_the_pieces_of_a_scan_in_any_order(block):
+    """A scan's chunk splits fed to the stitch in shuffled orders give the
+    blocks of the whole train bit for bit: blocks of the minimum size, blocks
+    that straddle chunks, blocks longer than a chunk, and a trailing partial
+    block, dropped whenever its pieces arrive."""
+    chunk = 10_000
+    config = replace(REFERENCE, schedule=_ramp(197_843))  # no multiple of any block here
+    expected = block_variance_trace(sample_pulses(config, chunk_size=chunk), block)[1]
+    values = sample_pulses(config, chunk_size=chunk).value
+    pieces = [
+        (start, simulate_module._split(
+            values[start : start + chunk], start, block, simulate_module._reduce_blocks))
+        for start in range(0, len(values), chunk)
+    ]
+    orders = [range(len(pieces)), range(len(pieces) - 1, -1, -1)]
+    orders += [np.random.default_rng(seed).permutation(len(pieces)) for seed in range(3)]
+    for order in orders:
+        stitch = simulate_module._Stitch(block, simulate_module._reduce_blocks)
+        for i in order:
+            start, piece = pieces[i]
+            stitch.add(start, *piece)
+        assert stitch.blocks().tobytes() == expected.tobytes()
 
 
 def test_streamed_scan_allocates_no_chunk_temporaries():
