@@ -153,6 +153,8 @@ def efficiency_inversion(
     t = eta * extra_transmission
     if not 0.0 < t <= 1.0:
         raise ValueError(f"total transmission must lie in (0, 1], got {t}")
+    if not math.isfinite(v_measured):
+        raise ValueError(f"measured variance must be finite, got {v_measured}")
     if v_measured <= 1.0 - t:
         raise ValueError(
             f"over-correction: measured variance {v_measured} is at or below the "
@@ -227,8 +229,10 @@ def reconstruct_covariance(
     input.  The resulting matrix, ``report.covariance``, must pass the
     physicality check.
     """
-    if v_single_corrected <= 0.0 or squeezed_corrected <= 0.0:
-        raise ValueError("corrected variances must be positive")
+    for name, value in (("v_single_corrected", v_single_corrected),
+                        ("squeezed_corrected", squeezed_corrected)):
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value}")
     v = v_single_corrected
     k = v - squeezed_corrected
     gamma = symmetric_two_mode_covariance(v, k, k)
@@ -318,12 +322,12 @@ def end_to_end_report(
     that :func:`~cvpulse.simulate.stream_block_variances` runs too: once each
     scan is at least one chunk long (``pulses_per_scan >=``
     :data:`~cvpulse.simulate.DEFAULT_CHUNK_SIZE`), by the calling thread and
-    a small thread pool, and otherwise by the calling thread alone.  Each
-    chunk's blocks are filed with its scan by block index as soon as they are
-    drawn, in any order, so a stalled chunk holds back no other.  The report
-    does not depend on which thread drew which chunk: it is bit-identical
-    either way.  Where a pool draws, the process's CPU time can exceed the
-    call's wall time.
+    up to three threads it starts and joins, and otherwise by the calling
+    thread alone.  Each chunk's blocks are filed with its scan by block index
+    as soon as they are drawn, in any order, so a stalled chunk holds back no
+    other.  The report does not depend on which thread drew which chunk: it
+    is bit-identical either way.  Where threads draw, the process's CPU time
+    can exceed the call's wall time.
 
     Parameters
     ----------

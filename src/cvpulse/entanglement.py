@@ -61,7 +61,7 @@ def formation_entropy(x: float) -> float:
     The argument is the geometric mean of the two sum/difference variances;
     x >= 1 means no certified entanglement and returns 0.
     """
-    if x <= 0.0:
+    if not x > 0.0:  # nan included
         raise ValueError(f"variance argument must be positive, got {x}")
     if x >= 1.0:
         return 0.0
@@ -116,6 +116,6 @@ def entropy_of_formation(gamma: Matrix) -> float:
 
 def variance_to_db(variance: float) -> float:
     """Express a variance in dB relative to the shot-noise level."""
-    if variance <= 0.0:
-        raise ValueError(f"variance must be positive, got {variance}")
+    if not 0.0 < variance < math.inf:
+        raise ValueError(f"variance must be positive and finite, got {variance}")
     return 10.0 * math.log10(variance)

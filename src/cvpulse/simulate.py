@@ -326,6 +326,8 @@ def detected_variance(config: RunConfig, lo_phase):
     """
     g = _detected_covariances(config, config.theta)[0]
     phi = np.asarray(lo_phase, dtype=float)
+    if not np.isfinite(phi).all():
+        raise ValueError("lo_phase must be finite")
     c, s = np.cos(phi), np.sin(phi)
     var = c * c * g[0, 0] + 2.0 * c * s * g[0, 1] + s * s * g[1, 1]
     var = var + config.detector.electronic_noise_var
@@ -479,13 +481,11 @@ def _block_count(n_pulses: int, block_size: int) -> int:
     return n_pulses // block_size
 
 
-def _fringe_columns(phases: NDArray[np.float64], block_size: int) -> NDArray[np.float64]:
-    """Mean cos 2phi and sin 2phi of each whole block of ``phases``, one row per block."""
-    two_phi = 2.0 * phases
-    shape = (-1, block_size)
+def _fringe_columns(blocks: NDArray[np.float64]) -> NDArray[np.float64]:
+    """Mean cos 2phi and sin 2phi of each row of phases: one row of fringe columns per block."""
+    two_phi = 2.0 * blocks
     return np.column_stack(
-        [np.cos(two_phi).reshape(shape).mean(axis=1),
-         np.sin(two_phi, out=two_phi).reshape(shape).mean(axis=1)]
+        [np.cos(two_phi).mean(axis=1), np.sin(two_phi, out=two_phi).mean(axis=1)]
     )
 
 
@@ -501,16 +501,9 @@ def block_variance_trace(
     """
     used = _block_count(len(train), block_size) * block_size
     return (
-        _fringe_columns(train.lo_phase[:used], block_size),
+        _fringe_columns(train.lo_phase[:used].reshape(-1, block_size)),
         train.value[:used].reshape(-1, block_size).var(axis=1, ddof=1),
     )
-
-
-def _block_means(blocks: NDArray[np.float64]) -> NDArray[np.float64]:
-    """``blocks.mean(axis=1)`` bit for bit: numpy's own row sums over the row length."""
-    means = np.add.reduce(blocks, axis=1)
-    means /= blocks.shape[1]
-    return means
 
 
 def _reduce_blocks(blocks: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -519,7 +512,7 @@ def _reduce_blocks(blocks: NDArray[np.float64]) -> NDArray[np.float64]:
     The steps are numpy's own for ``var``: the row means, then the squared
     deviations' row sums divided by the row length less one.
     """
-    blocks -= _block_means(blocks)[:, None]
+    blocks -= blocks.mean(axis=1, keepdims=True)
     blocks *= blocks
     variances = np.add.reduce(blocks, axis=1)
     variances /= blocks.shape[1] - 1
@@ -532,7 +525,7 @@ def _block_columns(schedule: PhaseSchedule, block_size: int) -> NDArray[np.float
 
     Reduced a chunk's worth of whole blocks at a time, so memory stays
     O(chunk); each row is reduced alone, so every row equals that of
-    ``_fringe_columns(values(), block_size)`` bit for bit.
+    ``_fringe_columns(values().reshape(-1, block_size))`` bit for bit.
     """
     n_blocks = _block_count(len(schedule), block_size)
     per_piece = max(1, DEFAULT_CHUNK_SIZE // block_size)
@@ -540,34 +533,28 @@ def _block_columns(schedule: PhaseSchedule, block_size: int) -> NDArray[np.float
     for first in range(0, n_blocks, per_piece):
         last = min(first + per_piece, n_blocks)
         phases = schedule.values(first * block_size, last * block_size)
-        columns[first:last] = _fringe_columns(phases, block_size)
+        columns[first:last] = _fringe_columns(phases.reshape(-1, block_size))
     columns.flags.writeable = False
     return columns
 
 
-def _split(values: NDArray[np.float64], start: int, block_size: int, reduce):
-    """Pulses [start, start + len(values)) cut at block boundaries into (head, reduced, tail):
-    copies of the values before the first boundary and after the last (all head where there
-    is none), and ``reduce`` of the whole blocks between, as rows it may overwrite."""
-    first = min(-start % block_size, len(values))
-    last = max(first, len(values) - (start + len(values)) % block_size)
-    head, tail = values[:first].copy(), values[last:].copy()
-    return head, reduce(values[first:last].reshape(-1, block_size)), tail
-
-
 class _Stitch:
-    """A scan's reduced blocks, filed by block index from its pieces' splits in any order.
+    """A scan's reduced blocks, filed by block index from pieces of pulses added in any order.
 
-    A piece's whole blocks are filed under the index of its first.  Its head
-    and tail are copied into the blocks that straddle pieces, one longer than
-    a piece included, and such a block is reduced as a one-row block once its
-    last fragment arrives, so every block is reduced as in the whole train
-    bit for bit.  A trailing partial block never completes and is dropped.
+    :meth:`add` reduces a piece's whole blocks on the calling thread and
+    files them under the index of the first.  The piece's head and tail, its
+    pulses before its first block boundary and after its last, are copied
+    into the blocks that straddle pieces, one longer than a piece included,
+    and such a block is reduced as a one-row block once its last fragment
+    arrives, so every block is reduced as in the whole train bit for bit.  A
+    trailing partial block never completes and is dropped.  Threads may add
+    pieces at once: only the filing holds the stitch's lock.
     """
 
     def __init__(self, block_size: int, reduce):
         self._size = block_size
         self._reduce = reduce
+        self._lock = threading.Lock()
         self._done = {}  # first block index -> reduced rows
         self._partial = {}  # block index -> (its values, pulses filled)
 
@@ -580,19 +567,24 @@ class _Stitch:
         else:
             self._done[index] = self._reduce(block[None])
 
-    def add(self, start: int, head, inner, tail) -> None:
-        """File the (head, reduced blocks, tail) :func:`_split` cut from pulses ``start`` on."""
-        first = (start + len(head)) // self._size  # the first block that starts in the piece
-        if len(head):
-            self._fill(start // self._size, start % self._size, head)
-        if len(inner):
-            self._done[first] = inner
-        if len(tail):
-            self._fill(first + len(inner), 0, tail)
+    def add(self, start: int, values: NDArray[np.float64]) -> None:
+        """File pulses [start, start + len(values)); ``reduce`` may overwrite their whole blocks."""
+        size = self._size
+        first = min(-start % size, len(values))  # the piece's first and last block boundaries
+        last = max(first, len(values) - (start + len(values)) % size)
+        inner = self._reduce(values[first:last].reshape(-1, size))
+        with self._lock:
+            if first:
+                self._fill(start // size, start % size, values[:first])
+            if len(inner):
+                self._done[(start + first) // size] = inner
+            if last < len(values):
+                self._fill((start + last) // size, 0, values[last:])
 
     def blocks(self) -> NDArray[np.float64]:
         """The reduced blocks in block order."""
-        return np.concatenate([np.empty(0), *(self._done[i] for i in sorted(self._done))])
+        none = self._reduce(np.empty((0, self._size)))  # the rows' shape when there are none
+        return np.concatenate([none, *(self._done[i] for i in sorted(self._done))])
 
 
 def _stream_scans(
@@ -604,10 +596,11 @@ def _stream_scans(
     """:func:`stream_block_variances` of every config, in order, bit for bit: the one scan loop.
 
     The chunk tasks of all the scans form one queue in (scan, chunk) order.
-    Each of ``threads`` threads, the calling one among them, takes the next
-    task when free, draws it into its own buffer and scratch, reduces the
-    whole blocks inside its chunk and files the result with its scan's
-    stitch, whichever tasks finish first.  A chunk's numpy calls release the
+    Each of ``threads`` threads, the calling one and ``threads - 1`` it
+    starts and joins, takes the next task when free, draws it into its own
+    buffer and scratch and adds it to its scan's stitch, which reduces the
+    chunk's whole blocks on that thread, whichever tasks finish first.  One
+    lock guards the queue and the errors.  A chunk's numpy calls release the
     GIL, and every chunk has its own RNG stream, so the blocks do not depend
     on which thread drew which chunk.  By default scans of at least one chunk
     are drawn on one thread per CPU the process may use, at most
@@ -632,7 +625,7 @@ def _stream_scans(
     tasks = enumerate(
         (stitch, draw, chunk) for chunks, _, draw, stitch in scans for chunk in chunks
     )
-    lock = threading.Lock()  # guards the tasks, the stitches and the errors
+    lock = threading.Lock()  # guards the tasks and the errors
     errors = {}  # task index, or -1 outside any task -> the error raised there
 
     def work():
@@ -645,25 +638,18 @@ def _stream_scans(
                 if task is None:
                     return
                 index, (stitch, draw, (start, stop, rng)) = task
-                values = draw(start, rng, buffer[: stop - start], scratch)
-                piece = _split(values, start, block_size, _reduce_blocks)
-                with lock:
-                    stitch.add(start, *piece)
+                stitch.add(start, draw(start, rng, buffer[: stop - start], scratch))
                 index = -1
         except BaseException as exc:
             with lock:
                 errors[index] = exc
 
-    if threads == 1:
-        work()
-    else:
-        # imported here: only runs that draw concurrently pay for it
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(threads - 1) as pool:
-            for _ in range(threads - 1):
-                pool.submit(work)
-            work()
+    helpers = [threading.Thread(target=work) for _ in range(threads - 1)]
+    for helper in helpers:
+        helper.start()
+    work()
+    for helper in helpers:
+        helper.join()
     if errors:
         raise errors[min(errors)]
     return [(columns, stitch.blocks()) for _, columns, _, stitch in scans]
@@ -680,9 +666,9 @@ def stream_block_variances(
     ``block_variance_trace(sample_pulses(config, chunk_size), block_size)``,
     in memory of O(chunk_size + block_size) instead of O(pulses).  It is the
     one scan loop every simulated scan runs, here on the calling thread
-    alone: each chunk is drawn into one reused buffer and scratch, the whole
-    blocks inside it are reduced in place, and the stitch reduces the blocks
-    that straddle chunk boundaries and drops a trailing partial block.
+    alone: each chunk is drawn into one reused buffer and scratch and added to
+    the stitch, which reduces the whole blocks inside it in place, reduces the
+    blocks that straddle chunk boundaries and drops a trailing partial block.
     """
     return _stream_scans([config], block_size, chunk_size, threads=1)[0]
 
@@ -700,6 +686,8 @@ def theta_scan(
     phi_min is NaN.
     """
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
+    if not np.isfinite(thetas).all():
+        raise ValueError("thetas must be finite")
     g = _detected_covariances(config, thetas)
     g00, g11, g01 = g[:, 0, 0], g[:, 1, 1], g[:, 0, 1]
     mean = 0.5 * (g00 + g11)
@@ -728,8 +716,8 @@ def shot_noise_linearity_scan(
     levels = np.atleast_1d(np.asarray(lo_levels, dtype=float))
     if levels.size == 0:
         raise ValueError("need at least one local-oscillator level")
-    if np.any(levels < 0.0):
-        raise ValueError("local-oscillator levels must be >= 0")
+    if not np.all((levels >= 0.0) & (levels < np.inf)):
+        raise ValueError("lo_levels must be finite and >= 0")
     if pulses_per_level < 2:
         raise ValueError(f"need at least 2 pulses per level, got {pulses_per_level}")
     dark_var = detector.electronic_noise_var * GAIN_PER_PHOTON * detector.lo_photons_per_pulse
@@ -750,11 +738,15 @@ def write_records(
     The records are those of ``sample_pulses(config, chunk_size)``, drawn
     chunk by chunk into one reused buffer, so memory stays O(chunk_size).
     Each row is the bytes ``"%d,%.17g,%.17g\n" % row`` writes.  The
-    sidecar, the CSV's path with suffix ``.json``, names the chunk size.
+    sidecar, the CSV's path with suffix ``.json``, names the chunk size; a
+    CSV path that already ends in ``.json`` raises ValueError.
     """
     from . import records  # compiled on first use, not by every run that imports simulate
 
     csv_path = Path(csv_path)
+    sidecar = csv_path.with_suffix(".json")
+    if sidecar == csv_path:
+        raise ValueError(f"records path {csv_path} is its sidecar's path: use another suffix")
     chunks = _chunks(config, chunk_size, _STREAM_FAST)
     buffer, scratch = np.empty((2, min(chunk_size, len(config.schedule))))
     draw = _marginal_draw(config, chunk_size)
@@ -764,7 +756,7 @@ def write_records(
             values = draw(start, rng, buffer[: stop - start], scratch)
             fh.writelines(records.format_rows(start, config.schedule.values(start, stop), values))
     meta = Sidecar(FORMAT_VERSION, records.HEADER, len(config.schedule), chunk_size, config)
-    csv_path.with_suffix(".json").write_text(json.dumps(schema.to_dict(meta), indent=2) + "\n")
+    sidecar.write_text(json.dumps(schema.to_dict(meta), indent=2) + "\n")
     return csv_path
 
 
@@ -794,20 +786,17 @@ def read_records(csv_path: str | Path) -> PulseTrain:
 
 def _read_blocks(csv_path: Path, block_size: int):
     """``block_variance_trace(read_records(csv_path), block_size)`` and the record count
-    bit for bit, each block of lines split and stitched as it is read: O(block + read
-    block) memory.  No full block is no error, so a caller can check the count first."""
+    bit for bit: each block of lines is added to a column stitch and a variance stitch
+    as it is read, so memory is O(block + read block).  No full block is no error, so
+    a caller can check the count first."""
     from . import records
-    cos_means, sin_means = _Stitch(block_size, _block_means), _Stitch(block_size, _block_means)
-    variances = _Stitch(block_size, _reduce_blocks)
+    columns, variances = _Stitch(block_size, _fringe_columns), _Stitch(block_size, _reduce_blocks)
     rows = 0
     for phases, values, _ in records.read(csv_path):
-        two_phi = 2.0 * phases
-        cos_means.add(rows, *_split(np.cos(two_phi), rows, block_size, _block_means))
-        sin_means.add(rows, *_split(np.sin(two_phi, out=two_phi), rows, block_size, _block_means))
-        variances.add(rows, *_split(values, rows, block_size, _reduce_blocks))
+        columns.add(rows, phases)
+        variances.add(rows, values)
         rows += len(values)
-    columns = np.column_stack([cos_means.blocks(), sin_means.blocks()])
-    return columns, variances.blocks(), rows
+    return columns.blocks(), variances.blocks(), rows
 
 
 def read_metadata(csv_path: str | Path) -> dict:

@@ -170,6 +170,11 @@ def test_efficiency_inversion_rejects_bad_input():
         efficiency_inversion(0.31, 0.68)  # below the vacuum floor 0.32
     with pytest.raises(ValueError, match="over-correction"):
         efficiency_inversion(1.0 - 0.68, 0.68)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="measured variance"):
+            efficiency_inversion(bad, 0.9)
+    with pytest.raises(ValueError, match="transmission"):
+        efficiency_inversion(0.7, math.nan)
 
 
 def test_reconstruct_covariance_reference_state():
@@ -194,6 +199,11 @@ def test_reconstruct_covariance_rejects_unphysical():
         reconstruct_covariance(-1.0, 0.5)
     with pytest.raises(ValueError):
         reconstruct_covariance(1.5, 0.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="v_single_corrected"):
+            reconstruct_covariance(bad, 0.5)
+        with pytest.raises(ValueError, match="squeezed_corrected"):
+            reconstruct_covariance(1.5, bad)
 
 
 @pytest.mark.parametrize("single_v", [None, 1.6])

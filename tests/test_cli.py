@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -731,12 +732,11 @@ def test_only_runs_with_records_import_the_record_format(tmp_path):
     ) == [True]
 
 
-def test_only_runs_that_draw_concurrently_import_the_executor(tmp_path):
-    """Importing the CLI and runs whose scans are shorter than a chunk leave
-    concurrent.futures unimported; scans of a chunk or more import it where
-    more than one CPU is usable."""
-    affinity = getattr(os, "sched_getaffinity", None)
-    cpus = len(affinity(0)) if affinity else os.cpu_count()
+def test_no_run_imports_an_executor_or_leaves_a_thread_behind(tmp_path, monkeypatch):
+    """Importing the CLI and runs whose scans are shorter than a chunk, a
+    chunk less one pulse or a chunk long leave concurrent.futures unimported:
+    the scan loop starts its own threads.  A chunk-long report drawn on two
+    CPUs joins every thread it started before it returns."""
     out = str(tmp_path)
     assert _imports(
         tmp_path,
@@ -744,7 +744,11 @@ def test_only_runs_that_draw_concurrently_import_the_executor(tmp_path):
         ["reproduce-paper", "--pulses", "20000", "--block-size", "500", "--out", out],
         ["reproduce-paper", "--pulses", "65535", "--out", out],
         ["reproduce-paper", "--pulses", "65536", "--out", out],
-    ) == [False, False, cpus > 1]
+    ) == [False, False, False]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    before = threading.active_count()
+    assert main(["reproduce-paper", "--pulses", "65536", "--out", out]) == EXIT_OK
+    assert threading.active_count() == before
 
 
 def test_reproduce_paper_just_below_a_chunk_passes_for_nearly_every_seed(capsys):

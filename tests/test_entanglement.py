@@ -138,6 +138,11 @@ def test_entropy_rejects_bad_input():
         entropy_of_formation(rotated)
     with pytest.raises(ValueError):
         entropy_of_formation(symmetric_two_mode_covariance(0.9, 0.0, 0.0))
+    with pytest.raises(ValueError, match="variance argument"):
+        formation_entropy(math.nan)
+    for bad in (math.nan, math.inf, 0.0):
+        with pytest.raises(ValueError, match="variance must be"):
+            variance_to_db(bad)
 
 
 def test_reid_implies_duan_simon_on_random_states():

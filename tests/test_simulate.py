@@ -363,6 +363,22 @@ def test_shot_noise_linearity():
         shot_noise_linearity_scan(det, [-1.0], 100, seed=0)
     with pytest.raises(ValueError):
         shot_noise_linearity_scan(det, [1e8], 1, seed=0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="lo_levels"):
+            shot_noise_linearity_scan(det, [1e8, bad], 10, seed=0)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_phases_must_be_finite(bad):
+    """A non-finite LO phase or relative phase is refused, not turned into
+    a nan row, a RuntimeWarning or a math domain error."""
+    cfg = _config()
+    with pytest.raises(ValueError, match="lo_phase"):
+        detected_variance(cfg, bad)
+    with pytest.raises(ValueError, match="lo_phase"):
+        detected_variance(cfg, [0.0, bad])
+    with pytest.raises(ValueError, match="thetas"):
+        theta_scan(cfg, [0.0, bad])
 
 
 def test_csv_round_trip(tmp_path):

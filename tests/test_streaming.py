@@ -551,27 +551,26 @@ def test_scans_drawn_on_threads_equal_scans_drawn_in_turn(monkeypatch, block, cp
 
 @pytest.mark.parametrize("block", [2, 7, 2500, 70_000])
 def test_stitch_takes_the_pieces_of_a_scan_in_any_order(block):
-    """A scan's chunk splits fed to the stitch in shuffled orders give the
-    blocks of the whole train bit for bit: blocks of the minimum size, blocks
-    that straddle chunks, blocks longer than a chunk, and a trailing partial
-    block, dropped whenever its pieces arrive."""
+    """A scan's chunk-long pieces of pulses fed to a variance stitch, and its
+    pieces of phases fed to a column stitch, in shuffled orders give the
+    blocks and fringe columns of the whole train bit for bit: blocks of the
+    minimum size, blocks that straddle chunks, blocks longer than a chunk, and
+    a trailing partial block, dropped whenever its pieces arrive."""
     chunk = 10_000
     config = replace(REFERENCE, schedule=_ramp(197_843))  # no multiple of any block here
-    expected = block_variance_trace(sample_pulses(config, chunk_size=chunk), block)[1]
-    values = sample_pulses(config, chunk_size=chunk).value
-    pieces = [
-        (start, simulate_module._split(
-            values[start : start + chunk], start, block, simulate_module._reduce_blocks))
-        for start in range(0, len(values), chunk)
-    ]
-    orders = [range(len(pieces)), range(len(pieces) - 1, -1, -1)]
-    orders += [np.random.default_rng(seed).permutation(len(pieces)) for seed in range(3)]
+    train = sample_pulses(config, chunk_size=chunk)
+    want_columns, want_blocks = block_variance_trace(train, block)
+    starts = range(0, len(train), chunk)
+    orders = [range(len(starts)), range(len(starts) - 1, -1, -1)]
+    orders += [np.random.default_rng(seed).permutation(len(starts)) for seed in range(3)]
     for order in orders:
-        stitch = simulate_module._Stitch(block, simulate_module._reduce_blocks)
-        for i in order:
-            start, piece = pieces[i]
-            stitch.add(start, *piece)
-        assert stitch.blocks().tobytes() == expected.tobytes()
+        columns = simulate_module._Stitch(block, simulate_module._fringe_columns)
+        variances = simulate_module._Stitch(block, simulate_module._reduce_blocks)
+        for start in (starts[i] for i in order):
+            columns.add(start, train.lo_phase[start : start + chunk])
+            variances.add(start, train.value[start : start + chunk].copy())  # reduced in place
+        assert columns.blocks().tobytes() == want_columns.tobytes()
+        assert variances.blocks().tobytes() == want_blocks.tobytes()
 
 
 def test_streamed_scan_allocates_no_chunk_temporaries():
@@ -664,6 +663,15 @@ def test_write_records_matches_savetxt(tmp_path):
         np.savetxt(expected, np.column_stack([t.index, t.lo_phase, t.value]),
                    fmt="%d,%.17g,%.17g", header="index,lo_phase_rad,value", comments="")
         assert path.read_bytes() == expected.read_bytes()
+
+
+def test_write_records_refuses_a_path_that_is_its_own_sidecar(tmp_path, monkeypatch):
+    """Records named *.json would be overwritten by their own sidecar, so the
+    path is refused, by name, before a chunk is drawn or a file is written."""
+    monkeypatch.setattr(simulate_module, "_marginal_draw", None)  # a drawn chunk would fail
+    with pytest.raises(ValueError, match="run.json"):
+        write_records(replace(REFERENCE, schedule=_ramp(10)), tmp_path / "run.json")
+    assert list(tmp_path.iterdir()) == []
 
 
 def _format_cases():
