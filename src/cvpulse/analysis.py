@@ -348,8 +348,9 @@ def end_to_end_report(
     Raises
     ------
     RuntimeError
-        If the two recombined scans disagree beyond 4 sigma, which flags a
-        miscalibrated relative phase.
+        If the two recombined scans' minima disagree beyond 4 sigma.  The
+        extremes do not depend on the relative phase, so this flags a
+        source or detector that drifted between the scans.
     FieldError
         If ``config.beamsplitter_r`` is not 0.5, before any scan is drawn.
     """
@@ -370,7 +371,7 @@ def end_to_end_report(
     if mismatch > 4.0 * mismatch_err:
         raise RuntimeError(
             f"recombined scans disagree: |{fit_zero.v_min:.4f} - {fit_pi.v_min:.4f}| "
-            f"exceeds 4 x {mismatch_err:.4f}; relative phase looks miscalibrated"
+            f"exceeds 4 x {mismatch_err:.4f}; the source or detector drifted between scans"
         )
     single_level = float(blocked_vars.mean())
     single_err = float(blocked_vars.std(ddof=1) / math.sqrt(len(blocked_vars)))

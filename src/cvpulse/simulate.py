@@ -23,13 +23,7 @@ from typing import ClassVar
 import numpy as np
 from numpy.typing import NDArray
 
-from .gaussian import (
-    Matrix,
-    SourceSpec,
-    beamsplitter,
-    mode_block,
-    source_covariance,
-)
+from .gaussian import Matrix, SourceSpec, beamsplitter, source_covariance
 from . import schema
 from .schema import FieldError, check_fields
 
@@ -52,10 +46,10 @@ DEFAULT_ELECTRONIC_NOISE_VAR = 10.0 ** -1.1
 #: Raw-unit variance per local-oscillator photon in the shot-noise scan.
 GAIN_PER_PHOTON = 1e-8
 
-# RNG stream tags keep the fast sampler, the tests' brute-force joint sampler
-# and the shot-noise scan statistically independent even under a shared seed.
+# RNG stream tags keep the fast sampler and the shot-noise scan statistically
+# independent even under a shared seed; tag 1 is reserved for the tests'
+# brute-force joint sampler.
 _STREAM_FAST = 0
-_STREAM_JOINT = 1
 _STREAM_SHOT_NOISE = 2
 
 _BLOCKED_ARMS = ("none", "a", "b", "signal")
@@ -223,6 +217,8 @@ class Sidecar:
                 "format_version",
                 f"expected one of {_READABLE_VERSIONS}, got {self.format_version}",
             )
+        if self.chunk_size < 1:  # no run draws from chunks of fewer pulses
+            raise FieldError("chunk_size", f"must be >= 1, got {self.chunk_size}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "Sidecar":
@@ -253,11 +249,11 @@ def _input_covariance(source: SourceSpec, blocked_arm: str) -> Matrix:
     gamma = source_covariance(source)
     if blocked_arm == "a":
         out = np.eye(4)
-        out[2:, 2:] = mode_block(gamma, 1)
+        out[2:, 2:] = gamma[2:, 2:]
         return out
     if blocked_arm == "b":
         out = np.eye(4)
-        out[:2, :2] = mode_block(gamma, 0)
+        out[:2, :2] = gamma[:2, :2]
         return out
     if blocked_arm == "signal":
         return np.eye(4)
@@ -266,10 +262,15 @@ def _input_covariance(source: SourceSpec, blocked_arm: str) -> Matrix:
 
 def _port_rows(reflectivity: float, thetas) -> NDArray[np.float64]:
     """Rows of the phase-shift-then-beamsplitter chain that feed the measured
-    port, one 2x4 block per relative phase theta."""
+    port, one 2x4 block per relative phase theta.
+
+    The phase shift rotates the second mode's (X_B, P_B) by theta, mapping
+    X -> X cos(theta) + P sin(theta), so the bright port's ellipse turns by
+    theta / 2.
+    """
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float)).tolist()
-    # phase_rotation(theta, mode=1) for every theta, in one stack; math.cos
-    # and math.sin give the bits phase_rotation does
+    # the tests' reference phase_rotation(theta, mode=1) for every theta, in
+    # one stack; math.cos and math.sin give the bits it does
     cos = np.array([math.cos(t) for t in thetas])
     sin = np.array([math.sin(t) for t in thetas])
     rotations = np.tile(np.eye(4), (len(thetas), 1, 1))
@@ -432,29 +433,14 @@ def _marginal_draw(config: RunConfig, chunk_size: int):
     return draw
 
 
-def _collect(config: RunConfig, chunk_size: int, stream: int, make_draw) -> PulseTrain:
-    # The whole train is allocated before the draw builds its tables: in
-    # the records benchmark, whose check samples a fresh train, building
-    # the tables first left about 1.5 MB more peak RSS (sampling contract 2).
-    chunks = _chunks(config, chunk_size, stream)
-    n = len(config.schedule)
-    train = PulseTrain(lo_phase=np.empty(n), value=np.empty(n))
-    draw = make_draw(config, chunk_size)
-    scratch = np.empty(min(chunk_size, n))
-    for start, stop, rng in chunks:
-        train.lo_phase[start:stop] = config.schedule.values(start, stop)
-        draw(start, rng, train.value[start:stop], scratch)
-    return train
-
-
 def sample_pulses(config: RunConfig, chunk_size: int = DEFAULT_CHUNK_SIZE) -> PulseTrain:
     """Draw one homodyne outcome per scheduled pulse.
 
     Each outcome is a zero-mean Gaussian draw with the analytic detected
     variance at that pulse's LO phase.  The stream is partitioned into chunks
-    of ``chunk_size`` pulses, each seeded from (seed, chunk index), so the
-    result is bit-identical however the chunks are executed; reproducing a
-    run therefore requires the seed and the chunk size.
+    of ``chunk_size`` pulses, each seeded from (seed, stream, chunk index),
+    so the result is bit-identical however the chunks are executed;
+    reproducing a run therefore requires the seed and the chunk size.
 
     Parameters
     ----------
@@ -467,7 +453,17 @@ def sample_pulses(config: RunConfig, chunk_size: int = DEFAULT_CHUNK_SIZE) -> Pu
     -------
     PulseTrain
     """
-    return _collect(config, chunk_size, _STREAM_FAST, _marginal_draw)
+    chunks = _chunks(config, chunk_size, _STREAM_FAST)
+    # The whole train is allocated before the draw builds its tables: in
+    # the records benchmark, whose check samples a fresh train, building
+    # the tables first left about 1.5 MB more peak RSS (sampling contract 2).
+    n = len(config.schedule)
+    train = PulseTrain(lo_phase=config.schedule.values(), value=np.empty(n))
+    draw = _marginal_draw(config, chunk_size)
+    scratch = np.empty(min(chunk_size, n))
+    for start, stop, rng in chunks:
+        draw(start, rng, train.value[start:stop], scratch)
+    return train
 
 
 def _block_count(n_pulses: int, block_size: int) -> int:
@@ -720,6 +716,8 @@ def shot_noise_linearity_scan(
         raise ValueError("lo_levels must be finite and >= 0")
     if pulses_per_level < 2:
         raise ValueError(f"need at least 2 pulses per level, got {pulses_per_level}")
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**64:
+        raise FieldError("seed", f"must be a 64-bit unsigned integer, got {seed!r}")
     dark_var = detector.electronic_noise_var * GAIN_PER_PHOTON * detector.lo_photons_per_pulse
     variances = np.empty_like(levels)
     for i, level in enumerate(levels):

@@ -8,15 +8,18 @@ import math
 
 import numpy as np
 
-from cvpulse.gaussian import beamsplitter, phase_rotation
+from cvpulse.gaussian import beamsplitter
 from cvpulse.simulate import (
-    _STREAM_JOINT,
     DEFAULT_CHUNK_SIZE,
     PulseTrain,
     RunConfig,
-    _collect,
+    _chunks,
     _input_covariance,
 )
+from gaussian_reference import phase_rotation
+
+# RNG stream tag of this sampler, kept apart from those of ``cvpulse.simulate``
+_STREAM_JOINT = 1
 
 
 def sample_pulses_joint(
@@ -30,31 +33,25 @@ def sample_pulses_joint(
     bright port onto the LO phase, and applies loss as a literal vacuum
     admixture plus electronic noise.
     """
-    return _collect(config, chunk_size, _STREAM_JOINT, _joint_draw)
-
-
-def _joint_draw(config: RunConfig, chunk_size: int):
-    """The per-chunk draw of :func:`sample_pulses_joint`, called as the fast one is;
-    it needs no scratch."""
+    chunks = _chunks(config, chunk_size, _STREAM_JOINT)
     chol = np.linalg.cholesky(_input_covariance(config.source, config.blocked_arm))
     # rows producing the measured port's (X, P) from the 4 source normals
     chain = beamsplitter(config.beamsplitter_r) @ phase_rotation(config.theta, mode=1)
     port_rows = chain[:2] @ chol
     eta = config.detector.efficiency
     noise_std = math.sqrt(config.detector.electronic_noise_var)
-
-    def draw(start, rng, out, scratch):
-        m = len(out)
-        phases = config.schedule.values(start, start + m)
+    train = PulseTrain(lo_phase=config.schedule.values(), value=np.empty(len(config.schedule)))
+    for start, stop, rng in chunks:
+        m = stop - start
+        phases = train.lo_phase[start:stop]
         z = rng.standard_normal((4, m))
         x_port, p_port = port_rows @ z
         projected = np.cos(phases) * x_port + np.sin(phases) * p_port
         vacuum = rng.standard_normal(m)
         electronic = rng.standard_normal(m)
-        return np.add(
+        np.add(
             math.sqrt(eta) * projected + math.sqrt(1.0 - eta) * vacuum,
             noise_std * electronic,
-            out=out,
+            out=train.value[start:stop],
         )
-
-    return draw
+    return train

@@ -8,14 +8,8 @@ import math
 
 import numpy as np
 
-from cvpulse.gaussian import (
-    Matrix,
-    SourceSpec,
-    apply_transform,
-    loss_channel,
-    phase_rotation,
-    source_covariance,
-)
+from cvpulse.gaussian import Matrix, SourceSpec, source_covariance
+from gaussian_reference import apply_transform, loss_channel, phase_rotation
 
 
 def random_symmetric_state(

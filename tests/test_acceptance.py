@@ -24,14 +24,11 @@ from cvpulse.entanglement import (
 )
 from cvpulse.gaussian import (
     SourceSpec,
-    apply_transform,
     beamsplitter,
-    phase_rotation,
     physicality_check,
     source_covariance,
     symmetric_two_mode_covariance,
     symplectic_form,
-    two_mode_squeezer,
 )
 from cvpulse.simulate import (
     DetectorModel,
@@ -41,6 +38,7 @@ from cvpulse.simulate import (
     sample_pulses,
     theta_scan,
 )
+from gaussian_reference import apply_transform, phase_rotation, two_mode_squeezer
 from joint_sampler import sample_pulses_joint
 from symmetric_states import random_symmetric_state
 

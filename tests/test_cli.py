@@ -366,6 +366,15 @@ def _format_version_4(out):
     (out / "pulses.json").write_text(json.dumps(meta))
 
 
+def _sidecar_chunk_size(size):
+    def spoil(out):
+        meta = json.loads((out / "pulses.json").read_text())
+        meta["chunk_size"] = size
+        (out / "pulses.json").write_text(json.dumps(meta))
+
+    return spoil
+
+
 def _nan_on_line_1001(out):
     path = out / "pulses.csv"
     lines = path.read_text().splitlines(keepends=True)
@@ -513,6 +522,10 @@ BAD_INPUTS = [
                  "line 2001: expected index 1999, got 7", id="index out of sequence"),
     pytest.param(_simulated(_format_version_4), EXIT_INVALID_INPUT, "format_version",
                  id="unknown format version"),
+    *(pytest.param(_simulated(_sidecar_chunk_size(size)), EXIT_INVALID_INPUT,
+                   f"invalid chunk_size: must be >= 1, got {size}",
+                   id=f"sidecar chunk size {size}")
+      for size in (0, -7)),
     pytest.param(_simulated(_underscore_on_line_2), EXIT_INVALID_INPUT,
                  "pulses.csv line 2: non-numeric field", id="underscore in a number"),
     pytest.param(_simulated(_byte_ff_on_line_3), EXIT_INVALID_INPUT,

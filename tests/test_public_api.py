@@ -18,6 +18,7 @@ import cvpulse.cli  # noqa: F401  (perfbench reaches cvpulse.cli.main)
 
 ROOT = Path(__file__).resolve().parents[1]
 CALLERS = sorted((ROOT / "perfbench").glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
+SOURCES = sorted((ROOT / "src" / "cvpulse").glob("*.py"))
 
 EXPORTS = [
     "SourceSpec",
@@ -92,6 +93,36 @@ def test_every_name_a_caller_reaches_resolves(path):
 def test_the_scan_finds_names_the_benchmark_uses():
     reached = set(_names_reached_on_the_package(ROOT / "perfbench" / "run.py"))
     assert {"cli", "read_metadata", "read_records", "sample_pulses", "end_to_end_report"} <= reached
+
+
+def _tree(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def test_every_public_definition_is_exported_or_used_outside_the_tests():
+    """A public top-level function or class of the package is in ``__all__``, or
+    is named by some module of the package, a demo or the benchmark; code that
+    only the tests use lives in ``tests/``."""
+    used = set()
+    for path in SOURCES + CALLERS:
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    defined = {
+        node.name: path.name
+        for path in SOURCES
+        for node in _tree(path).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    }
+    assert {"beamsplitter", "physicality_check", "main"} <= defined.keys()
+    unused = sorted(
+        f"{module}: {name}"
+        for name, module in defined.items()
+        if name not in cvpulse.__all__ and name not in used
+    )
+    assert unused == []
 
 
 def _calls_on_the_package(path):

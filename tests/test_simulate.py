@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cvpulse.gaussian import MAX_VARIANCE, SourceSpec, beamsplitter, phase_rotation
+from cvpulse.gaussian import MAX_VARIANCE, SourceSpec, beamsplitter
 from cvpulse.scenario import reference_scenario
 from cvpulse.simulate import (
     GAIN_PER_PHOTON,
@@ -24,6 +24,7 @@ from cvpulse.simulate import (
     theta_scan,
     write_records,
 )
+from gaussian_reference import phase_rotation
 from joint_sampler import sample_pulses_joint
 
 # detector with the published overall efficiency as a single exact factor
@@ -366,6 +367,10 @@ def test_shot_noise_linearity():
     for bad in (math.inf, math.nan):
         with pytest.raises(ValueError, match="lo_levels"):
             shot_noise_linearity_scan(det, [1e8, bad], 10, seed=0)
+    # the seed RunConfig would refuse is refused here too, by name
+    for bad in (math.nan, 1.5, -1, 2**64, True):
+        with pytest.raises(ValueError, match="seed"):
+            shot_noise_linearity_scan(det, [1e8], 10, seed=bad)
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
