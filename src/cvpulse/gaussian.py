@@ -3,10 +3,9 @@
 Quadratures are ordered (X_A, P_A, X_B, P_B) and expressed in shot-noise units:
 the vacuum has unit variance in every quadrature and the uncertainty bound reads
 var(X) * var(P) >= 1.  States are plain symmetric numpy arrays.  The module
-holds the source model (:class:`SourceSpec` and its covariance), the balanced
-or unbalanced beamsplitter that recombines the two arms, the symplectic form
-and the physicality test gamma + i Omega >= 0; :mod:`cvpulse.simulate` builds
-the rest of the detection chain from these.
+holds the source model (:class:`SourceSpec` and its covariance), the
+symplectic form and the physicality test gamma + i Omega >= 0;
+:mod:`cvpulse.simulate` gives the detected port of the source in closed form.
 """
 
 from __future__ import annotations
@@ -46,26 +45,6 @@ def symplectic_form(n_modes: int = 2) -> Matrix:
     omega = np.kron(np.eye(n_modes), block)
     omega.flags.writeable = False
     return omega
-
-
-def beamsplitter(reflectivity: float = 0.5) -> Matrix:
-    """Symplectic matrix of a lossless two-mode beamsplitter.
-
-    The first output port carries sqrt(R) of the first input plus
-    sqrt(1 - R) of the second; for R = 1/2 it is (A + B) / sqrt(2).
-    """
-    if not 0.0 < reflectivity < 1.0:
-        raise ValueError(f"reflectivity must lie in (0, 1), got {reflectivity}")
-    t = math.sqrt(reflectivity)
-    u = math.sqrt(1.0 - reflectivity)
-    return np.array(
-        [
-            [t, 0.0, u, 0.0],
-            [0.0, t, 0.0, u],
-            [u, 0.0, -t, 0.0],
-            [0.0, u, 0.0, -t],
-        ]
-    )
 
 
 def symmetric_two_mode_covariance(v: float, k_x: float, k_p: float) -> Matrix:

@@ -23,7 +23,7 @@ from typing import ClassVar
 import numpy as np
 from numpy.typing import NDArray
 
-from .gaussian import Matrix, SourceSpec, beamsplitter, source_covariance
+from .gaussian import Matrix, SourceSpec
 from . import schema
 from .schema import FieldError, check_fields
 
@@ -33,9 +33,11 @@ DEFAULT_CHUNK_SIZE = 65536
 #: Sampling contract of the records this version writes: 1 drew each pulse's
 #: standard deviation from its own cos and sin, 2 from per-stream fringe
 #: coefficients and per-chunk phasors (equal to rounding, not bit for bit),
-#: both with PCG64 normals; 3 draws contract 2's deviations with SFC64 normals.
-FORMAT_VERSION = 3
-_READABLE_VERSIONS = (1, 2, 3)
+#: both with PCG64 normals; 3 draws contract 2's deviations with SFC64 normals;
+#: 4 makes contract 3's draws, with coefficients from closed-form scalar
+#: arithmetic and no BLAS product (equal to rounding, not bit for bit).
+FORMAT_VERSION = 4
+_READABLE_VERSIONS = (1, 2, 3, 4)
 
 #: Pulses per variance block when a caller or a scenario names none.
 DEFAULT_BLOCK_SIZE = 2500
@@ -56,11 +58,6 @@ _BLOCKED_ARMS = ("none", "a", "b", "signal")
 
 # Entries per schedule memo: a report's three scans share one ramp, as do a sweep's reports
 _MEMO_SIZE = 8
-
-# Entries in the physics memo: a report and its theta scan ask for 4 keys, so a
-# sweep round of 9 (source, efficiency) pairs asks for 36; an LRU smaller than
-# a round would miss on every call
-_PHYSICS_MEMO_SIZE = 64
 
 #: Most threads that draw a run's scans; each holds two chunk-long rows.
 _DRAW_THREADS = 4
@@ -244,80 +241,44 @@ class PulseTrain:
         return np.arange(len(self), dtype=np.int64)
 
 
-def _input_covariance(source: SourceSpec, blocked_arm: str) -> Matrix:
-    """Two-mode covariance entering the beamsplitter, after any blocking."""
-    gamma = source_covariance(source)
-    if blocked_arm == "a":
-        out = np.eye(4)
-        out[2:, 2:] = gamma[2:, 2:]
-        return out
-    if blocked_arm == "b":
-        out = np.eye(4)
-        out[:2, :2] = gamma[:2, :2]
-        return out
-    if blocked_arm == "signal":
-        return np.eye(4)
-    return gamma
+def _port_state(config: RunConfig) -> tuple[float, float, float]:
+    """(v, k, v - |k|) of the symmetric state the beamsplitter recombines, v - |k| being
+    e^(-2r) for ``pure_nopa``.  A blocked arm is vacuum and each arm alone is thermal,
+    v I, so the port is then isotropic (k = 0) with variance R + (1 - R) v (arm a
+    blocked), R v + 1 - R (arm b) or 1 (signal)."""
+    source, r = config.source, config.beamsplitter_r
+    if source.kind == "pure_nopa":
+        two_r = 2.0 * source.r
+        v, k, squeezed = math.cosh(two_r), math.sinh(two_r), math.exp(-two_r)
+    else:
+        v, k, squeezed = source.v, source.k, source.v - abs(source.k)
+    port = {"a": r + (1.0 - r) * v, "b": r * v + (1.0 - r), "signal": 1.0}.get(config.blocked_arm)
+    return (v, k, squeezed) if port is None else (port, 0.0, port)
 
 
-def _port_rows(reflectivity: float, thetas) -> NDArray[np.float64]:
-    """Rows of the phase-shift-then-beamsplitter chain that feed the measured
-    port, one 2x4 block per relative phase theta.
+def _fringe(config: RunConfig, theta: float) -> tuple[float, float, float]:
+    """(a, b, c) of the detected variance a + b cos 2phi + c sin 2phi at relative phase
+    ``theta``, electronic noise excluded: closed form, no matrix product.
 
-    The phase shift rotates the second mode's (X_B, P_B) by theta, mapping
-    X -> X cos(theta) + P sin(theta), so the bright port's ellipse turns by
-    theta / 2.
+    Shifted by theta on its second arm and recombined with reflectivity R, the
+    state's port is v I + 2 sqrt(R (1 - R)) k [[cos, -sin], [-sin, -cos]](theta),
+    and efficiency eta mixes in (1 - eta) I.  So a = eta v + 1 - eta, b = s cos theta
+    and c = -s sin theta, with s = 2 eta sqrt(R (1 - R)) k; neither holds a -0.0.
     """
-    thetas = np.atleast_1d(np.asarray(thetas, dtype=float)).tolist()
-    # the tests' reference phase_rotation(theta, mode=1) for every theta, in
-    # one stack; math.cos and math.sin give the bits it does
-    cos = np.array([math.cos(t) for t in thetas])
-    sin = np.array([math.sin(t) for t in thetas])
-    rotations = np.tile(np.eye(4), (len(thetas), 1, 1))
-    rotations[:, 2, 2] = rotations[:, 3, 3] = cos
-    rotations[:, 2, 3], rotations[:, 3, 2] = sin, -sin
-    return beamsplitter(reflectivity)[:2] @ rotations
-
-
-@functools.lru_cache(maxsize=_PHYSICS_MEMO_SIZE)
-def _covariance_stack(
-    source: SourceSpec, efficiency: float, reflectivity: float, blocked_arm: str, thetas: bytes
-) -> NDArray[np.float64]:
-    """Read-only detected covariances of the float64 thetas whose bytes are ``thetas``.
-
-    Keyed on values, so sources that differ only in the sign of a zero share
-    an entry; that changes no bit, since the final ``(1 - eta) I`` adds +0.0
-    to every entry and so leaves no -0.0 in any result.
-    """
-    rows = _port_rows(reflectivity, np.frombuffer(thetas))
-    g = rows @ _input_covariance(source, blocked_arm) @ rows.transpose(0, 2, 1)
-    out = efficiency * (0.5 * (g + g.transpose(0, 2, 1))) + (1.0 - efficiency) * np.eye(2)
-    out.flags.writeable = False
-    return out
-
-
-def _detected_covariances(config: RunConfig, thetas) -> NDArray[np.float64]:
-    """Read-only detected 2x2 covariances, one per theta, without electronic noise.
-
-    Memoized on what they depend on, the thetas by their bits: runs that
-    differ only in seed, schedule or electronic noise share one entry.
-    """
-    return _covariance_stack(
-        config.source,
-        config.detector.efficiency,
-        config.beamsplitter_r,
-        config.blocked_arm,
-        np.asarray(thetas, dtype=float).tobytes(),
-    )
+    v, k, _ = _port_state(config)
+    eta, r = config.detector.efficiency, config.beamsplitter_r
+    s = 2.0 * eta * math.sqrt(r * (1.0 - r)) * k
+    return eta * v + (1.0 - eta), s * math.cos(theta) + 0.0, 0.0 - s * math.sin(theta)
 
 
 def detected_covariance(config: RunConfig) -> Matrix:
     """2x2 covariance of the measured output port after recombination and loss.
 
     Electronic noise is not included; it enters additively in
-    :func:`detected_variance`.  The array is the caller's own.
+    :func:`detected_variance`.
     """
-    return _detected_covariances(config, config.theta)[0].copy()
+    a, b, c = _fringe(config, config.theta)
+    return np.array([[a + b, c], [c, a - b]])
 
 
 def detected_variance(config: RunConfig, lo_phase):
@@ -325,13 +286,12 @@ def detected_variance(config: RunConfig, lo_phase):
 
     Accepts a scalar or an array of phases; electronic noise is included.
     """
-    g = _detected_covariances(config, config.theta)[0]
+    a, b, c = _fringe(config, config.theta)
     phi = np.asarray(lo_phase, dtype=float)
     if not np.isfinite(phi).all():
         raise ValueError("lo_phase must be finite")
-    c, s = np.cos(phi), np.sin(phi)
-    var = c * c * g[0, 0] + 2.0 * c * s * g[0, 1] + s * s * g[1, 1]
-    var = var + config.detector.electronic_noise_var
+    two_phi = 2.0 * phi
+    var = a + b * np.cos(two_phi) + c * np.sin(two_phi) + config.detector.electronic_noise_var
     if var.ndim == 0:
         return float(var)
     return var
@@ -376,7 +336,7 @@ def _marginal_draw(config: RunConfig, chunk_size: int):
     """The per-chunk draw of the fast sampler, format version 2.
 
     The detected variance is A + B cos 2phi + C sin 2phi, with A, B and C
-    taken once from the detected covariance and the electronic noise in A.
+    taken once from :func:`_fringe` and the electronic noise in A.
     On a ramp of step d, pulse j of a chunk starting at phase phi_s has
     2phi = 2phi_s + 2jd, so one table of cos 2jd and sin 2jd and two scalars
     per chunk give every variance without per-pulse trig.
@@ -387,15 +347,8 @@ def _marginal_draw(config: RunConfig, chunk_size: int):
     allocates nothing of chunk size; the draw itself holds no state, and
     threads that each pass their own ``out`` and ``scratch`` may share it.
     """
-    g = _detected_covariances(config, config.theta)[0]
-    a = 0.5 * (g[0, 0] + g[1, 1]) + config.detector.electronic_noise_var
-    b, c = 0.5 * (g[0, 0] - g[1, 1]), g[0, 1]
-    if config.blocked_arm != "none":
-        # Both source kinds are symmetric: each mode alone is thermal, v * I.
-        # With one arm blocked, both beamsplitter inputs are multiples of I,
-        # so the detected covariance is too: there is no fringe, and B and C
-        # are rounding noise.
-        b = c = 0.0
+    a, b, c = _fringe(config, config.theta)
+    a += config.detector.electronic_noise_var
     schedule = config.schedule
     if schedule.kind == "constant" or b == c == 0.0:
         # one variance for every pulse; without a fringe any phase will do
@@ -579,8 +532,9 @@ class _Stitch:
 
     def blocks(self) -> NDArray[np.float64]:
         """The reduced blocks in block order."""
-        none = self._reduce(np.empty((0, self._size)))  # the rows' shape when there are none
-        return np.concatenate([none, *(self._done[i] for i in sorted(self._done))])
+        if not self._done:  # the rows' shape when there are none
+            return self._reduce(np.empty((0, self._size)))
+        return np.concatenate([self._done[i] for i in sorted(self._done)])
 
 
 def _stream_scans(
@@ -674,26 +628,31 @@ def theta_scan(
 ) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64], NDArray[np.float64]]:
     """Noise-ellipse extremes of the detected port as the relative phase is swept.
 
-    The detected 2x2 covariance of every theta is built in one stack and
-    diagonalized analytically; returns (thetas, min variance, max variance,
-    LO phase of the minimum, modulo pi).  Electronic noise is included in the
-    extremes.  Where the ellipse is a circle (v_max - v_min <= 1e-12 v_max,
-    as with an arm blocked or a vacuum source) the minimum has no phase and
-    phi_min is NaN.
+    Returns (thetas, min variance, max variance, LO phase of the minimum,
+    modulo pi).  The variance a + s cos(2 phi + theta) of :func:`_fringe`
+    has extremes a -/+ |s| at every theta, so only the minimum's phase,
+    (pi - theta) / 2 (plus pi / 2 when s < 0), moves, and no trig is done
+    per theta.  The minimum is summed as
+    eta ((v - |k|) + (1 - 2 sqrt(R (1 - R))) |k|) + 1 - eta, so no term is a
+    difference of numbers of size v + |k|.  Electronic noise is included in
+    the extremes.  Where the ellipse is a circle (v_max - v_min <= 1e-12
+    v_max, as with an arm blocked or a vacuum source) the minimum has no
+    phase and phi_min is NaN.
     """
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
     if not np.isfinite(thetas).all():
         raise ValueError("thetas must be finite")
-    g = _detected_covariances(config, thetas)
-    g00, g11, g01 = g[:, 0, 0], g[:, 1, 1], g[:, 0, 1]
-    mean = 0.5 * (g00 + g11)
-    half = np.hypot(0.5 * (g00 - g11), g01)
-    noise = config.detector.electronic_noise_var
-    v_min, v_max = mean - half + noise, mean + half + noise
-    # orientation of the major axis; minor axis is pi/2 away
-    phi_min = (0.5 * np.arctan2(2.0 * g01, g00 - g11) + math.pi / 2.0) % math.pi
-    phi_min[v_max - v_min <= 1e-12 * v_max] = np.nan
-    return thetas, v_min, v_max, phi_min
+    _, k, squeezed = _port_state(config)
+    a, s, _ = _fringe(config, 0.0)
+    eta, noise = config.detector.efficiency, config.detector.electronic_noise_var
+    r = config.beamsplitter_r
+    v_min = eta * (squeezed + (1.0 - 2.0 * math.sqrt(r * (1.0 - r))) * abs(k)) + (1.0 - eta)
+    v_min, v_max = v_min + noise, a + abs(s) + noise
+    if v_max - v_min <= 1e-12 * v_max:
+        phi_min = np.full(len(thetas), np.nan)
+    else:
+        phi_min = np.mod(0.5 * (math.pi - thetas) + (0.5 * math.pi if s < 0.0 else 0.0), math.pi)
+    return thetas, np.full(len(thetas), v_min), np.full(len(thetas), v_max), phi_min
 
 
 def shot_noise_linearity_scan(
@@ -714,9 +673,14 @@ def shot_noise_linearity_scan(
         raise ValueError("need at least one local-oscillator level")
     if not np.all((levels >= 0.0) & (levels < np.inf)):
         raise ValueError("lo_levels must be finite and >= 0")
-    if pulses_per_level < 2:
-        raise ValueError(f"need at least 2 pulses per level, got {pulses_per_level}")
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2**64:
+    def whole(value):  # an integer, numpy's too, and not a bool
+        return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+    if not whole(pulses_per_level) or pulses_per_level < 2:
+        raise FieldError(
+            "pulses_per_level", f"need an integer of at least 2, got {pulses_per_level!r}"
+        )
+    if not whole(seed) or not 0 <= seed < 2**64:
         raise FieldError("seed", f"must be a 64-bit unsigned integer, got {seed!r}")
     dark_var = detector.electronic_noise_var * GAIN_PER_PHOTON * detector.lo_photons_per_pulse
     variances = np.empty_like(levels)

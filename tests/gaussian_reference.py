@@ -1,9 +1,9 @@
 """General symplectic toolbox, the tests' independent derivation of the source chain.
 
-``cvpulse`` collapses the chain (two-mode squeezed source, phase shift on the
-second arm, 50/50 beamsplitter, loss) into ``simulate._port_rows`` and
-``simulate._covariance_stack``.  The tests rebuild the same covariances here,
-one optical element at a time, in the conventions of :mod:`cvpulse.gaussian`:
+``cvpulse`` gives the detected port of the chain (two-mode squeezed source,
+phase shift on the second arm, beamsplitter, loss) in closed form, in
+``simulate._fringe``.  The tests rebuild the same covariances here, one
+optical element at a time, in the conventions of :mod:`cvpulse.gaussian`:
 quadratures ordered (X_A, P_A, X_B, P_B) in shot-noise units, elements acting
 by congruence gamma -> S gamma S^T, and a rotation by theta mapping
 X -> X cos(theta) + P sin(theta).
@@ -16,7 +16,43 @@ import math
 
 import numpy as np
 
-from cvpulse.gaussian import Matrix
+from cvpulse.gaussian import Matrix, SourceSpec, source_covariance
+
+
+def beamsplitter(reflectivity: float = 0.5) -> Matrix:
+    """Symplectic matrix of a lossless two-mode beamsplitter.
+
+    The first output port carries sqrt(R) of the first input plus
+    sqrt(1 - R) of the second; for R = 1/2 it is (A + B) / sqrt(2).
+    """
+    if not 0.0 < reflectivity < 1.0:
+        raise ValueError(f"reflectivity must lie in (0, 1), got {reflectivity}")
+    t = math.sqrt(reflectivity)
+    u = math.sqrt(1.0 - reflectivity)
+    return np.array(
+        [
+            [t, 0.0, u, 0.0],
+            [0.0, t, 0.0, u],
+            [u, 0.0, -t, 0.0],
+            [0.0, u, 0.0, -t],
+        ]
+    )
+
+
+def _input_covariance(source: SourceSpec, blocked_arm: str) -> Matrix:
+    """Two-mode covariance entering the beamsplitter, after any blocking."""
+    gamma = source_covariance(source)
+    if blocked_arm == "a":
+        out = np.eye(4)
+        out[2:, 2:] = gamma[2:, 2:]
+        return out
+    if blocked_arm == "b":
+        out = np.eye(4)
+        out[:2, :2] = gamma[:2, :2]
+        return out
+    if blocked_arm == "signal":
+        return np.eye(4)
+    return gamma
 
 
 def two_mode_squeezer(r: float) -> Matrix:

@@ -8,15 +8,8 @@ import math
 
 import numpy as np
 
-from cvpulse.gaussian import beamsplitter
-from cvpulse.simulate import (
-    DEFAULT_CHUNK_SIZE,
-    PulseTrain,
-    RunConfig,
-    _chunks,
-    _input_covariance,
-)
-from gaussian_reference import phase_rotation
+from cvpulse.simulate import DEFAULT_CHUNK_SIZE, PulseTrain, RunConfig, _chunks
+from gaussian_reference import _input_covariance, beamsplitter, phase_rotation
 
 # RNG stream tag of this sampler, kept apart from those of ``cvpulse.simulate``
 _STREAM_JOINT = 1

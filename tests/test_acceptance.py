@@ -24,7 +24,6 @@ from cvpulse.entanglement import (
 )
 from cvpulse.gaussian import (
     SourceSpec,
-    beamsplitter,
     physicality_check,
     source_covariance,
     symmetric_two_mode_covariance,
@@ -38,7 +37,7 @@ from cvpulse.simulate import (
     sample_pulses,
     theta_scan,
 )
-from gaussian_reference import apply_transform, phase_rotation, two_mode_squeezer
+from gaussian_reference import apply_transform, beamsplitter, phase_rotation, two_mode_squeezer
 from joint_sampler import sample_pulses_joint
 from symmetric_states import random_symmetric_state
 

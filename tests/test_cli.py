@@ -17,7 +17,7 @@ from cvpulse.cli import (
     EXIT_OK,
     main,
 )
-from cvpulse.simulate import block_variance_trace, read_records
+from cvpulse.simulate import FORMAT_VERSION, block_variance_trace, read_records
 
 REFERENCE_EFFICIENCY = 0.93 * 0.88**2 * 0.945
 
@@ -360,9 +360,9 @@ def _typo_in_sidecar(out):
     (out / "pulses.json").write_text(json.dumps(meta))
 
 
-def _format_version_4(out):
+def _format_version_after_current(out):
     meta = json.loads((out / "pulses.json").read_text())
-    meta["format_version"] = 4
+    meta["format_version"] = FORMAT_VERSION + 1
     (out / "pulses.json").write_text(json.dumps(meta))
 
 
@@ -520,8 +520,8 @@ BAD_INPUTS = [
                  id="non-finite record"),
     pytest.param(_simulated(_index_7_on_line_2001), EXIT_INVALID_INPUT,
                  "line 2001: expected index 1999, got 7", id="index out of sequence"),
-    pytest.param(_simulated(_format_version_4), EXIT_INVALID_INPUT, "format_version",
-                 id="unknown format version"),
+    pytest.param(_simulated(_format_version_after_current), EXIT_INVALID_INPUT,
+                 "format_version", id="unknown format version"),
     *(pytest.param(_simulated(_sidecar_chunk_size(size)), EXIT_INVALID_INPUT,
                    f"invalid chunk_size: must be >= 1, got {size}",
                    id=f"sidecar chunk size {size}")

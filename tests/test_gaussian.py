@@ -8,7 +8,6 @@ import pytest
 from cvpulse.gaussian import (
     PhysicalityResult,
     SourceSpec,
-    beamsplitter,
     physicality_check,
     source_covariance,
     symmetric_two_mode_covariance,
@@ -16,6 +15,7 @@ from cvpulse.gaussian import (
 )
 from gaussian_reference import (
     apply_transform,
+    beamsplitter,
     loss_channel,
     mode_block,
     phase_rotation,

@@ -8,6 +8,7 @@ variance has expectation the mean of the level over the block's pulses.
 """
 
 import importlib.util
+import itertools
 import math
 from pathlib import Path
 
@@ -23,6 +24,7 @@ from cvpulse.simulate import (
     RunConfig,
     _block_columns,
     block_variance_trace,
+    theta_scan,
 )
 
 CHECKS = Path(__file__).resolve().parents[1] / "perfbench" / "checks.py"
@@ -130,3 +132,26 @@ def test_fit_of_exact_block_variances_is_closed_form(source, eta, theta, pulses,
     config = RunConfig(source=source, detector=_ideal_detector(eta), schedule=schedule,
                        theta=theta)
     _assert_closed_form(report_from_levels(config, fit.v_min, fit.stderr, fit.v_max), v, k)
+
+
+def test_theta_scan_extremes_are_the_benchmarks_closed_form():
+    """Over the benchmark's sweep grid (three sources, three transmissions, with
+    and without electronic noise, 64 thetas) the scanned extremes are checks'
+    squeezed and antisqueezed levels to 1e-12 relative, and the minimum sits
+    at its minimum phase."""
+    thetas = np.linspace(0.0, 2.0 * math.pi, 64, endpoint=False)
+    grid = itertools.product(((1.5, 0.94), (1.5, 0.6), (2.0, 1.3)), (0.93, 0.85, 0.75),
+                             (0.0, 10.0**-1.1))
+    for (v, k), transmission, noise in grid:
+        config = RunConfig(
+            source=SourceSpec.symmetric_mixed(v, k),
+            detector=DetectorModel(eta_transmission=transmission, eta_homodyne=0.88,
+                                   eta_detector=0.945, electronic_noise_var=noise),
+            schedule=PhaseSchedule.linear_ramp(0.0, 4.0 * math.pi, 20_000),
+        )
+        eta = checks.efficiency(transmission, 0.88, 0.945)
+        _, v_min, v_max, phi_min = theta_scan(config, thetas)
+        np.testing.assert_allclose(v_min, checks.squeezed(v, k, eta, noise), rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(v_max, checks.antisqueezed(v, k, eta, noise), rtol=1e-12,
+                                   atol=0.0)
+        assert np.max(checks.phase_distance(phi_min, checks.min_phase(thetas))) < 1e-12

@@ -116,7 +116,7 @@ def test_every_public_definition_is_exported_or_used_outside_the_tests():
         for node in _tree(path).body
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
     }
-    assert {"beamsplitter", "physicality_check", "main"} <= defined.keys()
+    assert {"symplectic_form", "physicality_check", "main"} <= defined.keys()
     unused = sorted(
         f"{module}: {name}"
         for name, module in defined.items()

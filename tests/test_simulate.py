@@ -1,5 +1,6 @@
 """Pulse-level Monte Carlo: detected variances, sampling, blocking, I/O."""
 
+import itertools
 import json
 import math
 from dataclasses import replace
@@ -7,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cvpulse.gaussian import MAX_VARIANCE, SourceSpec, beamsplitter
+from cvpulse.gaussian import MAX_VARIANCE, SourceSpec
 from cvpulse.scenario import reference_scenario
 from cvpulse.simulate import (
     GAIN_PER_PHOTON,
@@ -24,7 +25,14 @@ from cvpulse.simulate import (
     theta_scan,
     write_records,
 )
-from gaussian_reference import phase_rotation
+from gaussian_reference import (
+    _input_covariance,
+    apply_transform,
+    beamsplitter,
+    loss_channel,
+    mode_block,
+    phase_rotation,
+)
 from joint_sampler import sample_pulses_joint
 
 # detector with the published overall efficiency as a single exact factor
@@ -34,6 +42,8 @@ FLAT_DETECTOR = DetectorModel(
     eta_detector=1.0,
     electronic_noise_var=0.0,
 )
+
+IDEAL_DETECTOR = DetectorModel(1.0, 1.0, 1.0, 0.0)
 
 REFERENCE_SOURCE = SourceSpec.symmetric_mixed(1.50, 0.94)
 
@@ -171,16 +181,40 @@ def test_theta_scan_matches_per_theta_covariance(source, blocked_arm, r):
             assert abs(delta) < 1e-9
 
 
-@pytest.mark.parametrize("r", [0.5, 0.3])
-def test_port_rows_equal_the_matrix_chain(r):
-    """The stacked rows are beamsplitter @ phase_rotation(theta, mode=1), bit for bit."""
-    from cvpulse.simulate import _port_rows
-
+@pytest.mark.parametrize("r", [0.3, 0.5, 0.8])
+@pytest.mark.parametrize(
+    "source",
+    [SourceSpec.pure_nopa(0.472), REFERENCE_SOURCE, SourceSpec.symmetric_mixed(1.50, -0.94),
+     SourceSpec.symmetric_mixed(1.50, 0.0), SourceSpec.symmetric_mixed(1.50, -0.0)],
+    ids=["pure_nopa", "mixed", "negative-k", "k+0", "k-0"],
+)
+def test_closed_form_port_equals_the_matrix_chain(source, r):
+    """The closed-form detected covariance is the tests' element-by-element
+    chain (blocking, phase shift, beamsplitter, port, loss) to 1e-14 relative,
+    for every blocked arm, a theta grid and two efficiencies; no entry is -0.0."""
     thetas = np.concatenate([[0.0, -0.0, math.pi], np.linspace(-20.0, 20.0, 61)])
-    rows = _port_rows(r, thetas)
-    for theta, row in zip(thetas, rows):
-        expected = (beamsplitter(r) @ phase_rotation(float(theta), mode=1))[:2]
-        assert row.tobytes() == expected.tobytes()
+    for arm, detector in itertools.product(("none", "a", "b", "signal"),
+                                           (DetectorModel(), IDEAL_DETECTOR)):
+        for theta in thetas.tolist():
+            cfg = _config(source=source, detector=detector, blocked_arm=arm, beamsplitter_r=r,
+                          theta=theta)
+            chain = beamsplitter(r) @ phase_rotation(theta, mode=1)
+            port = mode_block(apply_transform(chain, _input_covariance(source, arm)), 0)
+            expected = loss_channel(port, detector.efficiency)
+            g = detected_covariance(cfg)
+            assert np.max(np.abs(g - expected)) <= 1e-14 * np.max(np.abs(expected))
+            assert not np.signbit(g[g == 0.0]).any()
+
+
+def test_squeezed_extreme_keeps_its_digits_at_the_largest_source():
+    """At the largest accepted source, v + k = 2^20, an ideal detector reads
+    the squeezed variance e^(-2r) = 2^-20 to 1e-12, at every theta: it is
+    not left over from a difference of numbers of size 2^20."""
+    cfg = _config(source=SourceSpec.pure_nopa(math.log(MAX_VARIANCE) / 2),
+                  detector=IDEAL_DETECTOR)
+    _, v_min, v_max, _ = theta_scan(cfg, [0.0, 1.0])
+    np.testing.assert_allclose(v_min, 2.0**-20, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(v_max, 2.0**20, rtol=1e-12, atol=0.0)
 
 
 def test_sampling_is_deterministic():
@@ -367,6 +401,10 @@ def test_shot_noise_linearity():
     for bad in (math.inf, math.nan):
         with pytest.raises(ValueError, match="lo_levels"):
             shot_noise_linearity_scan(det, [1e8, bad], 10, seed=0)
+    # a pulse count that is not an integer of at least 2 is refused by name
+    for bad in (2.5, math.nan, math.inf, True):
+        with pytest.raises(ValueError, match="invalid pulses_per_level"):
+            shot_noise_linearity_scan(det, [1e8], bad, seed=0)
     # the seed RunConfig would refuse is refused here too, by name
     for bad in (math.nan, 1.5, -1, 2**64, True):
         with pytest.raises(ValueError, match="seed"):
@@ -403,9 +441,7 @@ def test_csv_round_trip(tmp_path):
     assert path.read_text().splitlines()[0] == "index,lo_phase_rad,value"
 
 
-@pytest.mark.parametrize(
-    "detector", [DetectorModel(), DetectorModel(1.0, 1.0, 1.0, 0.0)], ids=["reference", "ideal"]
-)
+@pytest.mark.parametrize("detector", [DetectorModel(), IDEAL_DETECTOR], ids=["reference", "ideal"])
 def test_largest_accepted_source_writes_finite_records(tmp_path, detector):
     """At the largest quadrature variance a source may have, pure or mixed,
     no step of writing records or scanning theta overflows or takes the root
