@@ -22,7 +22,7 @@ from .entanglement import (
     SEPARABILITY_THRESHOLD,
 )
 from . import schema
-from .gaussian import Matrix, physicality_check, symmetric_two_mode_covariance
+from .gaussian import PHYSICALITY_TOL, Matrix, symmetric_two_mode_covariance
 from .simulate import DEFAULT_BLOCK_SIZE, PhaseSchedule, RunConfig, _stream_scans
 
 #: Largest condition number of a fit's design [1, cos 2phi, sin 2phi], one
@@ -54,12 +54,16 @@ def fit_variance_curve(
     S are its pulses' means of cos 2phi and sin 2phi, so the fit is linear
     in those columns and exact however far the phase moves within a block.
     Weights follow the chi-square error of an unbiased sample variance,
-    var(s^2) = 2 s^4 / (n - 1), and are propagated through the linear
-    reparameterization (a, b cos c, -b sin c) to 1-sigma errors on the
-    extremes a -/+ |b|.  A nan or an infinity in the columns or the
-    variances is refused before either is used.  Columns that do not
-    determine the fringe are refused: a rank-deficient design [1, C, S], or
-    one whose condition number exceeds :data:`_MAX_CONDITION`.
+    var(s^2) = 2 s^4 / (n - 1).  The fit is one Householder QR of the
+    weighted system [1, C, S | y] (``np.linalg.qr``, mode "raw"), which,
+    unlike the normal equations, does not square the weighted design's
+    condition number.  Back substitution in its triangle R gives
+    (a, b cos c, -b sin c), whose covariance R^-1 R^-T is propagated through
+    the reparameterization to the 1-sigma errors of the extremes a -/+ |b|.
+    A nan or an infinity in the columns or the variances is refused before
+    either is used.  Columns that do not determine the fringe are refused: a
+    rank-deficient design [1, C, S], or one whose condition number exceeds
+    :data:`_MAX_CONDITION`.
 
     Parameters
     ----------
@@ -89,8 +93,8 @@ def fit_variance_curve(
     n_blocks = len(variances)
     if n_blocks < 4:
         raise ValueError(f"need at least 4 blocks to fit 3 parameters, got {n_blocks}")
-    design = np.column_stack([np.ones(n_blocks), columns])
-    singular = np.linalg.svd(design, compute_uv=False)
+    system = np.column_stack([np.ones(n_blocks), columns, variances])  # [1, C, S | y]
+    singular = np.linalg.svd(system[:, :3], compute_uv=False)
     if not singular[-1] > singular[0] * n_blocks * np.finfo(float).eps:
         raise ValueError(
             f"degenerate fit: the {n_blocks} blocks' means of cos 2phi and sin 2phi do "
@@ -115,26 +119,37 @@ def fit_variance_curve(
             "weights (n - 1) / (2 s^4) of those above about 9.5e153 are 0"
         )
     weights = (samples_per_block - 1) / (2.0 * np.maximum(variances, 1e-12) ** 2)
-    sqrt_w = np.sqrt(weights)
-    coef = np.linalg.lstsq(design * sqrt_w[:, None], variances * sqrt_w, rcond=None)[0]
-    offset, cos_amp, sin_amp = coef
+    system *= np.sqrt(weights)[:, None]
+    # the raw factor's first four columns hold R^T in their lower triangle:
+    # R's first three columns are the weighted design's triangle, its fourth Q^T y
+    raw = np.linalg.qr(system, mode="raw")[0][:, :4]
+    (r00, _, _, _), (r01, r11, _, _), (r02, r12, r22, _), (z0, z1, z2, _) = raw.tolist()
+    sin_amp = z2 / r22
+    cos_amp = (z1 - r12 * sin_amp) / r11
+    offset = (z0 - r01 * cos_amp - r02 * sin_amp) / r00
     amplitude = math.hypot(cos_amp, sin_amp)
-    # parameter covariance of weighted LSQ with known per-point variances
-    param_cov = np.linalg.inv(design.T @ (weights[:, None] * design))
+
+    def error(g0: float, g1: float, g2: float) -> float:
+        # sqrt(g^T R^-1 R^-T g): R^-1 R^-T is the parameter covariance of a
+        # weighted fit with known per-point variances, and R^-T g is solved by
+        # forward substitution
+        x0 = g0 / r00
+        x1 = (g1 - r01 * x0) / r11
+        x2 = (g2 - r02 * x0 - r12 * x1) / r22
+        return math.sqrt(x0 * x0 + x1 * x1 + x2 * x2)
+
+    unit_cos = unit_sin = 0.0
     if amplitude > 0.0:
-        grad = np.array([1.0, cos_amp / amplitude, sin_amp / amplitude])
-    else:
-        grad = np.array([1.0, 0.0, 0.0])
-    err_max = math.sqrt(max(grad @ param_cov @ grad, 0.0))
-    grad[1:] = -grad[1:]
-    err_min = math.sqrt(max(grad @ param_cov @ grad, 0.0))
+        unit_cos, unit_sin = cos_amp / amplitude, sin_amp / amplitude
+    err_max = error(1.0, unit_cos, unit_sin)
+    err_min = error(1.0, -unit_cos, -unit_sin)
     # a + b cos(2 phi + c) with b = amplitude, c = atan2(-sin_amp, cos_amp):
     # the minimum sits at 2 phi + c = pi.
     c_phase = math.atan2(-sin_amp, cos_amp)
     phase_at_min = ((math.pi - c_phase) / 2.0) % math.pi
     return ScanEstimate(
-        v_min=float(offset - amplitude),
-        v_max=float(offset + amplitude),
+        v_min=offset - amplitude,
+        v_max=offset + amplitude,
         phase_at_min=phase_at_min,
         stderr=max(err_min, err_max),
         n_blocks=n_blocks,
@@ -227,7 +242,8 @@ def reconstruct_covariance(
     correlation is its excess over the corrected squeezed variance; the
     antisqueezed prediction is then diagonal + correlation and is not a fit
     input.  The resulting matrix, ``report.covariance``, must pass the
-    physicality check.
+    physicality check, whose minimum eigenvalue is v - hypot(k, 1) for this
+    form.
     """
     for name, value in (("v_single_corrected", v_single_corrected),
                         ("squeezed_corrected", squeezed_corrected)):
@@ -235,13 +251,15 @@ def reconstruct_covariance(
             raise ValueError(f"{name} must be positive and finite, got {value}")
     v = v_single_corrected
     k = v - squeezed_corrected
-    gamma = symmetric_two_mode_covariance(v, k, k)
-    verdict = physicality_check(gamma)
-    if not verdict.passed:
+    # physicality_check in closed form: for the symmetric form the
+    # eigenvalues of gamma + i Omega are v -/+ hypot(k, 1), each twice
+    min_eigenvalue = v - math.hypot(k, 1.0)
+    if not min_eigenvalue >= -PHYSICALITY_TOL:
         raise ValueError(
             f"reconstructed covariance is unphysical (min eigenvalue "
-            f"{verdict.min_eigenvalue:.3e}); check the efficiency correction"
+            f"{min_eigenvalue:.3e}); check the efficiency correction"
         )
+    gamma = symmetric_two_mode_covariance(v, k, k)
     ds = duan_simon(gamma)
     return EntanglementReport(
         corrected_squeezed_variance=squeezed_corrected,

@@ -271,6 +271,15 @@ def _fringe(config: RunConfig, theta: float) -> tuple[float, float, float]:
     return eta * v + (1.0 - eta), s * math.cos(theta) + 0.0, 0.0 - s * math.sin(theta)
 
 
+def _squeezed_level(config: RunConfig) -> float:
+    """a - |s|, the minimum over phi of :func:`_fringe`'s variance, summed as
+    eta ((v - |k|) + (1 - 2 sqrt(R (1 - R))) |k|) + 1 - eta so that no term is a
+    difference of numbers of size v + |k|."""
+    _, k, squeezed = _port_state(config)
+    eta, r = config.detector.efficiency, config.beamsplitter_r
+    return eta * (squeezed + (1.0 - 2.0 * math.sqrt(r * (1.0 - r))) * abs(k)) + (1.0 - eta)
+
+
 def detected_covariance(config: RunConfig) -> Matrix:
     """2x2 covariance of the measured output port after recombination and loss.
 
@@ -285,13 +294,19 @@ def detected_variance(config: RunConfig, lo_phase):
     """Analytic variance of the homodyne outcome at the given LO phase(s).
 
     Accepts a scalar or an array of phases; electronic noise is included.
+    It is summed up from the fringe minimum, :func:`_squeezed_level`, so it
+    keeps its digits near the minimum of the largest accepted source.
     """
-    a, b, c = _fringe(config, config.theta)
     phi = np.asarray(lo_phase, dtype=float)
     if not np.isfinite(phi).all():
         raise ValueError("lo_phase must be finite")
-    two_phi = 2.0 * phi
-    var = a + b * np.cos(two_phi) + c * np.sin(two_phi) + config.detector.electronic_noise_var
+    _, s, _ = _fringe(config, 0.0)
+    # a + s cos(2 phi + theta) = v_min + 2 |s| cos^2(phi + theta / 2), sin^2
+    # when s < 0: no term is a difference of numbers of size a
+    half = phi + 0.5 * config.theta
+    trig = np.cos(half) if s >= 0.0 else np.sin(half)
+    var = _squeezed_level(config) + 2.0 * abs(s) * trig * trig
+    var += config.detector.electronic_noise_var
     if var.ndim == 0:
         return float(var)
     return var
@@ -632,22 +647,18 @@ def theta_scan(
     modulo pi).  The variance a + s cos(2 phi + theta) of :func:`_fringe`
     has extremes a -/+ |s| at every theta, so only the minimum's phase,
     (pi - theta) / 2 (plus pi / 2 when s < 0), moves, and no trig is done
-    per theta.  The minimum is summed as
-    eta ((v - |k|) + (1 - 2 sqrt(R (1 - R))) |k|) + 1 - eta, so no term is a
-    difference of numbers of size v + |k|.  Electronic noise is included in
-    the extremes.  Where the ellipse is a circle (v_max - v_min <= 1e-12
+    per theta.  The minimum is :func:`_squeezed_level`, in which no term is
+    a difference of numbers of size v + |k|.  Electronic noise is included
+    in the extremes.  Where the ellipse is a circle (v_max - v_min <= 1e-12
     v_max, as with an arm blocked or a vacuum source) the minimum has no
     phase and phi_min is NaN.
     """
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
     if not np.isfinite(thetas).all():
         raise ValueError("thetas must be finite")
-    _, k, squeezed = _port_state(config)
     a, s, _ = _fringe(config, 0.0)
-    eta, noise = config.detector.efficiency, config.detector.electronic_noise_var
-    r = config.beamsplitter_r
-    v_min = eta * (squeezed + (1.0 - 2.0 * math.sqrt(r * (1.0 - r))) * abs(k)) + (1.0 - eta)
-    v_min, v_max = v_min + noise, a + abs(s) + noise
+    noise = config.detector.electronic_noise_var
+    v_min, v_max = _squeezed_level(config) + noise, a + abs(s) + noise
     if v_max - v_min <= 1e-12 * v_max:
         phi_min = np.full(len(thetas), np.nan)
     else:

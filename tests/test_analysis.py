@@ -1,8 +1,10 @@
 """Fitting, efficiency inversion, covariance reconstruction, full pipeline."""
 
+import itertools
 import math
 import threading
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +19,13 @@ from cvpulse.analysis import (
 )
 from cvpulse.entanglement import formation_entropy
 from cvpulse.schema import FieldError
-from cvpulse.gaussian import SourceSpec, source_covariance, symmetric_two_mode_covariance
+from cvpulse.gaussian import (
+    SourceSpec,
+    physicality_check,
+    source_covariance,
+    symmetric_two_mode_covariance,
+)
+from cvpulse.scenario import reference_scenario
 from cvpulse.simulate import (
     DEFAULT_CHUNK_SIZE,
     DetectorModel,
@@ -26,7 +34,10 @@ from cvpulse.simulate import (
     block_variance_trace,
     detected_variance,
     sample_pulses,
+    stream_block_variances,
 )
+
+from fit_reference import lstsq_fit, normal_equations_fit
 
 FLAT_DETECTOR = DetectorModel(
     eta_transmission=0.68,
@@ -114,6 +125,77 @@ def test_fit_input_validation(capfd):
     with pytest.raises(ValueError, match="non-finite block variances"):
         fit_variance_curve(columns, spoiled, 100)
     assert capfd.readouterr() == ("", "")
+
+
+def _relative(value, reference):
+    return abs(value - reference) / abs(reference)
+
+
+def _assert_fit_agrees(fit, reference, stderr_tol=1e-12):
+    """Both extremes and the minimum's phase to 1e-12 relative, stderr to ``stderr_tol``."""
+    assert _relative(fit.v_min, reference.v_min) <= 1e-12
+    assert _relative(fit.v_max, reference.v_max) <= 1e-12
+    assert _relative(fit.phase_at_min, reference.phase_at_min) <= 1e-12
+    assert _relative(fit.stderr, reference.stderr) <= stderr_tol
+    assert fit.n_blocks == reference.n_blocks
+
+
+def _recombined_scans(config, pulses):
+    """Both recombined scans of the three-scan protocol: ramps over 4 pi at theta 0 and pi."""
+    ramp = PhaseSchedule.linear_ramp(0.0, 4.0 * math.pi, pulses)
+    return [replace(config, schedule=ramp, theta=theta) for theta in (0.0, math.pi)]
+
+
+def test_fit_agrees_with_the_lstsq_reference_on_the_reference_run():
+    """The QR solve and the reference's lstsq solve give the same fit of both
+    recombined scans of a reference run: 10^6 pulses each, blocks of 2500."""
+    for scan in _recombined_scans(reference_scenario().config, 1_000_000):
+        columns, variances = stream_block_variances(scan, 2500)
+        _assert_fit_agrees(fit_variance_curve(columns, variances, 2500),
+                           lstsq_fit(columns, variances, 2500))
+
+
+def test_fit_agrees_with_the_lstsq_reference_over_the_sweep_grid():
+    """The benchmark's sweep grid (three sources, three transmissions, with and
+    without electronic noise; 2 x 10^4 pulses per scan, blocks of 500): every
+    recombined scan fits as the reference's lstsq solve fits it."""
+    grid = itertools.product(((1.5, 0.94), (1.5, 0.6), (2.0, 1.3)), (0.93, 0.85, 0.75),
+                             (0.0, 10.0**-1.1))
+    for seed, ((v, k), transmission, noise) in enumerate(grid):
+        config = RunConfig(
+            source=SourceSpec.symmetric_mixed(v, k),
+            detector=DetectorModel(eta_transmission=transmission, eta_homodyne=0.88,
+                                   eta_detector=0.945, electronic_noise_var=noise),
+            schedule=PhaseSchedule.constant(0.0, 1),
+            seed=seed,
+        )
+        for scan in _recombined_scans(config, 20_000):
+            columns, variances = stream_block_variances(scan, 500)
+            _assert_fit_agrees(fit_variance_curve(columns, variances, 500),
+                               lstsq_fit(columns, variances, 500))
+
+
+def test_fit_keeps_its_digits_when_the_weights_span_fifteen_decades():
+    """A pure_nopa r = 6 source seen ideally, 2 x 10^5 pulses in blocks of 10:
+    the block variances span about 7e7, so the weights span about 5e15 and
+    the weighted design is ill-conditioned.  The fit still agrees with the
+    reference's lstsq solve to 1e-12 in both extremes, and its error with the
+    one the reference takes from the weighted design's SVD to 1e-10.  Normal
+    equations, which square the condition, miss v_min by about 1e-3 here."""
+    ideal = DetectorModel(eta_transmission=1.0, eta_homodyne=1.0, eta_detector=1.0,
+                          electronic_noise_var=0.0)
+    config = RunConfig(
+        source=SourceSpec.pure_nopa(6.0),
+        detector=ideal,
+        schedule=PhaseSchedule.linear_ramp(0.0, 4.0 * math.pi, 200_000),
+        seed=3,
+    )
+    columns, variances = stream_block_variances(config, 10)
+    assert variances.max() / variances.min() > 1e7
+    reference = lstsq_fit(columns, variances, 10, covariance="svd")
+    _assert_fit_agrees(fit_variance_curve(columns, variances, 10), reference, stderr_tol=1e-10)
+    shortcut = normal_equations_fit(columns, variances, 10)
+    assert _relative(shortcut.v_min, reference.v_min) > 1e-6
 
 
 def _fit_phase_scan(train, block_size=2500):
@@ -204,6 +286,34 @@ def test_reconstruct_covariance_rejects_unphysical():
             reconstruct_covariance(bad, 0.5)
         with pytest.raises(ValueError, match="squeezed_corrected"):
             reconstruct_covariance(1.5, bad)
+
+
+def test_closed_form_physicality_is_the_eigenvalue_check():
+    """reconstruct_covariance's verdict is physicality_check's: over a grid of
+    symmetric states, vacuum (minimum eigenvalue 0) and pure states on the
+    boundary v^2 - k^2 = 1 among them, a state is accepted exactly when
+    physicality_check passes its covariance, and v - hypot(k, 1) is
+    physicality_check's minimum eigenvalue to 1e-12."""
+    pure = [(math.cosh(2.0 * r), sign * math.sinh(2.0 * r))
+            for r in (0.0, 0.1, 0.472, 1.0, 1.5) for sign in (1.0, -1.0)]
+    # k < v: a squeezed variance v - k of 0 is refused before the check
+    mixed = [(v, k) for v in (1.0, 1.2, 1.5, 2.0, 5.0)
+             for k in np.linspace(-v, v, 21)[:-1].tolist()]
+    # just inside and just outside the tolerance of 1e-9 below the boundary
+    edge = [(math.hypot(k, 1.0) + shift, k) for k in (0.3, 0.94, 2.0)
+            for shift in (-5e-10, -2e-9)]
+    assert (1.0, 0.0) in pure
+    for v, k in pure + mixed + edge:
+        gamma = symmetric_two_mode_covariance(v, k, k)
+        verdict = physicality_check(gamma)
+        assert abs((v - math.hypot(k, 1.0)) - verdict.min_eigenvalue) <= 1e-12
+        if verdict.passed:
+            report = reconstruct_covariance(v, v - k)
+            assert math.isclose(report.corrected_correlation, k, rel_tol=1e-12,
+                                abs_tol=1e-12)
+        else:
+            with pytest.raises(ValueError, match="unphysical"):
+                reconstruct_covariance(v, v - k)
 
 
 @pytest.mark.parametrize("single_v", [None, 1.6])

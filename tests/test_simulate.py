@@ -217,6 +217,23 @@ def test_squeezed_extreme_keeps_its_digits_at_the_largest_source():
     np.testing.assert_allclose(v_max, 2.0**20, rtol=1e-12, atol=0.0)
 
 
+def test_detected_variance_keeps_its_digits_at_the_fringe_minimum():
+    """At the largest accepted source, seen by an ideal detector, the detected
+    variance at theta_scan's phase of the minimum is theta_scan's v_min to
+    1e-12 relative, at theta 0 and 1 and for either sign of the correlation:
+    it is summed up from the minimum, not left over from a + b cos 2phi +
+    c sin 2phi, which at theta = 1 misses it by 1.2e-4."""
+    two_r = math.log(MAX_VARIANCE)
+    sources = (SourceSpec.pure_nopa(two_r / 2.0),
+               SourceSpec.symmetric_mixed(math.cosh(two_r), -math.sinh(two_r)))
+    for source, theta in itertools.product(sources, (0.0, 1.0)):
+        cfg = _config(source=source, detector=IDEAL_DETECTOR, theta=theta)
+        _, v_min, _, phi_min = theta_scan(cfg, [theta])
+        np.testing.assert_allclose(detected_variance(cfg, phi_min), v_min, rtol=1e-12, atol=0.0)
+        assert math.isclose(detected_variance(cfg, float(phi_min[0])), v_min[0],
+                            rel_tol=1e-12, abs_tol=0.0)
+
+
 def test_sampling_is_deterministic():
     """Equal configs produce bit-identical record streams."""
     cfg = _config(schedule=PhaseSchedule.linear_ramp(0.0, 4.0 * math.pi, 5000), seed=77)

@@ -220,8 +220,8 @@ def test_records_regenerate_from_their_sidecar(tmp_path):
 # SHA-256 of two reports' JSON under format version 4: reordering a single
 # floating-point operation in the sampler, the fit, the correction or the
 # reconstruction changes them
-PINNED_ANALYZE_STDOUT = "36b2c3cf063e7978000e8fd732bc3efbc8776c4b55818b2783b541d0e3f64e31"
-PINNED_END_TO_END_REPORT = "e7f1b4c63b0c22e67ca7bbca58c6884f0fba5897fd8a9708cb49fcca809ccf7d"
+PINNED_ANALYZE_STDOUT = "96d183c52cb92f4f79c97d5e3f09c67991045792d8e81da197517a608a57791f"
+PINNED_END_TO_END_REPORT = "c2556fe89956b5e9c13c887874381283696fe1178246fc91635ec651484ca620"
 
 
 def test_analyze_report_is_pinned(tmp_path, capsys):
