@@ -23,7 +23,8 @@ from .entanglement import (
 )
 from . import schema
 from .gaussian import PHYSICALITY_TOL, Matrix, symmetric_two_mode_covariance
-from .simulate import DEFAULT_BLOCK_SIZE, PhaseSchedule, RunConfig, _stream_scans
+from .simulate import (DEFAULT_BLOCK_SIZE, PhaseSchedule, RunConfig, _check_size,
+                       _reduce_blocks, _stream_scans)
 
 #: Largest condition number of a fit's design [1, cos 2phi, sin 2phi], one
 #: row per block.  Short blocks spread evenly over an LO phase span of pi
@@ -63,7 +64,9 @@ def fit_variance_curve(
     A nan or an infinity in the columns or the variances is refused before
     either is used.  Columns that do not determine the fringe are refused: a
     rank-deficient design [1, C, S], or one whose condition number exceeds
-    :data:`_MAX_CONDITION`.
+    :data:`_MAX_CONDITION`.  So is a ``samples_per_block`` that is not an
+    integer of at least 2.  This is the one-scan case of the fit
+    :func:`end_to_end_report` makes of its two recombined scans at once.
 
     Parameters
     ----------
@@ -87,14 +90,25 @@ def fit_variance_curve(
         raise ValueError(
             "columns must hold one (cos, sin) row per block of the 1-d variances"
         )
-    for name, values in (("columns", columns), ("variances", variances)):
-        if not np.isfinite(values).all():
-            raise ValueError(f"non-finite block {name}: the fit needs finite values")
-    n_blocks = len(variances)
+    return _fit_scans(columns, variances[None], samples_per_block)[0]
+
+
+def _fit_scans(columns, variances, samples_per_block: int) -> list[ScanEstimate]:
+    """:func:`fit_variance_curve` of each row of ``variances`` (scans, blocks), bit for bit,
+    over the (blocks, 2) ``columns`` all scans share: one stack of systems [1, C, S | y],
+    one finiteness pass, one SVD of the shared design for its checks and one stacked QR,
+    each of whose slices is the QR of that scan alone."""
+    n_blocks = len(columns)
+    system = np.empty((len(variances), n_blocks, 4))  # [1, C, S | y] per scan
+    system[:, :, 0] = 1.0
+    system[:, :, 1:3] = columns
+    system[:, :, 3] = variances
+    if not np.isfinite(system).all():
+        name = "variances" if np.isfinite(columns).all() else "columns"
+        raise ValueError(f"non-finite block {name}: the fit needs finite values")
     if n_blocks < 4:
         raise ValueError(f"need at least 4 blocks to fit 3 parameters, got {n_blocks}")
-    system = np.column_stack([np.ones(n_blocks), columns, variances])  # [1, C, S | y]
-    singular = np.linalg.svd(system[:, :3], compute_uv=False)
+    singular = np.linalg.svd(system[0, :, :3], compute_uv=False)
     if not singular[-1] > singular[0] * n_blocks * np.finfo(float).eps:
         raise ValueError(
             f"degenerate fit: the {n_blocks} blocks' means of cos 2phi and sin 2phi do "
@@ -108,22 +122,27 @@ def fit_variance_curve(
             f"{_MAX_CONDITION:g}, got {singular[0] / singular[-1]:.3g}; scan an LO "
             "phase span of pi in blocks that each span well under pi"
         )
-    if samples_per_block < 2:
-        raise ValueError(f"samples_per_block must be >= 2, got {samples_per_block}")
+    _check_size("samples_per_block", samples_per_block, 2)
     # the largest variance has the smallest weight (n - 1) / (2 s^4), and it
     # is 0 where 2 s^4 overflows
-    largest = float(variances.max())
-    if not largest * largest < sys.float_info.max / 2.0:
-        raise ValueError(
-            f"fit weights overflow: block variances reach {largest:.3g}, and the "
-            "weights (n - 1) / (2 s^4) of those above about 9.5e153 are 0"
-        )
-    weights = (samples_per_block - 1) / (2.0 * np.maximum(variances, 1e-12) ** 2)
-    system *= np.sqrt(weights)[:, None]
-    # the raw factor's first four columns hold R^T in their lower triangle:
-    # R's first three columns are the weighted design's triangle, its fourth Q^T y
-    raw = np.linalg.qr(system, mode="raw")[0][:, :4]
-    (r00, _, _, _), (r01, r11, _, _), (r02, r12, r22, _), (z0, z1, z2, _) = raw.tolist()
+    for largest in system[:, :, 3].max(axis=1).tolist():
+        if not largest * largest < sys.float_info.max / 2.0:
+            raise ValueError(
+                f"fit weights overflow: block variances reach {largest:.3g}, and the "
+                "weights (n - 1) / (2 s^4) of those above about 9.5e153 are 0"
+            )
+    weights = (samples_per_block - 1) / (2.0 * np.maximum(system[:, :, 3], 1e-12) ** 2)
+    system *= np.sqrt(weights)[:, :, None]
+    # each slice of the raw factor holds R^T in the lower triangle of its first
+    # four columns: R's first three columns are the weighted design's
+    # triangle, its fourth Q^T y
+    return [_scan_estimate(raw.tolist(), n_blocks)
+            for raw in np.linalg.qr(system, mode="raw")[0][:, :, :4]]
+
+
+def _scan_estimate(raw: list[list[float]], n_blocks: int) -> ScanEstimate:
+    """The extremes and their errors from one scan's R^T, as :func:`_fit_scans` reads it."""
+    (r00, _, _, _), (r01, r11, _, _), (r02, r12, r22, _), (z0, z1, z2, _) = raw
     sin_amp = z2 / r22
     cos_amp = (z1 - r12 * sin_amp) / r11
     offset = (z0 - r01 * cos_amp - r02 * sin_amp) / r00
@@ -347,6 +366,9 @@ def end_to_end_report(
     is bit-identical either way.  Where threads draw, the process's CPU time
     can exceed the call's wall time.
 
+    The two recombined scans ramp alike, so they share one fit design and are
+    fitted by one stacked QR over it, each as :func:`fit_variance_curve` fits it.
+
     Parameters
     ----------
     config : RunConfig
@@ -381,9 +403,8 @@ def end_to_end_report(
         replace(config, schedule=ramp, theta=theta, blocked_arm=arm, seed=seed)
         for theta, arm, seed in zip((0.0, math.pi, 0.0), ("none", "none", "b"), seeds)
     ]
-    zero, pi, (_, blocked_vars) = _stream_scans(scans, block_size)
-    fit_zero = fit_variance_curve(*zero, block_size)
-    fit_pi = fit_variance_curve(*pi, block_size)
+    (columns, zero_vars), (_, pi_vars), (_, blocked_vars) = _stream_scans(scans, block_size)
+    fit_zero, fit_pi = _fit_scans(columns, (zero_vars, pi_vars), block_size)
     mismatch = abs(fit_zero.v_min - fit_pi.v_min)
     mismatch_err = math.hypot(fit_zero.stderr, fit_pi.stderr)
     if mismatch > 4.0 * mismatch_err:
@@ -392,7 +413,9 @@ def end_to_end_report(
             f"exceeds 4 x {mismatch_err:.4f}; the source or detector drifted between scans"
         )
     single_level = float(blocked_vars.mean())
-    single_err = float(blocked_vars.std(ddof=1) / math.sqrt(len(blocked_vars)))
+    # std(ddof=1), the square root of the variance of a one-row copy
+    single_sd = math.sqrt(_reduce_blocks(blocked_vars[None].copy())[0])
+    single_err = single_sd / math.sqrt(len(blocked_vars))
 
     # inverse-variance combination of the two equivalent squeezed minima
     w_zero = 1.0 / fit_zero.stderr**2

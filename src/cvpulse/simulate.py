@@ -318,6 +318,18 @@ def _chunk_rng(seed: int, stream: int, chunk_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.SFC64((seed, stream, chunk_index)))
 
 
+def _whole(value) -> bool:  # an integer, numpy's too, and not a bool
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _check_size(name: str, value, least: int) -> None:
+    """Refuse a count that is not an integer of at least ``least``, naming it."""
+    if not _whole(value):
+        raise ValueError(f"{name} must be an integer, got {value}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+
+
 def _chunks(config: RunConfig, chunk_size: int, stream: int):
     """The chunk loop every sampler runs: yields (start, stop, rng) per RNG chunk.
 
@@ -326,8 +338,7 @@ def _chunks(config: RunConfig, chunk_size: int, stream: int):
     chunk to the next, so a chunk is reproducible on its own and memory
     stays O(chunk_size).
     """
-    if chunk_size < 1:
-        raise ValueError(f"chunk size must be >= 1, got {chunk_size}")
+    _check_size("chunk size", chunk_size, 1)
     n = len(config.schedule)
     if n == 0:
         raise ValueError("empty schedule: nothing to sample")
@@ -377,13 +388,13 @@ def _marginal_draw(config: RunConfig, chunk_size: int):
 
         return draw
 
-    cos_table, sin_table = _fringe_tables(
-        2.0 * schedule.step, min(chunk_size, len(schedule))
-    )
+    step, phi_start = schedule.step, schedule.phi_start
+    cos_table, sin_table = _fringe_tables(2.0 * step, min(chunk_size, len(schedule)))
 
     def draw(start, rng, out, scratch):
         m = len(out)
-        two_phi = 2.0 * schedule.values(start, start + 1)[0]
+        # the two roundings of schedule.values(start, start + 1)[0]
+        two_phi = 2.0 * (start * step + phi_start)
         cos_s, sin_s = math.cos(two_phi), math.sin(two_phi)
         u = b * cos_s + c * sin_s
         w = c * cos_s - b * sin_s
@@ -436,8 +447,7 @@ def sample_pulses(config: RunConfig, chunk_size: int = DEFAULT_CHUNK_SIZE) -> Pu
 
 def _block_count(n_pulses: int, block_size: int) -> int:
     """Complete blocks of ``block_size`` in ``n_pulses``; at least one is required."""
-    if block_size < 2:
-        raise ValueError(f"block size must be >= 2, got {block_size}")
+    _check_size("block size", block_size, 2)
     if n_pulses < block_size:
         raise ValueError(
             f"need at least one full block of {block_size} pulses, got {n_pulses}"
@@ -476,14 +486,16 @@ def _reduce_blocks(blocks: NDArray[np.float64]) -> NDArray[np.float64]:
     The steps are numpy's own for ``var``: the row means, then the squared
     deviations' row sums divided by the row length less one.
     """
-    blocks -= blocks.mean(axis=1, keepdims=True)
+    means = np.add.reduce(blocks, axis=1, keepdims=True)
+    means /= blocks.shape[1]
+    blocks -= means
     blocks *= blocks
     variances = np.add.reduce(blocks, axis=1)
     variances /= blocks.shape[1] - 1
     return variances
 
 
-@functools.lru_cache(maxsize=_MEMO_SIZE)
+@functools.lru_cache(maxsize=_MEMO_SIZE, typed=True)  # 2500.0 must not hit 2500's entry
 def _block_columns(schedule: PhaseSchedule, block_size: int) -> NDArray[np.float64]:
     """Read-only fringe columns of every complete block of a schedule.
 
@@ -684,14 +696,11 @@ def shot_noise_linearity_scan(
         raise ValueError("need at least one local-oscillator level")
     if not np.all((levels >= 0.0) & (levels < np.inf)):
         raise ValueError("lo_levels must be finite and >= 0")
-    def whole(value):  # an integer, numpy's too, and not a bool
-        return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-    if not whole(pulses_per_level) or pulses_per_level < 2:
+    if not _whole(pulses_per_level) or pulses_per_level < 2:
         raise FieldError(
             "pulses_per_level", f"need an integer of at least 2, got {pulses_per_level!r}"
         )
-    if not whole(seed) or not 0 <= seed < 2**64:
+    if not _whole(seed) or not 0 <= seed < 2**64:
         raise FieldError("seed", f"must be a 64-bit unsigned integer, got {seed!r}")
     dark_var = detector.electronic_noise_var * GAIN_PER_PHOTON * detector.lo_photons_per_pulse
     variances = np.empty_like(levels)

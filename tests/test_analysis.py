@@ -11,6 +11,7 @@ import pytest
 
 from cvpulse.analysis import (
     EntanglementReport,
+    _fit_scans,
     efficiency_inversion,
     end_to_end_report,
     fit_variance_curve,
@@ -102,8 +103,12 @@ def test_fit_input_validation(capfd):
         fit_variance_curve(columns[:3], variances[:3], 100)
     with pytest.raises(ValueError, match="span"):
         fit_variance_curve(_point_columns(phases[:10] * 0.1), variances[:10], 100)
-    with pytest.raises(ValueError, match="samples_per_block"):
-        fit_variance_curve(columns, variances, 1)
+    for bad in (1, math.nan, math.inf, 2.5, True):
+        with pytest.raises(ValueError, match="samples_per_block"):
+            fit_variance_curve(columns, variances, bad)
+    assert fit_variance_curve(columns, variances, np.int64(100)) == fit_variance_curve(
+        columns, variances, 100
+    )
     # exactly two distinct phases pi apart: spans pi but cannot fix 3 parameters
     degenerate = np.array([0.0, math.pi, 0.0, math.pi, 0.0, math.pi])
     with pytest.raises(ValueError, match="degenerate"):
@@ -146,19 +151,30 @@ def _recombined_scans(config, pulses):
     return [replace(config, schedule=ramp, theta=theta) for theta in (0.0, math.pi)]
 
 
+def _assert_stack_is_each_row(columns, stack, samples_per_block):
+    """The stacked fit of the rows of ``stack`` is each row's own fit, bit for bit."""
+    fits = [fit_variance_curve(columns, row, samples_per_block) for row in stack]
+    assert _fit_scans(columns, stack, samples_per_block) == fits
+
+
 def test_fit_agrees_with_the_lstsq_reference_on_the_reference_run():
     """The QR solve and the reference's lstsq solve give the same fit of both
-    recombined scans of a reference run: 10^6 pulses each, blocks of 2500."""
-    for scan in _recombined_scans(reference_scenario().config, 1_000_000):
-        columns, variances = stream_block_variances(scan, 2500)
+    recombined scans of a reference run: 10^6 pulses each, blocks of 2500.
+    Fitted as one stack, the two scans give their own fits bit for bit."""
+    scans = [stream_block_variances(scan, 2500)
+             for scan in _recombined_scans(reference_scenario().config, 1_000_000)]
+    for columns, variances in scans:
         _assert_fit_agrees(fit_variance_curve(columns, variances, 2500),
                            lstsq_fit(columns, variances, 2500))
+    np.testing.assert_array_equal(scans[0][0], scans[1][0])
+    _assert_stack_is_each_row(scans[0][0], np.stack([v for _, v in scans]), 2500)
 
 
 def test_fit_agrees_with_the_lstsq_reference_over_the_sweep_grid():
     """The benchmark's sweep grid (three sources, three transmissions, with and
     without electronic noise; 2 x 10^4 pulses per scan, blocks of 500): every
-    recombined scan fits as the reference's lstsq solve fits it."""
+    recombined scan fits as the reference's lstsq solve fits it, and a point's
+    two scans fitted as one stack give their own fits bit for bit."""
     grid = itertools.product(((1.5, 0.94), (1.5, 0.6), (2.0, 1.3)), (0.93, 0.85, 0.75),
                              (0.0, 10.0**-1.1))
     for seed, ((v, k), transmission, noise) in enumerate(grid):
@@ -169,10 +185,11 @@ def test_fit_agrees_with_the_lstsq_reference_over_the_sweep_grid():
             schedule=PhaseSchedule.constant(0.0, 1),
             seed=seed,
         )
-        for scan in _recombined_scans(config, 20_000):
-            columns, variances = stream_block_variances(scan, 500)
+        scans = [stream_block_variances(scan, 500) for scan in _recombined_scans(config, 20_000)]
+        for columns, variances in scans:
             _assert_fit_agrees(fit_variance_curve(columns, variances, 500),
                                lstsq_fit(columns, variances, 500))
+        _assert_stack_is_each_row(scans[0][0], np.stack([v for _, v in scans]), 500)
 
 
 def test_fit_keeps_its_digits_when_the_weights_span_fifteen_decades():
@@ -181,7 +198,8 @@ def test_fit_keeps_its_digits_when_the_weights_span_fifteen_decades():
     the weighted design is ill-conditioned.  The fit still agrees with the
     reference's lstsq solve to 1e-12 in both extremes, and its error with the
     one the reference takes from the weighted design's SVD to 1e-10.  Normal
-    equations, which square the condition, miss v_min by about 1e-3 here."""
+    equations, which square the condition, miss v_min by about 1e-3 here.
+    Stacked with its theta = pi scan, the scan keeps its own fit bit for bit."""
     ideal = DetectorModel(eta_transmission=1.0, eta_homodyne=1.0, eta_detector=1.0,
                           electronic_noise_var=0.0)
     config = RunConfig(
@@ -196,6 +214,8 @@ def test_fit_keeps_its_digits_when_the_weights_span_fifteen_decades():
     _assert_fit_agrees(fit_variance_curve(columns, variances, 10), reference, stderr_tol=1e-10)
     shortcut = normal_equations_fit(columns, variances, 10)
     assert _relative(shortcut.v_min, reference.v_min) > 1e-6
+    _, flipped = stream_block_variances(replace(config, theta=math.pi), 10)
+    _assert_stack_is_each_row(columns, np.stack([variances, flipped]), 10)
 
 
 def _fit_phase_scan(train, block_size=2500):
@@ -433,6 +453,22 @@ def test_end_to_end_report_is_deterministic():
         _reference_config(PhaseSchedule.constant(0.0, 1), seed=100), pulses_per_scan=50_000
     )
     assert other.raw_squeezed_variance != first.raw_squeezed_variance
+
+
+def test_end_to_end_report_fits_both_recombined_scans_at_once(monkeypatch):
+    """A report takes one QR and one SVD: its two recombined scans share one
+    design, which is checked once and factored with both scans in one stack."""
+    import cvpulse.analysis as analysis_module
+
+    calls = {"qr": 0, "svd": 0}
+    for name in calls:
+        def counted(*args, _name=name, _real=getattr(np.linalg, name), **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(analysis_module.np.linalg, name, counted)
+    end_to_end_report(_reference_config(PhaseSchedule.constant(0.0, 1)), pulses_per_scan=50_000)
+    assert calls == {"qr": 1, "svd": 1}
 
 
 def test_end_to_end_error_bars_are_honest():

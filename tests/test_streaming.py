@@ -379,14 +379,33 @@ def test_detected_covariance_is_the_callers_own():
     assert _physics_outputs(config) == expected
 
 
-def test_streamed_blocking_rejects_what_block_variance_trace_rejects():
+def test_streamed_blocking_rejects_what_block_variance_trace_rejects(tmp_path):
+    """Sizes below their bounds, and sizes that are not integers, are refused
+    by every route with a message that names them, before any file is made."""
     short = replace(REFERENCE, schedule=_ramp(2499))
     with pytest.raises(ValueError, match="full block of 2500 pulses, got 2499"):
         stream_block_variances(short, 2500)
-    with pytest.raises(ValueError, match="block size"):
+    with pytest.raises(ValueError, match="block size must be >= 2, got 1"):
         stream_block_variances(REFERENCE, 1)
-    with pytest.raises(ValueError, match="chunk size"):
+    with pytest.raises(ValueError, match="chunk size must be >= 1, got 0"):
         stream_block_variances(REFERENCE, 2500, chunk_size=0)
+    train = sample_pulses(replace(REFERENCE, schedule=_ramp(5000)))
+    path = tmp_path / "r.csv"
+    stream_block_variances(REFERENCE, 2500)  # its cached columns must not serve 2500.0
+    for bad in (2.5, 2500.0, True):
+        block = f"block size must be an integer, got {bad}"
+        chunk = f"chunk size must be an integer, got {bad}"
+        for route, message in (
+            (lambda: stream_block_variances(REFERENCE, bad), block),
+            (lambda: block_variance_trace(train, bad), block),
+            (lambda: end_to_end_report(REFERENCE, 5000, block_size=bad), block),
+            (lambda: stream_block_variances(REFERENCE, 2500, chunk_size=bad), chunk),
+            (lambda: sample_pulses(REFERENCE, chunk_size=bad), chunk),
+            (lambda: write_records(REFERENCE, path, chunk_size=bad), chunk),
+        ):
+            with pytest.raises(ValueError, match=message):
+                route()
+    assert not path.exists()
 
 
 @pytest.mark.parametrize(
