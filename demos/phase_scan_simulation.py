@@ -12,10 +12,9 @@ from cvpulse import (
     PhaseSchedule,
     RunConfig,
     SourceSpec,
-    block_variance_trace,
     detected_variance,
     fit_variance_curve,
-    sample_pulses,
+    stream_block_variances,
     write_records,
 )
 
@@ -29,16 +28,24 @@ config = RunConfig(
     seed=2026,
 )
 
-train = sample_pulses(config)
-print(
-    f"sampled {len(train)} pulses; first record: index {train.index[0]}, "
-    f"LO phase {train.lo_phase[0]:.4f} rad, value {train.value[0]:.4f}"
-)
+# persist the raw records (about 11 MB) plus a metadata sidecar; a scratch
+# directory keeps the demo from leaving them wherever it was started
+with tempfile.TemporaryDirectory() as scratch:
+    path = write_records(config, Path(scratch) / "phase_scan_records.csv")
+    print(
+        f"wrote {path.name} ({path.stat().st_size / 1e6:.1f} MB) and its metadata "
+        f"{path.with_suffix('.json').name}; the scratch directory is removed on exit"
+    )
+    with open(path) as fh:
+        next(fh)  # the header
+        index, lo_phase, value = next(fh).split(",")
+print(f"first record: index {index}, LO phase {float(lo_phase):.4f} rad, value {float(value):.4f}")
 
-# every 2500 consecutive pulses become one variance estimate, with the
-# block's mean cos 2phi and sin 2phi: the fringe's exact weights in it
-columns, variances = block_variance_trace(train, block_size=2500)
-print(f"{len(variances)} blocks of 2500 pulses")
+# the same run drawn again chunk by chunk, never held whole: every 2500
+# consecutive pulses become one variance estimate, with the block's mean
+# cos 2phi and sin 2phi, the fringe's exact weights in it
+columns, variances = stream_block_variances(config, block_size=2500)
+print(f"\n{len(variances)} blocks of 2500 pulses")
 print("block  <cos 2phi>  <sin 2phi>  variance")
 for i in range(0, len(variances), 10):
     print(f"{i:5d}  {columns[i, 0]:10.3f}  {columns[i, 1]:10.3f}  {variances[i]:8.4f}")
@@ -51,13 +58,3 @@ print(f"phase of minimum : {estimate.phase_at_min / math.pi:.4f} pi")
 
 print(f"\nanalytic minimum : {detected_variance(config, math.pi / 2.0):.4f}")
 print(f"analytic maximum : {detected_variance(config, 0.0):.4f}")
-
-# persist the raw records (about 11 MB) plus a metadata sidecar: write_records
-# draws the same run again chunk by chunk; a scratch directory keeps the demo
-# from leaving them wherever it was started
-with tempfile.TemporaryDirectory() as scratch:
-    path = write_records(config, Path(scratch) / "phase_scan_records.csv")
-    print(
-        f"\nwrote {path.name} ({path.stat().st_size / 1e6:.1f} MB) and its metadata "
-        f"{path.with_suffix('.json').name}; the scratch directory is removed on exit"
-    )

@@ -11,7 +11,6 @@ two-mode covariance matrix.
 from .gaussian import (
     SourceSpec,
     physicality_check,
-    source_covariance,
     symmetric_two_mode_covariance,
 )
 from .entanglement import (
@@ -52,7 +51,6 @@ __version__ = "0.1.0"
 __all__ = [
     "SourceSpec",
     "physicality_check",
-    "source_covariance",
     "symmetric_two_mode_covariance",
     "EPR_THRESHOLD",
     "SEPARABILITY_THRESHOLD",

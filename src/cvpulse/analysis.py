@@ -15,12 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from numpy.typing import NDArray
 
-from .entanglement import (
-    duan_simon,
-    formation_entropy,
-    reid_epr_product,
-    SEPARABILITY_THRESHOLD,
-)
+from .entanglement import SEPARABILITY_THRESHOLD, formation_entropy
 from . import schema
 from .gaussian import PHYSICALITY_TOL, Matrix, symmetric_two_mode_covariance
 from .simulate import (DEFAULT_BLOCK_SIZE, PhaseSchedule, RunConfig, _check_size,
@@ -278,19 +273,24 @@ def reconstruct_covariance(
             f"reconstructed covariance is unphysical (min eigenvalue "
             f"{min_eigenvalue:.3e}); check the efficiency correction"
         )
-    gamma = symmetric_two_mode_covariance(v, k, k)
-    ds = duan_simon(gamma)
+    # duan_simon(gamma) and reid_epr_product(gamma) in closed form, rounded
+    # as on the matrix: each half of the sum variance is 2v - 2k, and each
+    # conditional variance v - k**2 / v, squared by a pow as numpy's scalar
+    # ** squares (k * k can round otherwise)
+    ds = 2.0 * v - 2.0 * k
+    conditional = v - k**2 / v
     return EntanglementReport(
         corrected_squeezed_variance=squeezed_corrected,
         corrected_variance=v,
         corrected_correlation=k,
         duan_simon=ds,
         # entropy_of_formation(gamma), whose symmetric-form and physicality
-        # checks gamma has passed by construction and above
-        entropy_of_formation=formation_entropy(math.sqrt((v - k) * (v - k))),
-        reid_product=reid_epr_product(gamma),
+        # checks gamma has passed by construction and above; its argument
+        # sqrt((v - k) * (v - k)) rounds to v - k exactly
+        entropy_of_formation=formation_entropy(v - k),
+        reid_product=conditional * conditional,
         nonseparable=ds < SEPARABILITY_THRESHOLD,
-        covariance=gamma,
+        covariance=symmetric_two_mode_covariance(v, k, k),
     )
 
 

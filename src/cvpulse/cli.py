@@ -6,7 +6,8 @@ scenario and check the published values), ``scan-theta`` (sweep the relative
 phase and tabulate the noise-ellipse rotation).
 
 ``main`` makes the ``--out`` directory before a command runs (a path that is a
-file, or lies under one, is invalid input), then prints the command's JSON
+file, or lies under one, is invalid input; so is an output file that is a
+directory, refused before the command's work), then prints the command's JSON
 payload with ``--json`` and its text otherwise.  ``analyze`` reads the CSV's
 sidecar whenever one exists: it checks the record count against it, and refuses
 records its config gives a blocked arm or an unbalanced beamsplitter, or fewer
@@ -138,9 +139,18 @@ def _scenario(args) -> Scenario:
     return load_scenario(args.scenario, **overrides)
 
 
+def _output_file(path: Path) -> Path:
+    """A command's output file, refused before the command's work if it is a directory."""
+    if path.is_dir():
+        raise ValueError(f"{path} is a directory, not an output file")
+    return path
+
+
 def cmd_simulate(args, out_dir: Path) -> tuple[int, dict, str]:
+    csv_path = out_dir / "pulses.csv"
+    _output_file(csv_path.with_suffix(".json"))  # the sidecar, written after every record
     scenario = _scenario(args)
-    csv_path = write_records(scenario.config, out_dir / "pulses.csv")
+    csv_path = write_records(scenario.config, csv_path)
     summary = {
         "records": str(csv_path),
         "metadata": str(csv_path.with_suffix(".json")),
@@ -180,6 +190,7 @@ def _analysis_config(args, records_path: Path) -> tuple[RunConfig, int, int | No
 
 
 def cmd_analyze(args, out_dir: Path) -> tuple[int, dict, str]:
+    report_path = _output_file(out_dir / "report.json")
     records_path = Path(args.records)
     if records_path.is_dir():  # '.' and '/' too, which have no name to give a sidecar
         raise ValueError(f"{args.records} is a directory, not a records CSV")
@@ -193,19 +204,19 @@ def cmd_analyze(args, out_dir: Path) -> tuple[int, dict, str]:
     fit = fit_variance_curve(columns, variances, block_size)
     # single-file route: no blocked-arm level, the corrected extremes set the diagonal
     report = report_from_levels(config, fit.v_min, fit.stderr, fit.v_max)
-    report_path = out_dir / "report.json"
     doc = report.to_dict()
     report_path.write_text(json.dumps(doc, indent=2) + "\n")
     return EXIT_OK, doc, f"{report.text_table()}\nreport written to {report_path}"
 
 
 def cmd_reproduce_paper(args, out_dir: Path | None) -> tuple[int, dict, str]:
+    doc_path = None if out_dir is None else _output_file(out_dir / "reproduction.json")
     report = run_reference_scans(args.pulses, args.seed, args.block_size)
     rows = reference_check_rows(report, args.pulses)
     all_passed = all(r.passed for r in rows)
     doc = report.to_dict()
-    if out_dir is not None:
-        (out_dir / "reproduction.json").write_text(json.dumps(doc, indent=2) + "\n")
+    if doc_path is not None:
+        doc_path.write_text(json.dumps(doc, indent=2) + "\n")
     payload = {"checks": [to_dict(r) for r in rows], "all_passed": all_passed, "report": doc}
     verdict = "all checks passed" if all_passed else "SOME CHECKS FAILED"
     code = EXIT_OK if all_passed else EXIT_CHECK_FAILED
@@ -215,10 +226,10 @@ def cmd_reproduce_paper(args, out_dir: Path | None) -> tuple[int, dict, str]:
 def cmd_scan_theta(args, out_dir: Path) -> tuple[int, dict, str]:
     if args.points < 1:
         raise ValueError(f"--points must be >= 1, got {args.points}")
+    csv_path = _output_file(out_dir / "theta_scan.csv")
     scenario = _scenario(args)
     thetas = np.linspace(0.0, 2.0 * math.pi, args.points, endpoint=False)
     thetas, v_min, v_max, phi_min = theta_scan(scenario.config, thetas)
-    csv_path = out_dir / "theta_scan.csv"
     table = np.column_stack([thetas, v_min, v_max, phi_min])
     np.savetxt(
         csv_path,

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from .gaussian import Matrix, physicality_check
+from .gaussian import Matrix, _require_two_mode, physicality_check
 
 #: A sum variance below this value certifies nonseparability.
 SEPARABILITY_THRESHOLD = 2.0
@@ -19,13 +19,6 @@ SEPARABILITY_THRESHOLD = 2.0
 EPR_THRESHOLD = 1.0
 
 _SYMMETRIC_FORM_TOL = 1e-9
-
-
-def _require_two_mode(gamma: Matrix) -> Matrix:
-    gamma = np.asarray(gamma, dtype=float)
-    if gamma.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 two-mode covariance, got shape {gamma.shape}")
-    return gamma
 
 
 def duan_simon(gamma: Matrix) -> float:

@@ -2,15 +2,15 @@
 
 Quadratures are ordered (X_A, P_A, X_B, P_B) and expressed in shot-noise units:
 the vacuum has unit variance in every quadrature and the uncertainty bound reads
-var(X) * var(P) >= 1.  States are plain symmetric numpy arrays.  The module
-holds the source model (:class:`SourceSpec` and its covariance), the
-symplectic form and the physicality test gamma + i Omega >= 0;
+var(X) * var(P) >= 1.  States are plain symmetric 4x4 numpy arrays, since the
+experiment measures one two-mode state.  The module holds the source model
+(:class:`SourceSpec`), the symmetric-form covariance, the symplectic form and
+the physicality test gamma + i Omega >= 0;
 :mod:`cvpulse.simulate` gives the detected port of the source in closed form.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import ClassVar
@@ -34,17 +34,24 @@ SYMMETRY_TOL = 1e-12
 #: about 2^27 on they can round to negative values, and records to nan.
 MAX_VARIANCE = 2.0**20
 
+_OMEGA = np.array([[0.0, 1.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0],
+                   [0.0, 0.0, 0.0, 1.0], [0.0, 0.0, -1.0, 0.0]])
+_OMEGA.flags.writeable = False
 
-@functools.lru_cache(maxsize=8)
-def symplectic_form(n_modes: int = 2) -> Matrix:
-    """Block-diagonal symplectic form matching the (X, P) interleaved ordering.
 
-    Built once per mode count and shared, so the array is read-only.
+def symplectic_form() -> Matrix:
+    """Symplectic form of the two modes in the (X, P) interleaved ordering.
+
+    Built once at import and shared, so the array is read-only.
     """
-    block = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    omega = np.kron(np.eye(n_modes), block)
-    omega.flags.writeable = False
-    return omega
+    return _OMEGA
+
+
+def _require_two_mode(gamma: Matrix) -> Matrix:
+    gamma = np.asarray(gamma, dtype=float)
+    if gamma.shape != (4, 4):
+        raise ValueError(f"expected a 4x4 two-mode covariance, got shape {gamma.shape}")
+    return gamma
 
 
 def symmetric_two_mode_covariance(v: float, k_x: float, k_p: float) -> Matrix:
@@ -124,19 +131,6 @@ class SourceSpec:
         return cls(kind="symmetric_mixed", v=v, k=k)
 
 
-def source_covariance(spec: SourceSpec) -> Matrix:
-    """Covariance matrix of the entangled-pair source.
-
-    For ``pure_nopa(r)`` the diagonal variance is cosh(2r) and the
-    correlation sinh(2r); ``symmetric_mixed(v, k)`` uses (v, k) directly.
-    """
-    if spec.kind == "pure_nopa":
-        return symmetric_two_mode_covariance(
-            math.cosh(2.0 * spec.r), math.sinh(2.0 * spec.r), math.sinh(2.0 * spec.r)
-        )
-    return symmetric_two_mode_covariance(spec.v, spec.k, spec.k)
-
-
 @dataclass(frozen=True)
 class PhysicalityResult:
     """Outcome of the uncertainty-principle test gamma + i Omega >= 0."""
@@ -146,18 +140,16 @@ class PhysicalityResult:
 
 
 def physicality_check(gamma: Matrix) -> PhysicalityResult:
-    """Test whether a covariance matrix describes a physical state.
+    """Test whether a two-mode covariance matrix describes a physical state.
 
-    The matrix must be symmetric; the verdict is the minimum eigenvalue of the
-    Hermitian matrix gamma + i Omega compared against -PHYSICALITY_TOL.
+    The matrix must be 4x4 and symmetric; the verdict is the minimum
+    eigenvalue of the Hermitian matrix gamma + i Omega compared against
+    -PHYSICALITY_TOL.
     """
-    gamma = np.asarray(gamma, dtype=float)
-    if gamma.ndim != 2 or gamma.shape[0] != gamma.shape[1] or gamma.shape[0] % 2:
-        raise ValueError(f"covariance must be square with even dimension, got {gamma.shape}")
+    gamma = _require_two_mode(gamma)
     if np.max(np.abs(gamma - gamma.T)) > SYMMETRY_TOL:
         raise ValueError("covariance matrix is not symmetric")
-    n_modes = gamma.shape[0] // 2
-    herm = gamma + 1j * symplectic_form(n_modes)
+    herm = gamma + 1j * symplectic_form()
     min_eig = float(np.linalg.eigvalsh(herm)[0])
     return PhysicalityResult(min_eig >= -PHYSICALITY_TOL, min_eig)
 

@@ -16,7 +16,20 @@ import math
 
 import numpy as np
 
-from cvpulse.gaussian import Matrix, SourceSpec, source_covariance
+from cvpulse.gaussian import Matrix, SourceSpec, symmetric_two_mode_covariance
+
+
+def source_covariance(spec: SourceSpec) -> Matrix:
+    """Covariance matrix of the entangled-pair source.
+
+    For ``pure_nopa(r)`` the diagonal variance is cosh(2r) and the
+    correlation sinh(2r); ``symmetric_mixed(v, k)`` uses (v, k) directly.
+    """
+    if spec.kind == "pure_nopa":
+        return symmetric_two_mode_covariance(
+            math.cosh(2.0 * spec.r), math.sinh(2.0 * spec.r), math.sinh(2.0 * spec.r)
+        )
+    return symmetric_two_mode_covariance(spec.v, spec.k, spec.k)
 
 
 def beamsplitter(reflectivity: float = 0.5) -> Matrix:

@@ -8,8 +8,8 @@ import math
 
 import numpy as np
 
-from cvpulse.gaussian import Matrix, SourceSpec, source_covariance
-from gaussian_reference import apply_transform, loss_channel, phase_rotation
+from cvpulse.gaussian import Matrix, SourceSpec
+from gaussian_reference import apply_transform, loss_channel, phase_rotation, source_covariance
 
 
 def random_symmetric_state(

@@ -25,7 +25,6 @@ from cvpulse.entanglement import (
 from cvpulse.gaussian import (
     SourceSpec,
     physicality_check,
-    source_covariance,
     symmetric_two_mode_covariance,
     symplectic_form,
 )
@@ -37,7 +36,13 @@ from cvpulse.simulate import (
     sample_pulses,
     theta_scan,
 )
-from gaussian_reference import apply_transform, beamsplitter, phase_rotation, two_mode_squeezer
+from gaussian_reference import (
+    apply_transform,
+    beamsplitter,
+    phase_rotation,
+    source_covariance,
+    two_mode_squeezer,
+)
 from joint_sampler import sample_pulses_joint
 from symmetric_states import random_symmetric_state
 

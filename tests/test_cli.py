@@ -642,6 +642,35 @@ def test_a_bad_out_is_refused_before_any_work(tmp_path, monkeypatch, capsys):
         assert capsys.readouterr().err == f"error: --out {afile} is not a directory\n"
 
 
+@pytest.mark.parametrize("argv, output, never_called", [
+    pytest.param(lambda run: ["simulate", "--pulses", "5000"], "pulses.json", (), id="simulate"),
+    pytest.param(lambda run: ["analyze", str(run / "pulses.csv")], "report.json",
+                 ("cvpulse.records.read",), id="analyze"),
+    pytest.param(lambda run: ["reproduce-paper", "--pulses", "20000"], "reproduction.json",
+                 ("cvpulse.cli.run_reference_scans",), id="reproduce-paper"),
+    pytest.param(lambda run: ["scan-theta"], "theta_scan.csv", ("cvpulse.cli.theta_scan",),
+                 id="scan-theta"),
+])
+def test_an_output_file_that_is_a_directory_is_refused_before_any_work(
+    tmp_path, monkeypatch, capsys, argv, output, never_called
+):
+    """A directory where a command's output file goes exits 2 with one line
+    naming it, before any pulse is drawn or record read: no CSV is left."""
+    run, out = tmp_path / "run", tmp_path / "out"
+    assert main(["simulate", "--pulses", "5000", "--out", str(run)]) == EXIT_OK
+
+    def never(*args, **kwargs):
+        raise AssertionError("the command ran before its output file was checked")
+
+    for name in never_called:
+        monkeypatch.setattr(name, never)
+    (out / output).mkdir(parents=True)
+    capsys.readouterr()
+    assert main([*argv(run), "--out", str(out)]) == EXIT_INVALID_INPUT
+    assert capsys.readouterr().err == f"error: {out / output} is a directory, not an output file\n"
+    assert sorted(p.name for p in out.iterdir()) == [output]
+
+
 def test_a_block_longer_than_the_run_is_refused_before_any_record_is_read(
     tmp_path, monkeypatch, capsys
 ):

@@ -15,8 +15,8 @@ from cvpulse.entanglement import (
     reid_epr_product,
     variance_to_db,
 )
-from cvpulse.gaussian import SourceSpec, source_covariance, symmetric_two_mode_covariance
-from gaussian_reference import apply_transform, loss_channel, phase_rotation
+from cvpulse.gaussian import SourceSpec, symmetric_two_mode_covariance
+from gaussian_reference import apply_transform, loss_channel, phase_rotation, source_covariance
 from symmetric_states import random_symmetric_state
 
 EXPERIMENTAL_STATE = symmetric_two_mode_covariance(1.50, 0.94, 0.94)

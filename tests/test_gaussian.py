@@ -9,7 +9,6 @@ from cvpulse.gaussian import (
     PhysicalityResult,
     SourceSpec,
     physicality_check,
-    source_covariance,
     symmetric_two_mode_covariance,
     symplectic_form,
 )
@@ -19,6 +18,7 @@ from gaussian_reference import (
     loss_channel,
     mode_block,
     phase_rotation,
+    source_covariance,
     two_mode_squeezer,
 )
 
@@ -59,24 +59,25 @@ def _random_symplectic(rng):
 
 
 def test_symplectic_form_squares_to_minus_identity():
-    """The form satisfies Omega @ Omega = -identity in both mode counts."""
-    for n in (1, 2):
-        omega = symplectic_form(n)
-        np.testing.assert_allclose(omega @ omega, -np.eye(2 * n), atol=1e-15)
+    """The form satisfies Omega @ Omega = -identity."""
+    omega = symplectic_form()
+    np.testing.assert_allclose(omega @ omega, -np.eye(4), atol=1e-15)
 
 
-def test_symplectic_form_is_one_read_only_array_per_mode_count():
-    for n in (1, 2, 3):
-        omega = symplectic_form(n)
-        assert omega is symplectic_form(n)
-        assert omega.tobytes() == np.kron(np.eye(n), [[0.0, 1.0], [-1.0, 0.0]]).tobytes()
-        with pytest.raises(ValueError, match="read-only"):
-            omega[0, 1] = 2.0
+def test_symplectic_form_is_one_read_only_two_mode_array():
+    """One Omega, built at import for the one two-mode state: no mode count to pass."""
+    omega = symplectic_form()
+    assert omega is symplectic_form()
+    np.testing.assert_array_equal(omega, np.kron(np.eye(2), [[0.0, 1.0], [-1.0, 0.0]]))
+    with pytest.raises(TypeError):
+        symplectic_form(2)
+    with pytest.raises(ValueError, match="read-only"):
+        omega[0, 1] = 2.0
 
 
 def test_elementary_transforms_are_symplectic():
     """Squeezer, rotation and beamsplitter all preserve the symplectic form."""
-    omega = symplectic_form(2)
+    omega = symplectic_form()
     for s in (
         two_mode_squeezer(0.472),
         two_mode_squeezer(1.5),
@@ -91,7 +92,7 @@ def test_elementary_transforms_are_symplectic():
 def test_random_composed_transforms_stay_symplectic():
     """1000 random chains keep || S Omega S^T - Omega || below 1e-12."""
     rng = np.random.default_rng(41)
-    omega = symplectic_form(2)
+    omega = symplectic_form()
     worst = 0.0
     for _ in range(1000):
         s = _random_symplectic(rng)
@@ -249,6 +250,13 @@ def test_physicality_check_catches_sub_vacuum_noise():
     assert result.min_eigenvalue < -0.4
     with pytest.raises(ValueError):
         physicality_check(np.array([[1.0, 0.2], [0.0, 1.0]]))
+
+
+def test_physicality_check_takes_only_the_two_mode_shape():
+    """A one-mode 2x2 or a three-mode 6x6 covariance, physical as it is, is refused."""
+    for n in (2, 6):
+        with pytest.raises(ValueError, match=rf"4x4 two-mode covariance, got shape \({n}, {n}\)"):
+            physicality_check(np.eye(n))
 
 
 def test_every_operation_preserves_physicality():

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from cvpulse.analysis import fit_variance_curve, report_from_levels
-from cvpulse.gaussian import SourceSpec, source_covariance
+from cvpulse.gaussian import SourceSpec
 from cvpulse.simulate import (
     DetectorModel,
     PhaseSchedule,
@@ -26,6 +26,8 @@ from cvpulse.simulate import (
     block_variance_trace,
     theta_scan,
 )
+
+from gaussian_reference import source_covariance
 
 CHECKS = Path(__file__).resolve().parents[1] / "perfbench" / "checks.py"
 

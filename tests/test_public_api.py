@@ -23,7 +23,6 @@ SOURCES = sorted((ROOT / "src" / "cvpulse").glob("*.py"))
 EXPORTS = [
     "SourceSpec",
     "physicality_check",
-    "source_covariance",
     "symmetric_two_mode_covariance",
     "EPR_THRESHOLD",
     "SEPARABILITY_THRESHOLD",
