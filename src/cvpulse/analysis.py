@@ -15,7 +15,12 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from numpy.typing import NDArray
 
-from .entanglement import SEPARABILITY_THRESHOLD, formation_entropy
+from .entanglement import (
+    duan_simon,
+    formation_entropy,
+    reid_epr_product,
+    SEPARABILITY_THRESHOLD,
+)
 from . import schema
 from .gaussian import PHYSICALITY_TOL, Matrix, symmetric_two_mode_covariance
 from .simulate import (DEFAULT_BLOCK_SIZE, PhaseSchedule, RunConfig, _check_size,
@@ -273,12 +278,8 @@ def reconstruct_covariance(
             f"reconstructed covariance is unphysical (min eigenvalue "
             f"{min_eigenvalue:.3e}); check the efficiency correction"
         )
-    # duan_simon(gamma) and reid_epr_product(gamma) in closed form, rounded
-    # as on the matrix: each half of the sum variance is 2v - 2k, and each
-    # conditional variance v - k**2 / v, squared by a pow as numpy's scalar
-    # ** squares (k * k can round otherwise)
-    ds = 2.0 * v - 2.0 * k
-    conditional = v - k**2 / v
+    gamma = symmetric_two_mode_covariance(v, k, k)
+    ds = duan_simon(gamma)
     return EntanglementReport(
         corrected_squeezed_variance=squeezed_corrected,
         corrected_variance=v,
@@ -288,9 +289,9 @@ def reconstruct_covariance(
         # checks gamma has passed by construction and above; its argument
         # sqrt((v - k) * (v - k)) rounds to v - k exactly
         entropy_of_formation=formation_entropy(v - k),
-        reid_product=conditional * conditional,
+        reid_product=reid_epr_product(gamma),
         nonseparable=ds < SEPARABILITY_THRESHOLD,
-        covariance=symmetric_two_mode_covariance(v, k, k),
+        covariance=gamma,
     )
 
 

@@ -147,7 +147,7 @@ def _output_file(path: Path) -> Path:
 
 
 def cmd_simulate(args, out_dir: Path) -> tuple[int, dict, str]:
-    csv_path = out_dir / "pulses.csv"
+    csv_path = _output_file(out_dir / "pulses.csv")
     _output_file(csv_path.with_suffix(".json"))  # the sidecar, written after every record
     scenario = _scenario(args)
     csv_path = write_records(scenario.config, csv_path)

@@ -617,10 +617,11 @@ def test_scenario_seed_override(tmp_path):
 
 
 def test_an_output_file_that_cannot_be_written_is_io_error(tmp_path, capsys):
-    """--out is a directory, but a directory stands where the CSV goes: exit 3."""
-    (tmp_path / "pulses.csv").mkdir()
+    """--out is a directory, but the CSV's path is a link to itself, so
+    opening it fails: exit 3."""
+    (tmp_path / "pulses.csv").symlink_to(tmp_path / "pulses.csv")
     assert main(["simulate", "--pulses", "100", "--out", str(tmp_path)]) == EXIT_IO_ERROR
-    assert capsys.readouterr().err.startswith("I/O error: [Errno 21] Is a directory")
+    assert capsys.readouterr().err.startswith("I/O error: [Errno 40] Too many levels of symbolic links")
 
 
 def test_a_bad_out_is_refused_before_any_work(tmp_path, monkeypatch, capsys):
@@ -643,6 +644,8 @@ def test_a_bad_out_is_refused_before_any_work(tmp_path, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("argv, output, never_called", [
+    pytest.param(lambda run: ["simulate", "--pulses", "5000"], "pulses.csv",
+                 ("cvpulse.cli.write_records",), id="simulate-csv"),
     pytest.param(lambda run: ["simulate", "--pulses", "5000"], "pulses.json", (), id="simulate"),
     pytest.param(lambda run: ["analyze", str(run / "pulses.csv")], "report.json",
                  ("cvpulse.records.read",), id="analyze"),

@@ -248,8 +248,10 @@ def test_physicality_check_catches_sub_vacuum_noise():
     result = physicality_check(bad)
     assert not result.passed
     assert result.min_eigenvalue < -0.4
-    with pytest.raises(ValueError):
-        physicality_check(np.array([[1.0, 0.2], [0.0, 1.0]]))
+    lopsided = np.eye(4)
+    lopsided[0, 1] = 0.2
+    with pytest.raises(ValueError, match="not symmetric"):
+        physicality_check(lopsided)
 
 
 def test_physicality_check_takes_only_the_two_mode_shape():
