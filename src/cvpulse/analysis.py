@@ -22,7 +22,8 @@ from .entanglement import (
     SEPARABILITY_THRESHOLD,
 )
 from . import schema
-from .gaussian import PHYSICALITY_TOL, Matrix, symmetric_two_mode_covariance
+from .gaussian import (PHYSICALITY_TOL, Matrix, symmetric_min_eigenvalue,
+                       symmetric_two_mode_covariance)
 from .simulate import (DEFAULT_BLOCK_SIZE, PhaseSchedule, RunConfig, _check_size,
                        _reduce_blocks, _stream_scans)
 
@@ -260,9 +261,9 @@ def reconstruct_covariance(
     The diagonal variance is the corrected single-beam value and the
     correlation is its excess over the corrected squeezed variance; the
     antisqueezed prediction is then diagonal + correlation and is not a fit
-    input.  The resulting matrix, ``report.covariance``, must pass the
-    physicality check, whose minimum eigenvalue is v - hypot(k, 1) for this
-    form.
+    input.  The resulting matrix, ``report.covariance``, must be physical:
+    its :func:`~cvpulse.gaussian.symmetric_min_eigenvalue`, v - hypot(k, 1),
+    is at least -PHYSICALITY_TOL.
     """
     for name, value in (("v_single_corrected", v_single_corrected),
                         ("squeezed_corrected", squeezed_corrected)):
@@ -270,9 +271,7 @@ def reconstruct_covariance(
             raise ValueError(f"{name} must be positive and finite, got {value}")
     v = v_single_corrected
     k = v - squeezed_corrected
-    # physicality_check in closed form: for the symmetric form the
-    # eigenvalues of gamma + i Omega are v -/+ hypot(k, 1), each twice
-    min_eigenvalue = v - math.hypot(k, 1.0)
+    min_eigenvalue = symmetric_min_eigenvalue(v, k, k)
     if not min_eigenvalue >= -PHYSICALITY_TOL:
         raise ValueError(
             f"reconstructed covariance is unphysical (min eigenvalue "

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from .gaussian import Matrix, _require_two_mode, physicality_check
+from .gaussian import PHYSICALITY_TOL, Matrix, _require_two_mode, symmetric_min_eigenvalue
 
 #: A sum variance below this value certifies nonseparability.
 SEPARABILITY_THRESHOLD = 2.0
@@ -99,11 +99,9 @@ def entropy_of_formation(gamma: Matrix) -> float:
         boundary, where that argument reaches 1.
     """
     v, k_x, k_p = _symmetric_form_params(gamma)
-    verdict = physicality_check(gamma)
-    if not verdict.passed:
-        raise ValueError(
-            f"unphysical covariance (min eigenvalue {verdict.min_eigenvalue:.3e})"
-        )
+    min_eigenvalue = symmetric_min_eigenvalue(v, k_x, k_p)
+    if min_eigenvalue < -PHYSICALITY_TOL:
+        raise ValueError(f"unphysical covariance (min eigenvalue {min_eigenvalue:.3e})")
     return formation_entropy(math.sqrt((v - k_x) * (v - k_p)))
 
 

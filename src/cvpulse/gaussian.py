@@ -5,7 +5,7 @@ the vacuum has unit variance in every quadrature and the uncertainty bound reads
 var(X) * var(P) >= 1.  States are plain symmetric 4x4 numpy arrays, since the
 experiment measures one two-mode state.  The module holds the source model
 (:class:`SourceSpec`), the symmetric-form covariance, the symplectic form and
-the physicality test gamma + i Omega >= 0;
+the physicality test gamma + i Omega >= 0, also in closed form for that form;
 :mod:`cvpulse.simulate` gives the detected port of the source in closed form.
 """
 
@@ -59,7 +59,7 @@ def symmetric_two_mode_covariance(v: float, k_x: float, k_p: float) -> Matrix:
 
     X quadratures are correlated with strength ``k_x`` and P quadratures
     anticorrelated with strength ``k_p``.  No physicality validation is
-    performed here; see :func:`physicality_check`.
+    performed here; see :func:`symmetric_min_eigenvalue`.
     """
     return np.array(
         [
@@ -71,13 +71,23 @@ def symmetric_two_mode_covariance(v: float, k_x: float, k_p: float) -> Matrix:
     )
 
 
+def symmetric_min_eigenvalue(v: float, k_x: float, k_p: float) -> float:
+    """Least eigenvalue of gamma + i Omega for :func:`symmetric_two_mode_covariance`:
+    its sum and difference modes are single-mode states of variances (v + k_x,
+    v - k_p) and (v - k_x, v + k_p), and that of a state (a, b) is
+    (a + b) / 2 - hypot((a - b) / 2, 1)."""
+    return v - abs(k_x - k_p) / 2.0 - math.hypot((k_x + k_p) / 2.0, 1.0)
+
+
 @dataclass(frozen=True)
 class SourceSpec:
     """Declarative description of the entangled-pair source.
 
     ``pure_nopa`` is the lossless parametric source of squeezing strength
     ``r``; ``symmetric_mixed`` is the impure generalization with diagonal
-    variance ``v`` and correlation ``k``, both in shot-noise units.
+    variance ``v`` and correlation ``k``, both in shot-noise units.  A mixed
+    source is physical when v - hypot(k, 1), its :func:`symmetric_min_eigenvalue`,
+    is at least -PHYSICALITY_TOL: v^2 - k^2 >= 1 for either sign of ``k``.
     """
 
     KINDS: ClassVar[dict[str, tuple[str, ...]]] = {
@@ -108,19 +118,10 @@ class SourceSpec:
                     "v", f"largest quadrature variance v + |k| exceeds {MAX_VARIANCE:g}, "
                     f"got {self.v + abs(self.k):g}"
                 )
-            if abs(self.k) > self.v:
-                raise ValueError(f"correlation |{self.k}| exceeds diagonal variance {self.v}")
-            # uncertainty bound for the symmetric form: v - k >= 1 / (v + k)
-            if self.v + self.k == 0.0:
-                raise ValueError(
-                    f"unphysical source: v + k = 0 is below 1 / (v - k) = "
-                    f"{1.0 / (self.v - self.k):.6g}"
-                )
-            if self.v - self.k < 1.0 / (self.v + self.k) - PHYSICALITY_TOL:
-                raise ValueError(
-                    f"unphysical source: v - k = {self.v - self.k:.6g} is below "
-                    f"1 / (v + k) = {1.0 / (self.v + self.k):.6g}"
-                )
+            min_eigenvalue = symmetric_min_eigenvalue(self.v, self.k, self.k)
+            if min_eigenvalue < -PHYSICALITY_TOL:
+                raise ValueError(f"unphysical source: the least eigenvalue of gamma + i Omega, "
+                                 f"v - hypot(k, 1), is {min_eigenvalue:.6g} (v^2 - k^2 < 1)")
 
     @classmethod
     def pure_nopa(cls, r: float) -> "SourceSpec":

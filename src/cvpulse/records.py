@@ -319,22 +319,21 @@ def _parse_block(data: bytes, stop: int) -> NDArray[np.float64] | None:
     table = np.empty((3, len(fast)))
     table[0], table[1:] = d[0], value
 
-    lines = np.zeros(len(ends), bool)
-    lines[candidates[fast]] = True
-    if lines.all():
+    kept = candidates[fast]
+    if len(kept) == len(ends):
         return table
-    rows = np.empty((3, len(ends)))
-    rows[:, lines] = table[:, fast]
-    starts = (seps[newlines] + 1).tolist()
-    for i in np.flatnonzero(~lines).tolist():
+    declined = np.delete(np.arange(len(ends)), kept)
+    starts, stops = (seps[newlines[declined]] + 1).tolist(), seps[ends[declined]].tolist()
+    at, rows = [], []
+    for i, (line, start, stop) in enumerate(zip(declined.tolist(), starts, stops)):
         try:
-            fields = _fields(data[starts[i] : starts[i + 1] - 1].decode())
+            fields = _fields(data[start:stop].decode())
         except ValueError:  # UnicodeDecodeError included
             return None
         if fields is not None:
-            rows[:, i] = fields
-            lines[i] = True
-    return rows[:, lines]
+            at.append(line - i)  # the fast lines before it
+            rows.append(fields)
+    return np.insert(table[:, fast], at, np.reshape(rows, (-1, 3)).T, axis=1)
 
 
 def _text_blocks(fh) -> Iterator[bytes]:

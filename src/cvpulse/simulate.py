@@ -216,6 +216,11 @@ class Sidecar:
             )
         if self.chunk_size < 1:  # no run draws from chunks of fewer pulses
             raise FieldError("chunk_size", f"must be >= 1, got {self.chunk_size}")
+        if self.n_pulses != self.config.schedule.n_pulses:  # so never below 0
+            raise FieldError(
+                "n_pulses", f"must equal config.schedule.n_pulses = "
+                f"{self.config.schedule.n_pulses}, got {self.n_pulses}"
+            )
 
     @classmethod
     def from_dict(cls, data: dict) -> "Sidecar":

@@ -6,7 +6,9 @@ phase shift on the second arm, beamsplitter, loss) in closed form, in
 optical element at a time, in the conventions of :mod:`cvpulse.gaussian`:
 quadratures ordered (X_A, P_A, X_B, P_B) in shot-noise units, elements acting
 by congruence gamma -> S gamma S^T, and a rotation by theta mapping
-X -> X cos(theta) + P sin(theta).
+X -> X cos(theta) + P sin(theta).  It also keeps SourceSpec's former
+physicality rule for a mixed source, the quotient bound, for the tests to
+compare the closed-form rule against.
 
 Importable both under pytest and when a test file runs as a script, since
 either way this directory is on ``sys.path``.
@@ -16,7 +18,7 @@ import math
 
 import numpy as np
 
-from cvpulse.gaussian import Matrix, SourceSpec, symmetric_two_mode_covariance
+from cvpulse.gaussian import PHYSICALITY_TOL, Matrix, SourceSpec, symmetric_two_mode_covariance
 
 
 def source_covariance(spec: SourceSpec) -> Matrix:
@@ -30,6 +32,19 @@ def source_covariance(spec: SourceSpec) -> Matrix:
             math.cosh(2.0 * spec.r), math.sinh(2.0 * spec.r), math.sinh(2.0 * spec.r)
         )
     return symmetric_two_mode_covariance(spec.v, spec.k, spec.k)
+
+
+def quotient_bound_accepts(v: float, k: float) -> bool:
+    """The three refusals SourceSpec made of a mixed source (v >= 1, v + |k| at
+    most MAX_VARIANCE) before the closed-form rule: |k| > v, v + k = 0, and the
+    uncertainty bound v - k >= 1 / (v + k) less PHYSICALITY_TOL.
+
+    The bound cancels in v + k for k < 0: it refuses the pure states
+    (cosh 2r, -sinh 2r) of large r that it accepts with the sign of k flipped.
+    """
+    if abs(k) > v or v + k == 0.0:
+        return False
+    return not v - k < 1.0 / (v + k) - PHYSICALITY_TOL
 
 
 def beamsplitter(reflectivity: float = 0.5) -> Matrix:

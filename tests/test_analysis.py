@@ -21,8 +21,10 @@ from cvpulse.analysis import (
 from cvpulse.entanglement import entropy_of_formation, formation_entropy
 from cvpulse.schema import FieldError
 from cvpulse.gaussian import (
+    PHYSICALITY_TOL,
     SourceSpec,
     physicality_check,
+    symmetric_min_eigenvalue,
     symmetric_two_mode_covariance,
 )
 from cvpulse.scenario import reference_scenario
@@ -315,7 +317,9 @@ def test_closed_form_physicality_is_the_eigenvalue_check():
     physicality_check passes its covariance, and v - hypot(k, 1) is
     physicality_check's minimum eigenvalue to 1e-12.  An accepted state's
     entropy, formation_entropy(v - k), is entropy_of_formation of its
-    covariance bit for bit."""
+    covariance bit for bit.  Over 10^4 random (v, k_x, k_p), k_x != k_p and
+    unphysical states among them, symmetric_min_eigenvalue is that eigenvalue
+    to 1e-12 of the largest variance v + max(|k_x|, |k_p|), with its verdict."""
     pure = [(math.cosh(2.0 * r), sign * math.sinh(2.0 * r))
             for r in (0.0, 0.1, 0.472, 1.0, 1.5) for sign in (1.0, -1.0)]
     # k < v: a squeezed variance v - k of 0 is refused before the check
@@ -337,6 +341,18 @@ def test_closed_form_physicality_is_the_eigenvalue_check():
         else:
             with pytest.raises(ValueError, match="unphysical"):
                 reconstruct_covariance(v, v - k)
+    rng = np.random.default_rng(32)
+    passed = 0
+    for _ in range(10_000):
+        v = 10.0 ** rng.uniform(0.0, 3.0)
+        k_x, k_p = rng.uniform(-1.2 * v, 1.2 * v, 2).tolist()
+        verdict = physicality_check(symmetric_two_mode_covariance(v, k_x, k_p))
+        min_eigenvalue = symmetric_min_eigenvalue(v, k_x, k_p)
+        scale = v + max(abs(k_x), abs(k_p))
+        assert abs(min_eigenvalue - verdict.min_eigenvalue) <= 1e-12 * scale
+        assert (min_eigenvalue >= -PHYSICALITY_TOL) == verdict.passed
+        passed += verdict.passed
+    assert 0 < passed < 10_000
 
 
 @pytest.mark.parametrize("single_v", [None, 1.6])

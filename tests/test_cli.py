@@ -476,7 +476,7 @@ BAD_INPUTS = [
                  EXIT_INVALID_INPUT, "invalid source.v: largest quadrature variance",
                  id="mixed source scans nan"),
     pytest.param(_scenario({"source": {"kind": "symmetric_mixed", "v": 2.0, "k": -2.0}}),
-                 EXIT_INVALID_INPUT, "invalid source: unphysical source: v + k = 0",
+                 EXIT_INVALID_INPUT, "invalid source: unphysical source: the least eigenvalue",
                  id="noiseless quadrature sum"),
     pytest.param(_scenario({"detector": [1]}), EXIT_INVALID_INPUT, "invalid detector",
                  id="detector not an object"),
@@ -691,6 +691,33 @@ def test_a_block_longer_than_the_run_is_refused_before_any_record_is_read(
     assert main(argv) == EXIT_INVALID_INPUT
     err = capsys.readouterr().err
     assert err == "error: need at least one full block of 5001 pulses, got 5000\n"
+
+
+@pytest.mark.parametrize("n_pulses, scheduled, problem", [
+    (-5, 5000, "must equal config.schedule.n_pulses = 5000, got -5"),
+    (5000, 10, "must equal config.schedule.n_pulses = 10, got 5000"),
+], ids=["negative count", "count off its schedule"])
+def test_a_sidecar_count_the_run_cannot_have_is_refused_before_any_record_is_read(
+    tmp_path, monkeypatch, capsys, n_pulses, scheduled, problem
+):
+    """A sidecar's n_pulses must be the count its schedule draws, so never negative."""
+    import cvpulse.records as records
+
+    def never(*args, **kwargs):
+        raise AssertionError("records were read")
+
+    assert main(["simulate", "--pulses", "5000", "--out", str(tmp_path)]) == EXIT_OK
+    sidecar = tmp_path / "pulses.json"
+    meta = json.loads(sidecar.read_text())
+    meta["n_pulses"] = n_pulses
+    meta["config"]["schedule"]["n_pulses"] = scheduled
+    sidecar.write_text(json.dumps(meta))
+    monkeypatch.setattr(records, "read", never)
+    capsys.readouterr()
+    assert main(["analyze", str(tmp_path / "pulses.csv"), "--out", str(tmp_path)]) == (
+        EXIT_INVALID_INPUT
+    )
+    assert capsys.readouterr().err == f"error: {sidecar}: invalid n_pulses: {problem}\n"
 
 
 def test_stdout_is_the_document_written(tmp_path, capsys):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from cvpulse.gaussian import (
+    MAX_VARIANCE,
     PhysicalityResult,
     SourceSpec,
     physicality_check,
@@ -18,6 +19,7 @@ from gaussian_reference import (
     loss_channel,
     mode_block,
     phase_rotation,
+    quotient_bound_accepts,
     source_covariance,
     two_mode_squeezer,
 )
@@ -319,6 +321,38 @@ def test_source_spec_validation():
         two_mode_squeezer(float("inf"))
     with pytest.raises(ValueError):
         SourceSpec(kind="thermal")
+    # the pure states (cosh 2r, +/-sinh 2r) up to the largest variance, either sign
+    for r in np.linspace(0.0, math.log(MAX_VARIANCE) / 2.0, 300, endpoint=False).tolist():
+        for sign in (1.0, -1.0):
+            SourceSpec.symmetric_mixed(math.cosh(2.0 * r), sign * math.sinh(2.0 * r))
+
+
+def _accepts(v, k):
+    try:
+        SourceSpec.symmetric_mixed(v, k)
+    except ValueError:
+        return False
+    return True
+
+
+def test_closed_form_rule_keeps_the_quotient_bound_verdicts():
+    """SourceSpec's rule v - hypot(k, 1) >= -PHYSICALITY_TOL accepts and refuses
+    the mixed sources the former quotient bound did: over a (v, k) grid from
+    v = 1 to MAX_VARIANCE / 2 with |k| <= v, and over points 1e-8 to 1e-3 on
+    either side of the boundary v^2 - k^2 = 1 for either sign of k.  Closer
+    than 1e-8 the two scale the tolerance differently, and on the boundary
+    the quotient bound refuses pure states of k < 0."""
+    grid = [(v, t * v) for v in np.geomspace(1.0, MAX_VARIANCE / 2.0, 190).tolist()
+            for t in np.linspace(-1.0, 1.0, 333).tolist()]
+    edge = [(math.hypot(k, 1.0) + shift, sign * k)
+            for k in np.geomspace(1e-4, MAX_VARIANCE / 4.0, 200).tolist()
+            for sign in (1.0, -1.0)
+            for shift in (-1e-3, -1e-6, -1e-8, 1e-8, 1e-6, 1e-3)]
+    edge = [(v, k) for v, k in edge if v >= 1.0]
+    assert len(grid) + len(edge) == 65_498
+    verdicts = [(_accepts(v, k), quotient_bound_accepts(v, k)) for v, k in grid + edge]
+    assert all(new == old for new, old in verdicts)
+    assert sum(new for new, _ in verdicts) == 61_284 + 1_200
 
 
 def test_source_with_noiseless_quadrature_sum_is_refused():
@@ -328,10 +362,10 @@ def test_source_with_noiseless_quadrature_sum_is_refused():
     accepts k = -1.7 and refuses k = -1.75 at v = 2.
     """
     for v in (1.0, 2.0, 1e3):
-        with pytest.raises(ValueError, match=r"unphysical source: v \+ k = 0 is below"):
+        with pytest.raises(ValueError, match=r"unphysical source: the least eigenvalue .* is -"):
             SourceSpec.symmetric_mixed(v, -v)
     SourceSpec.symmetric_mixed(2.0, -1.7)
-    with pytest.raises(ValueError, match=r"unphysical source: v - k = 3.75 is below"):
+    with pytest.raises(ValueError, match=r"unphysical source: .*, is -0.0155644 \(v\^2 - k\^2"):
         SourceSpec.symmetric_mixed(2.0, -1.75)
 
 

@@ -173,11 +173,13 @@ def test_pinned_sidecar_decodes_to_its_config():
 
 def test_version_1_sidecar_still_analyzes(tmp_path, capsys):
     """analyze needs only the config and pulse count of a sidecar, which
-    version 1 shares; the pinned sidecar's count and blocked arm are set to
-    the CSV's (analyze refuses a blocked-arm record)."""
+    version 1 shares; the pinned sidecar's count (in the sidecar and in its
+    schedule, which must agree) and blocked arm are set to the CSV's (analyze
+    refuses a blocked-arm record)."""
     ramp = replace(REFERENCE, schedule=_ramp(50_000))
     csv = write_records(ramp, tmp_path / "r.csv")
     meta = {**json.loads(PURE_NOPA_CONSTANT_SIDECAR), "n_pulses": 50_000}
+    meta["config"]["schedule"]["n_pulses"] = 50_000
     meta["config"]["blocked_arm"] = ramp.blocked_arm
     csv.with_suffix(".json").write_text(json.dumps(meta))
     assert main(["analyze", str(csv), "--out", str(tmp_path), "--json"]) == 0
