@@ -24,8 +24,8 @@ from .entanglement import (
 from . import schema
 from .gaussian import (PHYSICALITY_TOL, Matrix, symmetric_min_eigenvalue,
                        symmetric_two_mode_covariance)
-from .simulate import (DEFAULT_BLOCK_SIZE, PhaseSchedule, RunConfig, _check_size,
-                       _reduce_blocks, _stream_scans)
+from .simulate import (DEFAULT_BLOCK_SIZE, PhaseSchedule, RunConfig, _block_count,
+                       _check_size, _reduce_blocks, _stream_scans)
 
 #: Largest condition number of a fit's design [1, cos 2phi, sin 2phi], one
 #: row per block.  Short blocks spread evenly over an LO phase span of pi
@@ -94,6 +94,12 @@ def fit_variance_curve(
     return _fit_scans(columns, variances[None], samples_per_block)[0]
 
 
+def _check_blocks_to_fit(n_blocks: int) -> None:
+    """Refuse fewer blocks than the fringe fit needs, before any are drawn or read."""
+    if n_blocks < 4:
+        raise ValueError(f"need at least 4 blocks to fit 3 parameters, got {n_blocks}")
+
+
 def _fit_scans(columns, variances, samples_per_block: int) -> list[ScanEstimate]:
     """:func:`fit_variance_curve` of each row of ``variances`` (scans, blocks), bit for bit,
     over the (blocks, 2) ``columns`` all scans share: one stack of systems [1, C, S | y],
@@ -107,8 +113,7 @@ def _fit_scans(columns, variances, samples_per_block: int) -> list[ScanEstimate]
     if not np.isfinite(system).all():
         name = "variances" if np.isfinite(columns).all() else "columns"
         raise ValueError(f"non-finite block {name}: the fit needs finite values")
-    if n_blocks < 4:
-        raise ValueError(f"need at least 4 blocks to fit 3 parameters, got {n_blocks}")
+    _check_blocks_to_fit(n_blocks)
     singular = np.linalg.svd(system[0, :, :3], compute_uv=False)
     if not singular[-1] > singular[0] * n_blocks * np.finfo(float).eps:
         raise ValueError(
@@ -391,12 +396,14 @@ def end_to_end_report(
         If the two recombined scans' minima disagree beyond 4 sigma.  The
         extremes do not depend on the relative phase, so this flags a
         source or detector that drifted between the scans.
-    FieldError
-        If ``config.beamsplitter_r`` is not 0.5, before any scan is drawn.
+    ValueError
+        Before any scan is drawn: a FieldError if ``config.beamsplitter_r`` is
+        not 0.5, and one naming the count if a scan holds fewer than 4 blocks.
     """
     eta = _efficiency(config)
     noise = config.detector.electronic_noise_var
     ramp = PhaseSchedule.linear_ramp(0.0, 4.0 * math.pi, pulses_per_scan)
+    _check_blocks_to_fit(_block_count(pulses_per_scan, block_size))
     seeds = _scan_seeds(config.seed, 3)
 
     scans = [

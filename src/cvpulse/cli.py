@@ -10,8 +10,8 @@ file, or lies under one, is invalid input; so is an output file that is a
 directory, refused before the command's work), then prints the command's JSON
 payload with ``--json`` and its text otherwise.  ``analyze`` reads the CSV's
 sidecar whenever one exists: it checks the record count against it, and refuses
-records its config gives a blocked arm or an unbalanced beamsplitter, or fewer
-pulses than a block, before it reads any, whatever ``--scenario`` says.
+records its config gives a blocked arm or an unbalanced beamsplitter, or too
+few pulses for four blocks, before it reads any, whatever ``--scenario`` says.
 
 Exit codes: 0 success, 1 a reproduction or consistency check failed,
 2 invalid input (a run too large to allocate included), 3 I/O failure.
@@ -31,6 +31,7 @@ import numpy as np
 
 from .analysis import (
     EntanglementReport,
+    _check_blocks_to_fit,
     _efficiency,
     end_to_end_report,
     fit_variance_curve,
@@ -38,18 +39,13 @@ from .analysis import (
 )
 from .entanglement import variance_to_db
 from .schema import FieldError, to_dict
-from .scenario import (
-    DEFAULT_SEED,
-    Scenario,
-    load_scenario,
-    scenario_from_dict,
-)
+from .scenario import Scenario, load_scenario, scenario_from_dict
 from .simulate import (
-    DEFAULT_BLOCK_SIZE,
     RunConfig,
     Sidecar,
     _block_count,
     _read_blocks,
+    _sidecar_path,
     read_metadata,
     theta_scan,
     write_records,
@@ -72,16 +68,6 @@ class CheckRow:
     simulated: float
     tolerance: float
     passed: bool
-
-
-def run_reference_scans(
-    pulses_per_scan: int = _REFERENCE_PULSES,
-    seed: int = DEFAULT_SEED,
-    block_size: int = DEFAULT_BLOCK_SIZE,
-) -> EntanglementReport:
-    """Run the built-in reference scenario through the three-scan protocol."""
-    config = scenario_from_dict({}, seed_override=seed, n_pulses_override=pulses_per_scan).config
-    return end_to_end_report(config, pulses_per_scan, block_size=block_size)
 
 
 # (name, report field, in dB, target, rounding floor, stat. half-width at 1e6 pulses/scan)
@@ -139,21 +125,21 @@ def _scenario(args) -> Scenario:
     return load_scenario(args.scenario, **overrides)
 
 
-def _output_file(path: Path) -> Path:
-    """A command's output file, refused before the command's work if it is a directory."""
-    if path.is_dir():
-        raise ValueError(f"{path} is a directory, not an output file")
-    return path
+def _file(path: str | Path, role: str = "an output file") -> Path:
+    """``path``, a file in ``role``, refused before the command's work if it is a directory."""
+    if Path(path).is_dir():
+        raise ValueError(f"{path} is a directory, not {role}")
+    return Path(path)
 
 
 def cmd_simulate(args, out_dir: Path) -> tuple[int, dict, str]:
-    csv_path = _output_file(out_dir / "pulses.csv")
-    _output_file(csv_path.with_suffix(".json"))  # the sidecar, written after every record
+    csv_path = _file(out_dir / "pulses.csv")
+    sidecar = _file(_sidecar_path(csv_path))  # written after every record
     scenario = _scenario(args)
-    csv_path = write_records(scenario.config, csv_path)
+    write_records(scenario.config, csv_path)
     summary = {
         "records": str(csv_path),
-        "metadata": str(csv_path.with_suffix(".json")),
+        "metadata": str(sidecar),
         "n_pulses": len(scenario.config.schedule),
         "seed": scenario.config.seed,
     }
@@ -168,17 +154,14 @@ def _analysis_config(args, records_path: Path) -> tuple[RunConfig, int, int | No
     reference, is the config.  Records the one-file reconstruction cannot undo
     are refused before any is read."""
     scenario = _scenario(args)
-    sidecar = records_path.with_suffix(".json")
+    sidecar = _file(_sidecar_path(records_path), "a sidecar")
     config, n_pulses = scenario.config, None
-    if sidecar.is_dir():
-        raise ValueError(f"{sidecar} is a directory, not a sidecar")
     if sidecar.exists():
         try:
             meta = Sidecar.from_dict(read_metadata(records_path))
         except ValueError as exc:
             raise ValueError(f"{sidecar}: {exc}") from None
-        n_pulses = meta.n_pulses
-        config = meta.config
+        n_pulses, config = meta.n_pulses, meta.config
         if args.scenario is not None:
             config = replace(config, detector=scenario.config.detector)
     _efficiency(config)
@@ -190,13 +173,11 @@ def _analysis_config(args, records_path: Path) -> tuple[RunConfig, int, int | No
 
 
 def cmd_analyze(args, out_dir: Path) -> tuple[int, dict, str]:
-    report_path = _output_file(out_dir / "report.json")
-    records_path = Path(args.records)
-    if records_path.is_dir():  # '.' and '/' too, which have no name to give a sidecar
-        raise ValueError(f"{args.records} is a directory, not a records CSV")
+    report_path = _file(out_dir / "report.json")
+    records_path = _file(args.records, "a records CSV")  # '.' and '/' too: no name for a sidecar
     config, block_size, n_pulses = _analysis_config(args, records_path)
-    if n_pulses is not None:
-        _block_count(n_pulses, block_size)  # a block longer than the run is refused unread
+    if n_pulses is not None:  # too few blocks for the fit are refused unread
+        _check_blocks_to_fit(_block_count(n_pulses, block_size))
     columns, variances, rows = _read_blocks(records_path, block_size)
     if n_pulses not in (None, rows):
         raise ValueError(f"{records_path.name} holds {rows} records, its sidecar says {n_pulses}")
@@ -210,8 +191,9 @@ def cmd_analyze(args, out_dir: Path) -> tuple[int, dict, str]:
 
 
 def cmd_reproduce_paper(args, out_dir: Path | None) -> tuple[int, dict, str]:
-    doc_path = None if out_dir is None else _output_file(out_dir / "reproduction.json")
-    report = run_reference_scans(args.pulses, args.seed, args.block_size)
+    doc_path = None if out_dir is None else _file(out_dir / "reproduction.json")
+    scenario = _scenario(args)
+    report = end_to_end_report(scenario.config, args.pulses, block_size=scenario.block_size)
     rows = reference_check_rows(report, args.pulses)
     all_passed = all(r.passed for r in rows)
     doc = report.to_dict()
@@ -226,7 +208,7 @@ def cmd_reproduce_paper(args, out_dir: Path | None) -> tuple[int, dict, str]:
 def cmd_scan_theta(args, out_dir: Path) -> tuple[int, dict, str]:
     if args.points < 1:
         raise ValueError(f"--points must be >= 1, got {args.points}")
-    csv_path = _output_file(out_dir / "theta_scan.csv")
+    csv_path = _file(out_dir / "theta_scan.csv")
     scenario = _scenario(args)
     thetas = np.linspace(0.0, 2.0 * math.pi, args.points, endpoint=False)
     thetas, v_min, v_max, phi_min = theta_scan(scenario.config, thetas)
@@ -295,7 +277,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "reproduce-paper", cmd_reproduce_paper,
         "run the built-in reference scenario and check it",
         ("--seed", "--pulses", "--block-size", "--out", "--json"),
-        out=None, seed=DEFAULT_SEED, pulses=_REFERENCE_PULSES, block_size=DEFAULT_BLOCK_SIZE,
+        out=None, pulses=_REFERENCE_PULSES,
     )
     command(
         "scan-theta", cmd_scan_theta, "sweep the relative phase",

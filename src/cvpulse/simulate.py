@@ -62,6 +62,9 @@ _MEMO_SIZE = 8
 #: Most threads that draw a run's scans; each holds two chunk-long rows.
 _DRAW_THREADS = 4
 
+#: Largest |phase| of a schedule: up to it, 2 phi, a ramp's span and twice the span are finite.
+_MAX_PHASE = sys.float_info.max / 4.0
+
 
 @dataclass(frozen=True)
 class DetectorModel:
@@ -125,6 +128,9 @@ class PhaseSchedule:
             raise FieldError(
                 "n_pulses", f"pulse count must lie in [0, {sys.maxsize}], got {self.n_pulses}"
             )
+        for name in ("phi", "phi_start", "phi_end"):
+            if not abs(phase := getattr(self, name)) <= _MAX_PHASE:
+                raise FieldError(name, f"must lie within +/-{_MAX_PHASE:.6g} rad, got {phase}")
 
     @classmethod
     def constant(cls, phi: float, n_pulses: int) -> "PhaseSchedule":
@@ -730,10 +736,7 @@ def write_records(
     """
     from . import records  # compiled on first use, not by every run that imports simulate
 
-    csv_path = Path(csv_path)
-    sidecar = csv_path.with_suffix(".json")
-    if sidecar == csv_path:
-        raise ValueError(f"records path {csv_path} is its sidecar's path: use another suffix")
+    sidecar = _sidecar_path(csv_path)
     chunks = _chunks(config, chunk_size, _STREAM_FAST)
     buffer, scratch = np.empty((2, min(chunk_size, len(config.schedule))))
     draw = _marginal_draw(config, chunk_size)
@@ -744,7 +747,7 @@ def write_records(
             fh.writelines(records.format_rows(start, config.schedule.values(start, stop), values))
     meta = Sidecar(FORMAT_VERSION, records.HEADER, len(config.schedule), chunk_size, config)
     sidecar.write_text(json.dumps(schema.to_dict(meta), indent=2) + "\n")
-    return csv_path
+    return Path(csv_path)
 
 
 def read_records(csv_path: str | Path) -> PulseTrain:
@@ -786,7 +789,14 @@ def _read_blocks(csv_path: Path, block_size: int):
     return columns.blocks(), variances.blocks(), rows
 
 
+def _sidecar_path(csv_path: str | Path) -> Path:
+    """A records CSV's sidecar, its path with suffix ``.json``, refused if that is its own."""
+    sidecar = Path(csv_path).with_suffix(".json")
+    if sidecar == Path(csv_path):
+        raise ValueError(f"records path {csv_path} is its sidecar's path: use another suffix")
+    return sidecar
+
+
 def read_metadata(csv_path: str | Path) -> dict:
     """Load the JSON sidecar belonging to a records CSV."""
-    sidecar = Path(csv_path).with_suffix(".json")
-    return json.loads(sidecar.read_text())
+    return json.loads(_sidecar_path(csv_path).read_text())

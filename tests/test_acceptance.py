@@ -14,8 +14,8 @@ import time
 import numpy as np
 from scipy import stats
 
-from cvpulse.analysis import efficiency_inversion, reconstruct_covariance
-from cvpulse.cli import reference_check_rows, run_reference_scans
+from cvpulse.analysis import efficiency_inversion, end_to_end_report, reconstruct_covariance
+from cvpulse.cli import reference_check_rows
 from cvpulse.entanglement import (
     duan_simon,
     entropy_of_formation,
@@ -28,6 +28,7 @@ from cvpulse.gaussian import (
     symmetric_two_mode_covariance,
     symplectic_form,
 )
+from cvpulse.scenario import reference_scenario
 from cvpulse.simulate import (
     DetectorModel,
     PhaseSchedule,
@@ -149,10 +150,10 @@ def test_acceptance_4_decibel_levels():
 
 def criterion_full_reproduction():
     start = time.perf_counter()
-    report = run_reference_scans(pulses_per_scan=1_000_000, seed=12345)
+    report = end_to_end_report(reference_scenario(1_000_000, 12345).config, 1_000_000)
     elapsed = time.perf_counter() - start
     rows = reference_check_rows(report, 1_000_000)
-    repeat = run_reference_scans(pulses_per_scan=1_000_000, seed=12345)
+    repeat = end_to_end_report(reference_scenario(1_000_000, 12345).config, 1_000_000)
     ok = (
         all(r.passed for r in rows)
         and abs(report.duan_simon - 1.12) <= 0.02

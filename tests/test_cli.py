@@ -210,7 +210,7 @@ def test_reproduce_paper_check_failure_exit_code(monkeypatch, capsys):
     """A failing reproduction exits 1, not 0."""
     import cvpulse.cli as cli_module
 
-    real = cli_module.run_reference_scans
+    real = cli_module.end_to_end_report
 
     def shifted(*args, **kwargs):
         report = real(*args, **kwargs)
@@ -218,7 +218,7 @@ def test_reproduce_paper_check_failure_exit_code(monkeypatch, capsys):
 
         return replace(report, duan_simon=1.40)  # clearly off the published value
 
-    monkeypatch.setattr(cli_module, "run_reference_scans", shifted)
+    monkeypatch.setattr(cli_module, "end_to_end_report", shifted)
     assert main(["reproduce-paper", "--pulses", "50000"]) == EXIT_CHECK_FAILED
     assert "SOME CHECKS FAILED" in capsys.readouterr().out
 
@@ -229,7 +229,7 @@ def test_consistency_guard_maps_to_exit_1(monkeypatch, capsys):
     def broken(*args, **kwargs):
         raise RuntimeError("recombined scans disagree")
 
-    monkeypatch.setattr(cli_module, "run_reference_scans", broken)
+    monkeypatch.setattr(cli_module, "end_to_end_report", broken)
     assert main(["reproduce-paper"]) == EXIT_CHECK_FAILED
     assert "check failed" in capsys.readouterr().err
 
@@ -293,11 +293,11 @@ def _scenario(payload, command=("simulate",)):
 
 
 def _simulated(spoil, scenario=None):
-    """Simulate a short run, let ``spoil`` edit its files, then analyze it,
-    with ``scenario`` as its --scenario file when one is given."""
+    """Simulate a short run, four blocks long, let ``spoil`` edit its files, then
+    analyze it, with ``scenario`` as its --scenario file when one is given."""
 
     def prepare(tmp_path):
-        assert main(["simulate", "--pulses", "5000", "--out", str(tmp_path)]) == EXIT_OK
+        assert main(["simulate", "--pulses", "10000", "--out", str(tmp_path)]) == EXIT_OK
         spoil(tmp_path)
         argv = ["analyze", str(tmp_path / "pulses.csv"), "--out", str(tmp_path)]
         if scenario is None:
@@ -439,6 +439,22 @@ def _byte_ff_on_line_3(out):
     path.write_bytes(b"".join(lines))
 
 
+def _sidecar_schedule_phi_end(phase):
+    def spoil(out):
+        meta = json.loads((out / "pulses.json").read_text())
+        meta["config"]["schedule"]["phi_end"] = phase
+        (out / "pulses.json").write_text(json.dumps(meta))
+
+    return spoil
+
+
+def _records_named_as_their_sidecar(tmp_path):
+    """A short run's records copied to ``rec.json``, then analyzed from there."""
+    assert main(["simulate", "--pulses", "5000", "--out", str(tmp_path)]) == EXIT_OK
+    (tmp_path / "rec.json").write_bytes((tmp_path / "pulses.csv").read_bytes())
+    return ["analyze", str(tmp_path / "rec.json"), "--out", str(tmp_path)]
+
+
 def _records_of_width(width):
     """Rewrite every record of the CSV with ``width`` fields, keeping the header."""
 
@@ -464,6 +480,22 @@ BAD_INPUTS = [
                  "detector.electronic_noise_var", id="infinite noise"),
     pytest.param(_scenario({"schedule": {"phi_start": NAN}}), EXIT_INVALID_INPUT,
                  "schedule.phi_start", id="nan phase"),
+    # phases whose doubles, or whose span's, overflow
+    pytest.param(_scenario({"schedule": {"phi_start": -1e308, "phi_end": 1e308}},
+                           command=("simulate", "--pulses", "1000")),
+                 EXIT_INVALID_INPUT, "invalid schedule.phi_start: must lie within +/-",
+                 id="ramp span overflows"),
+    pytest.param(_scenario({"schedule": {"phi_start": 0, "phi_end": 1e308}},
+                           command=("simulate", "--pulses", "200000")),
+                 EXIT_INVALID_INPUT, "invalid schedule.phi_end: must lie within +/-",
+                 id="doubled ramp phase overflows"),
+    pytest.param(_scenario({"schedule": {"kind": "constant", "phi": 1e308}},
+                           command=("scan-theta",)),
+                 EXIT_INVALID_INPUT, "invalid schedule.phi: must lie within +/-",
+                 id="doubled constant phase overflows"),
+    pytest.param(_simulated(_sidecar_schedule_phi_end(1e308)), EXIT_INVALID_INPUT,
+                 "pulses.json: invalid config.schedule.phi_end: must lie within +/-",
+                 id="sidecar phase overflows"),
     pytest.param(_scenario({"seed": True}), EXIT_INVALID_INPUT, "invalid seed", id="bool seed"),
     pytest.param(_scenario({"source": {"kind": "pure_nopa", "r": 0.4, "v": 3}}),
                  EXIT_INVALID_INPUT, "'source.v'", id="field of another kind"),
@@ -497,6 +529,10 @@ BAD_INPUTS = [
     pytest.param(_run("reproduce-paper", "--pulses", str(10**19)), EXIT_INVALID_INPUT,
                  "invalid schedule.n_pulses: pulse count must lie in [0, 9223372036854775807]",
                  id="reproduced pulse count above sys.maxsize"),
+    pytest.param(_run("reproduce-paper", "--block-size", "1"), EXIT_INVALID_INPUT,
+                 "invalid block_size: must be >= 2, got 1", id="reproduced block size 1"),
+    pytest.param(_records_named_as_their_sidecar, EXIT_INVALID_INPUT,
+                 "rec.json is its sidecar's path", id="records path its sidecar's"),
     pytest.param(_run("analyze", "."), EXIT_INVALID_INPUT,
                  "error: . is a directory, not a records CSV", id="records path with no name"),
     pytest.param(lambda tmp_path: ["analyze", str(tmp_path), "--out", str(tmp_path)],
@@ -538,9 +574,9 @@ BAD_INPUTS = [
     pytest.param(_simulated(_records_of_width(4)), EXIT_INVALID_INPUT,
                  "pulses.csv line 2: expected 3 fields, got 4", id="four-field records"),
     pytest.param(_simulated(_cut_in_a_value_halfway), EXIT_INVALID_INPUT,
-                 "pulses.csv holds 2500 records, its sidecar says 5000", id="truncated records"),
+                 "pulses.csv holds 2500 records, its sidecar says 10000", id="truncated records"),
     pytest.param(_simulated(_cut_in_a_value_halfway, scenario={"block_size": 250}),
-                 EXIT_INVALID_INPUT, "pulses.csv holds 2500 records, its sidecar says 5000",
+                 EXIT_INVALID_INPUT, "pulses.csv holds 2500 records, its sidecar says 10000",
                  id="truncated records analyzed with a scenario"),
     pytest.param(_records_of_schedule({"kind": "linear_ramp", "phi_end": 1.25}),
                  EXIT_INVALID_INPUT, "phase coverage too small", id="records over 0.4 pi"),
@@ -632,7 +668,7 @@ def test_a_bad_out_is_refused_before_any_work(tmp_path, monkeypatch, capsys):
     def never(*args, **kwargs):
         raise AssertionError("the command ran before --out was made")
 
-    for name in ("write_records", "_read_blocks", "run_reference_scans", "theta_scan"):
+    for name in ("write_records", "_read_blocks", "end_to_end_report", "theta_scan"):
         monkeypatch.setattr(cli_module, name, never)
     afile = tmp_path / "afile"
     afile.write_text("plain file")
@@ -650,7 +686,7 @@ def test_a_bad_out_is_refused_before_any_work(tmp_path, monkeypatch, capsys):
     pytest.param(lambda run: ["analyze", str(run / "pulses.csv")], "report.json",
                  ("cvpulse.records.read",), id="analyze"),
     pytest.param(lambda run: ["reproduce-paper", "--pulses", "20000"], "reproduction.json",
-                 ("cvpulse.cli.run_reference_scans",), id="reproduce-paper"),
+                 ("cvpulse.cli.end_to_end_report",), id="reproduce-paper"),
     pytest.param(lambda run: ["scan-theta"], "theta_scan.csv", ("cvpulse.cli.theta_scan",),
                  id="scan-theta"),
 ])
@@ -856,3 +892,25 @@ def test_a_flag_the_command_does_not_read_is_rejected(capsys, argv, flag):
     assert exc.value.code == EXIT_INVALID_INPUT
     err = capsys.readouterr().err
     assert f"unrecognized arguments: {flag}" in err
+
+
+@pytest.mark.parametrize("argv, never_called", [
+    pytest.param(lambda run: ["reproduce-paper", "--pulses", "30000", "--block-size", "10000"],
+                 "cvpulse.simulate._marginal_draw", id="reproduce-paper"),
+    pytest.param(lambda run: ["analyze", str(run / "pulses.csv"), "--block-size", "1500"],
+                 "cvpulse.records.read", id="analyze"),
+])
+def test_too_few_blocks_to_fit_are_refused_before_any_pulse_is_drawn_or_read(
+    tmp_path, monkeypatch, capsys, argv, never_called
+):
+    """Three blocks a scan cannot fit 3 parameters: refused with the fit's own
+    message before a pulse is drawn or, with a sidecar, a record read."""
+    assert main(["simulate", "--pulses", "5000", "--out", str(tmp_path)]) == EXIT_OK
+
+    def never(*args, **kwargs):
+        raise AssertionError("pulses were drawn or records read")
+
+    monkeypatch.setattr(never_called, never)
+    capsys.readouterr()
+    assert main([*argv(tmp_path), "--out", str(tmp_path)]) == EXIT_INVALID_INPUT
+    assert capsys.readouterr().err == "error: need at least 4 blocks to fit 3 parameters, got 3\n"

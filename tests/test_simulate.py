@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -439,6 +440,24 @@ def test_phases_must_be_finite(bad):
         detected_variance(cfg, [0.0, bad])
     with pytest.raises(ValueError, match="thetas"):
         theta_scan(cfg, [0.0, bad])
+
+
+def test_phases_up_to_the_bound_sample_finite_values_and_larger_are_refused():
+    """Up to a quarter of the largest double, a schedule's phases, their doubles,
+    a ramp's span and twice it are finite, so every pulse samples a finite value;
+    a phase beyond it is refused by field name."""
+    bound = sys.float_info.max / 4.0
+    for schedule in (PhaseSchedule.linear_ramp(-bound, bound, 200_000),
+                     PhaseSchedule.linear_ramp(0.0, bound, 200_000),
+                     PhaseSchedule.linear_ramp(bound, -bound, 1000),
+                     PhaseSchedule.constant(-bound, 1000)):
+        assert np.isfinite(sample_pulses(_config(schedule=schedule)).value).all()
+    beyond = math.nextafter(bound, math.inf)
+    for field, schedule in (("phi", dict(kind="constant", phi=-beyond)),
+                            ("phi_start", dict(kind="linear_ramp", phi_start=beyond)),
+                            ("phi_end", dict(kind="linear_ramp", phi_end=-beyond))):
+        with pytest.raises(ValueError, match=f"invalid {field}: must lie within"):
+            PhaseSchedule(n_pulses=10, **schedule)
 
 
 def test_csv_round_trip(tmp_path):
