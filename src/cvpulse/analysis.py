@@ -24,8 +24,8 @@ from .entanglement import (
 from . import schema
 from .gaussian import (PHYSICALITY_TOL, Matrix, symmetric_min_eigenvalue,
                        symmetric_two_mode_covariance)
-from .simulate import (DEFAULT_BLOCK_SIZE, PhaseSchedule, RunConfig, _block_count,
-                       _check_size, _reduce_blocks, _stream_scans)
+from .simulate import (DEFAULT_BLOCK_SIZE, PhaseSchedule, RunConfig, _block_columns,
+                       _block_count, _check_size, _reduce_blocks, _stream_scans)
 
 #: Largest condition number of a fit's design [1, cos 2phi, sin 2phi], one
 #: row per block.  Short blocks spread evenly over an LO phase span of pi
@@ -63,8 +63,9 @@ def fit_variance_curve(
     (a, b cos c, -b sin c), whose covariance R^-1 R^-T is propagated through
     the reparameterization to the 1-sigma errors of the extremes a -/+ |b|.
     A nan or an infinity in the columns or the variances is refused before
-    either is used.  Columns that do not determine the fringe are refused: a
-    rank-deficient design [1, C, S], or one whose condition number exceeds
+    either is used, and so, naming its block, is a variance not above 0.
+    Columns that do not determine the fringe are refused: a rank-deficient
+    design [1, C, S], or one whose condition number exceeds
     :data:`_MAX_CONDITION`.  So is a ``samples_per_block`` that is not an
     integer of at least 2.  This is the one-scan case of the fit
     :func:`end_to_end_report` makes of its two recombined scans at once.
@@ -113,6 +114,13 @@ def _fit_scans(columns, variances, samples_per_block: int) -> list[ScanEstimate]
     if not np.isfinite(system).all():
         name = "variances" if np.isfinite(columns).all() else "columns"
         raise ValueError(f"non-finite block {name}: the fit needs finite values")
+    lowest = system[:, :, 3].min(axis=0)
+    if not (lowest > 0.0).all():
+        block = int(np.flatnonzero(lowest <= 0.0)[0])
+        raise ValueError(
+            f"block {block} has variance {float(lowest[block])!r}, not above 0: the fit "
+            "weights (n - 1) / (2 s^4) need positive block variances"
+        )
     _check_blocks_to_fit(n_blocks)
     singular = np.linalg.svd(system[0, :, :3], compute_uv=False)
     if not singular[-1] > singular[0] * n_blocks * np.finfo(float).eps:
@@ -359,17 +367,10 @@ def end_to_end_report(
     efficiency, and the single-beam level, corrected for efficiency and the
     half transmission of the beamsplitter, fixes the diagonal variance.
 
-    Each scan is drawn and blocked one RNG chunk at a time, never held whole.
-    The chunks of all three scans form one queue, drawn by the one scan loop
-    that :func:`~cvpulse.simulate.stream_block_variances` runs too: once each
-    scan is at least one chunk long (``pulses_per_scan >=``
-    :data:`~cvpulse.simulate.DEFAULT_CHUNK_SIZE`), by the calling thread and
-    up to three threads it starts and joins, and otherwise by the calling
-    thread alone.  Each chunk's blocks are filed with its scan by block index
-    as soon as they are drawn, in any order, so a stalled chunk holds back no
-    other.  The report does not depend on which thread drew which chunk: it
-    is bit-identical either way.  Where threads draw, the process's CPU time
-    can exceed the call's wall time.
+    Each scan is drawn and blocked one RNG chunk at a time, never held whole,
+    by the one scan loop, :func:`~cvpulse.simulate._stream_scans`, which also
+    picks the threads; the report is bit-identical whichever thread drew
+    which chunk.
 
     The two recombined scans ramp alike, so they share one fit design and are
     fitted by one stacked QR over it, each as :func:`fit_variance_curve` fits it.
@@ -404,13 +405,14 @@ def end_to_end_report(
     noise = config.detector.electronic_noise_var
     ramp = PhaseSchedule.linear_ramp(0.0, 4.0 * math.pi, pulses_per_scan)
     _check_blocks_to_fit(_block_count(pulses_per_scan, block_size))
+    columns = _block_columns(ramp, block_size)
     seeds = _scan_seeds(config.seed, 3)
 
     scans = [
         replace(config, schedule=ramp, theta=theta, blocked_arm=arm, seed=seed)
         for theta, arm, seed in zip((0.0, math.pi, 0.0), ("none", "none", "b"), seeds)
     ]
-    (columns, zero_vars), (_, pi_vars), (_, blocked_vars) = _stream_scans(scans, block_size)
+    zero_vars, pi_vars, blocked_vars = _stream_scans(scans, block_size)
     fit_zero, fit_pi = _fit_scans(columns, (zero_vars, pi_vars), block_size)
     mismatch = abs(fit_zero.v_min - fit_pi.v_min)
     mismatch_err = math.hypot(fit_zero.stderr, fit_pi.stderr)

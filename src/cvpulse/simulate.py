@@ -370,7 +370,7 @@ def _fringe_tables(two_step: float, length: int):
 
 
 def _marginal_draw(config: RunConfig, chunk_size: int):
-    """The per-chunk draw of the fast sampler, format version 2.
+    """The per-chunk draw of the fast sampler under sampling contract 4.
 
     The detected variance is A + B cos 2phi + C sin 2phi, with A, B and C
     taken once from :func:`_fringe` and the electronic noise in A.
@@ -576,43 +576,38 @@ class _Stitch:
 
 
 def _stream_scans(
-    configs: list[RunConfig],
-    block_size: int,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
-    threads: int | None = None,
-) -> list[tuple[NDArray[np.float64], NDArray[np.float64]]]:
-    """:func:`stream_block_variances` of every config, in order, bit for bit: the one scan loop.
+    configs: list[RunConfig], block_size: int, chunk_size: int = DEFAULT_CHUNK_SIZE
+) -> list[NDArray[np.float64]]:
+    """The block variances of every config, in order, bit for bit: the one scan loop.
 
     The chunk tasks of all the scans form one queue in (scan, chunk) order.
-    Each of ``threads`` threads, the calling one and ``threads - 1`` it
-    starts and joins, takes the next task when free, draws it into its own
-    buffer and scratch and adds it to its scan's stitch, which reduces the
-    chunk's whole blocks on that thread, whichever tasks finish first.  One
-    lock guards the queue and the errors.  A chunk's numpy calls release the
-    GIL, and every chunk has its own RNG stream, so the blocks do not depend
-    on which thread drew which chunk.  By default scans of at least one chunk
-    are drawn on one thread per CPU the process may use, at most
-    :data:`_DRAW_THREADS`; shorter scans, which a thread hand-off costs more
-    than it saves, on the calling thread alone.
+    Each thread, the calling one and any it starts and joins, takes the next
+    task when free, draws it into its own buffer and scratch and adds it to
+    its scan's stitch, which reduces the chunk's whole blocks on that thread,
+    whichever tasks finish first.  One lock guards the queue and the errors.
+    A chunk's numpy calls release the GIL, and every chunk has its own RNG
+    stream, so the blocks do not depend on which thread drew which chunk.
+    The loop picks its threads from its input alone: one scan, or scans
+    shorter than a chunk, which a thread hand-off costs more than it saves,
+    run on the calling thread; otherwise one thread per CPU the process may
+    use, at most :data:`_DRAW_THREADS`.
 
-    Sizes are checked and block columns allocated before the first task is
-    taken.  Once a task fails no more are taken, and when none is running
-    the first error in (scan, chunk) order is raised; one outside any task,
-    an interrupt say, comes first.
+    Sizes are checked before the first task is taken.  Once a task fails no
+    more are taken, and when none is running the first error in (scan,
+    chunk) order is raised; one outside any task, an interrupt say, comes
+    first.
     """
-    scans = [
-        (_chunks(c, chunk_size, _STREAM_FAST), _block_columns(c.schedule, block_size).copy(),
-         _marginal_draw(c, chunk_size), _Stitch(block_size, _reduce_blocks))
-        for c in configs
-    ]
+    chunks = [_chunks(c, chunk_size, _STREAM_FAST) for c in configs]
     lengths = [len(c.schedule) for c in configs]
-    if threads is None:
+    _block_count(min(lengths), block_size)
+    draws = [_marginal_draw(c, chunk_size) for c in configs]
+    stitches = [_Stitch(block_size, _reduce_blocks) for _ in configs]
+    tasks = enumerate((stitch, draw, chunk) for scan, draw, stitch
+                      in zip(chunks, draws, stitches) for chunk in scan)
+    threads = 1
+    if len(configs) > 1 and min(lengths) >= chunk_size:
         affinity = getattr(os, "sched_getaffinity", None)
-        cpus = (len(affinity(0)) if affinity else os.cpu_count()) or 1
-        threads = 1 if min(lengths) < chunk_size else min(cpus, _DRAW_THREADS)
-    tasks = enumerate(
-        (stitch, draw, chunk) for chunks, _, draw, stitch in scans for chunk in chunks
-    )
+        threads = min((len(affinity(0)) if affinity else os.cpu_count()) or 1, _DRAW_THREADS)
     lock = threading.Lock()  # guards the tasks and the errors
     errors = {}  # task index, or -1 outside any task -> the error raised there
 
@@ -640,7 +635,7 @@ def _stream_scans(
         helper.join()
     if errors:
         raise errors[min(errors)]
-    return [(columns, stitch.blocks()) for _, columns, _, stitch in scans]
+    return [stitch.blocks() for stitch in stitches]
 
 
 def stream_block_variances(
@@ -652,13 +647,13 @@ def stream_block_variances(
 
     Returns exactly
     ``block_variance_trace(sample_pulses(config, chunk_size), block_size)``,
-    in memory of O(chunk_size + block_size) instead of O(pulses).  It is the
-    one scan loop every simulated scan runs, here on the calling thread
-    alone: each chunk is drawn into one reused buffer and scratch and added to
-    the stitch, which reduces the whole blocks inside it in place, reduces the
-    blocks that straddle chunk boundaries and drops a trailing partial block.
+    in memory of O(chunk_size + block_size) instead of O(pulses): the fringe
+    columns are a copy of the schedule's memoized :func:`_block_columns`, and
+    the variances come from :func:`_stream_scans`, the one scan loop, which
+    draws a single scan chunk by chunk on the calling thread.
     """
-    return _stream_scans([config], block_size, chunk_size, threads=1)[0]
+    variances = _stream_scans([config], block_size, chunk_size)[0]
+    return _block_columns(config.schedule, block_size).copy(), variances
 
 
 def theta_scan(

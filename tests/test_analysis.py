@@ -96,8 +96,8 @@ def test_fit_recovers_shifted_minimum():
 
 def test_fit_input_validation(capfd):
     """Too few blocks, short span, degenerate pattern, bad block size,
-    overflowing weights and a nan or an infinity in the input all raise, the
-    last before any of it reaches LAPACK."""
+    overflowing weights, a nan or an infinity in the input and a variance not
+    above 0 all raise, the last two before any of it reaches LAPACK."""
     phases = np.linspace(0.0, 2.0 * math.pi, 40, endpoint=False)
     columns = _point_columns(phases)
     variances = np.ones_like(phases)
@@ -131,6 +131,13 @@ def test_fit_input_validation(capfd):
     spoiled[5] = math.nan
     with pytest.raises(ValueError, match="non-finite block variances"):
         fit_variance_curve(columns, spoiled, 100)
+    # a variance at or below 0 would take the weight of the clamped 1e-12, or a
+    # finite one of its own, and drag the fitted minimum below 0
+    for bad in (-1.0, 0.0, -0.0):
+        spoiled = variances.copy()
+        spoiled[7] = bad
+        with pytest.raises(ValueError, match=f"block 7 has variance {bad!r}, not above 0"):
+            fit_variance_curve(columns, spoiled, 100)
     assert capfd.readouterr() == ("", "")
 
 
@@ -603,6 +610,19 @@ def test_scans_of_a_chunk_or_more_are_drawn_on_threads(monkeypatch):
     drawn_on.clear()
     end_to_end_report(cfg, pulses_per_scan=20_000, block_size=500)
     assert drawn_on == [threading.get_ident()] * 3
+
+
+def test_one_streamed_scan_is_drawn_on_the_calling_thread(monkeypatch):
+    """A single scan, even one of several chunks on two usable CPUs, is drawn
+    chunk after chunk on the caller's thread: it has no other scan's chunks to
+    share out, so it stays in the memory of one chunk task."""
+    import os
+
+    drawn_on = _record_threads(monkeypatch)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    cfg = _reference_config(PhaseSchedule.linear_ramp(0.0, 4.0 * math.pi, 200_000), seed=5)
+    stream_block_variances(cfg)
+    assert drawn_on == [threading.get_ident()] * 4  # 200 000 pulses are 4 chunks
 
 
 def test_scans_are_drawn_in_turn_on_one_usable_cpu(monkeypatch):

@@ -455,6 +455,21 @@ def _records_named_as_their_sidecar(tmp_path):
     return ["analyze", str(tmp_path / "rec.json"), "--out", str(tmp_path)]
 
 
+def _block_0_zeroed(out):
+    """Set the values of the first block's 2500 records to 0."""
+    path = out / "pulses.csv"
+    lines = path.read_text().splitlines(keepends=True)
+    lines[1:2501] = [line.rsplit(",", 1)[0] + ",0\n" for line in lines[1:2501]]
+    path.write_text("".join(lines))
+
+
+def _records_without_a_sidecar(tmp_path):
+    """A 1,000-pulse run, shorter than one default block, with its sidecar deleted."""
+    assert main(["simulate", "--pulses", "1000", "--out", str(tmp_path)]) == EXIT_OK
+    (tmp_path / "pulses.json").unlink()
+    return ["analyze", str(tmp_path / "pulses.csv"), "--out", str(tmp_path)]
+
+
 def _records_of_width(width):
     """Rewrite every record of the CSV with ``width`` fields, keeping the header."""
 
@@ -497,6 +512,8 @@ BAD_INPUTS = [
                  "pulses.json: invalid config.schedule.phi_end: must lie within +/-",
                  id="sidecar phase overflows"),
     pytest.param(_scenario({"seed": True}), EXIT_INVALID_INPUT, "invalid seed", id="bool seed"),
+    pytest.param(_scenario({"blocked_arm": 3}), EXIT_INVALID_INPUT,
+                 "invalid blocked_arm: expected str, got 3", id="blocked_arm not a string"),
     pytest.param(_scenario({"source": {"kind": "pure_nopa", "r": 0.4, "v": 3}}),
                  EXIT_INVALID_INPUT, "'source.v'", id="field of another kind"),
     pytest.param(_scenario({"source": {"kind": "pure_nopa", "r": 355}}), EXIT_INVALID_INPUT,
@@ -578,6 +595,11 @@ BAD_INPUTS = [
     pytest.param(_simulated(_cut_in_a_value_halfway, scenario={"block_size": 250}),
                  EXIT_INVALID_INPUT, "pulses.csv holds 2500 records, its sidecar says 10000",
                  id="truncated records analyzed with a scenario"),
+    pytest.param(_simulated(_block_0_zeroed), EXIT_INVALID_INPUT,
+                 "error: block 0 has variance 0.0, not above 0", id="zero block variance"),
+    pytest.param(_records_without_a_sidecar, EXIT_INVALID_INPUT,
+                 "need at least one full block of 2500 pulses, got 1000",
+                 id="records shorter than a block without a sidecar"),
     pytest.param(_records_of_schedule({"kind": "linear_ramp", "phi_end": 1.25}),
                  EXIT_INVALID_INPUT, "phase coverage too small", id="records over 0.4 pi"),
     pytest.param(_records_of_schedule({"kind": "constant", "phi": 0.3}), EXIT_INVALID_INPUT,

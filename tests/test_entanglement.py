@@ -132,6 +132,10 @@ def test_entropy_rejects_bad_input():
         entropy_of_formation(rotated)
     with pytest.raises(ValueError):
         entropy_of_formation(symmetric_two_mode_covariance(0.9, 0.0, 0.0))
+    lopsided = EXPERIMENTAL_STATE.copy()
+    lopsided[0, 2] += 0.1  # gamma[2, 0] keeps its value
+    with pytest.raises(ValueError, match="covariance matrix is not symmetric"):
+        entropy_of_formation(lopsided)
     with pytest.raises(ValueError, match="variance argument"):
         formation_entropy(math.nan)
     for bad in (math.nan, math.inf, 0.0):
