@@ -101,11 +101,38 @@ def _check_blocks_to_fit(n_blocks: int) -> None:
         raise ValueError(f"need at least 4 blocks to fit 3 parameters, got {n_blocks}")
 
 
-def _fit_scans(columns, variances, samples_per_block: int) -> list[ScanEstimate]:
+def _check_design(columns) -> None:
+    """Refuse finite (blocks, 2) fringe columns that do not determine the fringe: fewer
+    than 4 blocks, or a design [1, C, S] that is rank-deficient or whose condition
+    number exceeds :data:`_MAX_CONDITION`, by one SVD.  The design depends on the
+    schedule alone, so :func:`end_to_end_report` checks it before any scan is drawn."""
+    n_blocks = len(columns)
+    _check_blocks_to_fit(n_blocks)
+    design = np.column_stack((np.ones(n_blocks), columns))  # [1, C, S]
+    singular = np.linalg.svd(design, compute_uv=False)
+    if not singular[-1] > singular[0] * n_blocks * np.finfo(float).eps:
+        raise ValueError(
+            f"degenerate fit: the {n_blocks} blocks' means of cos 2phi and sin 2phi do "
+            "not sample the fringe independently; use more pulses per scan or a "
+            "smaller block"
+        )
+    if singular[0] > _MAX_CONDITION * singular[-1]:
+        raise ValueError(
+            f"phase coverage too small: the {n_blocks} blocks must span enough of the "
+            "fringe that the fit's condition number stays at most "
+            f"{_MAX_CONDITION:g}, got {singular[0] / singular[-1]:.3g}; scan an LO "
+            "phase span of pi in blocks that each span well under pi"
+        )
+
+
+def _fit_scans(
+    columns, variances, samples_per_block: int, design_checked: bool = False
+) -> list[ScanEstimate]:
     """:func:`fit_variance_curve` of each row of ``variances`` (scans, blocks), bit for bit,
     over the (blocks, 2) ``columns`` all scans share: one stack of systems [1, C, S | y],
-    one finiteness pass, one SVD of the shared design for its checks and one stacked QR,
-    each of whose slices is the QR of that scan alone."""
+    one finiteness pass, the design's :func:`_check_design` (unless the caller has made
+    it, ``design_checked``) and one stacked QR, each of whose slices is the QR of that
+    scan alone."""
     n_blocks = len(columns)
     system = np.empty((len(variances), n_blocks, 4))  # [1, C, S | y] per scan
     system[:, :, 0] = 1.0
@@ -121,21 +148,8 @@ def _fit_scans(columns, variances, samples_per_block: int) -> list[ScanEstimate]
             f"block {block} has variance {float(lowest[block])!r}, not above 0: the fit "
             "weights (n - 1) / (2 s^4) need positive block variances"
         )
-    _check_blocks_to_fit(n_blocks)
-    singular = np.linalg.svd(system[0, :, :3], compute_uv=False)
-    if not singular[-1] > singular[0] * n_blocks * np.finfo(float).eps:
-        raise ValueError(
-            f"degenerate fit: the {n_blocks} blocks' means of cos 2phi and sin 2phi do "
-            "not sample the fringe independently; use more pulses per scan or a "
-            "smaller block"
-        )
-    if singular[0] > _MAX_CONDITION * singular[-1]:
-        raise ValueError(
-            f"phase coverage too small: the {n_blocks} blocks must span enough of the "
-            "fringe that the fit's condition number stays at most "
-            f"{_MAX_CONDITION:g}, got {singular[0] / singular[-1]:.3g}; scan an LO "
-            "phase span of pi in blocks that each span well under pi"
-        )
+    if not design_checked:
+        _check_design(columns)
     _check_size("samples_per_block", samples_per_block, 2)
     # the largest variance has the smallest weight (n - 1) / (2 s^4), and it
     # is 0 where 2 s^4 overflows
@@ -399,13 +413,16 @@ def end_to_end_report(
         source or detector that drifted between the scans.
     ValueError
         Before any scan is drawn: a FieldError if ``config.beamsplitter_r`` is
-        not 0.5, and one naming the count if a scan holds fewer than 4 blocks.
+        not 0.5, one naming the count if a scan holds fewer than 4 blocks, and
+        one if the ramp's blocks do not determine the fringe (see
+        :func:`fit_variance_curve`).
     """
     eta = _efficiency(config)
     noise = config.detector.electronic_noise_var
     ramp = PhaseSchedule.linear_ramp(0.0, 4.0 * math.pi, pulses_per_scan)
     _check_blocks_to_fit(_block_count(pulses_per_scan, block_size))
     columns = _block_columns(ramp, block_size)
+    _check_design(columns)
     seeds = _scan_seeds(config.seed, 3)
 
     scans = [
@@ -413,7 +430,7 @@ def end_to_end_report(
         for theta, arm, seed in zip((0.0, math.pi, 0.0), ("none", "none", "b"), seeds)
     ]
     zero_vars, pi_vars, blocked_vars = _stream_scans(scans, block_size)
-    fit_zero, fit_pi = _fit_scans(columns, (zero_vars, pi_vars), block_size)
+    fit_zero, fit_pi = _fit_scans(columns, (zero_vars, pi_vars), block_size, design_checked=True)
     mismatch = abs(fit_zero.v_min - fit_pi.v_min)
     mismatch_err = math.hypot(fit_zero.stderr, fit_pi.stderr)
     if mismatch > 4.0 * mismatch_err:

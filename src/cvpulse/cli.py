@@ -146,8 +146,8 @@ def cmd_simulate(args, out_dir: Path) -> tuple[int, dict, str]:
     return EXIT_OK, summary, f"wrote {summary['n_pulses']} pulses to {summary['records']}"
 
 
-def _analysis_config(args, records_path: Path) -> tuple[RunConfig, int, int | None]:
-    """Config, block size and sidecar pulse count (None without a sidecar) for
+def _analysis_config(args, records_path: Path) -> tuple[RunConfig, int, Sidecar | None]:
+    """Config, block size and sidecar (None without one) for
     analyze.  A sidecar is read whenever it exists and its config describes the
     records; an explicit scenario then supplies only the detector (efficiency
     and electronic noise).  Without a sidecar the scenario, or else the
@@ -155,13 +155,13 @@ def _analysis_config(args, records_path: Path) -> tuple[RunConfig, int, int | No
     are refused before any is read."""
     scenario = _scenario(args)
     sidecar = _file(_sidecar_path(records_path), "a sidecar")
-    config, n_pulses = scenario.config, None
+    config, meta = scenario.config, None
     if sidecar.exists():
         try:
             meta = Sidecar.from_dict(read_metadata(records_path))
         except ValueError as exc:
             raise ValueError(f"{sidecar}: {exc}") from None
-        n_pulses, config = meta.n_pulses, meta.config
+        config = meta.config
         if args.scenario is not None:
             config = replace(config, detector=scenario.config.detector)
     _efficiency(config)
@@ -169,18 +169,20 @@ def _analysis_config(args, records_path: Path) -> tuple[RunConfig, int, int | No
         raise FieldError(
             "blocked_arm", f"analyze reads a recombined scan, got {config.blocked_arm!r}"
         )
-    return config, scenario.block_size, n_pulses
+    return config, scenario.block_size, meta
 
 
 def cmd_analyze(args, out_dir: Path) -> tuple[int, dict, str]:
     report_path = _file(out_dir / "report.json")
     records_path = _file(args.records, "a records CSV")  # '.' and '/' too: no name for a sidecar
-    config, block_size, n_pulses = _analysis_config(args, records_path)
-    if n_pulses is not None:  # too few blocks for the fit are refused unread
-        _check_blocks_to_fit(_block_count(n_pulses, block_size))
-    columns, variances, rows = _read_blocks(records_path, block_size)
-    if n_pulses not in (None, rows):
-        raise ValueError(f"{records_path.name} holds {rows} records, its sidecar says {n_pulses}")
+    config, block_size, meta = _analysis_config(args, records_path)
+    if meta is not None:  # too few blocks for the fit are refused unread
+        _check_blocks_to_fit(_block_count(meta.n_pulses, block_size))
+    columns, variances, rows = _read_blocks(records_path, block_size, meta)
+    if meta is not None and rows != meta.n_pulses:
+        raise ValueError(
+            f"{records_path.name} holds {rows} records, its sidecar says {meta.n_pulses}"
+        )
     _block_count(rows, block_size)
     fit = fit_variance_curve(columns, variances, block_size)
     # single-file route: no blocked-arm level, the corrected extremes set the diagonal

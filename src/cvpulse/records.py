@@ -1,12 +1,15 @@
-"""The text format of record CSVs, written and read by numpy.
+"""The text format of record CSVs, written and read by numpy, and the digest that binds
+a record to its sidecar.
 
 :func:`cvpulse.simulate.write_records`, :func:`cvpulse.simulate.read_records` and the
 reader ``analyze`` uses import this module on their first call, so a run without records
-does not compile it.
+does not compile it, nor load ``hashlib`` (about 3.7 MB of resident memory).
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 import re
 from pathlib import Path
@@ -17,6 +20,12 @@ import numpy as np
 from numpy.typing import NDArray
 
 HEADER = "index,lo_phase_rad,value"
+
+
+def config_hash(config: dict):
+    """A SHA-256 that has taken the canonical JSON of a run's config (sorted keys, no
+    spaces), as a sidecar's ``records_sha256`` takes it before the record's bytes."""
+    return hashlib.sha256(json.dumps(config, sort_keys=True, separators=(",", ":")).encode())
 
 _SPLIT = 2.0**27 + 1.0
 _WORD = np.dtype("<u8")
@@ -133,8 +142,8 @@ def _fixed_notation(v: NDArray[np.float64]) -> tuple[NDArray[np.uint64], NDArray
     return words, fixed | zero
 
 
-def _rows(first: int, phases: NDArray[np.float64], values: NDArray[np.float64]) -> str:
-    """CSV text of pulses first, first + 1, ... with their LO phases and values.
+def _rows(first: int, phases: NDArray[np.float64], values: NDArray[np.float64]) -> bytes:
+    """CSV bytes of pulses first, first + 1, ... with their LO phases and values.
 
     Each row is laid out in a row of 8-byte words, NUL where it has no byte:
     the index and its comma, then each value in three words and its separator
@@ -165,7 +174,7 @@ def _rows(first: int, phases: NDArray[np.float64], values: NDArray[np.float64]) 
     rows, columns = np.nonzero(~laid_out)
     written = b"".join((b"%.17g" % x).ljust(24, b"\0") for x in v[rows, columns].tolist())
     fields[rows, columns, :3] = np.frombuffer(written, _WORD).reshape(-1, 3)
-    return chars[chars != 0].tobytes().decode("ascii")
+    return chars[chars != 0].tobytes()
 
 
 # Rows per _rows call: a 250k-pulse write_records peaks at 3.1 MB traced with
@@ -173,8 +182,8 @@ def _rows(first: int, phases: NDArray[np.float64], values: NDArray[np.float64]) 
 _FORMAT_BATCH = 2048
 
 
-def format_rows(first: int, phases: NDArray, values: NDArray) -> Iterator[str]:
-    """The text of pulses first, first + 1, ..., a batch of rows at a time."""
+def format_rows(first: int, phases: NDArray, values: NDArray) -> Iterator[bytes]:
+    """The bytes of pulses first, first + 1, ..., a batch of rows at a time."""
     for i in range(0, len(values), _FORMAT_BATCH):
         yield _rows(first + i, phases[i : i + _FORMAT_BATCH], values[i : i + _FORMAT_BATCH])
 
@@ -191,7 +200,9 @@ def format_rows(first: int, phases: NDArray, values: NDArray) -> Iterator[str]:
 # not a digit.  A CRLF or a lone CR is read as a newline, as text mode reads
 # it.  Every other line (exponent notation, whitespace, '#', '+', leading
 # zeros, nan, blank lines) is read by _fields, in Python.  Where a line is
-# rejected, or a check fails, a rescan names the first line that fails.
+# rejected, or a check fails, a rescan names the first line that fails.  A
+# record bound to its sidecar is read by read_values, which decodes only the
+# value of each line, by the same arithmetic (_decimals).
 # Bytes read per block: a 250k-pulse file reads in 104 ms with 2^17 (best of
 # 12, 2 CPUs), 101 ms with 2^18 and 119 ms with 2^16, at traced peaks of
 # 6.1, 8.1 and 5.1 MB (its arrays are 4 MB).
@@ -265,29 +276,32 @@ def _decimal_value(digits: NDArray[np.uint64], places: NDArray[np.intp]):
     return rounded, np.abs(r) <= limit
 
 
-def _parse_block(data: bytes, stop: int) -> NDArray[np.float64] | None:
-    """The index, phase and value rows (3, n) of the lines of
-    data[_LOOKBACK:stop], each ending in a newline; None where a line the
-    fast path declines is not UTF-8 or _fields rejects it."""
+def _lines(data: bytes, stop: int):
+    """data[:stop] as bytes, the offsets of its bytes below '-' (',', '\\n', and
+    bytes no fast line has) from the newline before data[_LOOKBACK] on, the
+    index among them of each newline, and the mask of the lines of
+    data[_LOOKBACK:stop] laid out as two commas and a newline."""
     a = np.frombuffer(data, np.uint8, stop)
-    seps = np.flatnonzero(a < ord("-"))  # ',', '\n', and bytes no fast line has
+    seps = np.flatnonzero(a < ord("-"))
     seps = seps[np.searchsorted(seps, _LOOKBACK - 1) :]
     kind = a[seps]
     newlines = np.flatnonzero(kind == ord("\n"))
     ends = newlines[1:]
-    candidates = np.flatnonzero(
-        (ends - newlines[:-1] == 3) & (kind[ends - 1] == ord(",")) & (kind[ends - 2] == ord(","))
-    )
-    # the first byte and the end of each candidate's index, phase and value
-    bounds = seps[ends[candidates] - np.arange(3, -1, -1)[:, None]]
-    start, end = bounds[:3] + 1, bounds[1:]
-    negative = a[start[1:]] == ord("-")
-    start[1:] += negative
+    laid_out = (ends - newlines[:-1] == 3) & (kind[ends - 1] == ord(","))
+    laid_out &= kind[ends - 2] == ord(",")
+    return a, seps, newlines, laid_out
 
+
+def _decimals(a: NDArray[np.uint8], data: bytes, start: NDArray[np.intp], end: NDArray[np.intp]):
+    """The doubles of the fields data[start:end] (arrays of one shape), and the mask of
+    those the fast path reads: an optional '-', then 1-8 integer digits with no leading
+    zero, then optionally '.' and 1-22 digits, at most 19 significant digits in all."""
+    negative = a[start] == ord("-")
+    start = start + negative
     # the 24 bytes before each field's end as 3 words, and its last byte that
     # is not a digit (gathered as 24-byte items, 3 times faster than words)
-    x = np.ndarray((stop - 23,), "V24", data, 0, (1,))[end - 24].view(_WORD)
-    x = x.reshape(3, -1, 3)
+    x = np.ndarray((len(a) - 23,), "V24", data, 0, (1,))[end - 24].view(_WORD)
+    x = x.reshape(*end.shape, 3)
     x ^= _ZEROS
     top = _non_digits(x).view(np.int64).astype(np.float64).view(np.int64) >> 52  # 1023 + 8 byte
     point = np.maximum(np.maximum(top[..., 0], top[..., 1] + 64), top[..., 2] + 128)
@@ -298,26 +312,45 @@ def _parse_block(data: bytes, stop: int) -> NDArray[np.float64] | None:
     tail = end - point - 1  # digits after it
     x &= _LAST_BYTES[tail].view(_WORD).reshape(x.shape)
     dot = a[point] == ord(".")
-    whole = np.where(dot[1:], point[1:] - start[1:], 0)  # digits before a point
-    y = np.ndarray((stop - 7,), "V8", data, 0, (1,))[point[1:] - 8].view(_WORD)
+    whole = np.where(dot, point - start, 0)  # digits before a point
+    y = np.ndarray((len(a) - 7,), "V8", data, 0, (1,))[point - 8].view(_WORD)
     y ^= _ZEROS
     y &= _LAST_BYTES.view(_WORD)[2::3][np.clip(whole, 0, 8)]
 
-    lead = tail.copy()  # digits before the point, or in all
-    lead[1:] = np.where(dot[1:], whole, tail[1:])
+    lead = np.where(dot, whole, tail)  # digits before the point, or in all
     ok = np.where(dot, tail >= 1, point == start - 1)
-    ok[0] &= ~dot[0] & (lead[0] <= 16)
-    ok[1:] &= (_non_digits(y) == 0) & (lead[1:] <= 8) & (tail[1:] <= 22)
-    ok &= (lead >= 1) & ((lead == 1) | (a[start] != ord("0")))
+    ok &= (_non_digits(y) == 0) & (lead >= 1) & (lead <= 8) & (tail <= 22)
+    ok &= (lead == 1) | (a[start] != ord("0"))
     x, y = _sum_digits(x), _sum_digits(y)
-    ok[1:] &= (whole + tail[1:] <= 19) | ((y == 0) & (x[1:, :, 0] < 1000))  # significant digits
+    ok &= (whole + tail <= 19) | ((y == 0) & (x[..., 0] < 1000))  # significant digits
     d = x[..., 0] * 10**16 + x[..., 1] * 10**8 + x[..., 2]
-    d[1:] += y * _POW10_INT[np.minimum(tail[1:], 19)]
-    value, exact = _decimal_value(d[1:] * ok[1:], tail[1:] * (ok[1:] & dot[1:]))
+    d += y * _POW10_INT[np.minimum(tail, 19)]
+    value, exact = _decimal_value(d * ok, tail * (ok & dot))
     value.view(np.uint64)[:] |= negative.astype(np.uint64) << 63
-    fast = ok[0] & (ok[1:] & exact).all(axis=0)
+    return value, ok & exact
+
+
+def _parse_block(data: bytes, stop: int) -> NDArray[np.float64] | None:
+    """The index, phase and value rows (3, n) of the lines of
+    data[_LOOKBACK:stop], each ending in a newline; None where a line the
+    fast path declines is not UTF-8 or _fields rejects it."""
+    a, seps, newlines, laid_out = _lines(data, stop)
+    ends = newlines[1:]
+    candidates = np.flatnonzero(laid_out)
+    # the first byte and the end of each candidate's index, phase and value
+    bounds = seps[ends[candidates] - np.arange(3, -1, -1)[:, None]]
+    start, end = bounds[:3] + 1, bounds[1:]
+    value, fast = _decimals(a, data, start[1:], end[1:])
+    # an index is 1-16 digits with no leading zero: the last of the 24 bytes before its end
+    width = end[0] - start[0]
+    x = np.ndarray((stop - 23,), "V24", data, 0, (1,))[end[0] - 24].view(_WORD).reshape(-1, 3)
+    x ^= _ZEROS
+    x &= _LAST_BYTES[np.minimum(width, 24)].view(_WORD).reshape(x.shape)
+    fast = fast.all(axis=0) & (_non_digits(x) == 0).all(axis=1) & (width >= 1) & (width <= 16)
+    fast &= (width == 1) | (a[start[0]] != ord("0"))
+    x = _sum_digits(x)
     table = np.empty((3, len(fast)))
-    table[0], table[1:] = d[0], value
+    table[0], table[1:] = x[:, 0] * 10**16 + x[:, 1] * 10**8 + x[:, 2], value
 
     kept = candidates[fast]
     if len(kept) == len(ends):
@@ -334,6 +367,26 @@ def _parse_block(data: bytes, stop: int) -> NDArray[np.float64] | None:
             at.append(line - i)  # the fast lines before it
             rows.append(fields)
     return np.insert(table[:, fast], at, np.reshape(rows, (-1, 3)).T, axis=1)
+
+
+def _parse_values(data: bytes, stop: int) -> NDArray[np.float64] | None:
+    """The values of the lines of data[_LOOKBACK:stop], each ending in a newline,
+    decoding no index or phase; None where a line is not laid out as three fields,
+    or where one whose value the fast path declines is not read by _fields."""
+    a, seps, newlines, laid_out = _lines(data, stop)
+    if not laid_out.all():
+        return None
+    ends = newlines[1:]
+    values, fast = _decimals(a, data, seps[ends - 1] + 1, seps[ends])
+    for line in np.flatnonzero(~fast).tolist():
+        try:
+            fields = _fields(data[seps[newlines[line]] + 1 : seps[ends[line]]].decode())
+        except ValueError:  # UnicodeDecodeError included
+            return None
+        if fields is None:
+            return None
+        values[line] = fields[2]
+    return values
 
 
 def _text_blocks(fh) -> Iterator[bytes]:
@@ -370,6 +423,35 @@ def read(csv_path: Path) -> Iterator[tuple[NDArray[np.float64], NDArray[np.float
             chunk = next(blocks, None)
     if rows == 0:
         _raise_at_first_bad_line(csv_path)
+
+
+def read_values(csv_path: Path, sha, digest: str, add) -> int | None:
+    """Pass the values of each block of lines of csv_path to add(first row, values) and
+    return the row count, where the file is the header and lines of three fields that,
+    hashed into ``sha`` as read, give the hex ``digest``; otherwise None, at the first
+    header, CR, line or trailing fragment this pass does not read (with no further call
+    to add), or at the end.  No index or phase is decoded: the digest binds them."""
+    rows = 0
+    with open(csv_path, "rb") as fh:
+        chunk = fh.read(_READ_BLOCK)
+        if not chunk.startswith(_HEADER_LINE):
+            return None
+        data = chunk[len(_HEADER_LINE) - _LOOKBACK :]
+        while chunk:
+            sha.update(chunk)
+            if b"\r" in chunk:
+                return None
+            stop = data.rfind(b"\n", _LOOKBACK) + 1
+            if stop:
+                values = _parse_values(data, stop)
+                if values is None:
+                    return None
+                add(rows, values)
+                rows += len(values)
+                data = data[stop - _LOOKBACK :]
+            chunk = fh.read(_READ_BLOCK)
+            data += chunk
+    return rows if len(data) == _LOOKBACK and sha.hexdigest() == digest else None
 
 
 # A field np.loadtxt reads (PyOS_string_to_double after stripping whitespace).

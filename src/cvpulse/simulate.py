@@ -14,6 +14,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 import threading
 from dataclasses import dataclass
@@ -35,9 +36,12 @@ DEFAULT_CHUNK_SIZE = 65536
 #: coefficients and per-chunk phasors (equal to rounding, not bit for bit),
 #: both with PCG64 normals; 3 draws contract 2's deviations with SFC64 normals;
 #: 4 makes contract 3's draws, with coefficients from closed-form scalar
-#: arithmetic and no BLAS product (equal to rounding, not bit for bit).
-FORMAT_VERSION = 4
-_READABLE_VERSIONS = (1, 2, 3, 4)
+#: arithmetic and no BLAS product (equal to rounding, not bit for bit); 5 makes
+#: contract 4's draws and bytes, and its sidecar binds the record by
+#: ``records_sha256``, the SHA-256 of the config's canonical JSON and then of
+#: every byte of the CSV.  Sidecars of versions 1 to 4 carry no digest.
+FORMAT_VERSION = 5
+_READABLE_VERSIONS = (1, 2, 3, 4, 5)
 
 #: Pulses per variance block when a caller or a scenario names none.
 DEFAULT_BLOCK_SIZE = 2500
@@ -205,12 +209,14 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class Sidecar:
-    """JSON metadata written next to a records CSV: enough to regenerate it."""
+    """JSON metadata written next to a records CSV: enough to regenerate it, and from
+    version 5 the digest that binds the CSV to it ("" before)."""
 
     format_version: int
     format: str
     n_pulses: int
     chunk_size: int
+    records_sha256: str
     config: RunConfig
 
     def __post_init__(self) -> None:
@@ -227,12 +233,21 @@ class Sidecar:
                 "n_pulses", f"must equal config.schedule.n_pulses = "
                 f"{self.config.schedule.n_pulses}, got {self.n_pulses}"
             )
+        if self.format_version < 5 and self.records_sha256:
+            raise FieldError("records_sha256", f"version {self.format_version} carries no "
+                             f"digest, got {self.records_sha256!r}")
+        if self.format_version >= 5 and not re.fullmatch("[0-9a-f]{64}", self.records_sha256):
+            raise FieldError("records_sha256", "expected 64 lowercase hex digits, got "
+                             f"{self.records_sha256!r}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "Sidecar":
-        # sidecars written before the field existed follow contract 1
-        if isinstance(data, dict) and "format_version" not in data:
+        # sidecars written before the field existed follow contract 1, and
+        # those before version 5 carry no digest
+        if isinstance(data, dict):
             data = {"format_version": 1, **data}
+            if data["format_version"] in (1, 2, 3, 4):
+                data = {"records_sha256": "", **data}
         return schema.from_dict(cls, data)
 
 
@@ -726,8 +741,9 @@ def write_records(
     The records are those of ``sample_pulses(config, chunk_size)``, drawn
     chunk by chunk into one reused buffer, so memory stays O(chunk_size).
     Each row is the bytes ``"%d,%.17g,%.17g\n" % row`` writes.  The
-    sidecar, the CSV's path with suffix ``.json``, names the chunk size; a
-    CSV path that already ends in ``.json`` raises ValueError.
+    sidecar, the CSV's path with suffix ``.json``, names the chunk size and
+    binds the CSV by the SHA-256 of the config and then of every byte
+    written; a CSV path that already ends in ``.json`` raises ValueError.
     """
     from . import records  # compiled on first use, not by every run that imports simulate
 
@@ -735,12 +751,20 @@ def write_records(
     chunks = _chunks(config, chunk_size, _STREAM_FAST)
     buffer, scratch = np.empty((2, min(chunk_size, len(config.schedule))))
     draw = _marginal_draw(config, chunk_size)
-    with open(csv_path, "w") as fh:
-        fh.write(records.HEADER + "\n")
+
+    def texts():
+        yield (records.HEADER + "\n").encode()
         for start, stop, rng in chunks:
             values = draw(start, rng, buffer[: stop - start], scratch)
-            fh.writelines(records.format_rows(start, config.schedule.values(start, stop), values))
-    meta = Sidecar(FORMAT_VERSION, records.HEADER, len(config.schedule), chunk_size, config)
+            yield from records.format_rows(start, config.schedule.values(start, stop), values)
+
+    sha = records.config_hash(config.to_dict())
+    with open(csv_path, "wb") as fh:
+        for text in texts():
+            sha.update(text)
+            fh.write(text)
+    meta = Sidecar(FORMAT_VERSION, records.HEADER, len(config.schedule), chunk_size,
+                   sha.hexdigest(), config)
     sidecar.write_text(json.dumps(schema.to_dict(meta), indent=2) + "\n")
     return Path(csv_path)
 
@@ -769,12 +793,25 @@ def read_records(csv_path: str | Path) -> PulseTrain:
     return PulseTrain(phase, value)
 
 
-def _read_blocks(csv_path: Path, block_size: int):
+def _read_blocks(csv_path: Path, block_size: int, sidecar: Sidecar | None = None):
     """``block_variance_trace(read_records(csv_path), block_size)`` and the record count
     bit for bit: each block of lines is added to a column stitch and a variance stitch
     as it is read, so memory is O(block + read block).  No full block is no error, so
-    a caller can check the count first."""
+    a caller can check the count first.
+
+    A CSV that ``sidecar`` binds by its digest is first read by value alone and hashed
+    as it is read.  If its bytes give the digest, they are those :func:`write_records`
+    wrote of the sidecar's config, so the columns are its schedule's memoized
+    :func:`_block_columns`, and the caller has checked that its pulse count gives a
+    block.  Otherwise the CSV is read as any other.
+    """
     from . import records
+    if sidecar is not None and sidecar.records_sha256:
+        variances = _Stitch(block_size, _reduce_blocks)
+        sha = records.config_hash(sidecar.config.to_dict())
+        rows = records.read_values(csv_path, sha, sidecar.records_sha256, variances.add)
+        if rows is not None:
+            return _block_columns(sidecar.config.schedule, block_size), variances.blocks(), rows
     columns, variances = _Stitch(block_size, _fringe_columns), _Stitch(block_size, _reduce_blocks)
     rows = 0
     for phases, values, _ in records.read(csv_path):

@@ -32,6 +32,7 @@ from cvpulse.simulate import (
     DEFAULT_CHUNK_SIZE,
     DetectorModel,
     PhaseSchedule,
+    PulseTrain,
     RunConfig,
     block_variance_trace,
     detected_variance,
@@ -581,6 +582,28 @@ def test_end_to_end_report_rejects_an_unbalanced_beamsplitter(monkeypatch, r):
     with pytest.raises(FieldError, match="beamsplitter_r") as excinfo:
         end_to_end_report(cfg, pulses_per_scan=100_000)
     assert excinfo.value.key == "beamsplitter_r"
+
+
+@pytest.mark.parametrize("pulses, block, message", [
+    (8000, 2000, "degenerate fit: the 4 blocks' means"),
+    (10_000, 2000, "phase coverage too small: the 5 blocks"),
+])
+def test_end_to_end_report_refuses_a_design_before_any_draw(monkeypatch, pulses, block, message):
+    """The fit's design depends on the ramp alone, so a report whose blocks do
+    not determine the fringe (4 blocks of pi each, or 5 of 0.8 pi) is refused
+    before a scan's draw is built, with the message the fit gives."""
+
+    def no_draw(config, draw):
+        raise AssertionError("a scan was drawn")
+
+    _wrap_draws(monkeypatch, no_draw)
+    cfg = _reference_config(PhaseSchedule.constant(0.0, 1))
+    with pytest.raises(ValueError, match=message):
+        end_to_end_report(cfg, pulses_per_scan=pulses, block_size=block)
+    ramp = PhaseSchedule.linear_ramp(0.0, 4.0 * math.pi, pulses)
+    columns, _ = block_variance_trace(PulseTrain(ramp.values(), np.ones(pulses)), block)
+    with pytest.raises(ValueError, match=message):
+        fit_variance_curve(columns, np.ones(len(columns)), block)
 
 
 def _record_threads(monkeypatch):

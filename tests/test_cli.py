@@ -277,6 +277,22 @@ def test_reproduce_paper_too_few_blocks(capsys):
     assert "smaller block" in err
 
 
+def test_reproduce_paper_refuses_a_degenerate_design_before_any_draw(monkeypatch, capsys):
+    """4 blocks of 2000 pulses, each spanning pi of the 4 pi ramp, cannot
+    separate the fringe: the run exits 2 with the fit's message, unsampled."""
+    import cvpulse.simulate as simulate_module
+
+    def never(*args, **kwargs):
+        raise AssertionError("a scan was drawn")
+
+    monkeypatch.setattr(simulate_module, "_marginal_draw", never)
+    argv = ["reproduce-paper", "--pulses", "8000", "--block-size", "2000"]
+    assert main(argv) == EXIT_INVALID_INPUT
+    assert capsys.readouterr().err.startswith(
+        "error: degenerate fit: the 4 blocks' means of cos 2phi and sin 2phi do not sample"
+    )
+
+
 def test_scenario_unknown_key(tmp_path, capsys):
     scenario = _write_scenario(tmp_path / "s.json", {"detectr": {}})
     code = main(["simulate", "--scenario", scenario, "--out", str(tmp_path)])
@@ -364,6 +380,15 @@ def _format_version_after_current(out):
     meta = json.loads((out / "pulses.json").read_text())
     meta["format_version"] = FORMAT_VERSION + 1
     (out / "pulses.json").write_text(json.dumps(meta))
+
+
+def _sidecar_digest(digest, version=FORMAT_VERSION):
+    def spoil(out):
+        meta = json.loads((out / "pulses.json").read_text())
+        meta["records_sha256"], meta["format_version"] = digest(meta["records_sha256"]), version
+        (out / "pulses.json").write_text(json.dumps(meta))
+
+    return spoil
 
 
 def _sidecar_chunk_size(size):
@@ -575,6 +600,12 @@ BAD_INPUTS = [
                  "line 2001: expected index 1999, got 7", id="index out of sequence"),
     pytest.param(_simulated(_format_version_after_current), EXIT_INVALID_INPUT,
                  "format_version", id="unknown format version"),
+    pytest.param(_simulated(_sidecar_digest(str.upper)), EXIT_INVALID_INPUT,
+                 "pulses.json: invalid records_sha256: expected 64 lowercase hex digits, got '",
+                 id="records digest not lowercase hex"),
+    pytest.param(_simulated(_sidecar_digest(lambda digest: digest, version=4)), EXIT_INVALID_INPUT,
+                 "pulses.json: invalid records_sha256: version 4 carries no digest, got '",
+                 id="records digest in a version 4 sidecar"),
     *(pytest.param(_simulated(_sidecar_chunk_size(size)), EXIT_INVALID_INPUT,
                    f"invalid chunk_size: must be >= 1, got {size}",
                    id=f"sidecar chunk size {size}")

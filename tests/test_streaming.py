@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import math
+import shutil
 import sys
 import tracemalloc
 from dataclasses import replace
@@ -102,15 +103,15 @@ PURE_NOPA_CONSTANT = RunConfig(
     blocked_arm="a",
 )
 
-# (config, SHA-256 of the sidecar JSON bytes written by format version 4)
+# (config, SHA-256 of the sidecar JSON bytes written by format version 5)
 PINNED_SIDECARS = {
     "reference": (
         reference_scenario(n_pulses=1000, seed=12345).config,
-        "40b80ced30f0ed0420b4f2404805a08e89a95cb44d6f98a94ec12a20953cd197",
+        "a059ff90e9ec533bf4364de8e3279286dd40c1b45fe31c986baebd7e863f4e01",
     ),
     "pure_nopa_constant": (
         PURE_NOPA_CONSTANT,
-        "1da40f0d72d918aedcc30f1749e56d47f506bc7f2b3c8cba5293de0d10fc4d8f",
+        "e9608356c3b6e9440889e424c96ea377885b810dd28651e64d743646cbbf01ff",
     ),
 }
 
@@ -156,7 +157,7 @@ def test_sidecar_bytes_are_pinned(case, tmp_path):
     csv = write_records(config, tmp_path / "r.csv")
     sidecar = csv.with_suffix(".json").read_bytes()
     assert hashlib.sha256(sidecar).hexdigest() == digest
-    assert Sidecar.from_dict(json.loads(sidecar)).format_version == FORMAT_VERSION == 4
+    assert Sidecar.from_dict(json.loads(sidecar)).format_version == FORMAT_VERSION == 5
 
 
 def test_pinned_sidecar_decodes_to_its_config():
@@ -188,18 +189,19 @@ def test_version_1_sidecar_still_analyzes(tmp_path, capsys):
 
 
 def test_version_2_sidecar_still_analyzes(tmp_path, capsys):
-    """Records of contracts 2 and 3 differ only in their values, which analyze
-    reads from the CSV: a sidecar that says version 2 or 3 analyzes as
-    version 4 does."""
+    """Records of contracts 2 to 4 differ only in their values, which analyze
+    reads from the CSV: a sidecar that says version 2, 3 or 4 (with no digest)
+    analyzes as the current version does."""
     csv = write_records(replace(REFERENCE, schedule=_ramp(50_000)), tmp_path / "r.csv")
     assert main(["analyze", str(csv), "--out", str(tmp_path), "--json"]) == 0
-    as_version_4 = capsys.readouterr().out
+    as_current = capsys.readouterr().out
     meta = json.loads(csv.with_suffix(".json").read_text())
-    assert meta["format_version"] == 4
-    for version in (2, 3):
+    assert meta.pop("records_sha256")
+    assert meta["format_version"] == FORMAT_VERSION
+    for version in (2, 3, 4):
         csv.with_suffix(".json").write_text(json.dumps({**meta, "format_version": version}))
         assert main(["analyze", str(csv), "--out", str(tmp_path), "--json"]) == 0
-        assert capsys.readouterr().out == as_version_4
+        assert capsys.readouterr().out == as_current
 
 
 def test_records_regenerate_from_their_sidecar(tmp_path):
@@ -549,7 +551,7 @@ def test_write_records_memory_does_not_grow_with_pulses(tmp_path, monkeypatch):
     Rows are formatted to no text here: traced, the formatting of 4x10^6 rows
     takes about a minute, and its text never exceeds one 2048-row batch.
     """
-    monkeypatch.setattr(records, "_rows", lambda first, phases, values: "")
+    monkeypatch.setattr(records, "_rows", lambda first, phases, values: b"")
     peaks = []
     for n in (1_000_000, 4_000_000):
         config = replace(REFERENCE, schedule=_ramp(n))
@@ -667,7 +669,7 @@ def test_rows_are_the_bytes_percent_formatting_writes():
     assert 10**4 % batch != 0
     for first in range(0, len(values), batch):
         rows = slice(first, first + batch)
-        got = records._rows(first, phases[rows], values[rows])
+        got = records._rows(first, phases[rows], values[rows]).decode()
         expected = "".join(
             "%d,%.17g,%.17g\n" % row
             for row in zip(itertools.count(first), phases[rows].tolist(), values[rows].tolist())
@@ -756,8 +758,8 @@ def test_read_records_equals_loadtxt_bit_for_bit(tmp_path, monkeypatch):
     cases = np.concatenate([cases[fixed], cases[~fixed & np.isfinite(cases)]])  # fast rows first
     phases, values = cases[0::2][: cases.size // 2], cases[1::2][: cases.size // 2]
     rows_path = tmp_path / "rows.csv"
-    with open(rows_path, "w") as fh:
-        fh.write("index,lo_phase_rad,value\n")
+    with open(rows_path, "wb") as fh:
+        fh.write(b"index,lo_phase_rad,value\n")
         for first in range(0, len(values), records._FORMAT_BATCH):
             batch = slice(first, first + records._FORMAT_BATCH)
             fh.write(records._rows(first, phases[batch], values[batch]))
@@ -845,27 +847,43 @@ def test_read_records_memory_grows_only_with_its_arrays(tmp_path):
     assert peaks[2] <= 1.1 * peaks[0]
 
 
+def _unbind(csv):
+    """Rewrite the sidecar of ``csv`` as version 4 wrote it: its config, no digest."""
+    sidecar = csv.with_suffix(".json")
+    meta = json.loads(sidecar.read_text())
+    del meta["records_sha256"]
+    sidecar.write_text(json.dumps({**meta, "format_version": 4}, indent=2) + "\n")
+
+
 def test_analyze_memory_does_not_grow_with_pulses(tmp_path, capsys):
-    """analyze peaks at the same traced memory for 2.5x10^5 and 10^6 pulses:
-    each block of lines is split and stitched as it is read, and no train
-    of the records is ever held."""
+    """analyze peaks at the same traced memory for 2.5x10^5 and 10^6 pulses,
+    on the bound read of records next to their own sidecars and on the full
+    read of the same records once their sidecars carry no digest: each block
+    of lines is split and stitched as it is read, and no train of the records
+    is ever held.  The bound read builds its schedule's block columns a chunk
+    of pulses at a time."""
     runs = []
     for n in (250_000, 1_000_000):
         out = tmp_path / f"r{n}"
         out.mkdir()
         write_records(replace(REFERENCE, schedule=_ramp(n)), out / "pulses.csv")
         runs.append(["analyze", str(out / "pulses.csv"), "--out", str(out)])
-    assert main(runs[0]) == 0  # imports the record format and builds the parser first
-    peaks = []
-    for argv in runs:
-        tracemalloc.start()
-        try:
-            assert main(argv) == 0
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    capsys.readouterr()
-    assert peaks[1] <= 1.1 * peaks[0]
+    for bound in (True, False):
+        if not bound:
+            for n in (250_000, 1_000_000):
+                _unbind(tmp_path / f"r{n}" / "pulses.csv")
+        assert main(runs[0]) == 0  # imports the record format and builds the parser first
+        peaks = []
+        for argv in runs:
+            simulate_module._block_columns.cache_clear()
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        capsys.readouterr()
+        assert peaks[1] <= 1.1 * peaks[0], bound
 
 
 @pytest.fixture(scope="module")
@@ -902,6 +920,192 @@ def test_records_read_block_by_block_give_the_blocks_of_the_whole_train(record_f
         assert rows == len(train) == 80_001
         assert columns.tobytes() == want_columns.tobytes()
         assert variances.tobytes() == want_variances.tobytes()
+
+
+def test_the_digest_binds_the_config_then_every_byte(tmp_path):
+    """records_sha256 is the SHA-256 of the config's canonical JSON (sorted keys,
+    no spaces) followed by the CSV's bytes, header included, not of the CSV alone."""
+    csv = write_records(replace(REFERENCE, schedule=_ramp(3000)), tmp_path / "r.csv")
+    meta = read_metadata(csv)
+    config = json.dumps(meta["config"], sort_keys=True, separators=(",", ":")).encode()
+    assert meta["records_sha256"] == hashlib.sha256(config + csv.read_bytes()).hexdigest()
+    assert meta["records_sha256"] != hashlib.sha256(csv.read_bytes()).hexdigest()
+
+
+def _no_full_decode(monkeypatch):
+    """Make a full decode of any records line, or a column stitch, fail."""
+
+    def never(*args, **kwargs):
+        raise AssertionError("records were decoded in full")
+
+    monkeypatch.setattr(records, "read", never)
+    monkeypatch.setattr(records, "_parse_block", never)
+    stitch = simulate_module._Stitch
+
+    def variance_stitch(size, reduce):
+        assert reduce is simulate_module._reduce_blocks, "a column stitch was built"
+        return stitch(size, reduce)
+
+    monkeypatch.setattr(simulate_module, "_Stitch", variance_stitch)
+
+
+def test_a_fresh_record_is_read_by_value_alone(tmp_path, monkeypatch, capsys):
+    """analyze of a record next to the sidecar simulate wrote with it decodes
+    no index or phase and stitches no columns: the digest binds them, so the
+    columns are the schedule's memoized ones.  Its blocks equal those of the
+    full read bit for bit."""
+    csv = write_records(replace(REFERENCE, schedule=_ramp(80_001)), tmp_path / "pulses.csv")
+    meta = Sidecar.from_dict(read_metadata(csv))
+    blocks = (2, 7, 2500, 70_000)
+    full = [simulate_module._read_blocks(csv, block) for block in blocks]
+    _no_full_decode(monkeypatch)
+    for block, (columns, variances, rows) in zip(blocks, full):
+        got = simulate_module._read_blocks(csv, block, meta)
+        assert got[0].tobytes() == columns.tobytes()
+        assert got[1].tobytes() == variances.tobytes()
+        assert got[2] == rows == 80_001
+    assert main(["analyze", str(csv), "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("block", [2, 7, 2500, 70_000])
+def test_bound_values_the_fast_path_declines_are_read_as_loadtxt_reads_them(
+    tmp_path, monkeypatch, block
+):
+    """A bound record holds values below 1e-4, which '%.17g' writes in exponent
+    notation and the value fast path leaves to records._fields: the bound read
+    gives the whole train's block variances bit for bit, in blocks of the
+    minimum size, blocks that straddle 128 kB read blocks and a block longer
+    than one."""
+    csv = write_records(replace(REFERENCE, schedule=_ramp(80_001)), tmp_path / "r.csv")
+    values = [line.rsplit(b",", 1)[1] for line in csv.read_bytes().splitlines()[1:]]
+    assert sum(b"e-" in value for value in values) == 6
+    train = read_records(csv)
+    meta = Sidecar.from_dict(read_metadata(csv))
+    fields = records._fields
+    declined = []
+    monkeypatch.setattr(records, "_fields", lambda line: declined.append(line) or fields(line))
+    _no_full_decode(monkeypatch)
+    columns, variances, rows = simulate_module._read_blocks(csv, block, meta)
+    want_columns, want_variances = block_variance_trace(train, block)
+    assert rows == len(train) == 80_001
+    assert columns.tobytes() == want_columns.tobytes()
+    assert variances.tobytes() == want_variances.tobytes()
+    assert sum("e-" in line.rsplit(",", 1)[1] for line in declined) == 6
+
+
+@pytest.fixture(scope="module")
+def simulated_runs(tmp_path_factory):
+    """``make(pulses, seed)``: two directories holding the records of
+    ``simulate --pulses P --seed S``, one with the sidecar simulate wrote and
+    one with a link to the same CSV and its sidecar without a digest."""
+    made = {}
+
+    def make(pulses, seed):
+        if (pulses, seed) not in made:
+            bound, unbound = tmp_path_factory.mktemp("bound"), tmp_path_factory.mktemp("unbound")
+            argv = ["simulate", "--pulses", str(pulses), "--seed", str(seed), "--out", str(bound)]
+            assert main(argv) == 0
+            (unbound / "pulses.csv").symlink_to(bound / "pulses.csv")
+            shutil.copy(bound / "pulses.json", unbound / "pulses.json")
+            _unbind(unbound / "pulses.csv")
+            made[pulses, seed] = bound, unbound
+        return made[pulses, seed]
+
+    return make
+
+
+def _analyze_counting_full_reads(monkeypatch, capsys, csv, *args):
+    """(exit code, stdout, stderr, report.json bytes or None, full reads) of analyze."""
+    full_reads = []
+    read = records.read
+    report = csv.parent / "report.json"
+    report.unlink(missing_ok=True)
+    capsys.readouterr()
+    with monkeypatch.context() as patch:
+        patch.setattr(records, "read", lambda path: full_reads.append(path) or read(path))
+        code = main(["analyze", str(csv), "--out", str(csv.parent), "--json", *args])
+    out, err = capsys.readouterr()
+    return code, out, err, report.read_bytes() if report.exists() else None, len(full_reads)
+
+
+@pytest.mark.parametrize("block", [2500, 7000, 100])
+@pytest.mark.parametrize("pulses, seed", [(250_000, 9), (1_000_000, 4)])
+def test_a_bound_record_analyzes_as_the_full_read_does(
+    simulated_runs, monkeypatch, capsys, pulses, seed, block
+):
+    """analyze --json and report.json of a record read by value alone are those
+    of the full read, which analyzes the same CSV with no digest, byte for byte."""
+    bound, unbound = simulated_runs(pulses, seed)
+    by_value = _analyze_counting_full_reads(
+        monkeypatch, capsys, bound / "pulses.csv", "--block-size", str(block))
+    in_full = _analyze_counting_full_reads(
+        monkeypatch, capsys, unbound / "pulses.csv", "--block-size", str(block))
+    assert by_value[0] == 0 and by_value[4] == 0 and in_full[4] == 1
+    assert by_value[:4] == in_full[:4]
+
+
+def _digit_changed(csv, meta):
+    """The last digit of line 1001's value one up (mod 10)."""
+    lines = csv.read_bytes().splitlines(keepends=True)
+    digit = lines[1000][-2] - ord("0")
+    lines[1000] = lines[1000][:-2] + str((digit + 1) % 10).encode() + b"\n"
+    csv.write_bytes(b"".join(lines))
+
+
+def _value_not_a_number(csv, meta):
+    lines = csv.read_bytes().splitlines(keepends=True)
+    lines[1000] = lines[1000].rsplit(b",", 1)[0] + b",0.5x\n"
+    csv.write_bytes(b"".join(lines))
+
+
+def _crlf(csv, meta):
+    csv.write_bytes(csv.read_bytes().replace(b"\n", b"\r\n"))
+
+
+def _phi_end_one_ulp_up(csv, meta):
+    schedule = meta["config"]["schedule"]
+    schedule["phi_end"] = math.nextafter(schedule["phi_end"], math.inf)
+    # the edited schedule's own columns differ, so reading by value would move the report
+    written = simulate_module._block_columns(_ramp(60_000), 2500)
+    edited = simulate_module._block_columns(from_dict(PhaseSchedule, schedule), 2500)
+    assert written.tobytes() != edited.tobytes()
+
+
+def _eta_transmission_changed(csv, meta):
+    meta["config"]["detector"]["eta_transmission"] = 0.9
+
+
+@pytest.mark.parametrize("edit", [
+    _digit_changed, _value_not_a_number, _crlf, _phi_end_one_ulp_up, _eta_transmission_changed,
+])
+def test_an_edited_bound_record_is_read_in_full(tmp_path, monkeypatch, capsys, edit):
+    """A record whose bytes or sidecar config were edited after simulate wrote
+    them does not give its digest, so analyze reads it in full: its exit code,
+    stdout, stderr and report are those of the same files with no digest."""
+    runs = []
+    for name in ("bound", "unbound"):
+        (tmp_path / name).mkdir()
+        csv = write_records(replace(REFERENCE, schedule=_ramp(60_000)), tmp_path / name / "pulses.csv")
+        meta = json.loads(csv.with_suffix(".json").read_text())
+        edit(csv, meta)
+        csv.with_suffix(".json").write_text(json.dumps(meta))
+        if name == "unbound":
+            _unbind(csv)
+        runs.append(_analyze_counting_full_reads(monkeypatch, capsys, csv))
+    assert runs[0][4] == runs[1][4] == 1
+    assert runs[0][:4] == runs[1][:4]
+
+
+def test_a_version_4_sidecar_reads_the_record_in_full(tmp_path, monkeypatch, capsys):
+    """Sidecars of versions 1 to 4 carry no digest: the record next to one is
+    read in full, and gives the report of the bound read."""
+    csv = write_records(replace(REFERENCE, schedule=_ramp(60_000)), tmp_path / "pulses.csv")
+    by_value = _analyze_counting_full_reads(monkeypatch, capsys, csv)
+    _unbind(csv)
+    in_full = _analyze_counting_full_reads(monkeypatch, capsys, csv)
+    assert by_value[0] == 0 and by_value[4] == 0 and in_full[4] == 1
+    assert by_value[:4] == in_full[:4]
 
 
 _ODD_FIELDS = [
