@@ -10,8 +10,9 @@ file, or lies under one, is invalid input; so is an output file that is a
 directory, refused before the command's work), then prints the command's JSON
 payload with ``--json`` and its text otherwise.  ``analyze`` reads the CSV's
 sidecar whenever one exists: it checks the record count against it, and refuses
-records its config gives a blocked arm or an unbalanced beamsplitter, or too
-few pulses for four blocks, before it reads any, whatever ``--scenario`` says.
+records its config gives a blocked arm or an unbalanced beamsplitter, too few
+pulses for four blocks, or a schedule whose blocks do not determine the fringe
+(a constant LO phase included), before it reads any, whatever ``--scenario`` says.
 
 Exit codes: 0 success, 1 a reproduction or consistency check failed,
 2 invalid input (a run too large to allocate included), 3 I/O failure.
@@ -31,7 +32,7 @@ import numpy as np
 
 from .analysis import (
     EntanglementReport,
-    _check_blocks_to_fit,
+    _check_design,
     _efficiency,
     end_to_end_report,
     fit_variance_curve,
@@ -43,6 +44,7 @@ from .scenario import Scenario, load_scenario, scenario_from_dict
 from .simulate import (
     RunConfig,
     Sidecar,
+    _block_columns,
     _block_count,
     _read_blocks,
     _sidecar_path,
@@ -146,22 +148,25 @@ def cmd_simulate(args, out_dir: Path) -> tuple[int, dict, str]:
     return EXIT_OK, summary, f"wrote {summary['n_pulses']} pulses to {summary['records']}"
 
 
-def _analysis_config(args, records_path: Path) -> tuple[RunConfig, int, Sidecar | None]:
-    """Config, block size and sidecar (None without one) for
-    analyze.  A sidecar is read whenever it exists and its config describes the
-    records; an explicit scenario then supplies only the detector (efficiency
-    and electronic noise).  Without a sidecar the scenario, or else the
-    reference, is the config.  Records the one-file reconstruction cannot undo
-    are refused before any is read."""
+def _analysis_config(
+    args, records_path: Path
+) -> tuple[RunConfig, int, Sidecar | None, dict | None]:
+    """Config, block size, sidecar and the sidecar file's own ``config`` object (None and
+    None without one) for analyze.  A sidecar is read whenever it exists and its config
+    describes the records; an explicit scenario then supplies only the detector
+    (efficiency and electronic noise).  Without a sidecar the scenario, or else the
+    reference, is the config.  Records the one-file reconstruction cannot undo are
+    refused before any is read."""
     scenario = _scenario(args)
     sidecar = _file(_sidecar_path(records_path), "a sidecar")
-    config, meta = scenario.config, None
+    config, meta, stored = scenario.config, None, None
     if sidecar.exists():
         try:
-            meta = Sidecar.from_dict(read_metadata(records_path))
+            document = read_metadata(records_path)
+            meta = Sidecar.from_dict(document)
         except ValueError as exc:
             raise ValueError(f"{sidecar}: {exc}") from None
-        config = meta.config
+        config, stored = meta.config, document["config"]
         if args.scenario is not None:
             config = replace(config, detector=scenario.config.detector)
     _efficiency(config)
@@ -169,16 +174,22 @@ def _analysis_config(args, records_path: Path) -> tuple[RunConfig, int, Sidecar 
         raise FieldError(
             "blocked_arm", f"analyze reads a recombined scan, got {config.blocked_arm!r}"
         )
-    return config, scenario.block_size, meta
+    return config, scenario.block_size, meta, stored
 
 
 def cmd_analyze(args, out_dir: Path) -> tuple[int, dict, str]:
     report_path = _file(out_dir / "report.json")
     records_path = _file(args.records, "a records CSV")  # '.' and '/' too: no name for a sidecar
-    config, block_size, meta = _analysis_config(args, records_path)
-    if meta is not None:  # too few blocks for the fit are refused unread
-        _check_blocks_to_fit(_block_count(meta.n_pulses, block_size))
-    columns, variances, rows = _read_blocks(records_path, block_size, meta)
+    config, block_size, meta, stored = _analysis_config(args, records_path)
+    if meta is not None:  # the sidecar's schedule fixes the fit design: refused unread
+        schedule = meta.config.schedule
+        if schedule.kind == "constant":
+            raise ValueError(
+                f"degenerate fit: the records' LO phase is locked at {schedule.phi!r} rad "
+                "(a constant schedule), so they hold no fringe to fit; record a phase ramp"
+            )
+        _check_design(_block_columns(schedule, block_size))
+    columns, variances, rows = _read_blocks(records_path, block_size, meta, stored)
     if meta is not None and rows != meta.n_pulses:
         raise ValueError(
             f"{records_path.name} holds {rows} records, its sidecar says {meta.n_pulses}"

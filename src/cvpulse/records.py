@@ -1,9 +1,10 @@
-"""The text format of record CSVs, written and read by numpy, and the digest that binds
+"""The text format of record CSVs, written and read by numpy, and the digests that bind
 a record to its sidecar.
 
 :func:`cvpulse.simulate.write_records`, :func:`cvpulse.simulate.read_records` and the
 reader ``analyze`` uses import this module on their first call, so a run without records
-does not compile it, nor load ``hashlib`` (about 3.7 MB of resident memory).
+does not compile it, and importing cvpulse does not load ``hashlib`` (about 3.7 MB of
+resident memory; numpy.random loads it too, through ``secrets``, once a run draws).
 """
 
 from __future__ import annotations
@@ -24,8 +25,17 @@ HEADER = "index,lo_phase_rad,value"
 
 def config_hash(config: dict):
     """A SHA-256 that has taken the canonical JSON of a run's config (sorted keys, no
-    spaces), as a sidecar's ``records_sha256`` takes it before the record's bytes."""
+    spaces), as each digest of a sidecar takes it before the record's bytes or values."""
     return hashlib.sha256(json.dumps(config, sort_keys=True, separators=(",", ":")).encode())
+
+
+def hashes_to(path: Path, sha, digest: str) -> bool:
+    """Whether ``sha``, once it has taken every byte of the file at ``path``, gives the
+    hex ``digest``; no byte is decoded."""
+    with open(path, "rb") as fh:
+        while chunk := fh.read(_READ_BLOCK):
+            sha.update(chunk)
+    return sha.hexdigest() == digest
 
 _SPLIT = 2.0**27 + 1.0
 _WORD = np.dtype("<u8")
@@ -200,9 +210,7 @@ def format_rows(first: int, phases: NDArray, values: NDArray) -> Iterator[bytes]
 # not a digit.  A CRLF or a lone CR is read as a newline, as text mode reads
 # it.  Every other line (exponent notation, whitespace, '#', '+', leading
 # zeros, nan, blank lines) is read by _fields, in Python.  Where a line is
-# rejected, or a check fails, a rescan names the first line that fails.  A
-# record bound to its sidecar is read by read_values, which decodes only the
-# value of each line, by the same arithmetic (_decimals).
+# rejected, or a check fails, a rescan names the first line that fails.
 # Bytes read per block: a 250k-pulse file reads in 104 ms with 2^17 (best of
 # 12, 2 CPUs), 101 ms with 2^18 and 119 ms with 2^16, at traced peaks of
 # 6.1, 8.1 and 5.1 MB (its arrays are 4 MB).
@@ -276,22 +284,6 @@ def _decimal_value(digits: NDArray[np.uint64], places: NDArray[np.intp]):
     return rounded, np.abs(r) <= limit
 
 
-def _lines(data: bytes, stop: int):
-    """data[:stop] as bytes, the offsets of its bytes below '-' (',', '\\n', and
-    bytes no fast line has) from the newline before data[_LOOKBACK] on, the
-    index among them of each newline, and the mask of the lines of
-    data[_LOOKBACK:stop] laid out as two commas and a newline."""
-    a = np.frombuffer(data, np.uint8, stop)
-    seps = np.flatnonzero(a < ord("-"))
-    seps = seps[np.searchsorted(seps, _LOOKBACK - 1) :]
-    kind = a[seps]
-    newlines = np.flatnonzero(kind == ord("\n"))
-    ends = newlines[1:]
-    laid_out = (ends - newlines[:-1] == 3) & (kind[ends - 1] == ord(","))
-    laid_out &= kind[ends - 2] == ord(",")
-    return a, seps, newlines, laid_out
-
-
 def _decimals(a: NDArray[np.uint8], data: bytes, start: NDArray[np.intp], end: NDArray[np.intp]):
     """The doubles of the fields data[start:end] (arrays of one shape), and the mask of
     those the fast path reads: an optional '-', then 1-8 integer digits with no leading
@@ -334,9 +326,15 @@ def _parse_block(data: bytes, stop: int) -> NDArray[np.float64] | None:
     """The index, phase and value rows (3, n) of the lines of
     data[_LOOKBACK:stop], each ending in a newline; None where a line the
     fast path declines is not UTF-8 or _fields rejects it."""
-    a, seps, newlines, laid_out = _lines(data, stop)
+    a = np.frombuffer(data, np.uint8, stop)
+    seps = np.flatnonzero(a < ord("-"))  # ',', '\n', and bytes no fast line has
+    seps = seps[np.searchsorted(seps, _LOOKBACK - 1) :]
+    kind = a[seps]
+    newlines = np.flatnonzero(kind == ord("\n"))
     ends = newlines[1:]
-    candidates = np.flatnonzero(laid_out)
+    candidates = np.flatnonzero(
+        (ends - newlines[:-1] == 3) & (kind[ends - 1] == ord(",")) & (kind[ends - 2] == ord(","))
+    )
     # the first byte and the end of each candidate's index, phase and value
     bounds = seps[ends[candidates] - np.arange(3, -1, -1)[:, None]]
     start, end = bounds[:3] + 1, bounds[1:]
@@ -367,26 +365,6 @@ def _parse_block(data: bytes, stop: int) -> NDArray[np.float64] | None:
             at.append(line - i)  # the fast lines before it
             rows.append(fields)
     return np.insert(table[:, fast], at, np.reshape(rows, (-1, 3)).T, axis=1)
-
-
-def _parse_values(data: bytes, stop: int) -> NDArray[np.float64] | None:
-    """The values of the lines of data[_LOOKBACK:stop], each ending in a newline,
-    decoding no index or phase; None where a line is not laid out as three fields,
-    or where one whose value the fast path declines is not read by _fields."""
-    a, seps, newlines, laid_out = _lines(data, stop)
-    if not laid_out.all():
-        return None
-    ends = newlines[1:]
-    values, fast = _decimals(a, data, seps[ends - 1] + 1, seps[ends])
-    for line in np.flatnonzero(~fast).tolist():
-        try:
-            fields = _fields(data[seps[newlines[line]] + 1 : seps[ends[line]]].decode())
-        except ValueError:  # UnicodeDecodeError included
-            return None
-        if fields is None:
-            return None
-        values[line] = fields[2]
-    return values
 
 
 def _text_blocks(fh) -> Iterator[bytes]:
@@ -423,35 +401,6 @@ def read(csv_path: Path) -> Iterator[tuple[NDArray[np.float64], NDArray[np.float
             chunk = next(blocks, None)
     if rows == 0:
         _raise_at_first_bad_line(csv_path)
-
-
-def read_values(csv_path: Path, sha, digest: str, add) -> int | None:
-    """Pass the values of each block of lines of csv_path to add(first row, values) and
-    return the row count, where the file is the header and lines of three fields that,
-    hashed into ``sha`` as read, give the hex ``digest``; otherwise None, at the first
-    header, CR, line or trailing fragment this pass does not read (with no further call
-    to add), or at the end.  No index or phase is decoded: the digest binds them."""
-    rows = 0
-    with open(csv_path, "rb") as fh:
-        chunk = fh.read(_READ_BLOCK)
-        if not chunk.startswith(_HEADER_LINE):
-            return None
-        data = chunk[len(_HEADER_LINE) - _LOOKBACK :]
-        while chunk:
-            sha.update(chunk)
-            if b"\r" in chunk:
-                return None
-            stop = data.rfind(b"\n", _LOOKBACK) + 1
-            if stop:
-                values = _parse_values(data, stop)
-                if values is None:
-                    return None
-                add(rows, values)
-                rows += len(values)
-                data = data[stop - _LOOKBACK :]
-            chunk = fh.read(_READ_BLOCK)
-            data += chunk
-    return rows if len(data) == _LOOKBACK and sha.hexdigest() == digest else None
 
 
 # A field np.loadtxt reads (PyOS_string_to_double after stripping whitespace).

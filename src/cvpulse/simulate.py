@@ -39,9 +39,14 @@ DEFAULT_CHUNK_SIZE = 65536
 #: arithmetic and no BLAS product (equal to rounding, not bit for bit); 5 makes
 #: contract 4's draws and bytes, and its sidecar binds the record by
 #: ``records_sha256``, the SHA-256 of the config's canonical JSON and then of
-#: every byte of the CSV.  Sidecars of versions 1 to 4 carry no digest.
-FORMAT_VERSION = 5
-_READABLE_VERSIONS = (1, 2, 3, 4, 5)
+#: every byte of the CSV; 6 adds ``values_sha256``, the SHA-256 of the config's
+#: canonical JSON and then of every drawn value as a little-endian float64, in
+#: pulse order.  Sidecars of versions 1 to 4 carry neither digest, and those of
+#: version 5 no ``values_sha256``.
+FORMAT_VERSION = 6
+_READABLE_VERSIONS = (1, 2, 3, 4, 5, 6)
+# the first version to carry each digest
+_DIGESTS = (("records_sha256", 5), ("values_sha256", 6))
 
 #: Pulses per variance block when a caller or a scenario names none.
 DEFAULT_BLOCK_SIZE = 2500
@@ -209,14 +214,16 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class Sidecar:
-    """JSON metadata written next to a records CSV: enough to regenerate it, and from
-    version 5 the digest that binds the CSV to it ("" before)."""
+    """JSON metadata written next to a records CSV: enough to regenerate it, and the
+    digests that bind the CSV to it, from version 5 of its bytes and from version 6
+    of its values ("" before)."""
 
     format_version: int
     format: str
     n_pulses: int
     chunk_size: int
     records_sha256: str
+    values_sha256: str
     config: RunConfig
 
     def __post_init__(self) -> None:
@@ -233,21 +240,23 @@ class Sidecar:
                 "n_pulses", f"must equal config.schedule.n_pulses = "
                 f"{self.config.schedule.n_pulses}, got {self.n_pulses}"
             )
-        if self.format_version < 5 and self.records_sha256:
-            raise FieldError("records_sha256", f"version {self.format_version} carries no "
-                             f"digest, got {self.records_sha256!r}")
-        if self.format_version >= 5 and not re.fullmatch("[0-9a-f]{64}", self.records_sha256):
-            raise FieldError("records_sha256", "expected 64 lowercase hex digits, got "
-                             f"{self.records_sha256!r}")
+        for name, since in _DIGESTS:
+            digest = getattr(self, name)
+            if self.format_version < since and digest:
+                raise FieldError(name, f"version {self.format_version} carries no digest, "
+                                 f"got {digest!r}")
+            if self.format_version >= since and not re.fullmatch("[0-9a-f]{64}", digest):
+                raise FieldError(name, f"expected 64 lowercase hex digits, got {digest!r}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "Sidecar":
         # sidecars written before the field existed follow contract 1, and
-        # those before version 5 carry no digest
+        # those before a digest's version carry none
         if isinstance(data, dict):
             data = {"format_version": 1, **data}
-            if data["format_version"] in (1, 2, 3, 4):
-                data = {"records_sha256": "", **data}
+            for name, since in _DIGESTS:
+                if data["format_version"] in _READABLE_VERSIONS[: since - 1]:
+                    data = {name: "", **data}
         return schema.from_dict(cls, data)
 
 
@@ -733,6 +742,24 @@ def shot_noise_linearity_scan(
     return levels, variances
 
 
+def _drawn(config: RunConfig, chunk_size: int, sha):
+    """(start, values) of each chunk of ``sample_pulses(config, chunk_size)``, drawn in
+    turn into one reused buffer, each chunk's values hashed into ``sha`` as
+    little-endian float64 before it is yielded: the loop that writes a record and the
+    one that redraws it.  Sizes are checked before the first draw."""
+    chunks = _chunks(config, chunk_size, _STREAM_FAST)
+    buffer, scratch = np.empty((2, min(chunk_size, len(config.schedule))))
+    draw = _marginal_draw(config, chunk_size)
+
+    def drawn():
+        for start, stop, rng in chunks:
+            values = draw(start, rng, buffer[: stop - start], scratch)
+            sha.update(values.astype("<f8", copy=False))
+            yield start, values
+
+    return drawn()
+
+
 def write_records(
     config: RunConfig, csv_path: str | Path, chunk_size: int = DEFAULT_CHUNK_SIZE
 ) -> Path:
@@ -742,29 +769,30 @@ def write_records(
     chunk by chunk into one reused buffer, so memory stays O(chunk_size).
     Each row is the bytes ``"%d,%.17g,%.17g\n" % row`` writes.  The
     sidecar, the CSV's path with suffix ``.json``, names the chunk size and
-    binds the CSV by the SHA-256 of the config and then of every byte
-    written; a CSV path that already ends in ``.json`` raises ValueError.
+    binds the CSV by two SHA-256 digests, each of the config's canonical JSON
+    and then of every byte written (``records_sha256``) or of every value
+    drawn (``values_sha256``); a CSV path that already ends in ``.json``
+    raises ValueError.
     """
     from . import records  # compiled on first use, not by every run that imports simulate
 
     sidecar = _sidecar_path(csv_path)
-    chunks = _chunks(config, chunk_size, _STREAM_FAST)
-    buffer, scratch = np.empty((2, min(chunk_size, len(config.schedule))))
-    draw = _marginal_draw(config, chunk_size)
+    stored = config.to_dict()
+    sha, values_sha = records.config_hash(stored), records.config_hash(stored)
+    drawn = _drawn(config, chunk_size, values_sha)
 
     def texts():
         yield (records.HEADER + "\n").encode()
-        for start, stop, rng in chunks:
-            values = draw(start, rng, buffer[: stop - start], scratch)
-            yield from records.format_rows(start, config.schedule.values(start, stop), values)
+        for start, values in drawn:
+            phases = config.schedule.values(start, start + len(values))
+            yield from records.format_rows(start, phases, values)
 
-    sha = records.config_hash(config.to_dict())
     with open(csv_path, "wb") as fh:
         for text in texts():
             sha.update(text)
             fh.write(text)
     meta = Sidecar(FORMAT_VERSION, records.HEADER, len(config.schedule), chunk_size,
-                   sha.hexdigest(), config)
+                   sha.hexdigest(), values_sha.hexdigest(), config)
     sidecar.write_text(json.dumps(schema.to_dict(meta), indent=2) + "\n")
     return Path(csv_path)
 
@@ -793,25 +821,32 @@ def read_records(csv_path: str | Path) -> PulseTrain:
     return PulseTrain(phase, value)
 
 
-def _read_blocks(csv_path: Path, block_size: int, sidecar: Sidecar | None = None):
+def _read_blocks(
+    csv_path: Path, block_size: int, sidecar: Sidecar | None = None, stored: dict | None = None
+):
     """``block_variance_trace(read_records(csv_path), block_size)`` and the record count
     bit for bit: each block of lines is added to a column stitch and a variance stitch
     as it is read, so memory is O(block + read block).  No full block is no error, so
     a caller can check the count first.
 
-    A CSV that ``sidecar`` binds by its digest is first read by value alone and hashed
-    as it is read.  If its bytes give the digest, they are those :func:`write_records`
-    wrote of the sidecar's config, so the columns are its schedule's memoized
-    :func:`_block_columns`, and the caller has checked that its pulse count gives a
-    block.  Otherwise the CSV is read as any other.
+    A CSV that ``sidecar`` binds by both digests, each hashed over ``stored``, the
+    sidecar file's own ``config`` object (its config as :func:`write_records` stores it
+    by default), is not decoded.  If its bytes give ``records_sha256``, they are those
+    :func:`write_records` wrote of that config, so the record is redrawn chunk by chunk,
+    as the writer drew it, into the variance stitch, and the columns are its schedule's
+    memoized :func:`_block_columns`.  Those are kept if the redrawn values give
+    ``values_sha256``; otherwise, as for any other CSV, the CSV is read in full.
     """
     from . import records
-    if sidecar is not None and sidecar.records_sha256:
-        variances = _Stitch(block_size, _reduce_blocks)
-        sha = records.config_hash(sidecar.config.to_dict())
-        rows = records.read_values(csv_path, sha, sidecar.records_sha256, variances.add)
-        if rows is not None:
-            return _block_columns(sidecar.config.schedule, block_size), variances.blocks(), rows
+    if sidecar is not None and sidecar.values_sha256:
+        stored = sidecar.config.to_dict() if stored is None else stored
+        if records.hashes_to(csv_path, records.config_hash(stored), sidecar.records_sha256):
+            variances, sha = _Stitch(block_size, _reduce_blocks), records.config_hash(stored)
+            for start, values in _drawn(sidecar.config, sidecar.chunk_size, sha):
+                variances.add(start, values)
+            if sha.hexdigest() == sidecar.values_sha256:
+                columns = _block_columns(sidecar.config.schedule, block_size)
+                return columns, variances.blocks(), sidecar.n_pulses
     columns, variances = _Stitch(block_size, _fringe_columns), _Stitch(block_size, _reduce_blocks)
     rows = 0
     for phases, values, _ in records.read(csv_path):

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, file outputs."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -309,11 +310,15 @@ def _scenario(payload, command=("simulate",)):
 
 
 def _simulated(spoil, scenario=None):
-    """Simulate a short run, four blocks long, let ``spoil`` edit its files, then
-    analyze it, with ``scenario`` as its --scenario file when one is given."""
+    """Simulate a short run, four blocks long on a ramp over 2.5 pi, let ``spoil`` edit
+    its files, then analyze it, with ``scenario`` as its --scenario file when one is
+    given.  Four blocks of the default 4 pi ramp each span one fringe period, a design
+    analyze refuses before it reads any record."""
 
     def prepare(tmp_path):
-        assert main(["simulate", "--pulses", "10000", "--out", str(tmp_path)]) == EXIT_OK
+        ramp = _write_scenario(tmp_path / "ramp.json", {"schedule": {"phi_end": 2.5 * math.pi}})
+        argv = ["simulate", "--scenario", ramp, "--pulses", "10000", "--out", str(tmp_path)]
+        assert main(argv) == EXIT_OK
         spoil(tmp_path)
         argv = ["analyze", str(tmp_path / "pulses.csv"), "--out", str(tmp_path)]
         if scenario is None:
@@ -635,6 +640,9 @@ BAD_INPUTS = [
                  EXIT_INVALID_INPUT, "phase coverage too small", id="records over 0.4 pi"),
     pytest.param(_records_of_schedule({"kind": "constant", "phi": 0.3}), EXIT_INVALID_INPUT,
                  "degenerate fit", id="records at one phase"),
+    pytest.param(_records_of_schedule({"kind": "constant", "phi": 0.0}), EXIT_INVALID_INPUT,
+                 "error: degenerate fit: the records' LO phase is locked at 0.0 rad (a constant "
+                 "schedule), so they hold no fringe to fit", id="records at a locked LO phase"),
     pytest.param(_blocked_arm_records, EXIT_INVALID_INPUT,
                  "error: invalid blocked_arm: analyze reads a recombined scan, got 'b'",
                  id="blocked-arm records"),
@@ -782,6 +790,32 @@ def test_a_block_longer_than_the_run_is_refused_before_any_record_is_read(
     assert err == "error: need at least one full block of 5001 pulses, got 5000\n"
 
 
+@pytest.mark.parametrize("schedule, problem", [
+    ({"kind": "linear_ramp", "phi_end": 1.25}, "error: phase coverage too small: the 4 blocks"),
+    ({}, "error: degenerate fit: the 4 blocks' means of cos 2phi and sin 2phi"),
+], ids=["ramp over 0.4 pi", "each block one fringe period"])
+def test_a_design_its_sidecar_fixes_is_checked_before_any_record_is_read(
+    tmp_path, monkeypatch, capsys, schedule, problem
+):
+    """With a sidecar, the fit design of its schedule's blocks is checked before the
+    record is hashed or read: 10,000 pulses on a ramp over 0.4 pi, and on the default
+    ramp over 4 pi, where each of the 4 blocks spans one period of the fringe."""
+    import cvpulse.records as records
+
+    def never(*args, **kwargs):
+        raise AssertionError("records were hashed or read")
+
+    scenario = _write_scenario(tmp_path / "s.json", {"schedule": schedule})
+    argv = ["--pulses", "10000", "--scenario", scenario, "--out", str(tmp_path)]
+    assert main(["simulate", *argv]) == EXIT_OK
+    monkeypatch.setattr(records, "read", never)
+    monkeypatch.setattr(records, "hashes_to", never)
+    capsys.readouterr()
+    argv = ["analyze", str(tmp_path / "pulses.csv"), "--out", str(tmp_path)]
+    assert main(argv) == EXIT_INVALID_INPUT
+    assert capsys.readouterr().err.startswith(problem)
+
+
 @pytest.mark.parametrize("n_pulses, scheduled, problem", [
     (-5, 5000, "must equal config.schedule.n_pulses = 5000, got -5"),
     (5000, 10, "must equal config.schedule.n_pulses = 10, got 5000"),
@@ -891,6 +925,18 @@ def test_only_runs_with_records_import_the_record_format(tmp_path):
     assert _imports(
         tmp_path, "cvpulse.records", ["analyze", str(tmp_path / "pulses.csv"), "--out", out]
     ) == [True]
+
+
+def test_importing_the_cli_loads_no_hashlib(tmp_path):
+    """Importing cvpulse and its CLI, then running scan-theta, loads no hashlib (about
+    3.7 MB of resident memory); the record format loads it.  (numpy.random loads it
+    too, through secrets, once a run draws.)"""
+    out = str(tmp_path)
+    assert _imports(
+        tmp_path, "hashlib",
+        ["scan-theta", "--out", out],
+        ["simulate", "--pulses", "20000", "--out", out],
+    ) == [False, True]
 
 
 def test_no_run_imports_an_executor_or_leaves_a_thread_behind(tmp_path, monkeypatch):

@@ -19,7 +19,7 @@ from cvpulse.analysis import end_to_end_report
 from cvpulse.cli import main
 from cvpulse.gaussian import SourceSpec
 from cvpulse.scenario import reference_scenario
-from cvpulse.schema import from_dict
+from cvpulse.schema import from_dict, to_dict
 from cvpulse.simulate import (
     FORMAT_VERSION,
     DetectorModel,
@@ -103,15 +103,15 @@ PURE_NOPA_CONSTANT = RunConfig(
     blocked_arm="a",
 )
 
-# (config, SHA-256 of the sidecar JSON bytes written by format version 5)
+# (config, SHA-256 of the sidecar JSON bytes written by format version 6)
 PINNED_SIDECARS = {
     "reference": (
         reference_scenario(n_pulses=1000, seed=12345).config,
-        "a059ff90e9ec533bf4364de8e3279286dd40c1b45fe31c986baebd7e863f4e01",
+        "cc0605c08e5292a42a6ac8fa0cdc1672c319ba86798987ead6a73d146ca83e78",
     ),
     "pure_nopa_constant": (
         PURE_NOPA_CONSTANT,
-        "e9608356c3b6e9440889e424c96ea377885b810dd28651e64d743646cbbf01ff",
+        "d7e50edb288866814314ecefa27a8cad9b8fae202d791c0ae42b8ba8615e8e19",
     ),
 }
 
@@ -157,7 +157,7 @@ def test_sidecar_bytes_are_pinned(case, tmp_path):
     csv = write_records(config, tmp_path / "r.csv")
     sidecar = csv.with_suffix(".json").read_bytes()
     assert hashlib.sha256(sidecar).hexdigest() == digest
-    assert Sidecar.from_dict(json.loads(sidecar)).format_version == FORMAT_VERSION == 5
+    assert Sidecar.from_dict(json.loads(sidecar)).format_version == FORMAT_VERSION == 6
 
 
 def test_pinned_sidecar_decodes_to_its_config():
@@ -175,12 +175,13 @@ def test_pinned_sidecar_decodes_to_its_config():
 def test_version_1_sidecar_still_analyzes(tmp_path, capsys):
     """analyze needs only the config and pulse count of a sidecar, which
     version 1 shares; the pinned sidecar's count (in the sidecar and in its
-    schedule, which must agree) and blocked arm are set to the CSV's (analyze
-    refuses a blocked-arm record)."""
+    schedule, which must agree), schedule and blocked arm are set to the CSV's
+    (analyze refuses a blocked-arm record, and a constant schedule before it
+    reads any)."""
     ramp = replace(REFERENCE, schedule=_ramp(50_000))
     csv = write_records(ramp, tmp_path / "r.csv")
     meta = {**json.loads(PURE_NOPA_CONSTANT_SIDECAR), "n_pulses": 50_000}
-    meta["config"]["schedule"]["n_pulses"] = 50_000
+    meta["config"]["schedule"] = to_dict(ramp.schedule)
     meta["config"]["blocked_arm"] = ramp.blocked_arm
     csv.with_suffix(".json").write_text(json.dumps(meta))
     assert main(["analyze", str(csv), "--out", str(tmp_path), "--json"]) == 0
@@ -196,7 +197,7 @@ def test_version_2_sidecar_still_analyzes(tmp_path, capsys):
     assert main(["analyze", str(csv), "--out", str(tmp_path), "--json"]) == 0
     as_current = capsys.readouterr().out
     meta = json.loads(csv.with_suffix(".json").read_text())
-    assert meta.pop("records_sha256")
+    assert meta.pop("records_sha256") and meta.pop("values_sha256")
     assert meta["format_version"] == FORMAT_VERSION
     for version in (2, 3, 4):
         csv.with_suffix(".json").write_text(json.dumps({**meta, "format_version": version}))
@@ -851,17 +852,18 @@ def _unbind(csv):
     """Rewrite the sidecar of ``csv`` as version 4 wrote it: its config, no digest."""
     sidecar = csv.with_suffix(".json")
     meta = json.loads(sidecar.read_text())
-    del meta["records_sha256"]
+    del meta["records_sha256"], meta["values_sha256"]
     sidecar.write_text(json.dumps({**meta, "format_version": 4}, indent=2) + "\n")
 
 
 def test_analyze_memory_does_not_grow_with_pulses(tmp_path, capsys):
     """analyze peaks at the same traced memory for 2.5x10^5 and 10^6 pulses,
-    on the bound read of records next to their own sidecars and on the full
-    read of the same records once their sidecars carry no digest: each block
-    of lines is split and stitched as it is read, and no train of the records
-    is ever held.  The bound read builds its schedule's block columns a chunk
-    of pulses at a time."""
+    on the redraw of records next to their own sidecars and on the full read
+    of the same records once their sidecars carry no digest: the bound CSV is
+    hashed a read block at a time and redrawn a chunk at a time, the unbound
+    one split and stitched a block of lines at a time, and no train of the
+    records is ever held.  Each builds its schedule's block columns, for the
+    design check before any read, a chunk of pulses at a time."""
     runs = []
     for n in (250_000, 1_000_000):
         out = tmp_path / f"r{n}"
@@ -922,14 +924,27 @@ def test_records_read_block_by_block_give_the_blocks_of_the_whole_train(record_f
         assert variances.tobytes() == want_variances.tobytes()
 
 
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _canonical(config: dict) -> bytes:
+    return json.dumps(config, sort_keys=True, separators=(",", ":")).encode()
+
+
 def test_the_digest_binds_the_config_then_every_byte(tmp_path):
     """records_sha256 is the SHA-256 of the config's canonical JSON (sorted keys,
-    no spaces) followed by the CSV's bytes, header included, not of the CSV alone."""
-    csv = write_records(replace(REFERENCE, schedule=_ramp(3000)), tmp_path / "r.csv")
+    no spaces) followed by the CSV's bytes, header included, not of the CSV alone;
+    values_sha256 is that of the same JSON followed by the drawn values as
+    little-endian float64, in pulse order, over chunks of any size."""
+    config = replace(REFERENCE, schedule=_ramp(3000))
+    csv = write_records(config, tmp_path / "r.csv", chunk_size=1000)
     meta = read_metadata(csv)
-    config = json.dumps(meta["config"], sort_keys=True, separators=(",", ":")).encode()
-    assert meta["records_sha256"] == hashlib.sha256(config + csv.read_bytes()).hexdigest()
-    assert meta["records_sha256"] != hashlib.sha256(csv.read_bytes()).hexdigest()
+    stored = _canonical(meta["config"])
+    assert meta["records_sha256"] == _sha256(stored + csv.read_bytes())
+    assert meta["records_sha256"] != _sha256(csv.read_bytes())
+    values = sample_pulses(config, chunk_size=1000).value.astype("<f8").tobytes()
+    assert meta["values_sha256"] == _sha256(stored + values)
 
 
 def _no_full_decode(monkeypatch):
@@ -949,84 +964,107 @@ def _no_full_decode(monkeypatch):
     monkeypatch.setattr(simulate_module, "_Stitch", variance_stitch)
 
 
-def test_a_fresh_record_is_read_by_value_alone(tmp_path, monkeypatch, capsys):
-    """analyze of a record next to the sidecar simulate wrote with it decodes
-    no index or phase and stitches no columns: the digest binds them, so the
-    columns are the schedule's memoized ones.  Its blocks equal those of the
-    full read bit for bit."""
-    csv = write_records(replace(REFERENCE, schedule=_ramp(80_001)), tmp_path / "pulses.csv")
-    meta = Sidecar.from_dict(read_metadata(csv))
-    blocks = (2, 7, 2500, 70_000)
-    full = [simulate_module._read_blocks(csv, block) for block in blocks]
-    _no_full_decode(monkeypatch)
-    for block, (columns, variances, rows) in zip(blocks, full):
-        got = simulate_module._read_blocks(csv, block, meta)
-        assert got[0].tobytes() == columns.tobytes()
-        assert got[1].tobytes() == variances.tobytes()
-        assert got[2] == rows == 80_001
-    assert main(["analyze", str(csv), "--out", str(tmp_path)]) == 0
-    capsys.readouterr()
-
-
-@pytest.mark.parametrize("block", [2, 7, 2500, 70_000])
-def test_bound_values_the_fast_path_declines_are_read_as_loadtxt_reads_them(
-    tmp_path, monkeypatch, block
-):
-    """A bound record holds values below 1e-4, which '%.17g' writes in exponent
-    notation and the value fast path leaves to records._fields: the bound read
-    gives the whole train's block variances bit for bit, in blocks of the
-    minimum size, blocks that straddle 128 kB read blocks and a block longer
-    than one."""
-    csv = write_records(replace(REFERENCE, schedule=_ramp(80_001)), tmp_path / "r.csv")
-    values = [line.rsplit(b",", 1)[1] for line in csv.read_bytes().splitlines()[1:]]
-    assert sum(b"e-" in value for value in values) == 6
-    train = read_records(csv)
-    meta = Sidecar.from_dict(read_metadata(csv))
-    fields = records._fields
-    declined = []
-    monkeypatch.setattr(records, "_fields", lambda line: declined.append(line) or fields(line))
-    _no_full_decode(monkeypatch)
-    columns, variances, rows = simulate_module._read_blocks(csv, block, meta)
-    want_columns, want_variances = block_variance_trace(train, block)
-    assert rows == len(train) == 80_001
-    assert columns.tobytes() == want_columns.tobytes()
-    assert variances.tobytes() == want_variances.tobytes()
-    assert sum("e-" in line.rsplit(",", 1)[1] for line in declined) == 6
+def _bound_and_unbound(tmp_path, config, chunk_size=simulate_module.DEFAULT_CHUNK_SIZE):
+    """The CSV of ``config`` in tmp_path/bound with the sidecar write_records wrote, and
+    a link to it in tmp_path/unbound with that sidecar rewritten without a digest."""
+    bound, unbound = tmp_path / "bound", tmp_path / "unbound"
+    bound.mkdir()
+    unbound.mkdir()
+    csv = write_records(config, bound / "pulses.csv", chunk_size=chunk_size)
+    (unbound / "pulses.csv").symlink_to(csv)
+    shutil.copy(csv.with_suffix(".json"), unbound / "pulses.json")
+    _unbind(unbound / "pulses.csv")
+    return csv, unbound / "pulses.csv"
 
 
 @pytest.fixture(scope="module")
 def simulated_runs(tmp_path_factory):
-    """``make(pulses, seed)``: two directories holding the records of
-    ``simulate --pulses P --seed S``, one with the sidecar simulate wrote and
-    one with a link to the same CSV and its sidecar without a digest."""
+    """``make(pulses, seed)``: :func:`_bound_and_unbound` of the records of
+    ``simulate --pulses P --seed S``."""
     made = {}
 
     def make(pulses, seed):
         if (pulses, seed) not in made:
-            bound, unbound = tmp_path_factory.mktemp("bound"), tmp_path_factory.mktemp("unbound")
-            argv = ["simulate", "--pulses", str(pulses), "--seed", str(seed), "--out", str(bound)]
-            assert main(argv) == 0
-            (unbound / "pulses.csv").symlink_to(bound / "pulses.csv")
-            shutil.copy(bound / "pulses.json", unbound / "pulses.json")
-            _unbind(unbound / "pulses.csv")
-            made[pulses, seed] = bound, unbound
+            config = reference_scenario(n_pulses=pulses, seed=seed).config
+            made[pulses, seed] = _bound_and_unbound(tmp_path_factory.mktemp("run"), config)
         return made[pulses, seed]
 
     return make
 
 
-def _analyze_counting_full_reads(monkeypatch, capsys, csv, *args):
-    """(exit code, stdout, stderr, report.json bytes or None, full reads) of analyze."""
-    full_reads = []
-    read = records.read
+def _analyze_counting_reads(monkeypatch, capsys, csv, *args):
+    """(exit code, stdout, stderr, report.json bytes or None, full reads, redraws) of
+    analyze."""
+    full_reads, redraws = [], []
+    read, drawn = records.read, simulate_module._drawn
     report = csv.parent / "report.json"
     report.unlink(missing_ok=True)
     capsys.readouterr()
     with monkeypatch.context() as patch:
         patch.setattr(records, "read", lambda path: full_reads.append(path) or read(path))
+        patch.setattr(simulate_module, "_drawn", lambda *a: redraws.append(a) or drawn(*a))
         code = main(["analyze", str(csv), "--out", str(csv.parent), "--json", *args])
     out, err = capsys.readouterr()
-    return code, out, err, report.read_bytes() if report.exists() else None, len(full_reads)
+    return (code, out, err, report.read_bytes() if report.exists() else None,
+            len(full_reads), len(redraws))
+
+
+def _assert_analyzes_as_unbound(monkeypatch, capsys, bound, unbound, *args, reads=(0, 1)):
+    """analyze of ``bound`` makes ``reads`` (full reads, redraws), and gives the exit
+    code, stdout, stderr and report.json of the full read of ``unbound`` (none where
+    ``bound`` is refused before any read), byte for byte."""
+    got = _analyze_counting_reads(monkeypatch, capsys, bound, *args)
+    want = _analyze_counting_reads(monkeypatch, capsys, unbound, *args)
+    assert got[4:] == reads and want[4:] == ((1, 0) if any(reads) else (0, 0))
+    assert got[:4] == want[:4]
+    return got
+
+
+def test_a_fresh_record_is_redrawn_not_decoded(tmp_path, monkeypatch, capsys):
+    """analyze of a record next to the sidecar simulate wrote with it decodes no
+    line and stitches no columns: its bytes give records_sha256, so it is redrawn
+    from the sidecar's config, the redrawn values give values_sha256, and the
+    columns are the schedule's memoized ones.  Its blocks equal those of the full
+    read bit for bit, and analyze gives the stdout and report.json of the full
+    read of the same CSV with no digest, byte for byte."""
+    csv, unbound = _bound_and_unbound(tmp_path, replace(REFERENCE, schedule=_ramp(80_001)))
+    meta = Sidecar.from_dict(read_metadata(csv))
+    blocks = (2, 7, 2500, 70_000)
+    full = [simulate_module._read_blocks(csv, block) for block in blocks]
+    with monkeypatch.context() as patch:
+        _no_full_decode(patch)
+        for block, (columns, variances, rows) in zip(blocks, full):
+            got = simulate_module._read_blocks(csv, block, meta)
+            assert got[0].tobytes() == columns.tobytes()
+            assert got[1].tobytes() == variances.tobytes()
+            assert got[2] == rows == 80_001
+    assert _assert_analyzes_as_unbound(monkeypatch, capsys, csv, unbound)[0] == 0
+
+
+@pytest.mark.parametrize("block", [2, 7, 2500, 70_000])
+def test_bound_values_the_fast_path_declines_are_read_as_loadtxt_reads_them(
+    tmp_path, monkeypatch, capsys, block
+):
+    """A bound record holds values below 1e-4, which '%.17g' writes in exponent
+    notation and the full read's fast path leaves to records._fields: redrawn,
+    not decoded, it gives the whole train's block variances bit for bit, in
+    blocks of the minimum size, blocks that straddle chunks and a block longer
+    than one, and analyze gives the full read's stdout and report.json, byte for
+    byte (a block of 70,000 pulses is refused by both before any read)."""
+    csv, unbound = _bound_and_unbound(tmp_path, replace(REFERENCE, schedule=_ramp(80_001)))
+    values = [line.rsplit(b",", 1)[1] for line in csv.read_bytes().splitlines()[1:]]
+    assert sum(b"e-" in value for value in values) == 6
+    train = read_records(csv)
+    meta = Sidecar.from_dict(read_metadata(csv))
+    with monkeypatch.context() as patch:
+        _no_full_decode(patch)
+        columns, variances, rows = simulate_module._read_blocks(csv, block, meta)
+    want_columns, want_variances = block_variance_trace(train, block)
+    assert rows == len(train) == 80_001
+    assert columns.tobytes() == want_columns.tobytes()
+    assert variances.tobytes() == want_variances.tobytes()
+    _assert_analyzes_as_unbound(monkeypatch, capsys, csv, unbound, "--block-size", str(block),
+                                reads=(0, 1) if block < 70_000 else (0, 0))
 
 
 @pytest.mark.parametrize("block", [2500, 7000, 100])
@@ -1034,15 +1072,62 @@ def _analyze_counting_full_reads(monkeypatch, capsys, csv, *args):
 def test_a_bound_record_analyzes_as_the_full_read_does(
     simulated_runs, monkeypatch, capsys, pulses, seed, block
 ):
-    """analyze --json and report.json of a record read by value alone are those
-    of the full read, which analyzes the same CSV with no digest, byte for byte."""
+    """analyze --json and report.json of a record redrawn from its sidecar are
+    those of the full read, which analyzes the same CSV with no digest, byte for byte."""
     bound, unbound = simulated_runs(pulses, seed)
-    by_value = _analyze_counting_full_reads(
-        monkeypatch, capsys, bound / "pulses.csv", "--block-size", str(block))
-    in_full = _analyze_counting_full_reads(
-        monkeypatch, capsys, unbound / "pulses.csv", "--block-size", str(block))
-    assert by_value[0] == 0 and by_value[4] == 0 and in_full[4] == 1
-    assert by_value[:4] == in_full[:4]
+    got = _assert_analyzes_as_unbound(monkeypatch, capsys, bound, unbound, "--block-size", str(block))
+    assert got[0] == 0
+
+
+def test_a_record_of_another_chunk_size_is_redrawn_with_it(tmp_path, monkeypatch, capsys):
+    """A record written in chunks of 4,096 pulses, whose blocks straddle chunks, is
+    redrawn in chunks of its sidecar's chunk_size and analyzes as its full read."""
+    csv, unbound = _bound_and_unbound(
+        tmp_path, replace(REFERENCE, schedule=_ramp(60_000)), chunk_size=4096)
+    assert read_metadata(csv)["chunk_size"] == 4096
+    got = _assert_analyzes_as_unbound(monkeypatch, capsys, csv, unbound)
+    assert got[0] == 0
+
+
+def test_a_record_another_sampler_draws_is_read_in_full(tmp_path, monkeypatch, capsys):
+    """Where the redraw does not give values_sha256, as on a numpy whose bit
+    generator draws another stream, the record is read in full, once, and analyzes
+    as its full read."""
+    csv, unbound = _bound_and_unbound(tmp_path, replace(REFERENCE, schedule=_ramp(60_000)))
+    draw = simulate_module._marginal_draw
+
+    def another_stream(config, chunk_size):
+        inner = draw(config, chunk_size)
+        return lambda start, rng, out, scratch: inner(
+            start, np.random.Generator(np.random.PCG64(start)), out, scratch)
+
+    monkeypatch.setattr(simulate_module, "_marginal_draw", another_stream)
+    got = _assert_analyzes_as_unbound(monkeypatch, capsys, csv, unbound, reads=(1, 1))
+    assert got[0] == 0
+
+
+def test_the_digests_hash_the_config_as_stored(tmp_path, monkeypatch, capsys):
+    """Both digests take the canonical JSON of the sidecar file's own config object,
+    not of the config read from it and written again: a sidecar that stores float
+    fields as integers, which read as the same config but write back as 0.0, with
+    its digests taken over that stored form, is redrawn, not read in full."""
+    csv, unbound = _bound_and_unbound(tmp_path, replace(REFERENCE, schedule=_ramp(60_000)))
+    sidecar = csv.with_suffix(".json")
+    meta = json.loads(sidecar.read_text())
+    config = meta["config"]
+    config["theta"], config["schedule"]["phi_start"] = 0, 0
+    config["detector"]["electronic_noise_var"] = 0
+    config["detector"]["lo_photons_per_pulse"] = 250_000_000
+    stored = _canonical(config)
+    read_back = Sidecar.from_dict(meta).config
+    assert read_back == RunConfig.from_dict(read_metadata(unbound)["config"])
+    assert _canonical(read_back.to_dict()) != stored
+    values = sample_pulses(read_back).value.astype("<f8").tobytes()
+    meta["records_sha256"] = _sha256(stored + csv.read_bytes())
+    meta["values_sha256"] = _sha256(stored + values)
+    sidecar.write_text(json.dumps(meta))
+    got = _assert_analyzes_as_unbound(monkeypatch, capsys, csv, unbound)
+    assert got[0] == 0
 
 
 def _digit_changed(csv, meta):
@@ -1066,7 +1151,7 @@ def _crlf(csv, meta):
 def _phi_end_one_ulp_up(csv, meta):
     schedule = meta["config"]["schedule"]
     schedule["phi_end"] = math.nextafter(schedule["phi_end"], math.inf)
-    # the edited schedule's own columns differ, so reading by value would move the report
+    # the edited schedule's own columns differ, so a redraw would move the report
     written = simulate_module._block_columns(_ramp(60_000), 2500)
     edited = simulate_module._block_columns(from_dict(PhaseSchedule, schedule), 2500)
     assert written.tobytes() != edited.tobytes()
@@ -1081,8 +1166,9 @@ def _eta_transmission_changed(csv, meta):
 ])
 def test_an_edited_bound_record_is_read_in_full(tmp_path, monkeypatch, capsys, edit):
     """A record whose bytes or sidecar config were edited after simulate wrote
-    them does not give its digest, so analyze reads it in full: its exit code,
-    stdout, stderr and report are those of the same files with no digest."""
+    them does not give records_sha256, so analyze hashes it once, redraws
+    nothing and reads it in full once: its exit code, stdout, stderr and report
+    are those of the same files with no digest."""
     runs = []
     for name in ("bound", "unbound"):
         (tmp_path / name).mkdir()
@@ -1092,20 +1178,36 @@ def test_an_edited_bound_record_is_read_in_full(tmp_path, monkeypatch, capsys, e
         csv.with_suffix(".json").write_text(json.dumps(meta))
         if name == "unbound":
             _unbind(csv)
-        runs.append(_analyze_counting_full_reads(monkeypatch, capsys, csv))
-    assert runs[0][4] == runs[1][4] == 1
+        runs.append(_analyze_counting_reads(monkeypatch, capsys, csv))
+    assert runs[0][4:] == runs[1][4:] == (1, 0)
     assert runs[0][:4] == runs[1][:4]
 
 
 def test_a_version_4_sidecar_reads_the_record_in_full(tmp_path, monkeypatch, capsys):
     """Sidecars of versions 1 to 4 carry no digest: the record next to one is
-    read in full, and gives the report of the bound read."""
+    read in full, and gives the report of the redraw."""
     csv = write_records(replace(REFERENCE, schedule=_ramp(60_000)), tmp_path / "pulses.csv")
-    by_value = _analyze_counting_full_reads(monkeypatch, capsys, csv)
+    redrawn = _analyze_counting_reads(monkeypatch, capsys, csv)
     _unbind(csv)
-    in_full = _analyze_counting_full_reads(monkeypatch, capsys, csv)
-    assert by_value[0] == 0 and by_value[4] == 0 and in_full[4] == 1
-    assert by_value[:4] == in_full[:4]
+    in_full = _analyze_counting_reads(monkeypatch, capsys, csv)
+    assert redrawn[0] == 0 and redrawn[4:] == (0, 1) and in_full[4:] == (1, 0)
+    assert redrawn[:4] == in_full[:4]
+
+
+def test_a_version_5_sidecar_reads_the_record_in_full(tmp_path, monkeypatch, capsys):
+    """A version 5 sidecar binds the CSV's bytes but not its values, so the record
+    next to one is read in full, once, with no redraw, and gives the report of the
+    redraw."""
+    csv = write_records(replace(REFERENCE, schedule=_ramp(60_000)), tmp_path / "pulses.csv")
+    redrawn = _analyze_counting_reads(monkeypatch, capsys, csv)
+    sidecar = csv.with_suffix(".json")
+    meta = json.loads(sidecar.read_text())
+    del meta["values_sha256"]
+    sidecar.write_text(json.dumps({**meta, "format_version": 5}, indent=2) + "\n")
+    assert Sidecar.from_dict(read_metadata(csv)).records_sha256 == meta["records_sha256"]
+    in_full = _analyze_counting_reads(monkeypatch, capsys, csv)
+    assert redrawn[0] == 0 and redrawn[4:] == (0, 1) and in_full[4:] == (1, 0)
+    assert redrawn[:4] == in_full[:4]
 
 
 _ODD_FIELDS = [
