@@ -148,9 +148,7 @@ def cmd_simulate(args, out_dir: Path) -> tuple[int, dict, str]:
     return EXIT_OK, summary, f"wrote {summary['n_pulses']} pulses to {summary['records']}"
 
 
-def _analysis_config(
-    args, records_path: Path
-) -> tuple[RunConfig, int, Sidecar | None, dict | None]:
+def _analysis_config(args, records_path: Path) -> tuple[RunConfig, int, Sidecar | None, dict | None]:
     """Config, block size, sidecar and the sidecar file's own ``config`` object (None and
     None without one) for analyze.  A sidecar is read whenever it exists and its config
     describes the records; an explicit scenario then supplies only the detector

@@ -1,5 +1,5 @@
-"""The text format of record CSVs, written and read by numpy, and the digests that bind
-a record to its sidecar.
+"""The text format of record CSVs, written and read by numpy, the digests that bind a
+record to its sidecar, and the redraw that checks them.
 
 :func:`cvpulse.simulate.write_records`, :func:`cvpulse.simulate.read_records` and the
 reader ``analyze`` uses import this module on their first call, so a run without records
@@ -20,6 +20,8 @@ from typing import Iterator, NoReturn
 import numpy as np
 from numpy.typing import NDArray
 
+from . import simulate  # imported first: this module is loaded on a records call
+
 HEADER = "index,lo_phase_rad,value"
 
 
@@ -29,13 +31,47 @@ def config_hash(config: dict):
     return hashlib.sha256(json.dumps(config, sort_keys=True, separators=(",", ":")).encode())
 
 
-def hashes_to(path: Path, sha, digest: str) -> bool:
-    """Whether ``sha``, once it has taken every byte of the file at ``path``, gives the
-    hex ``digest``; no byte is decoded."""
-    with open(path, "rb") as fh:
+def drawn(config, chunk_size: int, sha):
+    """(start, values) of each chunk of ``sample_pulses(config, chunk_size)``, drawn in
+    turn into one reused buffer, each chunk's values hashed into ``sha`` as
+    little-endian float64 before it is yielded: the loop that writes a record and the
+    one that redraws it.  Sizes are checked before the first draw."""
+    chunks = simulate._chunks(config, chunk_size, simulate._STREAM_FAST)
+    buffer, scratch = np.empty((2, min(chunk_size, len(config.schedule))))
+    draw = simulate._marginal_draw(config, chunk_size)
+
+    def chunk_values():
+        for start, stop, rng in chunks:
+            values = draw(start, rng, buffer[: stop - start], scratch)
+            sha.update(values.astype("<f8", copy=False))
+            yield start, values
+
+    return chunk_values()
+
+
+def redrawn(csv_path: Path, block_size: int, sidecar, stored: dict | None):
+    """The block columns, block variances and record count of the CSV that ``sidecar``
+    binds, none of its bytes decoded; None where it does not bind it.  Both digests start
+    from ``stored``, the sidecar file's own config object (by default its config as
+    write_records stores it).  Bytes that give ``records_sha256`` are those write_records
+    wrote of that config, so the record is redrawn as the writer drew it into a variance
+    stitch, with the schedule's memoized block columns, and kept if it gives
+    ``values_sha256``."""
+    sha = config_hash(sidecar.config.to_dict() if stored is None else stored)
+    values_sha = sha.copy()
+    with open(csv_path, "rb") as fh:
         while chunk := fh.read(_READ_BLOCK):
             sha.update(chunk)
-    return sha.hexdigest() == digest
+    if sha.hexdigest() != sidecar.records_sha256:
+        return None
+    variances = simulate._Stitch(block_size, simulate._reduce_blocks)
+    for start, values in drawn(sidecar.config, sidecar.chunk_size, values_sha):
+        variances.add(start, values)
+    if values_sha.hexdigest() != sidecar.values_sha256:
+        return None
+    columns = simulate._block_columns(sidecar.config.schedule, block_size)
+    return columns, variances.blocks(), sidecar.n_pulses
+
 
 _SPLIT = 2.0**27 + 1.0
 _WORD = np.dtype("<u8")

@@ -742,24 +742,6 @@ def shot_noise_linearity_scan(
     return levels, variances
 
 
-def _drawn(config: RunConfig, chunk_size: int, sha):
-    """(start, values) of each chunk of ``sample_pulses(config, chunk_size)``, drawn in
-    turn into one reused buffer, each chunk's values hashed into ``sha`` as
-    little-endian float64 before it is yielded: the loop that writes a record and the
-    one that redraws it.  Sizes are checked before the first draw."""
-    chunks = _chunks(config, chunk_size, _STREAM_FAST)
-    buffer, scratch = np.empty((2, min(chunk_size, len(config.schedule))))
-    draw = _marginal_draw(config, chunk_size)
-
-    def drawn():
-        for start, stop, rng in chunks:
-            values = draw(start, rng, buffer[: stop - start], scratch)
-            sha.update(values.astype("<f8", copy=False))
-            yield start, values
-
-    return drawn()
-
-
 def write_records(
     config: RunConfig, csv_path: str | Path, chunk_size: int = DEFAULT_CHUNK_SIZE
 ) -> Path:
@@ -779,7 +761,7 @@ def write_records(
     sidecar = _sidecar_path(csv_path)
     stored = config.to_dict()
     sha, values_sha = records.config_hash(stored), records.config_hash(stored)
-    drawn = _drawn(config, chunk_size, values_sha)
+    drawn = records.drawn(config, chunk_size, values_sha)
 
     def texts():
         yield (records.HEADER + "\n").encode()
@@ -821,32 +803,20 @@ def read_records(csv_path: str | Path) -> PulseTrain:
     return PulseTrain(phase, value)
 
 
-def _read_blocks(
-    csv_path: Path, block_size: int, sidecar: Sidecar | None = None, stored: dict | None = None
-):
+def _read_blocks(csv_path: Path, block_size: int, sidecar: Sidecar | None = None, stored=None):
     """``block_variance_trace(read_records(csv_path), block_size)`` and the record count
     bit for bit: each block of lines is added to a column stitch and a variance stitch
     as it is read, so memory is O(block + read block).  No full block is no error, so
     a caller can check the count first.
 
-    A CSV that ``sidecar`` binds by both digests, each hashed over ``stored``, the
-    sidecar file's own ``config`` object (its config as :func:`write_records` stores it
-    by default), is not decoded.  If its bytes give ``records_sha256``, they are those
-    :func:`write_records` wrote of that config, so the record is redrawn chunk by chunk,
-    as the writer drew it, into the variance stitch, and the columns are its schedule's
-    memoized :func:`_block_columns`.  Those are kept if the redrawn values give
-    ``values_sha256``; otherwise, as for any other CSV, the CSV is read in full.
+    A CSV that ``sidecar`` binds by both digests, hashed over ``stored``, the sidecar
+    file's own ``config`` object, is redrawn, not decoded (:func:`cvpulse.records.redrawn`).
     """
     from . import records
     if sidecar is not None and sidecar.values_sha256:
-        stored = sidecar.config.to_dict() if stored is None else stored
-        if records.hashes_to(csv_path, records.config_hash(stored), sidecar.records_sha256):
-            variances, sha = _Stitch(block_size, _reduce_blocks), records.config_hash(stored)
-            for start, values in _drawn(sidecar.config, sidecar.chunk_size, sha):
-                variances.add(start, values)
-            if sha.hexdigest() == sidecar.values_sha256:
-                columns = _block_columns(sidecar.config.schedule, block_size)
-                return columns, variances.blocks(), sidecar.n_pulses
+        redrawn = records.redrawn(csv_path, block_size, sidecar, stored)
+        if redrawn is not None:
+            return redrawn
     columns, variances = _Stitch(block_size, _fringe_columns), _Stitch(block_size, _reduce_blocks)
     rows = 0
     for phases, values, _ in records.read(csv_path):

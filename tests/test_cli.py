@@ -809,7 +809,7 @@ def test_a_design_its_sidecar_fixes_is_checked_before_any_record_is_read(
     argv = ["--pulses", "10000", "--scenario", scenario, "--out", str(tmp_path)]
     assert main(["simulate", *argv]) == EXIT_OK
     monkeypatch.setattr(records, "read", never)
-    monkeypatch.setattr(records, "hashes_to", never)
+    monkeypatch.setattr(records, "redrawn", never)
     capsys.readouterr()
     argv = ["analyze", str(tmp_path / "pulses.csv"), "--out", str(tmp_path)]
     assert main(argv) == EXIT_INVALID_INPUT

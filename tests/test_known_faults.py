@@ -95,7 +95,7 @@ def test_a_locked_lo_phase_is_refused_before_any_record_is_read(tmp_path, capsys
         raise AssertionError("the record was hashed or read")
 
     monkeypatch.setattr(records, "read", never)
-    monkeypatch.setattr(records, "hashes_to", never)
+    monkeypatch.setattr(records, "redrawn", never)
     code, err = _analyze(capsys, csv)
     assert code == EXIT_INVALID_INPUT
     assert err == ("error: degenerate fit: the records' LO phase is locked at 0.0 rad (a "

@@ -996,13 +996,13 @@ def _analyze_counting_reads(monkeypatch, capsys, csv, *args):
     """(exit code, stdout, stderr, report.json bytes or None, full reads, redraws) of
     analyze."""
     full_reads, redraws = [], []
-    read, drawn = records.read, simulate_module._drawn
+    read, drawn = records.read, records.drawn
     report = csv.parent / "report.json"
     report.unlink(missing_ok=True)
     capsys.readouterr()
     with monkeypatch.context() as patch:
         patch.setattr(records, "read", lambda path: full_reads.append(path) or read(path))
-        patch.setattr(simulate_module, "_drawn", lambda *a: redraws.append(a) or drawn(*a))
+        patch.setattr(records, "drawn", lambda *a: redraws.append(a) or drawn(*a))
         code = main(["analyze", str(csv), "--out", str(csv.parent), "--json", *args])
     out, err = capsys.readouterr()
     return (code, out, err, report.read_bytes() if report.exists() else None,
