@@ -20,7 +20,7 @@ from typing import Iterator, NoReturn
 import numpy as np
 from numpy.typing import NDArray
 
-from . import simulate  # imported first: this module is loaded on a records call
+from . import simulate  # loaded first: simulate imports this module on a records call
 
 HEADER = "index,lo_phase_rad,value"
 
