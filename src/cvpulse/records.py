@@ -1,5 +1,6 @@
-"""The text format of record CSVs, written and read by numpy, the digests that bind a
-record to its sidecar, and the redraw that checks them.
+"""The text format of record CSVs, written by a vectorized formatter and read by
+np.loadtxt, the digests that bind a record to its sidecar, and the redraw that checks
+them.
 
 :func:`cvpulse.simulate.write_records`, :func:`cvpulse.simulate.read_records` and the
 reader ``analyze`` uses import this module on their first call, so a run without records
@@ -13,6 +14,7 @@ import hashlib
 import json
 import math
 import re
+import warnings
 from pathlib import Path
 from itertools import chain
 from typing import Iterator, NoReturn
@@ -49,20 +51,31 @@ def drawn(config, chunk_size: int, sha):
     return chunk_values()
 
 
+_READ_BLOCK = 2**17  # bytes hashed per read
+
+
 def redrawn(csv_path: Path, block_size: int, sidecar, stored: dict | None):
     """The block columns, block variances and record count of the CSV that ``sidecar``
-    binds, none of its bytes decoded; None where it does not bind it.  Both digests start
-    from ``stored``, the sidecar file's own config object (by default its config as
-    write_records stores it).  Bytes that give ``records_sha256`` are those write_records
-    wrote of that config, so the record is redrawn as the writer drew it into a variance
-    stitch, with the schedule's memoized block columns, and kept if it gives
-    ``values_sha256``."""
+    binds, none of its bytes decoded; None where the sidecar carries no
+    ``values_sha256`` or the redraw does not give it.  Both digests start from
+    ``stored``, the sidecar file's own config object (by default its config as
+    write_records stores it).  Bytes that do not give ``records_sha256`` raise
+    ValueError: the record or its sidecar was changed after write_records wrote them.
+    Bytes that give it are those write_records wrote of that config, so the record is
+    redrawn as the writer drew it into a variance stitch, with the schedule's memoized
+    block columns, and kept if it gives ``values_sha256``."""
     sha = config_hash(sidecar.config.to_dict() if stored is None else stored)
     values_sha = sha.copy()
     with open(csv_path, "rb") as fh:
         while chunk := fh.read(_READ_BLOCK):
             sha.update(chunk)
     if sha.hexdigest() != sidecar.records_sha256:
+        raise ValueError(
+            f"{csv_path.name} is not the record its sidecar binds: the sidecar's config and "
+            "the record's bytes do not give its records_sha256, so one of them was changed "
+            "after simulate wrote them"
+        )
+    if not sidecar.values_sha256:
         return None
     variances = simulate._Stitch(block_size, simulate._reduce_blocks)
     for start, values in drawn(sidecar.config, sidecar.chunk_size, values_sha):
@@ -234,207 +247,39 @@ def format_rows(first: int, phases: NDArray, values: NDArray) -> Iterator[bytes]
         yield _rows(first + i, phases[i : i + _FORMAT_BATCH], values[i : i + _FORMAT_BATCH])
 
 
-# Records are read back by a parser that inverts _rows, a block of whole
-# lines at a time.  A line takes the fast path when its index is 1-16 digits
-# with no leading zero and each value is an optional '-', then 1-8 integer
-# digits with no leading zero, then optionally '.' and 1-22 digits, with at
-# most 19 significant digits in all.  Each field's digits are read 8 bytes at
-# a time from a 1-byte-strided view of the block, in windows that end where
-# the field ends (and one that ends at its point): XOR with '0' leaves a
-# digit as 0-9, a mask clears the bytes before the digits, and three
-# multiply-shift steps sum the word.  The same words mark every byte that is
-# not a digit.  A CRLF or a lone CR is read as a newline, as text mode reads
-# it.  Every other line (exponent notation, whitespace, '#', '+', leading
-# zeros, nan, blank lines) is read by _fields, in Python.  Where a line is
-# rejected, or a check fails, a rescan names the first line that fails.
-# Bytes read per block: a 250k-pulse file reads in 104 ms with 2^17 (best of
-# 12, 2 CPUs), 101 ms with 2^18 and 119 ms with 2^16, at traced peaks of
-# 6.1, 8.1 and 5.1 MB (its arrays are 4 MB).
-_READ_BLOCK = 2**17
-_LOOKBACK = 24  # bytes kept before a block's first line: a field's windows reach back 24
-_HEADER_LINE = (HEADER + "\n").encode()
-_ZEROS, _LOW_7 = 0x3030303030303030, 0x7F7F7F7F7F7F7F7F
-_POW10_INT = _POW10[:20].astype(np.uint64)
-_LAST_BYTES = np.frombuffer(  # the masks of the last t of 24 bytes
-    b"".join(b"\0" * (24 - t) + b"\xff" * t for t in range(25)), "V24"
-)
+# Rows per np.loadtxt call: read_records of a 250k-pulse file takes 146-149 ms with
+# 2^13 to 2^16 (medians of 9, 2 CPUs), at traced peaks of 5.0 MB with 2^14 and 7.7 MB
+# with 2^16 (its arrays are 4 MB).
+_LOAD_ROWS = 2**14
 
 
-def _non_digits(x: NDArray[np.uint64]) -> NDArray[np.uint64]:
-    """The low bit of each byte of x (XORed with '0') that is not a digit."""
-    flags = x & _LOW_7
-    flags += 0x7676767676767676  # no byte carries into the next
-    flags |= x
-    flags >>= 7
-    flags &= 0x0101010101010101
-    return flags
-
-
-def _sum_digits(x: NDArray[np.uint64]) -> NDArray[np.uint64]:
-    """The number whose decimal digits are the bytes of x, first byte first."""
-    x *= 2561  # 10 * 2^8 + 1: 2-digit lanes
-    x >>= 8
-    x &= 0x00FF00FF00FF00FF
-    x *= 6553601  # 100 * 2^16 + 1: 4-digit lanes
-    x >>= 16
-    x &= 0x0000FFFF0000FFFF
-    x *= 42949672960001  # 10^4 * 2^32 + 1: the 8-digit number
-    x >>= 32
-    return x
-
-
-def _decimal_value(digits: NDArray[np.uint64], places: NDArray[np.intp]):
-    """The double nearest digits / 10^places, and where it is certainly that.
-
-    q = D / 10^f in float, its residual r = D - q 10^f by Dekker's product,
-    then q + r / 10^f, rounded once.  The result is accepted only where the
-    residual, carried over to it, lies within 0.95 of the half-gap to the
-    neighbouring double on its side: then it is the correctly rounded value,
-    the one np.loadtxt (PyOS_string_to_double) gives, and a tie or
-    near-tie, where one rounding might err, is never taken.  The residual
-    carries about one rounding of itself, far inside that margin.
-
-    Every fixed-notation value _rows writes is accepted: a 17-digit '%.17g'
-    of a double v, 10^k <= |v|, is within 0.5 10^(k-16) of v, and the
-    half-gap on its side is 2^(e-53) for 2^e <= |v| < 2^(e+1), or 2^(e-54)
-    below |v| = 2^e; so it lies within 2^53 / 10^16 ~ 0.9007 of that half-gap.
-    """
-    power = _POW10[places]
-    high = digits.astype(np.float64)  # digits = high + low exactly
-    low = (digits - high.astype(np.uint64)).view(np.int64)
-    q = high / power
-    p, e = _times_power_of_ten(q, places)
-    r = high - p  # exact, as p is within 2 ulps of high
-    r += low
-    r -= e
-    rounded = r / power
-    rounded += q
-    q -= rounded
-    q *= power
-    r += q
-    limit = (rounded.view(np.uint64) & 0x7FF0000000000000).view(np.float64)  # 2^e <= |rounded|
-    limit *= power
-    # the half-gap is 2^(e-53), and 2^(e-54) below a power of two
-    below = (r < 0) & (rounded.view(np.uint64) << 12 == 0)
-    limit *= np.where(below, 0.95 * 2.0**-54, 0.95 * 2.0**-53)
-    return rounded, np.abs(r) <= limit
-
-
-def _decimals(a: NDArray[np.uint8], data: bytes, start: NDArray[np.intp], end: NDArray[np.intp]):
-    """The doubles of the fields data[start:end] (arrays of one shape), and the mask of
-    those the fast path reads: an optional '-', then 1-8 integer digits with no leading
-    zero, then optionally '.' and 1-22 digits, at most 19 significant digits in all."""
-    negative = a[start] == ord("-")
-    start = start + negative
-    # the 24 bytes before each field's end as 3 words, and its last byte that
-    # is not a digit (gathered as 24-byte items, 3 times faster than words)
-    x = np.ndarray((len(a) - 23,), "V24", data, 0, (1,))[end - 24].view(_WORD)
-    x = x.reshape(*end.shape, 3)
-    x ^= _ZEROS
-    top = _non_digits(x).view(np.int64).astype(np.float64).view(np.int64) >> 52  # 1023 + 8 byte
-    point = np.maximum(np.maximum(top[..., 0], top[..., 1] + 64), top[..., 2] + 128)
-    point -= 1023
-    point >>= 3  # 8 word + byte of the last flag, or -1 or less
-    np.maximum(point, -1, out=point)
-    point += end - 24
-    tail = end - point - 1  # digits after it
-    x &= _LAST_BYTES[tail].view(_WORD).reshape(x.shape)
-    dot = a[point] == ord(".")
-    whole = np.where(dot, point - start, 0)  # digits before a point
-    y = np.ndarray((len(a) - 7,), "V8", data, 0, (1,))[point - 8].view(_WORD)
-    y ^= _ZEROS
-    y &= _LAST_BYTES.view(_WORD)[2::3][np.clip(whole, 0, 8)]
-
-    lead = np.where(dot, whole, tail)  # digits before the point, or in all
-    ok = np.where(dot, tail >= 1, point == start - 1)
-    ok &= (_non_digits(y) == 0) & (lead >= 1) & (lead <= 8) & (tail <= 22)
-    ok &= (lead == 1) | (a[start] != ord("0"))
-    x, y = _sum_digits(x), _sum_digits(y)
-    ok &= (whole + tail <= 19) | ((y == 0) & (x[..., 0] < 1000))  # significant digits
-    d = x[..., 0] * 10**16 + x[..., 1] * 10**8 + x[..., 2]
-    d += y * _POW10_INT[np.minimum(tail, 19)]
-    value, exact = _decimal_value(d * ok, tail * (ok & dot))
-    value.view(np.uint64)[:] |= negative.astype(np.uint64) << 63
-    return value, ok & exact
-
-
-def _parse_block(data: bytes, stop: int) -> NDArray[np.float64] | None:
-    """The index, phase and value rows (3, n) of the lines of
-    data[_LOOKBACK:stop], each ending in a newline; None where a line the
-    fast path declines is not UTF-8 or _fields rejects it."""
-    a = np.frombuffer(data, np.uint8, stop)
-    seps = np.flatnonzero(a < ord("-"))  # ',', '\n', and bytes no fast line has
-    seps = seps[np.searchsorted(seps, _LOOKBACK - 1) :]
-    kind = a[seps]
-    newlines = np.flatnonzero(kind == ord("\n"))
-    ends = newlines[1:]
-    candidates = np.flatnonzero(
-        (ends - newlines[:-1] == 3) & (kind[ends - 1] == ord(",")) & (kind[ends - 2] == ord(","))
-    )
-    # the first byte and the end of each candidate's index, phase and value
-    bounds = seps[ends[candidates] - np.arange(3, -1, -1)[:, None]]
-    start, end = bounds[:3] + 1, bounds[1:]
-    value, fast = _decimals(a, data, start[1:], end[1:])
-    # an index is 1-16 digits with no leading zero: the last of the 24 bytes before its end
-    width = end[0] - start[0]
-    x = np.ndarray((stop - 23,), "V24", data, 0, (1,))[end[0] - 24].view(_WORD).reshape(-1, 3)
-    x ^= _ZEROS
-    x &= _LAST_BYTES[np.minimum(width, 24)].view(_WORD).reshape(x.shape)
-    fast = fast.all(axis=0) & (_non_digits(x) == 0).all(axis=1) & (width >= 1) & (width <= 16)
-    fast &= (width == 1) | (a[start[0]] != ord("0"))
-    x = _sum_digits(x)
-    table = np.empty((3, len(fast)))
-    table[0], table[1:] = x[:, 0] * 10**16 + x[:, 1] * 10**8 + x[:, 2], value
-
-    kept = candidates[fast]
-    if len(kept) == len(ends):
-        return table
-    declined = np.delete(np.arange(len(ends)), kept)
-    starts, stops = (seps[newlines[declined]] + 1).tolist(), seps[ends[declined]].tolist()
-    at, rows = [], []
-    for i, (line, start, stop) in enumerate(zip(declined.tolist(), starts, stops)):
-        try:
-            fields = _fields(data[start:stop].decode())
-        except ValueError:  # UnicodeDecodeError included
-            return None
-        if fields is not None:
-            at.append(line - i)  # the fast lines before it
-            rows.append(fields)
-    return np.insert(table[:, fast], at, np.reshape(rows, (-1, 3)).T, axis=1)
-
-
-def _text_blocks(fh) -> Iterator[bytes]:
-    """The blocks of a binary file with each CRLF and lone CR made a newline,
-    as text mode reads them (a CRLF split between blocks adds an empty line)."""
-    while chunk := fh.read(_READ_BLOCK):
-        if b"\r" in chunk:  # rebound, so the block as read is not held while it is parsed
-            chunk = chunk.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-        yield chunk
+def _next_rows(fh) -> NDArray[np.float64]:
+    """The next _LOAD_ROWS rows of a records file open in text mode, (n, k) as np.loadtxt
+    reads them; none at its end."""
+    with warnings.catch_warnings():  # of a comment or blank line, and of no rows at the end
+        warnings.simplefilter("ignore", UserWarning)
+        return np.loadtxt(fh, delimiter=",", max_rows=_LOAD_ROWS, ndmin=2)
 
 
 def read(csv_path: Path) -> Iterator[tuple[NDArray[np.float64], NDArray[np.float64], int]]:
-    """(LO phases, values, file offset of the end) of each block of whole lines of csv_path,
-    its index checked, as read_records reads them; the header matches after str.strip()."""
-    rows, header = 0, b""
-    with open(csv_path, "rb") as fh:
-        blocks = chain(_text_blocks(fh), [b"\n"])  # a last line may have no newline
-        while b"\n" not in header:
-            header += next(blocks)
-        header, _, chunk = header.partition(b"\n")
-        if header.decode("utf-8", "replace").strip() != HEADER:
-            _raise_at_first_bad_line(csv_path)
-        data = _HEADER_LINE[-_LOOKBACK:]
-        while chunk is not None:
-            data += chunk
-            stop = data.rfind(b"\n", _LOOKBACK) + 1
-            if stop:
-                table = _parse_block(data, stop)
-                if table is None or np.any(table[0] != np.arange(rows, rows + table.shape[1])):
-                    _raise_at_first_bad_line(csv_path)
-                rows += table.shape[1]
-                yield table[1], table[2], fh.tell() - len(data) + stop
-                data = data[stop - _LOOKBACK :]
-            chunk = next(blocks, None)
+    """(LO phases, values, file offset read to) of each np.loadtxt call's rows of
+    csv_path, one UTF-8 text-mode handle read _LOAD_ROWS rows at a time, so a CRLF or
+    a lone CR ends a line; the header matches after str.strip(), and each row must
+    have 3 finite fields, its index running 0, 1, ...  Where a check fails, a rescan
+    names the first line that fails."""
+    rows = 0
+    try:
+        with open(csv_path, encoding="utf-8") as fh:
+            if fh.readline().strip() != HEADER:
+                raise ValueError("not the header")
+            while len(table := _next_rows(fh)):
+                if (table.shape[1] != 3 or not np.isfinite(table).all()
+                        or np.any(table[:, 0] != np.arange(rows, rows + len(table)))):
+                    raise ValueError("a row fails a check")
+                rows += len(table)
+                yield table[:, 1], table[:, 2], fh.buffer.tell()
+    except ValueError:  # UnicodeDecodeError included
+        rows = 0
     if rows == 0:
         _raise_at_first_bad_line(csv_path)
 

@@ -782,10 +782,10 @@ def write_records(
 def read_records(csv_path: str | Path) -> PulseTrain:
     """Read a CSV written by :func:`write_records`, for callers who want the whole train.
 
-    The values are those np.loadtxt reads, bit for bit.  Malformed input,
-    a row of other than 3 fields, a nan, an infinity or an index column
-    other than 0, 1, ..., n - 1 included, raises ValueError naming the
-    first offending line.
+    The values are those np.loadtxt reads, bit for bit: it reads them, a chunk of
+    rows per call.  Malformed input, a row of other than 3 fields, a nan, an
+    infinity or an index column other than 0, 1, ..., n - 1 included, raises
+    ValueError naming the first offending line.
     """
     from . import records  # compiled on first use, not by every run that imports simulate
 
@@ -805,15 +805,16 @@ def read_records(csv_path: str | Path) -> PulseTrain:
 
 def _read_blocks(csv_path: Path, block_size: int, sidecar: Sidecar | None = None, stored=None):
     """``block_variance_trace(read_records(csv_path), block_size)`` and the record count
-    bit for bit: each block of lines is added to a column stitch and a variance stitch
-    as it is read, so memory is O(block + read block).  No full block is no error, so
-    a caller can check the count first.
+    bit for bit: the rows of each np.loadtxt call are added to a column stitch and a
+    variance stitch as they are read, so memory is O(block + rows per call).  No full
+    block is no error, so a caller can check the count first.
 
     A CSV that ``sidecar`` binds by both digests, hashed over ``stored``, the sidecar
-    file's own ``config`` object, is redrawn, not decoded (:func:`cvpulse.records.redrawn`).
+    file's own ``config`` object, is redrawn, not decoded, and one whose bytes miss
+    ``records_sha256`` is refused unread (:func:`cvpulse.records.redrawn`).
     """
     from . import records
-    if sidecar is not None and sidecar.values_sha256:
+    if sidecar is not None and sidecar.records_sha256:
         redrawn = records.redrawn(csv_path, block_size, sidecar, stored)
         if redrawn is not None:
             return redrawn

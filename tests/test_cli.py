@@ -309,17 +309,25 @@ def _scenario(payload, command=("simulate",)):
     return prepare
 
 
-def _simulated(spoil, scenario=None):
+def _simulated(spoil, scenario=None, bound=False):
     """Simulate a short run, four blocks long on a ramp over 2.5 pi, let ``spoil`` edit
     its files, then analyze it, with ``scenario`` as its --scenario file when one is
     given.  Four blocks of the default 4 pi ramp each span one fringe period, a design
-    analyze refuses before it reads any record."""
+    analyze refuses before it reads any record.  Where ``spoil`` edits the CSV, its
+    sidecar is rewritten as version 4 wrote it, with no digest, so that analyze reads
+    the record to the fault the row names, unless ``bound``: a record whose bytes miss
+    its sidecar's records_sha256 is refused unread."""
 
     def prepare(tmp_path):
         ramp = _write_scenario(tmp_path / "ramp.json", {"schedule": {"phi_end": 2.5 * math.pi}})
         argv = ["simulate", "--scenario", ramp, "--pulses", "10000", "--out", str(tmp_path)]
         assert main(argv) == EXIT_OK
+        written = (tmp_path / "pulses.csv").read_bytes()
         spoil(tmp_path)
+        if not bound and (tmp_path / "pulses.csv").read_bytes() != written:
+            meta = json.loads((tmp_path / "pulses.json").read_text())
+            del meta["records_sha256"], meta["values_sha256"]
+            (tmp_path / "pulses.json").write_text(json.dumps({**meta, "format_version": 4}))
         argv = ["analyze", str(tmp_path / "pulses.csv"), "--out", str(tmp_path)]
         if scenario is None:
             return argv
@@ -601,6 +609,10 @@ BAD_INPUTS = [
                  "'config.detector.eta_typo'", id="unknown sidecar key"),
     pytest.param(_simulated(_nan_on_line_1001), EXIT_INVALID_INPUT, "line 1001",
                  id="non-finite record"),
+    pytest.param(_simulated(_nan_on_line_1001, bound=True), EXIT_INVALID_INPUT,
+                 "error: pulses.csv is not the record its sidecar binds: the sidecar's config "
+                 "and the record's bytes do not give its records_sha256",
+                 id="edited bound record"),
     pytest.param(_simulated(_index_7_on_line_2001), EXIT_INVALID_INPUT,
                  "line 2001: expected index 1999, got 7", id="index out of sequence"),
     pytest.param(_simulated(_format_version_after_current), EXIT_INVALID_INPUT,

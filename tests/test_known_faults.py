@@ -61,10 +61,10 @@ def _analyze(capsys, csv):
     return code, capsys.readouterr().err
 
 
-@_fault(15, "a sidecar whose digest does not match its record is used without a word")
 def test_a_swapped_sidecar_is_refused(tmp_path, capsys):
     """The sidecar of a run with eta_transmission 0.75, copied onto a reference record
-    of the same length, does not bind it: analyze exits 2 naming records_sha256."""
+    of the same length, does not bind it: analyze exits 2 naming records_sha256
+    (ROADMAP item 15; it used to analyze the record with the other run's efficiency)."""
     csv = _simulated(tmp_path / "reference")
     other = _simulated(tmp_path / "other", {"detector": {"eta_transmission": 0.75}})
     shutil.copy(other.with_suffix(".json"), csv.with_suffix(".json"))
@@ -72,10 +72,9 @@ def test_a_swapped_sidecar_is_refused(tmp_path, capsys):
     assert code == EXIT_INVALID_INPUT and "records_sha256" in err, f"exit {code}: {err!r}"
 
 
-@_fault(15, "a record edited after simulate wrote it is used without a word")
 def test_an_edited_value_byte_is_refused(tmp_path, capsys):
     """One digit of one value changed after simulate wrote the record: analyze exits 2
-    naming records_sha256."""
+    naming records_sha256 (ROADMAP item 15; it used to read the edited record in full)."""
     csv = _simulated(tmp_path / "run")
     lines = csv.read_bytes().splitlines(keepends=True)
     digit = lines[1000][-2] - ord("0")

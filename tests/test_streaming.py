@@ -16,7 +16,7 @@ import pytest
 import cvpulse.records as records
 import cvpulse.simulate as simulate_module
 from cvpulse.analysis import end_to_end_report
-from cvpulse.cli import main
+from cvpulse.cli import EXIT_INVALID_INPUT, main
 from cvpulse.gaussian import SourceSpec
 from cvpulse.scenario import reference_scenario
 from cvpulse.schema import from_dict, to_dict
@@ -718,7 +718,7 @@ def _assert_reads_as_loadtxt(path):
 def _near_ties():
     """Decimals next to the midpoints of neighbouring doubles, each midpoint
     rounded down and up to 16-19 significant digits, then the midpoints in
-    full (too many digits for the fast path)."""
+    full."""
     rng = np.random.default_rng(7)
     doubles = np.concatenate([
         rng.uniform(0.0, 4.0 * math.pi, 300), rng.normal(0.0, 1.3, 300),
@@ -741,22 +741,12 @@ def _write_lines(path, fields):
 def test_read_records_equals_loadtxt_bit_for_bit(tmp_path, monkeypatch):
     """read_records returns np.loadtxt's values bit for bit: on every finite
     value of the formatter's cases as write_records writes them (the bytes
-    np.savetxt writes), never declining one it parses; on decimals next to
-    midpoints of neighbouring doubles, declining some; on powers of two with
-    their neighbours, -0 and exponent notation; and on lines only np.loadtxt
-    reads, in blocks whose boundaries fall inside rows."""
-    declined = []
-    decimal_value = records._decimal_value
-
-    def counting(digits, places):
-        value, exact = decimal_value(digits, places)
-        declined.append(np.count_nonzero(~exact))
-        return value, exact
-
-    monkeypatch.setattr(records, "_decimal_value", counting)
+    np.savetxt writes); on decimals next to midpoints of neighbouring doubles;
+    on powers of two with their neighbours, -0 and exponent notation; and on
+    lines only np.loadtxt reads, with a few rows to many per np.loadtxt call, so
+    that a call ends next to comment, blank, CR and CRLF lines."""
     cases = _format_cases()
-    fixed = (np.abs(cases) >= 1e-4) & (np.abs(cases) < 1e8) | (cases == 0)
-    cases = np.concatenate([cases[fixed], cases[~fixed & np.isfinite(cases)]])  # fast rows first
+    cases = cases[np.isfinite(cases)]
     phases, values = cases[0::2][: cases.size // 2], cases[1::2][: cases.size // 2]
     rows_path = tmp_path / "rows.csv"
     with open(rows_path, "wb") as fh:
@@ -764,12 +754,9 @@ def test_read_records_equals_loadtxt_bit_for_bit(tmp_path, monkeypatch):
         for first in range(0, len(values), records._FORMAT_BATCH):
             batch = slice(first, first + records._FORMAT_BATCH)
             fh.write(records._rows(first, phases[batch], values[batch]))
-    _assert_reads_as_loadtxt(rows_path)
-    assert sum(declined) == 0
     ties_path = tmp_path / "ties.csv"
     _write_lines(ties_path, _near_ties())
     _assert_reads_as_loadtxt(ties_path)
-    assert sum(declined) > 0
 
     powers = np.ldexp(1.0, np.arange(-60, 27))
     twos = np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)])
@@ -779,7 +766,7 @@ def test_read_records_equals_loadtxt_bit_for_bit(tmp_path, monkeypatch):
     ] + ["-0", "-0.0", "0", "0.0", "00.5", "-00", "1e-05", "5.0265482457436693e-05",
          "-1.2345678901234567e-07", "1E+3", "+1.5", " 2.5", "3.5 ", ".5", "5."]
     lines = [f"{i},{t},{texts[-1 - i]}\n" for i, t in enumerate(texts)]
-    odd = {  # lines np.loadtxt reads that the fast path leaves to it
+    odd = {  # lines np.loadtxt reads that write_records does not write
         5: "5,1.0,2.0\r\n", 9: "9,1.0,2.0 # comment\n", 12: "+12,1,2\n", 14: "014,1,2\n",
         20: " 20 , 0.25 , -0.5 \n", 21: "21,1,2\r",
     }
@@ -788,10 +775,13 @@ def test_read_records_equals_loadtxt_bit_for_bit(tmp_path, monkeypatch):
     lines[30:30] = ["\n", "# a comment line\n"]
     path = tmp_path / "mixed.csv"
     path.write_text("index,lo_phase_rad,value\n" + "".join(lines).rstrip("\n"), newline="")
-    assert records._READ_BLOCK < rows_path.stat().st_size
-    for block in (1, 61, 1000, records._READ_BLOCK):
-        monkeypatch.setattr(records, "_READ_BLOCK", block)
-        _assert_reads_as_loadtxt(path)
+    assert records._LOAD_ROWS < len(values)
+    wanted = [(p, [column.tobytes() for column in _loadtxt_columns(p)]) for p in (path, rows_path)]
+    for rows in (1, 2, 29, 30, 31, 61, 1000, records._LOAD_ROWS):
+        monkeypatch.setattr(records, "_LOAD_ROWS", rows)
+        for p, (phase, value) in wanted:
+            train = read_records(p)
+            assert train.lo_phase.tobytes() == phase and train.value.tobytes() == value, (p, rows)
 
 
 _HEADER = "index,lo_phase_rad,value"
@@ -822,6 +812,36 @@ def test_odd_records_files_read_as_loadtxt_or_name_their_fault(tmp_path, text, e
         with pytest.raises(ValueError) as excinfo:
             read_records(path)
         assert str(excinfo.value) == error
+
+
+@pytest.mark.parametrize("header, row_100, message", [
+    pytest.param(_HEADER, "100,0.5,2.5x",
+                 "pulses.csv line 102: non-numeric field in '100,0.5,2.5x'",
+                 id="non-numeric value"),
+    pytest.param(_HEADER, "7,0.5,2.5", "pulses.csv line 102: expected index 100, got 7",
+                 id="index out of sequence"),
+    pytest.param("index,phase,value", "100,0.5,2.5",
+                 f"pulses.csv line 1: expected header {_HEADER!r}, got 'index,phase,value'",
+                 id="bad header"),
+])
+def test_a_fault_after_the_first_loadtxt_call_is_named_once(
+    tmp_path, monkeypatch, capsys, header, row_100, message
+):
+    """With 61 rows per np.loadtxt call, a fault in row 100, read by the second call,
+    makes analyze exit 2 naming line 102, and a bad header names line 1; either way
+    the records file is rescanned for its first bad line once."""
+    rows = [f"{i},0.5,2.5" for i in range(200)]
+    rows[100] = row_100
+    csv = tmp_path / "pulses.csv"
+    csv.write_text("\n".join([header, *rows]) + "\n")
+    rescans, rescan = [], records._raise_at_first_bad_line
+    monkeypatch.setattr(records, "_raise_at_first_bad_line",
+                        lambda path: rescans.append(path) or rescan(path))
+    monkeypatch.setattr(records, "_LOAD_ROWS", 61)
+    capsys.readouterr()
+    assert main(["analyze", str(csv), "--out", str(tmp_path)]) == EXIT_INVALID_INPUT
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert rescans == [csv]
 
 
 def test_read_records_memory_grows_only_with_its_arrays(tmp_path):
@@ -892,7 +912,7 @@ def test_analyze_memory_does_not_grow_with_pulses(tmp_path, capsys):
 def record_files(tmp_path_factory):
     """(path, read_records of it) of a written file of 80,001 pulses, of its
     CR-only and CRLF copies, and of a copy with a comment line, an empty
-    line and a '%.17e' row, lines the fast path leaves to records._fields."""
+    line and a '%.17e' row, lines write_records does not write."""
     out = tmp_path_factory.mktemp("records")
     written = write_records(replace(REFERENCE, schedule=_ramp(80_001)), out / "written.csv")
     text = written.read_bytes()
@@ -911,11 +931,11 @@ def record_files(tmp_path_factory):
 
 @pytest.mark.parametrize("block", [2, 7, 2500, 70_000])
 def test_records_read_block_by_block_give_the_blocks_of_the_whole_train(record_files, block):
-    """analyze's route, each block of lines split and stitched as it is read,
-    gives the block columns, block variances and record count of the whole
-    train bit for bit: blocks of the minimum size, blocks that straddle read
-    blocks, a block longer than a 128 kB read block and a trailing partial
-    block, on LF, CR-only and CRLF files and on lines the fast path declines."""
+    """analyze's route, the rows of each np.loadtxt call split and stitched as
+    they are read, gives the block columns, block variances and record count of
+    the whole train bit for bit: blocks of the minimum size, blocks that straddle
+    calls, a block longer than a call's 16,384 rows and a trailing partial block,
+    on LF, CR-only and CRLF files and on lines write_records does not write."""
     for path, train in record_files:
         columns, variances, rows = simulate_module._read_blocks(path, block)
         want_columns, want_variances = block_variance_trace(train, block)
@@ -954,7 +974,6 @@ def _no_full_decode(monkeypatch):
         raise AssertionError("records were decoded in full")
 
     monkeypatch.setattr(records, "read", never)
-    monkeypatch.setattr(records, "_parse_block", never)
     stitch = simulate_module._Stitch
 
     def variance_stitch(size, reduce):
@@ -1042,15 +1061,15 @@ def test_a_fresh_record_is_redrawn_not_decoded(tmp_path, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("block", [2, 7, 2500, 70_000])
-def test_bound_values_the_fast_path_declines_are_read_as_loadtxt_reads_them(
+def test_bound_values_in_exponent_notation_are_redrawn_as_loadtxt_reads_them(
     tmp_path, monkeypatch, capsys, block
 ):
     """A bound record holds values below 1e-4, which '%.17g' writes in exponent
-    notation and the full read's fast path leaves to records._fields: redrawn,
-    not decoded, it gives the whole train's block variances bit for bit, in
-    blocks of the minimum size, blocks that straddle chunks and a block longer
-    than one, and analyze gives the full read's stdout and report.json, byte for
-    byte (a block of 70,000 pulses is refused by both before any read)."""
+    notation: redrawn, not decoded, it gives the whole train's block variances
+    bit for bit, in blocks of the minimum size, blocks that straddle chunks and a
+    block longer than one, and analyze gives the full read's stdout and
+    report.json, byte for byte (a block of 70,000 pulses is refused by both
+    before any read)."""
     csv, unbound = _bound_and_unbound(tmp_path, replace(REFERENCE, schedule=_ramp(80_001)))
     values = [line.rsplit(b",", 1)[1] for line in csv.read_bytes().splitlines()[1:]]
     assert sum(b"e-" in value for value in values) == 6
@@ -1165,22 +1184,17 @@ def _eta_transmission_changed(csv, meta):
     _digit_changed, _value_not_a_number, _crlf, _phi_end_one_ulp_up, _eta_transmission_changed,
 ])
 def test_an_edited_bound_record_is_read_in_full(tmp_path, monkeypatch, capsys, edit):
-    """A record whose bytes or sidecar config were edited after simulate wrote
-    them does not give records_sha256, so analyze hashes it once, redraws
-    nothing and reads it in full once: its exit code, stdout, stderr and report
-    are those of the same files with no digest."""
-    runs = []
-    for name in ("bound", "unbound"):
-        (tmp_path / name).mkdir()
-        csv = write_records(replace(REFERENCE, schedule=_ramp(60_000)), tmp_path / name / "pulses.csv")
-        meta = json.loads(csv.with_suffix(".json").read_text())
-        edit(csv, meta)
-        csv.with_suffix(".json").write_text(json.dumps(meta))
-        if name == "unbound":
-            _unbind(csv)
-        runs.append(_analyze_counting_reads(monkeypatch, capsys, csv))
-    assert runs[0][4:] == runs[1][4:] == (1, 0)
-    assert runs[0][:4] == runs[1][:4]
+    """No longer read in full: a record whose bytes or sidecar config were edited
+    after simulate wrote them, a CRLF copy included, does not give records_sha256,
+    so analyze hashes it once, then exits 2 naming records_sha256, with no full
+    read, no redraw and no report."""
+    csv = write_records(replace(REFERENCE, schedule=_ramp(60_000)), tmp_path / "pulses.csv")
+    meta = json.loads(csv.with_suffix(".json").read_text())
+    edit(csv, meta)
+    csv.with_suffix(".json").write_text(json.dumps(meta))
+    code, out, err, report, full_reads, redraws = _analyze_counting_reads(monkeypatch, capsys, csv)
+    assert code == EXIT_INVALID_INPUT and "records_sha256" in err, (code, err)
+    assert (out, report, full_reads, redraws) == ("", None, 0, 0)
 
 
 def test_a_version_4_sidecar_reads_the_record_in_full(tmp_path, monkeypatch, capsys):
@@ -1220,10 +1234,9 @@ _ODD_FIELDS = [
 @pytest.mark.parametrize("column", ["index", "phase", "value"])
 @pytest.mark.parametrize("text", _ODD_FIELDS, ids=ascii)
 def test_an_odd_field_is_read_as_loadtxt_reads_it_or_names_its_line(tmp_path, text, column):
-    """One grammar: an odd field, most of which the fast path declines, gives
-    np.loadtxt's value bit for bit where np.loadtxt reads it and read_records'
-    checks pass, and one error naming its line otherwise (a rejection, a
-    non-finite value or an index out of sequence)."""
+    """One grammar: an odd field gives np.loadtxt's value bit for bit where
+    np.loadtxt reads it and read_records' checks pass, and one error naming its
+    line otherwise (a rejection, a non-finite value or an index out of sequence)."""
     row = ["1", "0.5", "-0.25"]
     row[["index", "phase", "value"].index(column)] = text
     path = tmp_path / "odd.csv"
