@@ -32,7 +32,6 @@ from .simulate import (
     read_metadata,
     read_records,
     sample_pulses,
-    shot_noise_linearity_scan,
     stream_block_variances,
     theta_scan,
     write_records,
@@ -68,7 +67,6 @@ __all__ = [
     "read_metadata",
     "read_records",
     "sample_pulses",
-    "shot_noise_linearity_scan",
     "stream_block_variances",
     "theta_scan",
     "write_records",

@@ -27,10 +27,12 @@ from . import simulate  # loaded first: simulate imports this module on a record
 HEADER = "index,lo_phase_rad,value"
 
 
-def config_hash(config: dict):
-    """A SHA-256 that has taken the canonical JSON of a run's config (sorted keys, no
-    spaces), as each digest of a sidecar takes it before the record's bytes or values."""
-    return hashlib.sha256(json.dumps(config, sort_keys=True, separators=(",", ":")).encode())
+def config_hash(version: int, chunk_size: int, config: dict):
+    """A SHA-256 that has taken what both digests of a sidecar of ``version`` take before
+    the record's bytes or values: the canonical JSON (sorted keys, no spaces) of its
+    config object, from version 7 of ``{"chunk_size": chunk_size, "config": config}``."""
+    bound = config if version < 7 else {"chunk_size": chunk_size, "config": config}
+    return hashlib.sha256(json.dumps(bound, sort_keys=True, separators=(",", ":")).encode())
 
 
 def drawn(config, chunk_size: int, sha):
@@ -59,20 +61,22 @@ def redrawn(csv_path: Path, block_size: int, sidecar, stored: dict | None):
     binds, none of its bytes decoded; None where the sidecar carries no
     ``values_sha256`` or the redraw does not give it.  Both digests start from
     ``stored``, the sidecar file's own config object (by default its config as
-    write_records stores it).  Bytes that do not give ``records_sha256`` raise
-    ValueError: the record or its sidecar was changed after write_records wrote them.
+    write_records stores it), from version 7 with its chunk size.  Bytes that do not
+    give ``records_sha256`` raise ValueError: the record or its sidecar was changed
+    after write_records wrote them.
     Bytes that give it are those write_records wrote of that config, so the record is
     redrawn as the writer drew it into a variance stitch, with the schedule's memoized
     block columns, and kept if it gives ``values_sha256``."""
-    sha = config_hash(sidecar.config.to_dict() if stored is None else stored)
+    config = sidecar.config.to_dict() if stored is None else stored
+    sha = config_hash(sidecar.format_version, sidecar.chunk_size, config)
     values_sha = sha.copy()
     with open(csv_path, "rb") as fh:
         while chunk := fh.read(_READ_BLOCK):
             sha.update(chunk)
     if sha.hexdigest() != sidecar.records_sha256:
         raise ValueError(
-            f"{csv_path.name} is not the record its sidecar binds: the sidecar's config and "
-            "the record's bytes do not give its records_sha256, so one of them was changed "
+            f"{csv_path.name} is not the record its sidecar binds: the sidecar and the "
+            "record's bytes do not give its records_sha256, so one of them was changed "
             "after simulate wrote them"
         )
     if not sidecar.values_sha256:

@@ -41,10 +41,13 @@ DEFAULT_CHUNK_SIZE = 65536
 #: ``records_sha256``, the SHA-256 of the config's canonical JSON and then of
 #: every byte of the CSV; 6 adds ``values_sha256``, the SHA-256 of the config's
 #: canonical JSON and then of every drawn value as a little-endian float64, in
-#: pulse order.  Sidecars of versions 1 to 4 carry neither digest, and those of
-#: version 5 no ``values_sha256``.
-FORMAT_VERSION = 6
-_READABLE_VERSIONS = (1, 2, 3, 4, 5, 6)
+#: pulse order; 7 drops the detector's raw-unit ``lo_photons_per_pulse`` from
+#: the config, and both digests start from the canonical JSON of
+#: ``{"chunk_size": ..., "config": ...}``.  Sidecars of versions 1 to 4 carry
+#: neither digest, and those of version 5 no ``values_sha256``; the key those of
+#: versions 1 to 6 carry is dropped as they are read.
+FORMAT_VERSION = 7
+_READABLE_VERSIONS = (1, 2, 3, 4, 5, 6, 7)
 # the first version to carry each digest
 _DIGESTS = (("records_sha256", 5), ("values_sha256", 6))
 
@@ -54,14 +57,9 @@ DEFAULT_BLOCK_SIZE = 2500
 #: Detector noise floor 11 dB below the shot-noise level.
 DEFAULT_ELECTRONIC_NOISE_VAR = 10.0 ** -1.1
 
-#: Raw-unit variance per local-oscillator photon in the shot-noise scan.
-GAIN_PER_PHOTON = 1e-8
-
-# RNG stream tags keep the fast sampler and the shot-noise scan statistically
-# independent even under a shared seed; tag 1 is reserved for the tests'
+# RNG stream tag of the fast sampler; tag 1 is reserved for the tests'
 # brute-force joint sampler.
 _STREAM_FAST = 0
-_STREAM_SHOT_NOISE = 2
 
 _BLOCKED_ARMS = ("none", "a", "b", "signal")
 
@@ -81,15 +79,15 @@ class DetectorModel:
 
     Defaults describe the reference apparatus: transmission from source to
     detector, homodyne mode overlap (entering squared), photodiode quantum
-    efficiency, an electronic noise floor 11 dB below shot noise, and the
-    local-oscillator energy at which that floor was calibrated.
+    efficiency, and an electronic noise floor 11 dB below shot noise.  Every
+    variance is in shot-noise units, so the local-oscillator energy that
+    calibrates them is not modelled.
     """
 
     eta_transmission: float = 0.93
     eta_homodyne: float = 0.88
     eta_detector: float = 0.945
     electronic_noise_var: float = DEFAULT_ELECTRONIC_NOISE_VAR
-    lo_photons_per_pulse: float = 2.5e8
 
     def __post_init__(self) -> None:
         check_fields(self)
@@ -100,10 +98,6 @@ class DetectorModel:
         if self.electronic_noise_var < 0.0:
             raise FieldError(
                 "electronic_noise_var", f"must be >= 0, got {self.electronic_noise_var}"
-            )
-        if self.lo_photons_per_pulse <= 0.0:
-            raise FieldError(
-                "lo_photons_per_pulse", f"must be > 0, got {self.lo_photons_per_pulse}"
             )
 
     @property
@@ -250,13 +244,20 @@ class Sidecar:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Sidecar":
-        # sidecars written before the field existed follow contract 1, and
-        # those before a digest's version carry none
+        # sidecars written before the field existed follow contract 1, those
+        # before a digest's version carry none, and those before 7 carry the
+        # detector's lo_photons_per_pulse, dropped from a copy: the caller's
+        # stored config keeps it, as their digests took it
         if isinstance(data, dict):
             data = {"format_version": 1, **data}
             for name, since in _DIGESTS:
                 if data["format_version"] in _READABLE_VERSIONS[: since - 1]:
                     data = {name: "", **data}
+            config = data.get("config")
+            detector = config.get("detector") if isinstance(config, dict) else None
+            if data["format_version"] in _READABLE_VERSIONS[:6] and isinstance(detector, dict):
+                detector = {k: v for k, v in detector.items() if k != "lo_photons_per_pulse"}
+                data = {**data, "config": {**config, "detector": detector}}
         return schema.from_dict(cls, data)
 
 
@@ -353,13 +354,10 @@ def _chunk_rng(seed: int, stream: int, chunk_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.SFC64((seed, stream, chunk_index)))
 
 
-def _whole(value) -> bool:  # an integer, numpy's too, and not a bool
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 def _check_size(name: str, value, least: int) -> None:
-    """Refuse a count that is not an integer of at least ``least``, naming it."""
-    if not _whole(value):
+    """Refuse a count that is not an integer (numpy's too, not a bool) of at least
+    ``least``, naming it."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
         raise ValueError(f"{name} must be an integer, got {value}")
     if value < least:
         raise ValueError(f"{name} must be >= {least}, got {value}")
@@ -708,40 +706,6 @@ def theta_scan(
     return thetas, np.full(len(thetas), v_min), np.full(len(thetas), v_max), phi_min
 
 
-def shot_noise_linearity_scan(
-    detector: DetectorModel, lo_levels, pulses_per_level: int, seed: int
-) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-    """Simulated raw-unit variance of a blocked-signal run versus LO pulse energy.
-
-    The raw model is variance = gain * lo_photons + electronic offset, with
-    the offset fixed by the detector's noise floor at its calibration LO
-    level; a zero level is the dark measurement.  :data:`GAIN_PER_PHOTON`
-    sets the arbitrary raw-unit scale.
-
-    Returns (levels, sample variances), one variance per level from
-    ``pulses_per_level`` Gaussian draws.
-    """
-    levels = np.atleast_1d(np.asarray(lo_levels, dtype=float))
-    if levels.size == 0:
-        raise ValueError("need at least one local-oscillator level")
-    if not np.all((levels >= 0.0) & (levels < np.inf)):
-        raise ValueError("lo_levels must be finite and >= 0")
-    if not _whole(pulses_per_level) or pulses_per_level < 2:
-        raise FieldError(
-            "pulses_per_level", f"need an integer of at least 2, got {pulses_per_level!r}"
-        )
-    if not _whole(seed) or not 0 <= seed < 2**64:
-        raise FieldError("seed", f"must be a 64-bit unsigned integer, got {seed!r}")
-    dark_var = detector.electronic_noise_var * GAIN_PER_PHOTON * detector.lo_photons_per_pulse
-    variances = np.empty_like(levels)
-    for i, level in enumerate(levels):
-        true_var = GAIN_PER_PHOTON * level + dark_var
-        rng = _chunk_rng(seed, _STREAM_SHOT_NOISE, i)
-        samples = math.sqrt(true_var) * rng.standard_normal(pulses_per_level)
-        variances[i] = samples.var(ddof=1)
-    return levels, variances
-
-
 def write_records(
     config: RunConfig, csv_path: str | Path, chunk_size: int = DEFAULT_CHUNK_SIZE
 ) -> Path:
@@ -751,16 +715,16 @@ def write_records(
     chunk by chunk into one reused buffer, so memory stays O(chunk_size).
     Each row is the bytes ``"%d,%.17g,%.17g\n" % row`` writes.  The
     sidecar, the CSV's path with suffix ``.json``, names the chunk size and
-    binds the CSV by two SHA-256 digests, each of the config's canonical JSON
-    and then of every byte written (``records_sha256``) or of every value
-    drawn (``values_sha256``); a CSV path that already ends in ``.json``
-    raises ValueError.
+    binds the CSV by two SHA-256 digests, each of the canonical JSON of the
+    chunk size and the config and then of every byte written
+    (``records_sha256``) or of every value drawn (``values_sha256``); a CSV
+    path that already ends in ``.json`` raises ValueError.
     """
     from . import records  # compiled on first use, not by every run that imports simulate
 
     sidecar = _sidecar_path(csv_path)
-    stored = config.to_dict()
-    sha, values_sha = records.config_hash(stored), records.config_hash(stored)
+    sha = records.config_hash(FORMAT_VERSION, chunk_size, config.to_dict())
+    values_sha = sha.copy()
     drawn = records.drawn(config, chunk_size, values_sha)
 
     def texts():

@@ -610,7 +610,7 @@ BAD_INPUTS = [
     pytest.param(_simulated(_nan_on_line_1001), EXIT_INVALID_INPUT, "line 1001",
                  id="non-finite record"),
     pytest.param(_simulated(_nan_on_line_1001, bound=True), EXIT_INVALID_INPUT,
-                 "error: pulses.csv is not the record its sidecar binds: the sidecar's config "
+                 "error: pulses.csv is not the record its sidecar binds: the sidecar "
                  "and the record's bytes do not give its records_sha256",
                  id="edited bound record"),
     pytest.param(_simulated(_index_7_on_line_2001), EXIT_INVALID_INPUT,

@@ -40,7 +40,6 @@ EXPORTS = [
     "read_metadata",
     "read_records",
     "sample_pulses",
-    "shot_noise_linearity_scan",
     "stream_block_variances",
     "theta_scan",
     "write_records",

@@ -12,7 +12,6 @@ import pytest
 from cvpulse.gaussian import MAX_VARIANCE, SourceSpec
 from cvpulse.scenario import reference_scenario
 from cvpulse.simulate import (
-    GAIN_PER_PHOTON,
     DetectorModel,
     PhaseSchedule,
     RunConfig,
@@ -22,7 +21,6 @@ from cvpulse.simulate import (
     read_metadata,
     read_records,
     sample_pulses,
-    shot_noise_linearity_scan,
     theta_scan,
     write_records,
 )
@@ -71,8 +69,6 @@ def test_detector_model_defaults():
         DetectorModel(eta_homodyne=1.3)
     with pytest.raises(ValueError):
         DetectorModel(electronic_noise_var=-0.1)
-    with pytest.raises(ValueError):
-        DetectorModel(lo_photons_per_pulse=0.0)
 
 
 def test_phase_schedule_shapes():
@@ -390,43 +386,6 @@ def test_joint_sampler_agrees_with_fast_path():
         sigma = truth * math.sqrt(2.0 / (n - 1))
         assert abs(fast - joint) <= 4.0 * math.sqrt(2.0) * sigma
         assert abs(joint - truth) <= 4.0 * sigma
-
-
-def test_shot_noise_linearity():
-    """Raw variance grows linearly with LO energy; dark level is the noise floor."""
-    det = DetectorModel()  # default floor, 11 dB below shot noise at 2.5e8
-    gain = GAIN_PER_PHOTON
-    levels = np.array([0.0, 1e8, 2e8, 2.5e8, 4e8])
-    _, variances = shot_noise_linearity_scan(det, levels, 400_000, seed=31)
-    dark = det.electronic_noise_var * gain * det.lo_photons_per_pulse
-    assert variances[0] == pytest.approx(dark, rel=0.02)
-    shot_parts = variances[1:] - dark
-    ratios = shot_parts / shot_parts[0]
-    np.testing.assert_allclose(ratios, levels[1:] / levels[1], rtol=0.01)
-    # straight-line fit consistent with the generating model
-    slope, offset = np.polyfit(levels, variances, 1)
-    assert slope == pytest.approx(gain, rel=0.01)
-    assert offset == pytest.approx(dark, abs=0.02 * gain * 2.5e8)
-    # the floor sits >= 11 dB below shot noise at the calibration level
-    shot_at_ref = gain * det.lo_photons_per_pulse
-    assert 10.0 * math.log10(shot_at_ref / dark) >= 11.0 - 1e-9
-    with pytest.raises(ValueError):
-        shot_noise_linearity_scan(det, [], 100, seed=0)
-    with pytest.raises(ValueError):
-        shot_noise_linearity_scan(det, [-1.0], 100, seed=0)
-    with pytest.raises(ValueError):
-        shot_noise_linearity_scan(det, [1e8], 1, seed=0)
-    for bad in (math.inf, math.nan):
-        with pytest.raises(ValueError, match="lo_levels"):
-            shot_noise_linearity_scan(det, [1e8, bad], 10, seed=0)
-    # a pulse count that is not an integer of at least 2 is refused by name
-    for bad in (2.5, math.nan, math.inf, True):
-        with pytest.raises(ValueError, match="invalid pulses_per_level"):
-            shot_noise_linearity_scan(det, [1e8], bad, seed=0)
-    # the seed RunConfig would refuse is refused here too, by name
-    for bad in (math.nan, 1.5, -1, 2**64, True):
-        with pytest.raises(ValueError, match="seed"):
-            shot_noise_linearity_scan(det, [1e8], 10, seed=bad)
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
