@@ -46,7 +46,6 @@ from .simulate import (
     Sidecar,
     _block_columns,
     _block_count,
-    _read_blocks,
     _sidecar_path,
     read_metadata,
     theta_scan,
@@ -187,11 +186,8 @@ def cmd_analyze(args, out_dir: Path) -> tuple[int, dict, str]:
                 "(a constant schedule), so they hold no fringe to fit; record a phase ramp"
             )
         _check_design(_block_columns(schedule, block_size))
-    columns, variances, rows = _read_blocks(records_path, block_size, meta, stored)
-    if meta is not None and rows != meta.n_pulses:
-        raise ValueError(
-            f"{records_path.name} holds {rows} records, its sidecar says {meta.n_pulses}"
-        )
+    from . import records  # compiled on first use, not by runs without records
+    columns, variances, rows = records.blocks(records_path, block_size, meta, stored)
     _block_count(rows, block_size)
     fit = fit_variance_curve(columns, variances, block_size)
     # single-file route: no blocked-arm level, the corrected extremes set the diagonal

@@ -1,9 +1,9 @@
 """The text format of record CSVs, written by a vectorized formatter and read by
-np.loadtxt, the digests that bind a record to its sidecar, and the redraw that checks
-them.
+np.loadtxt, the digests that bind a record to its sidecar, and :func:`blocks`, the one
+route by which ``analyze`` refuses, redraws or reads a record.
 
-:func:`cvpulse.simulate.write_records`, :func:`cvpulse.simulate.read_records` and the
-reader ``analyze`` uses import this module on their first call, so a run without records
+:func:`cvpulse.simulate.write_records`, :func:`cvpulse.simulate.read_records` and
+``analyze`` import this module on their first call, so a run without records
 does not compile it, and importing cvpulse does not load ``hashlib`` (about 3.7 MB of
 resident memory; numpy.random loads it too, through ``secrets``, once a run draws).
 """
@@ -23,8 +23,6 @@ import numpy as np
 from numpy.typing import NDArray
 
 from . import simulate  # loaded first: simulate imports this module on a records call
-
-HEADER = "index,lo_phase_rad,value"
 
 
 def config_hash(version: int, chunk_size: int, config: dict):
@@ -56,38 +54,50 @@ def drawn(config, chunk_size: int, sha):
 _READ_BLOCK = 2**17  # bytes hashed per read
 
 
-def redrawn(csv_path: Path, block_size: int, sidecar, stored: dict | None):
-    """The block columns, block variances and record count of the CSV that ``sidecar``
-    binds, none of its bytes decoded; None where the sidecar carries no
-    ``values_sha256`` or the redraw does not give it.  Both digests start from
-    ``stored``, the sidecar file's own config object (by default its config as
-    write_records stores it), from version 7 with its chunk size.  Bytes that do not
-    give ``records_sha256`` raise ValueError: the record or its sidecar was changed
-    after write_records wrote them.
-    Bytes that give it are those write_records wrote of that config, so the record is
-    redrawn as the writer drew it into a variance stitch, with the schedule's memoized
-    block columns, and kept if it gives ``values_sha256``."""
-    config = sidecar.config.to_dict() if stored is None else stored
-    sha = config_hash(sidecar.format_version, sidecar.chunk_size, config)
-    values_sha = sha.copy()
-    with open(csv_path, "rb") as fh:
-        while chunk := fh.read(_READ_BLOCK):
-            sha.update(chunk)
-    if sha.hexdigest() != sidecar.records_sha256:
-        raise ValueError(
-            f"{csv_path.name} is not the record its sidecar binds: the sidecar and the "
-            "record's bytes do not give its records_sha256, so one of them was changed "
-            "after simulate wrote them"
-        )
-    if not sidecar.values_sha256:
-        return None
+def blocks(csv_path: Path, block_size: int, sidecar, stored: dict | None):
+    """The block columns, block variances and record count of ``csv_path``, those of
+    ``block_variance_trace(read_records(csv_path), block_size)`` bit for bit (no full
+    block is no error), by the first route that applies.  Bytes that do not give a
+    ``sidecar``'s ``records_sha256``, hashed after ``stored``, the sidecar file's own
+    config object (from version 7 with its chunk size), raise ValueError after one hash:
+    one of the two was changed after write_records wrote them.  Bytes that give it are
+    those write_records wrote of that config, so the record is redrawn as the writer drew
+    it into a variance stitch, with the schedule's memoized block columns, none of its
+    bytes decoded, and kept if it gives the sidecar's ``values_sha256``.  Otherwise each
+    np.loadtxt call's rows are added to a column stitch and a variance stitch as they are
+    read, in O(block + rows per call) memory, and a count other than the sidecar's
+    raises ValueError."""
+    if sidecar is not None and sidecar.records_sha256:
+        sha = config_hash(sidecar.format_version, sidecar.chunk_size, stored)
+        values_sha = sha.copy()
+        with open(csv_path, "rb") as fh:
+            while chunk := fh.read(_READ_BLOCK):
+                sha.update(chunk)
+        if sha.hexdigest() != sidecar.records_sha256:
+            raise ValueError(
+                f"{csv_path.name} is not the record its sidecar binds: the sidecar and the "
+                "record's bytes do not give its records_sha256, so one of them was changed "
+                "after simulate wrote them"
+            )
+        if sidecar.values_sha256:
+            variances = simulate._Stitch(block_size, simulate._reduce_blocks)
+            for start, values in drawn(sidecar.config, sidecar.chunk_size, values_sha):
+                variances.add(start, values)
+            if values_sha.hexdigest() == sidecar.values_sha256:
+                columns = simulate._block_columns(sidecar.config.schedule, block_size)
+                return columns, variances.blocks(), sidecar.n_pulses
+    columns = simulate._Stitch(block_size, simulate._fringe_columns)
     variances = simulate._Stitch(block_size, simulate._reduce_blocks)
-    for start, values in drawn(sidecar.config, sidecar.chunk_size, values_sha):
-        variances.add(start, values)
-    if values_sha.hexdigest() != sidecar.values_sha256:
-        return None
-    columns = simulate._block_columns(sidecar.config.schedule, block_size)
-    return columns, variances.blocks(), sidecar.n_pulses
+    rows = 0
+    for phases, values, _ in read(csv_path):
+        columns.add(rows, phases)
+        variances.add(rows, values)
+        rows += len(values)
+    if sidecar is not None and rows != sidecar.n_pulses:
+        raise ValueError(
+            f"{csv_path.name} holds {rows} records, its sidecar says {sidecar.n_pulses}"
+        )
+    return columns.blocks(), variances.blocks(), rows
 
 
 _SPLIT = 2.0**27 + 1.0
@@ -274,7 +284,7 @@ def read(csv_path: Path) -> Iterator[tuple[NDArray[np.float64], NDArray[np.float
     rows = 0
     try:
         with open(csv_path, encoding="utf-8") as fh:
-            if fh.readline().strip() != HEADER:
+            if fh.readline().strip() != simulate.HEADER:
                 raise ValueError("not the header")
             while len(table := _next_rows(fh)):
                 if (table.shape[1] != 3 or not np.isfinite(table).all()
@@ -330,9 +340,9 @@ def _raise_at_first_bad_line(csv_path: Path) -> NoReturn:
                         f"{name} line {lineno}: byte 0x{byte:02x} is not UTF-8 text"
                     ) from None
             if lineno == 1:
-                if text.strip() != HEADER:
+                if text.strip() != simulate.HEADER:
                     raise ValueError(
-                        f"{name} line 1: expected header {HEADER!r}, got {text.strip()!r}"
+                        f"{name} line 1: expected header {simulate.HEADER!r}, got {text.strip()!r}"
                     )
                 continue
             try:

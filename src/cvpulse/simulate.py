@@ -51,6 +51,9 @@ _READABLE_VERSIONS = (1, 2, 3, 4, 5, 6, 7)
 # the first version to carry each digest
 _DIGESTS = (("records_sha256", 5), ("values_sha256", 6))
 
+#: First line of every records CSV, and the ``format`` its sidecar names.
+HEADER = "index,lo_phase_rad,value"
+
 #: Pulses per variance block when a caller or a scenario names none.
 DEFAULT_BLOCK_SIZE = 2500
 
@@ -227,6 +230,8 @@ class Sidecar:
                 "format_version",
                 f"expected one of {_READABLE_VERSIONS}, got {self.format_version}",
             )
+        if self.format != HEADER:  # every version has written the CSV's header here
+            raise FieldError("format", f"expected {HEADER!r}, got {self.format!r}")
         if self.chunk_size < 1:  # no run draws from chunks of fewer pulses
             raise FieldError("chunk_size", f"must be >= 1, got {self.chunk_size}")
         if self.n_pulses != self.config.schedule.n_pulses:  # so never below 0
@@ -728,7 +733,7 @@ def write_records(
     drawn = records.drawn(config, chunk_size, values_sha)
 
     def texts():
-        yield (records.HEADER + "\n").encode()
+        yield (HEADER + "\n").encode()
         for start, values in drawn:
             phases = config.schedule.values(start, start + len(values))
             yield from records.format_rows(start, phases, values)
@@ -737,7 +742,7 @@ def write_records(
         for text in texts():
             sha.update(text)
             fh.write(text)
-    meta = Sidecar(FORMAT_VERSION, records.HEADER, len(config.schedule), chunk_size,
+    meta = Sidecar(FORMAT_VERSION, HEADER, len(config.schedule), chunk_size,
                    sha.hexdigest(), values_sha.hexdigest(), config)
     sidecar.write_text(json.dumps(schema.to_dict(meta), indent=2) + "\n")
     return Path(csv_path)
@@ -765,30 +770,6 @@ def read_records(csv_path: str | Path) -> PulseTrain:
     phase.resize(rows, refcheck=False)
     value.resize(rows, refcheck=False)
     return PulseTrain(phase, value)
-
-
-def _read_blocks(csv_path: Path, block_size: int, sidecar: Sidecar | None = None, stored=None):
-    """``block_variance_trace(read_records(csv_path), block_size)`` and the record count
-    bit for bit: the rows of each np.loadtxt call are added to a column stitch and a
-    variance stitch as they are read, so memory is O(block + rows per call).  No full
-    block is no error, so a caller can check the count first.
-
-    A CSV that ``sidecar`` binds by both digests, hashed over ``stored``, the sidecar
-    file's own ``config`` object, is redrawn, not decoded, and one whose bytes miss
-    ``records_sha256`` is refused unread (:func:`cvpulse.records.redrawn`).
-    """
-    from . import records
-    if sidecar is not None and sidecar.records_sha256:
-        redrawn = records.redrawn(csv_path, block_size, sidecar, stored)
-        if redrawn is not None:
-            return redrawn
-    columns, variances = _Stitch(block_size, _fringe_columns), _Stitch(block_size, _reduce_blocks)
-    rows = 0
-    for phases, values, _ in records.read(csv_path):
-        columns.add(rows, phases)
-        variances.add(rows, values)
-        rows += len(values)
-    return columns.blocks(), variances.blocks(), rows
 
 
 def _sidecar_path(csv_path: str | Path) -> Path:

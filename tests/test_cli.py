@@ -413,6 +413,12 @@ def _sidecar_chunk_size(size):
     return spoil
 
 
+def _sidecar_format(out):
+    meta = json.loads((out / "pulses.json").read_text())
+    meta["format"] = "npy"
+    (out / "pulses.json").write_text(json.dumps(meta))
+
+
 def _nan_on_line_1001(out):
     path = out / "pulses.csv"
     lines = path.read_text().splitlines(keepends=True)
@@ -623,6 +629,9 @@ BAD_INPUTS = [
     pytest.param(_simulated(_sidecar_digest(lambda digest: digest, version=4)), EXIT_INVALID_INPUT,
                  "pulses.json: invalid records_sha256: version 4 carries no digest, got '",
                  id="records digest in a version 4 sidecar"),
+    pytest.param(_simulated(_sidecar_format), EXIT_INVALID_INPUT,
+                 "pulses.json: invalid format: expected 'index,lo_phase_rad,value', got 'npy'",
+                 id="sidecar format not the header"),
     *(pytest.param(_simulated(_sidecar_chunk_size(size)), EXIT_INVALID_INPUT,
                    f"invalid chunk_size: must be >= 1, got {size}",
                    id=f"sidecar chunk size {size}")
@@ -737,12 +746,14 @@ def test_a_bad_out_is_refused_before_any_work(tmp_path, monkeypatch, capsys):
     """--out is made before a command runs: no command samples, reads or
     writes records, or scans, when its --out is a file."""
     import cvpulse.cli as cli_module
+    import cvpulse.records as records
 
     def never(*args, **kwargs):
         raise AssertionError("the command ran before --out was made")
 
-    for name in ("write_records", "_read_blocks", "end_to_end_report", "theta_scan"):
+    for name in ("write_records", "end_to_end_report", "theta_scan"):
         monkeypatch.setattr(cli_module, name, never)
+    monkeypatch.setattr(records, "blocks", never)
     afile = tmp_path / "afile"
     afile.write_text("plain file")
     (tmp_path / "pulses.csv").write_text("index,lo_phase_rad,value\n")
@@ -821,7 +832,7 @@ def test_a_design_its_sidecar_fixes_is_checked_before_any_record_is_read(
     argv = ["--pulses", "10000", "--scenario", scenario, "--out", str(tmp_path)]
     assert main(["simulate", *argv]) == EXIT_OK
     monkeypatch.setattr(records, "read", never)
-    monkeypatch.setattr(records, "redrawn", never)
+    monkeypatch.setattr(records, "blocks", never)
     capsys.readouterr()
     argv = ["analyze", str(tmp_path / "pulses.csv"), "--out", str(tmp_path)]
     assert main(argv) == EXIT_INVALID_INPUT

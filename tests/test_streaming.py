@@ -985,7 +985,7 @@ def test_records_read_block_by_block_give_the_blocks_of_the_whole_train(record_f
     calls, a block longer than a call's 16,384 rows and a trailing partial block,
     on LF, CR-only and CRLF files and on lines write_records does not write."""
     for path, train in record_files:
-        columns, variances, rows = simulate_module._read_blocks(path, block)
+        columns, variances, rows = records.blocks(path, block, None, None)
         want_columns, want_variances = block_variance_trace(train, block)
         assert rows == len(train) == 80_001
         assert columns.tobytes() == want_columns.tobytes()
@@ -1096,13 +1096,14 @@ def test_a_fresh_record_is_redrawn_not_decoded(tmp_path, monkeypatch, capsys):
     read bit for bit, and analyze gives the stdout and report.json of the full
     read of the same CSV with no digest, byte for byte."""
     csv, unbound = _bound_and_unbound(tmp_path, replace(REFERENCE, schedule=_ramp(80_001)))
-    meta = Sidecar.from_dict(read_metadata(csv))
+    stored = read_metadata(csv)
+    meta = Sidecar.from_dict(stored)
     blocks = (2, 7, 2500, 70_000)
-    full = [simulate_module._read_blocks(csv, block) for block in blocks]
+    full = [records.blocks(csv, block, None, None) for block in blocks]
     with monkeypatch.context() as patch:
         _no_full_decode(patch)
         for block, (columns, variances, rows) in zip(blocks, full):
-            got = simulate_module._read_blocks(csv, block, meta)
+            got = records.blocks(csv, block, meta, stored["config"])
             assert got[0].tobytes() == columns.tobytes()
             assert got[1].tobytes() == variances.tobytes()
             assert got[2] == rows == 80_001
@@ -1123,10 +1124,11 @@ def test_bound_values_in_exponent_notation_are_redrawn_as_loadtxt_reads_them(
     values = [line.rsplit(b",", 1)[1] for line in csv.read_bytes().splitlines()[1:]]
     assert sum(b"e-" in value for value in values) == 6
     train = read_records(csv)
-    meta = Sidecar.from_dict(read_metadata(csv))
+    stored = read_metadata(csv)
+    meta = Sidecar.from_dict(stored)
     with monkeypatch.context() as patch:
         _no_full_decode(patch)
-        columns, variances, rows = simulate_module._read_blocks(csv, block, meta)
+        columns, variances, rows = records.blocks(csv, block, meta, stored["config"])
     want_columns, want_variances = block_variance_trace(train, block)
     assert rows == len(train) == 80_001
     assert columns.tobytes() == want_columns.tobytes()
@@ -1232,11 +1234,11 @@ def _eta_transmission_changed(csv, meta):
 @pytest.mark.parametrize("edit", [
     _digit_changed, _value_not_a_number, _crlf, _phi_end_one_ulp_up, _eta_transmission_changed,
 ])
-def test_an_edited_bound_record_is_read_in_full(tmp_path, monkeypatch, capsys, edit):
-    """No longer read in full: a record whose bytes or sidecar config were edited
-    after simulate wrote them, a CRLF copy included, does not give records_sha256,
-    so analyze hashes it once, then exits 2 naming records_sha256, with no full
-    read, no redraw and no report."""
+def test_an_edited_bound_record_is_refused(tmp_path, monkeypatch, capsys, edit):
+    """A record whose bytes or sidecar config were edited after simulate wrote
+    them, a CRLF copy included, does not give records_sha256, so analyze hashes it
+    once, then exits 2 naming records_sha256, with no full read, no redraw and no
+    report."""
     csv = write_records(replace(REFERENCE, schedule=_ramp(60_000)), tmp_path / "pulses.csv")
     meta = json.loads(csv.with_suffix(".json").read_text())
     edit(csv, meta)
