@@ -25,7 +25,7 @@ from . import schema
 from .gaussian import (PHYSICALITY_TOL, Matrix, symmetric_min_eigenvalue,
                        symmetric_two_mode_covariance)
 from .simulate import (DEFAULT_BLOCK_SIZE, PhaseSchedule, RunConfig, _block_columns,
-                       _block_count, _check_size, _reduce_blocks, _stream_scans)
+                       _check_size, _reduce_blocks, _stream_scans)
 
 #: Largest condition number of a fit's design [1, cos 2phi, sin 2phi], one
 #: row per block.  Short blocks spread evenly over an LO phase span of pi
@@ -62,13 +62,13 @@ def fit_variance_curve(
     condition number.  Back substitution in its triangle R gives
     (a, b cos c, -b sin c), whose covariance R^-1 R^-T is propagated through
     the reparameterization to the 1-sigma errors of the extremes a -/+ |b|.
-    A nan or an infinity in the columns or the variances is refused before
-    either is used, and so, naming its block, is a variance not above 0.
-    Columns that do not determine the fringe are refused: a rank-deficient
-    design [1, C, S], or one whose condition number exceeds
-    :data:`_MAX_CONDITION`.  So is a ``samples_per_block`` that is not an
-    integer of at least 2.  This is the one-scan case of the fit
-    :func:`end_to_end_report` makes of its two recombined scans at once.
+    Columns that do not determine the fringe are refused first: a nan or an
+    infinity in them, fewer than 4 blocks, a rank-deficient design [1, C, S]
+    or one whose condition number exceeds :data:`_MAX_CONDITION`.  Then a
+    ``samples_per_block`` that is not an integer of at least 2 is, then a nan
+    or an infinity in the variances and, naming its block, a variance not
+    above 0.  This is the one-scan case of the fit :func:`end_to_end_report`
+    makes of its two recombined scans at once.
 
     Parameters
     ----------
@@ -92,22 +92,22 @@ def fit_variance_curve(
         raise ValueError(
             "columns must hold one (cos, sin) row per block of the 1-d variances"
         )
+    _check_design(columns)
+    _check_size("samples_per_block", samples_per_block, 2)
     return _fit_scans(columns, variances[None], samples_per_block)[0]
 
 
-def _check_blocks_to_fit(n_blocks: int) -> None:
-    """Refuse fewer blocks than the fringe fit needs, before any are drawn or read."""
+def _check_design(columns) -> None:
+    """Refuse (blocks, 2) fringe columns that do not determine the fringe: a nan or an
+    infinity in them, fewer than 4 blocks, or a design [1, C, S] that is rank-deficient
+    or whose condition number exceeds :data:`_MAX_CONDITION`, by one SVD.  The design
+    depends on the schedule alone, so :func:`end_to_end_report` checks it before any
+    scan is drawn."""
+    n_blocks = len(columns)
+    if not np.isfinite(columns).all():
+        raise ValueError("non-finite block columns: the fit needs finite values")
     if n_blocks < 4:
         raise ValueError(f"need at least 4 blocks to fit 3 parameters, got {n_blocks}")
-
-
-def _check_design(columns) -> None:
-    """Refuse finite (blocks, 2) fringe columns that do not determine the fringe: fewer
-    than 4 blocks, or a design [1, C, S] that is rank-deficient or whose condition
-    number exceeds :data:`_MAX_CONDITION`, by one SVD.  The design depends on the
-    schedule alone, so :func:`end_to_end_report` checks it before any scan is drawn."""
-    n_blocks = len(columns)
-    _check_blocks_to_fit(n_blocks)
     design = np.column_stack((np.ones(n_blocks), columns))  # [1, C, S]
     singular = np.linalg.svd(design, compute_uv=False)
     if not singular[-1] > singular[0] * n_blocks * np.finfo(float).eps:
@@ -125,22 +125,18 @@ def _check_design(columns) -> None:
         )
 
 
-def _fit_scans(
-    columns, variances, samples_per_block: int, design_checked: bool = False
-) -> list[ScanEstimate]:
+def _fit_scans(columns, variances, samples_per_block: int) -> list[ScanEstimate]:
     """:func:`fit_variance_curve` of each row of ``variances`` (scans, blocks), bit for bit,
-    over the (blocks, 2) ``columns`` all scans share: one stack of systems [1, C, S | y],
-    one finiteness pass, the design's :func:`_check_design` (unless the caller has made
-    it, ``design_checked``) and one stacked QR, each of whose slices is the QR of that
-    scan alone."""
+    over the (blocks, 2) ``columns`` all scans share, which, like ``samples_per_block``,
+    the caller has checked: one stack of systems [1, C, S | y], the variances' checks
+    and one stacked QR, each of whose slices is the QR of that scan alone."""
     n_blocks = len(columns)
     system = np.empty((len(variances), n_blocks, 4))  # [1, C, S | y] per scan
     system[:, :, 0] = 1.0
     system[:, :, 1:3] = columns
     system[:, :, 3] = variances
-    if not np.isfinite(system).all():
-        name = "variances" if np.isfinite(columns).all() else "columns"
-        raise ValueError(f"non-finite block {name}: the fit needs finite values")
+    if not np.isfinite(system[:, :, 3]).all():
+        raise ValueError("non-finite block variances: the fit needs finite values")
     lowest = system[:, :, 3].min(axis=0)
     if not (lowest > 0.0).all():
         block = int(np.flatnonzero(lowest <= 0.0)[0])
@@ -148,9 +144,6 @@ def _fit_scans(
             f"block {block} has variance {float(lowest[block])!r}, not above 0: the fit "
             "weights (n - 1) / (2 s^4) need positive block variances"
         )
-    if not design_checked:
-        _check_design(columns)
-    _check_size("samples_per_block", samples_per_block, 2)
     # the largest variance has the smallest weight (n - 1) / (2 s^4), and it
     # is 0 where 2 s^4 overflows
     for largest in system[:, :, 3].max(axis=1).tolist():
@@ -361,11 +354,6 @@ def report_from_levels(
     )
 
 
-def _scan_seeds(seed: int, count: int) -> list[int]:
-    state = np.random.SeedSequence(seed).generate_state(count, np.uint64)
-    return [int(s) for s in state]
-
-
 def end_to_end_report(
     config: RunConfig,
     pulses_per_scan: int,
@@ -420,17 +408,16 @@ def end_to_end_report(
     eta = _efficiency(config)
     noise = config.detector.electronic_noise_var
     ramp = PhaseSchedule.linear_ramp(0.0, 4.0 * math.pi, pulses_per_scan)
-    _check_blocks_to_fit(_block_count(pulses_per_scan, block_size))
     columns = _block_columns(ramp, block_size)
     _check_design(columns)
-    seeds = _scan_seeds(config.seed, 3)
+    seeds = np.random.SeedSequence(config.seed).generate_state(3, np.uint64).tolist()
 
     scans = [
         replace(config, schedule=ramp, theta=theta, blocked_arm=arm, seed=seed)
         for theta, arm, seed in zip((0.0, math.pi, 0.0), ("none", "none", "b"), seeds)
     ]
     zero_vars, pi_vars, blocked_vars = _stream_scans(scans, block_size)
-    fit_zero, fit_pi = _fit_scans(columns, (zero_vars, pi_vars), block_size, design_checked=True)
+    fit_zero, fit_pi = _fit_scans(columns, (zero_vars, pi_vars), block_size)
     mismatch = abs(fit_zero.v_min - fit_pi.v_min)
     mismatch_err = math.hypot(fit_zero.stderr, fit_pi.stderr)
     if mismatch > 4.0 * mismatch_err:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, is_dataclass, replace
 from pathlib import Path
 
@@ -32,6 +33,8 @@ class Scenario:
         check_fields(self)
         if self.block_size < 2:
             raise FieldError("block_size", f"must be >= 2, got {self.block_size}")
+        if self.block_size > sys.maxsize:  # no schedule holds more pulses
+            raise FieldError("block_size", f"must be <= {sys.maxsize}, got {self.block_size}")
 
 
 def reference_scenario(

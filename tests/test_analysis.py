@@ -98,7 +98,8 @@ def test_fit_recovers_shifted_minimum():
 def test_fit_input_validation(capfd):
     """Too few blocks, short span, degenerate pattern, bad block size,
     overflowing weights, a nan or an infinity in the input and a variance not
-    above 0 all raise, the last two before any of it reaches LAPACK."""
+    above 0 all raise, the last two before any of it reaches LAPACK.  A bad
+    design is named before the variances are looked at."""
     phases = np.linspace(0.0, 2.0 * math.pi, 40, endpoint=False)
     columns = _point_columns(phases)
     variances = np.ones_like(phases)
@@ -132,6 +133,11 @@ def test_fit_input_validation(capfd):
     spoiled[5] = math.nan
     with pytest.raises(ValueError, match="non-finite block variances"):
         fit_variance_curve(columns, spoiled, 100)
+    # the design is refused before the variances are looked at
+    spoiled = np.ones(6)
+    spoiled[2] = math.nan
+    with pytest.raises(ValueError, match="degenerate"):
+        fit_variance_curve(_point_columns(degenerate), spoiled, 100)
     # a variance at or below 0 would take the weight of the clamped 1e-12, or a
     # finite one of its own, and drag the fitted minimum below 0
     for bad in (-1.0, 0.0, -0.0):

@@ -657,6 +657,10 @@ BAD_INPUTS = [
     pytest.param(_records_without_a_sidecar, EXIT_INVALID_INPUT,
                  "need at least one full block of 2500 pulses, got 1000",
                  id="records shorter than a block without a sidecar"),
+    pytest.param(lambda tmp_path: [*_records_without_a_sidecar(tmp_path), "--block-size",
+                                   str(10**30)], EXIT_INVALID_INPUT,
+                 f"error: invalid block_size: must be <= {sys.maxsize}, got {10**30}",
+                 id="block size above sys.maxsize without a sidecar"),
     pytest.param(_records_of_schedule({"kind": "linear_ramp", "phi_end": 1.25}),
                  EXIT_INVALID_INPUT, "phase coverage too small", id="records over 0.4 pi"),
     pytest.param(_records_of_schedule({"kind": "constant", "phi": 0.3}), EXIT_INVALID_INPUT,
