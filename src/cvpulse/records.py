@@ -33,24 +33,6 @@ def config_hash(version: int, chunk_size: int, config: dict):
     return hashlib.sha256(json.dumps(bound, sort_keys=True, separators=(",", ":")).encode())
 
 
-def drawn(config, chunk_size: int, sha):
-    """(start, values) of each chunk of ``sample_pulses(config, chunk_size)``, drawn in
-    turn into one reused buffer, each chunk's values hashed into ``sha`` as
-    little-endian float64 before it is yielded: the loop that writes a record and the
-    one that redraws it.  Sizes are checked before the first draw."""
-    chunks = simulate._chunks(config, chunk_size, simulate._STREAM_FAST)
-    buffer, scratch = np.empty((2, min(chunk_size, len(config.schedule))))
-    draw = simulate._marginal_draw(config, chunk_size)
-
-    def chunk_values():
-        for start, stop, rng in chunks:
-            values = draw(start, rng, buffer[: stop - start], scratch)
-            sha.update(values.astype("<f8", copy=False))
-            yield start, values
-
-    return chunk_values()
-
-
 _READ_BLOCK = 2**17  # bytes hashed per read
 
 
@@ -81,17 +63,20 @@ def blocks(csv_path: Path, block_size: int, sidecar, stored: dict | None):
             )
         if sidecar.values_sha256:
             variances = simulate._Stitch(block_size, simulate._reduce_blocks)
-            for start, values in drawn(sidecar.config, sidecar.chunk_size, values_sha):
+            for start, values in simulate._drawn(sidecar.config, sidecar.chunk_size):
+                values_sha.update(values.astype("<f8", copy=False))  # before the stitch overwrites
                 variances.add(start, values)
             if values_sha.hexdigest() == sidecar.values_sha256:
                 columns = simulate._block_columns(sidecar.config.schedule, block_size)
                 return columns, variances.blocks(), sidecar.n_pulses
     columns = simulate._Stitch(block_size, simulate._fringe_columns)
     variances = simulate._Stitch(block_size, simulate._reduce_blocks)
+    fits = block_size <= csv_path.stat().st_size // 6  # no row is shorter than "0,0,0\n"
     rows = 0
     for phases, values, _ in read(csv_path):
-        columns.add(rows, phases)
-        variances.add(rows, values)
+        if fits:
+            columns.add(rows, phases)
+            variances.add(rows, values)
         rows += len(values)
     if sidecar is not None and rows != sidecar.n_pulses:
         raise ValueError(

@@ -470,17 +470,24 @@ def sample_pulses(config: RunConfig, chunk_size: int = DEFAULT_CHUNK_SIZE) -> Pu
     -------
     PulseTrain
     """
-    chunks = _chunks(config, chunk_size, _STREAM_FAST)
+    _check_size("chunk size", chunk_size, 1)
     # The whole train is allocated before the draw builds its tables: in
     # the records benchmark, whose check samples a fresh train, building
     # the tables first left about 1.5 MB more peak RSS (sampling contract 2).
-    n = len(config.schedule)
-    train = PulseTrain(lo_phase=config.schedule.values(), value=np.empty(n))
-    draw = _marginal_draw(config, chunk_size)
-    scratch = np.empty(min(chunk_size, n))
-    for start, stop, rng in chunks:
-        draw(start, rng, train.value[start:stop], scratch)
+    train = PulseTrain(lo_phase=config.schedule.values(), value=np.empty(len(config.schedule)))
+    for start, values in _drawn(config, chunk_size):
+        train.value[start : start + len(values)] = values
     return train
+
+
+def _drawn(config: RunConfig, chunk_size: int):
+    """(start, values) of each chunk of ``sample_pulses(config, chunk_size)``, drawn in turn
+    into one reused buffer, sizes checked first: the one serial chunk loop."""
+    chunks = _chunks(config, chunk_size, _STREAM_FAST)
+    buffer, scratch = np.empty((2, min(chunk_size, len(config.schedule))))
+    draw = _marginal_draw(config, chunk_size)
+    return ((start, draw(start, rng, buffer[: stop - start], scratch))
+            for start, stop, rng in chunks)
 
 
 def _block_count(n_pulses: int, block_size: int) -> int:
@@ -730,11 +737,12 @@ def write_records(
     sidecar = _sidecar_path(csv_path)
     sha = records.config_hash(FORMAT_VERSION, chunk_size, config.to_dict())
     values_sha = sha.copy()
-    drawn = records.drawn(config, chunk_size, values_sha)
+    drawn = _drawn(config, chunk_size)
 
     def texts():
         yield (HEADER + "\n").encode()
         for start, values in drawn:
+            values_sha.update(values.astype("<f8", copy=False))
             phases = config.schedule.values(start, start + len(values))
             yield from records.format_rows(start, phases, values)
 

@@ -661,6 +661,10 @@ BAD_INPUTS = [
                                    str(10**30)], EXIT_INVALID_INPUT,
                  f"error: invalid block_size: must be <= {sys.maxsize}, got {10**30}",
                  id="block size above sys.maxsize without a sidecar"),
+    pytest.param(lambda tmp_path: [*_records_without_a_sidecar(tmp_path), "--block-size",
+                                   str(10**11)], EXIT_INVALID_INPUT,
+                 f"error: need at least one full block of {10**11} pulses, got 1000",
+                 id="block longer than the record without a sidecar"),
     pytest.param(_records_of_schedule({"kind": "linear_ramp", "phi_end": 1.25}),
                  EXIT_INVALID_INPUT, "phase coverage too small", id="records over 0.4 pi"),
     pytest.param(_records_of_schedule({"kind": "constant", "phi": 0.3}), EXIT_INVALID_INPUT,
