@@ -127,9 +127,13 @@ def _scenario(args) -> Scenario:
 
 
 def _file(path: str | Path, role: str = "an output file") -> Path:
-    """``path``, a file in ``role``, refused before the command's work if it is a directory."""
+    """``path``, a file in ``role``, refused before the command's work if it is a directory
+    or anything else that exists but is not a regular file (a pipe, say: the full read
+    seeks and rescans it)."""
     if Path(path).is_dir():
         raise ValueError(f"{path} is a directory, not {role}")
+    if Path(path).exists() and not Path(path).is_file():
+        raise ValueError(f"{path} is not a regular file, so not {role}")
     return Path(path)
 
 

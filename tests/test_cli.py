@@ -514,6 +514,27 @@ def _records_without_a_sidecar(tmp_path):
     return ["analyze", str(tmp_path / "pulses.csv"), "--out", str(tmp_path)]
 
 
+_PIPES = []  # read ends of the pipes a row passes as /dev/fd/N
+
+
+@pytest.fixture(autouse=True)
+def _close_pipes():
+    yield
+    while _PIPES:
+        os.close(_PIPES.pop())
+
+
+def _records_through_a_pipe(tmp_path):
+    """A 200-pulse record (about 8.5 kB, inside a pipe's buffer) written whole into a
+    pipe, whose read end is analyzed as /dev/fd/N."""
+    assert main(["simulate", "--pulses", "200", "--out", str(tmp_path)]) == EXIT_OK
+    read, write = os.pipe()
+    _PIPES.append(read)
+    os.write(write, (tmp_path / "pulses.csv").read_bytes())
+    os.close(write)
+    return ["analyze", f"/dev/fd/{read}", "--out", str(tmp_path)]
+
+
 def _records_of_width(width):
     """Rewrite every record of the CSV with ``width`` fields, keeping the header."""
 
@@ -599,6 +620,8 @@ BAD_INPUTS = [
     pytest.param(lambda tmp_path: ["analyze", str(tmp_path), "--out", str(tmp_path)],
                  EXIT_INVALID_INPUT, "is a directory, not a records CSV",
                  id="records path a directory"),
+    pytest.param(_records_through_a_pipe, EXIT_INVALID_INPUT,
+                 "is not a regular file, so not a records CSV", id="records path a pipe"),
     *(pytest.param(_scenario_a_directory(*command), EXIT_INVALID_INPUT,
                    "s.json is a directory, not a scenario file",
                    id=f"{command[0]} scenario a directory")

@@ -723,6 +723,21 @@ def test_rows_are_the_bytes_percent_formatting_writes():
                         f"!= {expected.splitlines()[line]!r}")
 
 
+@pytest.mark.parametrize("first", [10**7 - 1000, 10**8 - 1000, 10**12 - 1000,
+                                   10**16 - 1000, sys.maxsize - 2048])
+def test_rows_of_wide_indices_are_the_bytes_percent_formatting_writes(first):
+    """A batch of ramp phases and normal values, each laid out by the formatter with
+    no '%.17g' fallback, whose index widens inside it or reaches sys.maxsize - 1,
+    so the index spans two or three words: exactly "%d,%.17g,%.17g\\n" % row."""
+    rng = np.random.default_rng(first % 2**32)
+    phases = np.linspace(0.0, 4.0 * math.pi, records._FORMAT_BATCH)
+    values = rng.normal(0.0, 1.3, records._FORMAT_BATCH)
+    assert records._fixed_notation(np.stack((phases, values), axis=1))[1].all()
+    expected = "".join("%d,%.17g,%.17g\n" % row
+                       for row in zip(itertools.count(first), phases.tolist(), values.tolist()))
+    assert records._rows(first, phases, values).decode() == expected
+
+
 def test_write_records_memory_is_bounded_while_formatting(tmp_path):
     """write_records, formatting every row, peaks at the same traced memory for
     1.3x10^5 and 5.2x10^5 pulses, and below 4 MB: rows are formatted a batch
