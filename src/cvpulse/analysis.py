@@ -25,7 +25,7 @@ from . import schema
 from .gaussian import (PHYSICALITY_TOL, Matrix, symmetric_min_eigenvalue,
                        symmetric_two_mode_covariance)
 from .simulate import (DEFAULT_BLOCK_SIZE, PhaseSchedule, RunConfig, _block_columns,
-                       _check_size, _reduce_blocks, _stream_scans)
+                       _check_size, _stream_scans)
 
 #: Largest condition number of a fit's design [1, cos 2phi, sin 2phi], one
 #: row per block.  Short blocks spread evenly over an LO phase span of pi
@@ -426,9 +426,7 @@ def end_to_end_report(
             f"exceeds 4 x {mismatch_err:.4f}; the source or detector drifted between scans"
         )
     single_level = float(blocked_vars.mean())
-    # std(ddof=1), the square root of the variance of a one-row copy
-    single_sd = math.sqrt(_reduce_blocks(blocked_vars[None].copy())[0])
-    single_err = single_sd / math.sqrt(len(blocked_vars))
+    single_err = blocked_vars.std(ddof=1) / math.sqrt(len(blocked_vars))
 
     # inverse-variance combination of the two equivalent squeezed minima
     w_zero = 1.0 / fit_zero.stderr**2

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
-import re
 import warnings
 from pathlib import Path
 from itertools import chain
@@ -274,26 +272,20 @@ def read(csv_path: Path) -> Iterator[tuple[NDArray[np.float64], NDArray[np.float
         _raise_at_first_bad_line(csv_path)
 
 
-# A field np.loadtxt reads (PyOS_string_to_double after stripping whitespace).
-_FLOAT_FIELD = re.compile(
-    r"[+-]?(?:(?:\d+\.?\d*|\.\d+)(?:e[+-]?\d+)?|inf(?:inity)?|nan)", re.ASCII | re.IGNORECASE
-)
-
-
-def _fields(line: str) -> list[float] | None:
+def _fields(line: str) -> NDArray[np.float64] | None:
     """The index, phase and value of a records line (without its newline) as
     np.loadtxt reads them, or None for a line it skips; raises ValueError,
     naming the fault, where np.loadtxt rejects the line or a value is not finite."""
     text = line.split("#", 1)[0]
     if not text:  # np.loadtxt skips empty and comment lines, not blank ones
         return None
-    parts = [part.strip() for part in text.split(",")]
-    if len(parts) != 3:
-        raise ValueError(f"expected 3 fields, got {len(parts)}")
-    if not all(_FLOAT_FIELD.fullmatch(part) for part in parts):
-        raise ValueError(f"non-numeric field in {line.strip()!r}")
-    fields = [float(part) for part in parts]
-    if not all(map(math.isfinite, fields)):
+    if (count := text.count(",") + 1) != 3:
+        raise ValueError(f"expected 3 fields, got {count}")
+    try:
+        fields = np.loadtxt([text], delimiter=",")
+    except ValueError:
+        raise ValueError(f"non-numeric field in {line.strip()!r}") from None
+    if not np.isfinite(fields).all():
         raise ValueError(f"non-finite field in {line.strip()!r}")
     return fields
 

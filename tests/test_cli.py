@@ -413,6 +413,20 @@ def _sidecar_chunk_size(size):
     return spoil
 
 
+def _sidecar_claims(n_pulses, version=FORMAT_VERSION):
+    """Set the sidecar's pulse count, and its schedule's, to ``n_pulses``; a version 4
+    sidecar carries no digest, so the record is read in full."""
+
+    def spoil(out):
+        meta = json.loads((out / "pulses.json").read_text())
+        meta["n_pulses"] = meta["config"]["schedule"]["n_pulses"] = n_pulses
+        if version < 5:
+            del meta["records_sha256"], meta["values_sha256"]
+        (out / "pulses.json").write_text(json.dumps({**meta, "format_version": version}))
+
+    return spoil
+
+
 def _sidecar_format(out):
     meta = json.loads((out / "pulses.json").read_text())
     meta["format"] = "npy"
@@ -652,6 +666,13 @@ BAD_INPUTS = [
     pytest.param(_simulated(_sidecar_digest(lambda digest: digest, version=4)), EXIT_INVALID_INPUT,
                  "pulses.json: invalid records_sha256: version 4 carries no digest, got '",
                  id="records digest in a version 4 sidecar"),
+    # 4x10^12 pulses' block columns would take 23.8 GiB; the record's 440 kB cannot hold them
+    pytest.param(_simulated(_sidecar_claims(4 * 10**12)), EXIT_INVALID_INPUT,
+                 "error: pulses.csv is not the record its sidecar binds",
+                 id="sidecar claims more pulses than its record holds"),
+    pytest.param(_simulated(_sidecar_claims(4 * 10**12, version=4)), EXIT_INVALID_INPUT,
+                 "error: pulses.csv holds 10000 records, its sidecar says 4000000000000",
+                 id="version 4 sidecar claims more pulses than its record holds"),
     pytest.param(_simulated(_sidecar_format), EXIT_INVALID_INPUT,
                  "pulses.json: invalid format: expected 'index,lo_phase_rad,value', got 'npy'",
                  id="sidecar format not the header"),
@@ -868,6 +889,40 @@ def test_a_design_its_sidecar_fixes_is_checked_before_any_record_is_read(
     argv = ["analyze", str(tmp_path / "pulses.csv"), "--out", str(tmp_path)]
     assert main(argv) == EXIT_INVALID_INPUT
     assert capsys.readouterr().err.startswith(problem)
+
+
+@pytest.mark.parametrize("version", [FORMAT_VERSION, 4])
+def test_a_claim_the_record_cannot_hold_builds_no_block_columns(
+    tmp_path, monkeypatch, capsys, version
+):
+    """A sidecar that claims 10^8 pulses of a 10,000-pulse record is refused by the
+    read, without the design check's block columns, whose cost grows with the claim."""
+    import cvpulse.cli as cli_module
+
+    def never(*args, **kwargs):
+        raise AssertionError("block columns were built for the sidecar's claim")
+
+    argv = _simulated(_sidecar_claims(10**8, version))(tmp_path)
+    monkeypatch.setattr(cli_module, "_block_columns", never)
+    capsys.readouterr()
+    assert main(argv) == EXIT_INVALID_INPUT
+    assert capsys.readouterr().err.startswith(
+        "error: pulses.csv is not the record its sidecar binds" if version > 4
+        else "error: pulses.csv holds 10000 records, its sidecar says 100000000"
+    )
+
+
+def test_an_error_quoting_a_long_line_is_cut(tmp_path, capsys):
+    """A 1 MB records file with no newline is one line, which the header message
+    quotes: what is printed stops at the limit and says how much was cut."""
+    line = "0," * 500_000
+    (tmp_path / "pulses.csv").write_text(line)
+    capsys.readouterr()
+    argv = ["analyze", str(tmp_path / "pulses.csv"), "--out", str(tmp_path)]
+    assert main(argv) == EXIT_INVALID_INPUT
+    whole = f"error: pulses.csv line 1: expected header 'index,lo_phase_rad,value', got {line!r}"
+    err = capsys.readouterr().err
+    assert err == f"{whole[:500]}... ({len(whole) - 500} more characters cut)\n"
 
 
 @pytest.mark.parametrize("n_pulses, scheduled, problem", [

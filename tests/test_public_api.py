@@ -184,3 +184,14 @@ def test_the_call_scan_finds_the_benchmark_call_shapes():
         ("end_to_end_report", (2, ("block_size", "subtract_electronic_noise"))),
         ("SourceSpec.symmetric_mixed", (2, ())),
     } <= found
+
+
+def test_the_package_and_demos_parse_as_its_oldest_python():
+    """pyproject.toml's requires-python is a floor no tier-1 run stands on (it runs one
+    newer interpreter), so every module and demo must parse with that version's grammar:
+    newer syntax, such as ``except*``, fails here."""
+    floor = re.search(r'^requires-python = ">=(\d+)\.(\d+)"$',
+                      (ROOT / "pyproject.toml").read_text(), re.MULTILINE)
+    version = (int(floor[1]), int(floor[2]))
+    for path in SOURCES + sorted((ROOT / "demos").glob("*.py")):
+        ast.parse(path.read_text(), str(path), feature_version=version)
