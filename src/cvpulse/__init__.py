@@ -36,14 +36,8 @@ from .simulate import (
     theta_scan,
     write_records,
 )
-from .analysis import (
-    EntanglementReport,
-    efficiency_inversion,
-    end_to_end_report,
-    fit_variance_curve,
-    reconstruct_covariance,
-)
-from .scenario import Scenario, load_scenario, reference_scenario
+from .analysis import EntanglementReport, end_to_end_report, fit_variance_curve
+from . import scenario  # noqa: F401  (cvpulse.scenario resolves after import cvpulse)
 
 __version__ = "0.1.0"
 
@@ -71,11 +65,6 @@ __all__ = [
     "theta_scan",
     "write_records",
     "EntanglementReport",
-    "efficiency_inversion",
     "end_to_end_report",
     "fit_variance_curve",
-    "reconstruct_covariance",
-    "Scenario",
-    "load_scenario",
-    "reference_scenario",
 ]

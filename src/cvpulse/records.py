@@ -254,7 +254,10 @@ def read(csv_path: Path) -> Iterator[tuple[NDArray[np.float64], NDArray[np.float
     csv_path, one UTF-8 text-mode handle read _LOAD_ROWS rows at a time, so a CRLF or
     a lone CR ends a line; the header matches after str.strip(), and each row must
     have 3 finite fields, its index running 0, 1, ...  Where a check fails, a rescan
-    names the first line that fails."""
+    names the first line that fails.  An existing path that is not a regular file (a
+    pipe, say: the reader asks for its offset and may rescan it) raises ValueError first."""
+    if not csv_path.is_file() and csv_path.exists():
+        raise ValueError(f"{csv_path} is not a regular file, so not a records CSV")
     rows = 0
     try:
         with open(csv_path, encoding="utf-8") as fh:

@@ -1,8 +1,9 @@
 """Declarative scenario files: one JSON document describes a full run.
 
 Every field has a default taken from the reference apparatus, so a scenario
-file only states deviations.  Unknown keys are rejected rather than ignored,
-since a typo in an efficiency name would otherwise silently change physics.
+file only states deviations.  Unknown and repeated keys are rejected rather than
+ignored, since a typo in an efficiency name, or a section stated twice, would
+otherwise silently change physics.
 """
 
 from __future__ import annotations
@@ -116,9 +117,11 @@ def load_scenario(path: str | Path, **overrides) -> Scenario:
         byte, offset = exc.object[exc.start], exc.start
         raise ValueError(f"{path}: not UTF-8 text (byte 0x{byte:02x} at offset {offset})") from None
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=schema.unique_keys)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: not valid JSON ({exc})") from exc
+    except ValueError as exc:  # a repeated key
+        raise ValueError(f"{path}: {exc}") from None
     if not isinstance(data, dict):
         raise ValueError(f"{path}: top level must be a JSON object")
     return scenario_from_dict(data, **overrides)

@@ -11,6 +11,8 @@ Each class calls :func:`check_fields` from ``__post_init__``, so direct
 construction and the JSON route check values alike: an ``int`` field takes
 an integer (numpy's too, never a bool or a float), a ``float`` field a
 finite real number, and either is stored as the plain Python type.
+Scenario files and sidecars are parsed with :func:`unique_keys`, which refuses a
+repeated key; ``json.loads`` alone keeps its last value.
 """
 
 from __future__ import annotations
@@ -49,6 +51,16 @@ def _names(cls, kind) -> tuple[str, ...]:
         raise FieldError("kind", f"expected one of {', '.join(kinds)}, got {kind!r}")
     tagged = {name for used in kinds.values() for name in used}
     return tuple(n for n in names if n not in tagged or n in kinds[kind])
+
+
+def unique_keys(pairs) -> dict:
+    """``object_pairs_hook`` of ``json.loads``: the object as a dict, refused if a key repeats."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise ValueError(f"duplicate key {key!r}")
+        data[key] = value
+    return data
 
 
 def _join(path: str, key: str) -> str:

@@ -789,5 +789,5 @@ def _sidecar_path(csv_path: str | Path) -> Path:
 
 
 def read_metadata(csv_path: str | Path) -> dict:
-    """Load the JSON sidecar belonging to a records CSV."""
-    return json.loads(_sidecar_path(csv_path).read_text())
+    """Load the JSON sidecar belonging to a records CSV; a repeated key raises ValueError."""
+    return json.loads(_sidecar_path(csv_path).read_text(), object_pairs_hook=schema.unique_keys)

@@ -26,7 +26,9 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def _write_scenario(path, payload):
-    path.write_text(json.dumps(payload))
+    """``payload`` written as JSON, or as it is when it is text (a repeated key, say,
+    which json.dumps of a dict cannot write)."""
+    path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
     return str(path)
 
 
@@ -389,6 +391,15 @@ def _typo_in_sidecar(out):
     (out / "pulses.json").write_text(json.dumps(meta))
 
 
+def _sidecar_repeats_its_seed(out):
+    """State the sidecar's config seed twice, with its own value: every digest still
+    holds, as json.loads alone keeps the last value."""
+    path = out / "pulses.json"
+    text = path.read_text()
+    seed = json.loads(text)["config"]["seed"]
+    path.write_text(text.replace(f'"seed": {seed}', f'"seed": {seed}, "seed": {seed}'))
+
+
 def _format_version_after_current(out):
     meta = json.loads((out / "pulses.json").read_text())
     meta["format_version"] = FORMAT_VERSION + 1
@@ -610,6 +621,21 @@ BAD_INPUTS = [
                  id="detector not an object"),
     pytest.param(_scenario({"detectr": {}}), EXIT_INVALID_INPUT, "block_size",
                  id="unknown scenario key"),
+    pytest.param(_scenario({"source": {"kind": "bogus"}}), EXIT_INVALID_INPUT,
+                 "error: invalid source.kind: expected one of pure_nopa, symmetric_mixed, "
+                 "got 'bogus'", id="unknown source kind"),
+    pytest.param(_scenario({"schedule": {"kind": "sawtooth"}}), EXIT_INVALID_INPUT,
+                 "error: invalid schedule.kind: expected one of constant, linear_ramp, "
+                 "got 'sawtooth'", id="unknown schedule kind"),
+    # json.loads alone keeps a repeated key's last value: here the reference efficiency
+    pytest.param(_scenario('{"detector": {"eta_transmission": 0.5}, '
+                           '"detector": {"electronic_noise_var": 0.0}}',
+                           command=("scan-theta", "--points", "1")),
+                 EXIT_INVALID_INPUT, "s.json: duplicate key 'detector'\n",
+                 id="repeated scenario key"),
+    pytest.param(_scenario('{"detector": {"eta_transmission": 0.5, "eta_transmission": 0.6}}'),
+                 EXIT_INVALID_INPUT, "s.json: duplicate key 'eta_transmission'\n",
+                 id="repeated detector key"),
     pytest.param(_scenario({"out_stem": "run"}), EXIT_INVALID_INPUT, "unknown key 'out_stem'",
                  id="output stem"),
     pytest.param(_scenario({"block_size": 1}, command=("analyze", "pulses.csv")),
@@ -658,6 +684,8 @@ BAD_INPUTS = [
                  id="edited bound record"),
     pytest.param(_simulated(_index_7_on_line_2001), EXIT_INVALID_INPUT,
                  "line 2001: expected index 1999, got 7", id="index out of sequence"),
+    pytest.param(_simulated(_sidecar_repeats_its_seed), EXIT_INVALID_INPUT,
+                 "pulses.json: duplicate key 'seed'\n", id="repeated sidecar key"),
     pytest.param(_simulated(_format_version_after_current), EXIT_INVALID_INPUT,
                  "format_version", id="unknown format version"),
     pytest.param(_simulated(_sidecar_digest(str.upper)), EXIT_INVALID_INPUT,

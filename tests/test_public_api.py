@@ -44,13 +44,8 @@ EXPORTS = [
     "theta_scan",
     "write_records",
     "EntanglementReport",
-    "efficiency_inversion",
     "end_to_end_report",
     "fit_variance_curve",
-    "reconstruct_covariance",
-    "Scenario",
-    "load_scenario",
-    "reference_scenario",
 ]
 
 

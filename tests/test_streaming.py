@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import math
+import os
 import shutil
 import sys
 import tracemalloc
@@ -875,6 +876,26 @@ def test_odd_records_files_read_as_loadtxt_or_name_their_fault(tmp_path, text, e
         with pytest.raises(ValueError) as excinfo:
             read_records(path)
         assert str(excinfo.value) == error
+
+
+def test_read_records_refuses_a_pipe_before_any_read(tmp_path):
+    """A valid 2-row record in a pipe, read as /dev/fd/N: read_records raises a
+    ValueError naming the path, as analyze refuses it, and leaves the pipe's bytes
+    unread; a missing file still raises FileNotFoundError."""
+    text = ("\n".join([_HEADER, *_ROWS[:2]]) + "\n").encode()
+    read, write = os.pipe()
+    try:
+        os.write(write, text)
+        os.close(write)
+        path = f"/dev/fd/{read}"
+        with pytest.raises(ValueError) as excinfo:
+            read_records(path)
+        assert str(excinfo.value) == f"{path} is not a regular file, so not a records CSV"
+        assert os.read(read, len(text) + 1) == text
+    finally:
+        os.close(read)
+    with pytest.raises(FileNotFoundError):
+        read_records(tmp_path / "missing.csv")
 
 
 @pytest.mark.parametrize("header, row_100, message", [
