@@ -44,12 +44,8 @@ from .entanglement import variance_to_db
 from .schema import FieldError, to_dict
 from .scenario import Scenario, load_scenario, scenario_from_dict
 from .simulate import (
-    RunConfig,
-    Sidecar,
     _block_columns,
     _block_count,
-    _sidecar_path,
-    read_metadata,
     theta_scan,
     write_records,
 )
@@ -143,8 +139,10 @@ def _file(path: str | Path, role: str = "an output file") -> Path:
 
 
 def cmd_simulate(args, out_dir: Path) -> tuple[int, dict, str]:
+    from . import records  # compiled on first use, not by runs without records
+
     csv_path = _file(out_dir / "pulses.csv")
-    sidecar = _file(_sidecar_path(csv_path))  # written after every record
+    sidecar = _file(records.sidecar_path(csv_path))  # written after every record
     scenario = _scenario(args)
     write_records(scenario.config, csv_path)
     summary = {
@@ -156,37 +154,29 @@ def cmd_simulate(args, out_dir: Path) -> tuple[int, dict, str]:
     return EXIT_OK, summary, f"wrote {summary['n_pulses']} pulses to {summary['records']}"
 
 
-def _analysis_config(args, records_path: Path) -> tuple[RunConfig, int, Sidecar | None, dict | None]:
-    """Config, block size, sidecar and the sidecar file's own ``config`` object (None and
-    None without one) for analyze.  A sidecar is read whenever it exists and its config
-    describes the records; an explicit scenario then supplies only the detector
-    (efficiency and electronic noise).  Without a sidecar the scenario, or else the
-    reference, is the config.  Records the one-file reconstruction cannot undo are
-    refused before any is read."""
+def cmd_analyze(args, out_dir: Path) -> tuple[int, dict, str]:
+    from . import records  # compiled on first use, not by runs without records
+
+    report_path = _file(out_dir / "report.json")
+    records_path = _file(args.records, "a records CSV")  # '.' and '/' too: no name for a sidecar
+    # a sidecar gives the config (a --scenario only its detector); else the scenario does
     scenario = _scenario(args)
-    sidecar = _file(_sidecar_path(records_path), "a sidecar")
+    sidecar = _file(records.sidecar_path(records_path), "a sidecar")
     config, meta, stored = scenario.config, None, None
     if sidecar.exists():
         try:
-            document = read_metadata(records_path)
-            meta = Sidecar.from_dict(document)
+            document = records.metadata(records_path)
+            meta = records.Sidecar.from_dict(document)
         except ValueError as exc:
             raise ValueError(f"{sidecar}: {exc}") from None
         config, stored = meta.config, document["config"]
         if args.scenario is not None:
             config = replace(config, detector=scenario.config.detector)
-    _efficiency(config)
+    _efficiency(config)  # records the one-file reconstruction cannot undo are refused unread
     if config.blocked_arm != "none":
         raise FieldError(
             "blocked_arm", f"analyze reads a recombined scan, got {config.blocked_arm!r}"
         )
-    return config, scenario.block_size, meta, stored
-
-
-def cmd_analyze(args, out_dir: Path) -> tuple[int, dict, str]:
-    report_path = _file(out_dir / "report.json")
-    records_path = _file(args.records, "a records CSV")  # '.' and '/' too: no name for a sidecar
-    config, block_size, meta, stored = _analysis_config(args, records_path)
     if meta is not None:  # the sidecar's schedule fixes the fit design: refused unread
         schedule = meta.config.schedule
         if schedule.kind == "constant":
@@ -194,14 +184,13 @@ def cmd_analyze(args, out_dir: Path) -> tuple[int, dict, str]:
                 f"degenerate fit: the records' LO phase is locked at {schedule.phi!r} rad "
                 "(a constant schedule), so they hold no fringe to fit; record a phase ramp"
             )
-        # columns cost what the sidecar claims; no row is shorter than "0,0,0\n", so the
-        # read refuses a claim the record's bytes cannot hold, by its digest or its count
-        if meta.n_pulses <= records_path.stat().st_size // 6:
-            _check_design(_block_columns(schedule, block_size))
-    from . import records  # compiled on first use, not by runs without records
-    columns, variances, rows = records.blocks(records_path, block_size, meta, stored)
-    _block_count(rows, block_size)
-    fit = fit_variance_curve(columns, variances, block_size)
+        # columns cost what the sidecar claims; the read refuses a claim the record's
+        # bytes cannot hold, by its digest or its count
+        if meta.n_pulses <= records_path.stat().st_size // records.SHORTEST_ROW:
+            _check_design(_block_columns(schedule, scenario.block_size))
+    columns, variances, rows = records.blocks(records_path, scenario.block_size, meta, stored)
+    _block_count(rows, scenario.block_size)
+    fit = fit_variance_curve(columns, variances, scenario.block_size)
     # single-file route: no blocked-arm level, the corrected extremes set the diagonal
     report = report_from_levels(config, fit.v_min, fit.stderr, fit.v_max)
     doc = report.to_dict()

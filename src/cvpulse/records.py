@@ -1,18 +1,22 @@
-"""The text format of record CSVs, written by a vectorized formatter and read by
-np.loadtxt, the digests that bind a record to its sidecar, and :func:`blocks`, the one
-route by which ``analyze`` refuses, redraws or reads a record.
+"""The record format, all of it: the CSV's header and text, the JSON sidecar beside it,
+its format versions, and the two digests that bind a record to its sidecar.  :func:`write`
+writes both, the rows laid out by a vectorized formatter; :func:`read` reads a record by
+np.loadtxt; :func:`blocks` is the one route by which ``analyze`` refuses, redraws or reads one.
 
-:func:`cvpulse.simulate.write_records`, :func:`cvpulse.simulate.read_records` and
-``analyze`` import this module on their first call, so a run without records
-does not compile it, and importing cvpulse does not load ``hashlib`` (about 3.7 MB of
-resident memory; numpy.random loads it too, through ``secrets``, once a run draws).
+``cvpulse.simulate``'s ``write_records``, ``read_records`` and ``read_metadata``, and the
+``simulate`` and ``analyze`` commands, import this module on their first call, so a run
+without records does not compile it, and importing cvpulse does not load ``hashlib``
+(about 3.7 MB of resident memory; numpy.random loads it too, through ``secrets``, once a
+run draws).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import re
 import warnings
+from dataclasses import dataclass
 from pathlib import Path
 from itertools import chain
 from typing import Iterator, NoReturn
@@ -20,7 +24,108 @@ from typing import Iterator, NoReturn
 import numpy as np
 from numpy.typing import NDArray
 
-from . import simulate  # loaded first: simulate imports this module on a records call
+from . import schema, simulate  # simulate loads first: it imports this module on a records call
+from .schema import FieldError, check_fields
+
+#: Sampling contract of the records this version writes (the draw itself is
+#: :func:`cvpulse.simulate._marginal_draw`): 1 drew each pulse's standard deviation from
+#: its own cos and sin, 2 from per-stream fringe coefficients and per-chunk phasors
+#: (equal to rounding, not bit for bit), both with PCG64 normals; 3 draws contract 2's
+#: deviations with SFC64 normals; 4 makes contract 3's draws, with coefficients from
+#: closed-form scalar arithmetic and no BLAS product (equal to rounding, not bit for
+#: bit); 5 makes contract 4's draws and bytes, and its sidecar binds the record by
+#: ``records_sha256``, the SHA-256 of the config's canonical JSON and then of every byte
+#: of the CSV; 6 adds ``values_sha256``, the SHA-256 of the config's canonical JSON and
+#: then of every drawn value as a little-endian float64, in pulse order; 7 drops the
+#: detector's raw-unit ``lo_photons_per_pulse`` from the config, and both digests start
+#: from the canonical JSON of ``{"chunk_size": ..., "config": ...}``.  Sidecars of
+#: versions 1 to 4 carry neither digest, and those of version 5 no ``values_sha256``; the
+#: key those of versions 1 to 6 carry is dropped as they are read.
+FORMAT_VERSION = 7
+_READABLE_VERSIONS = (1, 2, 3, 4, 5, 6, 7)
+# the first version to carry each digest
+_DIGESTS = (("records_sha256", 5), ("values_sha256", 6))
+
+#: First line of every records CSV, and the ``format`` its sidecar names.
+HEADER = "index,lo_phase_rad,value"
+#: Bytes of the shortest row, "0,0,0\n": a record of n bytes holds at most n // this rows.
+SHORTEST_ROW = 6
+
+
+@dataclass(frozen=True)
+class Sidecar:
+    """JSON metadata written next to a records CSV: enough to regenerate it, and the
+    digests that bind the CSV to it, from version 5 of its bytes and from version 6
+    of its values ("" before)."""
+
+    format_version: int
+    format: str
+    n_pulses: int
+    chunk_size: int
+    records_sha256: str
+    values_sha256: str
+    config: simulate.RunConfig
+
+    def __post_init__(self) -> None:
+        check_fields(self)
+        if self.format_version not in _READABLE_VERSIONS:
+            raise FieldError(
+                "format_version",
+                f"expected one of {_READABLE_VERSIONS}, got {self.format_version}",
+            )
+        if self.format != HEADER:  # every version has written the CSV's header here
+            raise FieldError("format", f"expected {HEADER!r}, got {self.format!r}")
+        if self.chunk_size < 1:  # no run draws from chunks of fewer pulses
+            raise FieldError("chunk_size", f"must be >= 1, got {self.chunk_size}")
+        if self.n_pulses != self.config.schedule.n_pulses:  # so never below 0
+            raise FieldError(
+                "n_pulses", f"must equal config.schedule.n_pulses = "
+                f"{self.config.schedule.n_pulses}, got {self.n_pulses}"
+            )
+        for name, since in _DIGESTS:
+            digest = getattr(self, name)
+            if self.format_version < since and digest:
+                raise FieldError(name, f"version {self.format_version} carries no digest, "
+                                 f"got {digest!r}")
+            if self.format_version >= since and not re.fullmatch("[0-9a-f]{64}", digest):
+                raise FieldError(name, f"expected 64 lowercase hex digits, got {digest!r}")
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "Sidecar":
+        # sidecars written before the field existed follow contract 1, those
+        # before a digest's version carry none, and those before 7 carry the
+        # detector's lo_photons_per_pulse, dropped from a copy: the caller's
+        # stored config keeps it, as their digests took it
+        if isinstance(data, dict):
+            data = {"format_version": 1, **data}
+            for name, since in _DIGESTS:
+                if data["format_version"] in _READABLE_VERSIONS[: since - 1]:
+                    data = {name: "", **data}
+            config = data.get("config")
+            detector = config.get("detector") if isinstance(config, dict) else None
+            if data["format_version"] in _READABLE_VERSIONS[:6] and isinstance(detector, dict):
+                detector = {k: v for k, v in detector.items() if k != "lo_photons_per_pulse"}
+                data = {**data, "config": {**config, "detector": detector}}
+        return schema.from_dict(cls, data)
+
+
+def sidecar_path(csv_path: str | Path) -> Path:
+    """A records CSV's sidecar, its path with suffix ``.json``, refused if that is its own."""
+    sidecar = Path(csv_path).with_suffix(".json")
+    if sidecar == Path(csv_path):
+        raise ValueError(f"records path {csv_path} is its sidecar's path: use another suffix")
+    return sidecar
+
+
+def metadata(csv_path: str | Path) -> dict:
+    """The JSON sidecar of a records CSV, decoded as UTF-8 whatever the locale; a byte
+    that is not UTF-8 or a repeated key raises ValueError."""
+    try:
+        text = sidecar_path(csv_path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        byte, offset = exc.object[exc.start], exc.start
+        raise ValueError(f"not UTF-8 text (byte 0x{byte:02x} at offset {offset})") from None
+    return json.loads(text, object_pairs_hook=schema.unique_keys)
 
 
 def config_hash(version: int, chunk_size: int, config: dict):
@@ -29,6 +134,37 @@ def config_hash(version: int, chunk_size: int, config: dict):
     config object, from version 7 of ``{"chunk_size": chunk_size, "config": config}``."""
     bound = config if version < 7 else {"chunk_size": chunk_size, "config": config}
     return hashlib.sha256(json.dumps(bound, sort_keys=True, separators=(",", ":")).encode())
+
+
+# Rows per _rows call: a 250k-pulse write peaks at 3.1 MB traced with 2048 and at
+# 4.6 MB with 4096, which takes 96 against 86 ms of CPU (medians of 30 alternating
+# runs in one process, 2 CPUs).
+_FORMAT_BATCH = 2048
+
+
+def write(config: simulate.RunConfig, csv_path: str | Path, chunk_size: int) -> Path:
+    """:func:`cvpulse.simulate.write_records`: each chunk's values are hashed as they are
+    drawn, and each batch of rows as it is written; the sidecar comes last."""
+    sidecar = sidecar_path(csv_path)
+    sha = config_hash(FORMAT_VERSION, chunk_size, config.to_dict())
+    values_sha = sha.copy()
+    drawn = simulate._drawn(config, chunk_size)
+    with open(csv_path, "wb") as fh:
+        text = (HEADER + "\n").encode()
+        sha.update(text)
+        fh.write(text)
+        for start, values in drawn:
+            values_sha.update(values.astype("<f8", copy=False))
+            phases = config.schedule.values(start, start + len(values))
+            for i in range(0, len(values), _FORMAT_BATCH):
+                text = _rows(start + i, phases[i : i + _FORMAT_BATCH],
+                             values[i : i + _FORMAT_BATCH])
+                sha.update(text)
+                fh.write(text)
+    meta = Sidecar(FORMAT_VERSION, HEADER, len(config.schedule), chunk_size,
+                   sha.hexdigest(), values_sha.hexdigest(), config)
+    sidecar.write_text(json.dumps(schema.to_dict(meta), indent=2) + "\n")
+    return Path(csv_path)
 
 
 _READ_BLOCK = 2**17  # bytes hashed per read
@@ -69,7 +205,7 @@ def blocks(csv_path: Path, block_size: int, sidecar, stored: dict | None):
                 return columns, variances.blocks(), sidecar.n_pulses
     columns = simulate._Stitch(block_size, simulate._fringe_columns)
     variances = simulate._Stitch(block_size, simulate._reduce_blocks)
-    fits = block_size <= csv_path.stat().st_size // 6  # no row is shorter than "0,0,0\n"
+    fits = block_size <= csv_path.stat().st_size // SHORTEST_ROW
     rows = 0
     for phases, values, _ in read(csv_path):
         if fits:
@@ -223,18 +359,6 @@ def _rows(first: int, phases: NDArray[np.float64], values: NDArray[np.float64]) 
     return text.tobytes().translate(None, b"\0")
 
 
-# Rows per _rows call: a 250k-pulse write_records peaks at 3.1 MB traced with
-# 2048 and at 4.6 MB with 4096, which takes 96 against 86 ms of CPU (medians of
-# 30 alternating runs in one process, 2 CPUs).
-_FORMAT_BATCH = 2048
-
-
-def format_rows(first: int, phases: NDArray, values: NDArray) -> Iterator[bytes]:
-    """The bytes of pulses first, first + 1, ..., a batch of rows at a time."""
-    for i in range(0, len(values), _FORMAT_BATCH):
-        yield _rows(first + i, phases[i : i + _FORMAT_BATCH], values[i : i + _FORMAT_BATCH])
-
-
 # Rows per np.loadtxt call: read_records of a 250k-pulse file takes 146-149 ms with
 # 2^13 to 2^16 (medians of 9, 2 CPUs), at traced peaks of 5.0 MB with 2^14 and 7.7 MB
 # with 2^16 (its arrays are 4 MB).
@@ -261,7 +385,7 @@ def read(csv_path: Path) -> Iterator[tuple[NDArray[np.float64], NDArray[np.float
     rows = 0
     try:
         with open(csv_path, encoding="utf-8") as fh:
-            if fh.readline().strip() != simulate.HEADER:
+            if fh.readline().strip() != HEADER:
                 raise ValueError("not the header")
             while len(table := _next_rows(fh)):
                 if (table.shape[1] != 3 or not np.isfinite(table).all()
@@ -311,9 +435,9 @@ def _raise_at_first_bad_line(csv_path: Path) -> NoReturn:
                         f"{name} line {lineno}: byte 0x{byte:02x} is not UTF-8 text"
                     ) from None
             if lineno == 1:
-                if text.strip() != simulate.HEADER:
+                if text.strip() != HEADER:
                     raise ValueError(
-                        f"{name} line 1: expected header {simulate.HEADER!r}, got {text.strip()!r}"
+                        f"{name} line 1: expected header {HEADER!r}, got {text.strip()!r}"
                     )
                 continue
             try:

@@ -1,20 +1,20 @@
-"""Per-pulse Monte Carlo of the homodyne measurement chain.
+"""Per-pulse Monte Carlo of the homodyne measurement chain, and its reduction to blocks.
 
 Every laser pulse yields one quadrature sample.  The chain is: entangled-pair
 source, relative phase on the second arm, recombination on a beamsplitter,
 propagation and detection losses on the bright output port, then an additive
 electronic-noise contribution in the detector.  Sampling is chunked and
 deterministically seeded so that runs are bit-reproducible regardless of how
-chunks are scheduled.
+chunks are scheduled.  A scan's block variances are reduced chunk by chunk as it is
+drawn, or from a whole train.  The record format is :mod:`cvpulse.records`'s:
+``write_records``, ``read_records`` and ``read_metadata`` load it on their first call.
 """
 
 from __future__ import annotations
 
 import functools
-import json
 import math
 import os
-import re
 import sys
 import threading
 from dataclasses import dataclass
@@ -30,29 +30,6 @@ from .schema import FieldError, check_fields
 
 #: Pulses handled per RNG stream; part of the reproducibility contract.
 DEFAULT_CHUNK_SIZE = 65536
-
-#: Sampling contract of the records this version writes: 1 drew each pulse's
-#: standard deviation from its own cos and sin, 2 from per-stream fringe
-#: coefficients and per-chunk phasors (equal to rounding, not bit for bit),
-#: both with PCG64 normals; 3 draws contract 2's deviations with SFC64 normals;
-#: 4 makes contract 3's draws, with coefficients from closed-form scalar
-#: arithmetic and no BLAS product (equal to rounding, not bit for bit); 5 makes
-#: contract 4's draws and bytes, and its sidecar binds the record by
-#: ``records_sha256``, the SHA-256 of the config's canonical JSON and then of
-#: every byte of the CSV; 6 adds ``values_sha256``, the SHA-256 of the config's
-#: canonical JSON and then of every drawn value as a little-endian float64, in
-#: pulse order; 7 drops the detector's raw-unit ``lo_photons_per_pulse`` from
-#: the config, and both digests start from the canonical JSON of
-#: ``{"chunk_size": ..., "config": ...}``.  Sidecars of versions 1 to 4 carry
-#: neither digest, and those of version 5 no ``values_sha256``; the key those of
-#: versions 1 to 6 carry is dropped as they are read.
-FORMAT_VERSION = 7
-_READABLE_VERSIONS = (1, 2, 3, 4, 5, 6, 7)
-# the first version to carry each digest
-_DIGESTS = (("records_sha256", 5), ("values_sha256", 6))
-
-#: First line of every records CSV, and the ``format`` its sidecar names.
-HEADER = "index,lo_phase_rad,value"
 
 #: Pulses per variance block when a caller or a scenario names none.
 DEFAULT_BLOCK_SIZE = 2500
@@ -206,63 +183,6 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        return schema.from_dict(cls, data)
-
-
-@dataclass(frozen=True)
-class Sidecar:
-    """JSON metadata written next to a records CSV: enough to regenerate it, and the
-    digests that bind the CSV to it, from version 5 of its bytes and from version 6
-    of its values ("" before)."""
-
-    format_version: int
-    format: str
-    n_pulses: int
-    chunk_size: int
-    records_sha256: str
-    values_sha256: str
-    config: RunConfig
-
-    def __post_init__(self) -> None:
-        check_fields(self)
-        if self.format_version not in _READABLE_VERSIONS:
-            raise FieldError(
-                "format_version",
-                f"expected one of {_READABLE_VERSIONS}, got {self.format_version}",
-            )
-        if self.format != HEADER:  # every version has written the CSV's header here
-            raise FieldError("format", f"expected {HEADER!r}, got {self.format!r}")
-        if self.chunk_size < 1:  # no run draws from chunks of fewer pulses
-            raise FieldError("chunk_size", f"must be >= 1, got {self.chunk_size}")
-        if self.n_pulses != self.config.schedule.n_pulses:  # so never below 0
-            raise FieldError(
-                "n_pulses", f"must equal config.schedule.n_pulses = "
-                f"{self.config.schedule.n_pulses}, got {self.n_pulses}"
-            )
-        for name, since in _DIGESTS:
-            digest = getattr(self, name)
-            if self.format_version < since and digest:
-                raise FieldError(name, f"version {self.format_version} carries no digest, "
-                                 f"got {digest!r}")
-            if self.format_version >= since and not re.fullmatch("[0-9a-f]{64}", digest):
-                raise FieldError(name, f"expected 64 lowercase hex digits, got {digest!r}")
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Sidecar":
-        # sidecars written before the field existed follow contract 1, those
-        # before a digest's version carry none, and those before 7 carry the
-        # detector's lo_photons_per_pulse, dropped from a copy: the caller's
-        # stored config keeps it, as their digests took it
-        if isinstance(data, dict):
-            data = {"format_version": 1, **data}
-            for name, since in _DIGESTS:
-                if data["format_version"] in _READABLE_VERSIONS[: since - 1]:
-                    data = {name: "", **data}
-            config = data.get("config")
-            detector = config.get("detector") if isinstance(config, dict) else None
-            if data["format_version"] in _READABLE_VERSIONS[:6] and isinstance(detector, dict):
-                detector = {k: v for k, v in detector.items() if k != "lo_photons_per_pulse"}
-                data = {**data, "config": {**config, "detector": detector}}
         return schema.from_dict(cls, data)
 
 
@@ -733,27 +653,7 @@ def write_records(
     path that already ends in ``.json`` raises ValueError.
     """
     from . import records  # compiled on first use, not by every run that imports simulate
-
-    sidecar = _sidecar_path(csv_path)
-    sha = records.config_hash(FORMAT_VERSION, chunk_size, config.to_dict())
-    values_sha = sha.copy()
-    drawn = _drawn(config, chunk_size)
-
-    def texts():
-        yield (HEADER + "\n").encode()
-        for start, values in drawn:
-            values_sha.update(values.astype("<f8", copy=False))
-            phases = config.schedule.values(start, start + len(values))
-            yield from records.format_rows(start, phases, values)
-
-    with open(csv_path, "wb") as fh:
-        for text in texts():
-            sha.update(text)
-            fh.write(text)
-    meta = Sidecar(FORMAT_VERSION, HEADER, len(config.schedule), chunk_size,
-                   sha.hexdigest(), values_sha.hexdigest(), config)
-    sidecar.write_text(json.dumps(schema.to_dict(meta), indent=2) + "\n")
-    return Path(csv_path)
+    return records.write(config, csv_path, chunk_size)
 
 
 def read_records(csv_path: str | Path) -> PulseTrain:
@@ -780,14 +680,7 @@ def read_records(csv_path: str | Path) -> PulseTrain:
     return PulseTrain(phase, value)
 
 
-def _sidecar_path(csv_path: str | Path) -> Path:
-    """A records CSV's sidecar, its path with suffix ``.json``, refused if that is its own."""
-    sidecar = Path(csv_path).with_suffix(".json")
-    if sidecar == Path(csv_path):
-        raise ValueError(f"records path {csv_path} is its sidecar's path: use another suffix")
-    return sidecar
-
-
 def read_metadata(csv_path: str | Path) -> dict:
     """Load the JSON sidecar belonging to a records CSV; a repeated key raises ValueError."""
-    return json.loads(_sidecar_path(csv_path).read_text(), object_pairs_hook=schema.unique_keys)
+    from . import records  # compiled on first use, not by every run that imports simulate
+    return records.metadata(csv_path)

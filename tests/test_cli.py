@@ -18,7 +18,8 @@ from cvpulse.cli import (
     EXIT_OK,
     main,
 )
-from cvpulse.simulate import FORMAT_VERSION, block_variance_trace, read_records
+from cvpulse.records import FORMAT_VERSION
+from cvpulse.simulate import block_variance_trace, read_records
 
 REFERENCE_EFFICIENCY = 0.93 * 0.88**2 * 0.945
 
@@ -508,6 +509,11 @@ def _byte_ff_on_line_3(out):
     path.write_bytes(b"".join(lines))
 
 
+def _sidecar_byte_ff(out):
+    path = out / "pulses.json"
+    path.write_bytes(path.read_bytes().replace(b'"index,', b'"\xffndex,', 1))
+
+
 def _sidecar_schedule_phi_end(phase):
     def spoil(out):
         meta = json.loads((out / "pulses.json").read_text())
@@ -712,6 +718,9 @@ BAD_INPUTS = [
                  "pulses.csv line 2: non-numeric field", id="underscore in a number"),
     pytest.param(_simulated(_byte_ff_on_line_3), EXIT_INVALID_INPUT,
                  "pulses.csv line 3: byte 0xff is not UTF-8 text", id="byte not UTF-8"),
+    pytest.param(_simulated(_sidecar_byte_ff), EXIT_INVALID_INPUT,
+                 "pulses.json: not UTF-8 text (byte 0xff at offset 38)",
+                 id="sidecar byte not UTF-8"),
     pytest.param(_simulated(_emptied), EXIT_INVALID_INPUT,
                  "pulses.csv line 1: expected header 'index,lo_phase_rad,value', got ''",
                  id="empty records file"),
@@ -1022,6 +1031,26 @@ def test_console_script_entry_point(tmp_path):
     )
     assert result.returncode == EXIT_OK
     assert json.loads(result.stdout)["points"] == 4
+
+
+def test_a_sidecar_is_read_as_utf8_whatever_the_locale(tmp_path):
+    """Under the C locale with UTF-8 mode off, a sidecar whose format holds an 'é' is
+    refused by its format, as under a UTF-8 locale, not by the locale's ASCII codec."""
+    assert main(["simulate", "--pulses", "10000", "--out", str(tmp_path)]) == EXIT_OK
+    sidecar = tmp_path / "pulses.json"
+    sidecar.write_bytes(sidecar.read_bytes().replace(b'"index,', '"indéx,'.encode(), 1))
+    env = {**os.environ, "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C", "PYTHONUTF8": "0"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    result = subprocess.run(
+        [sys.executable, "-m", "cvpulse.cli", "analyze", str(tmp_path / "pulses.csv"),
+         "--out", str(tmp_path)],
+        capture_output=True, env=env,
+    )
+    assert result.returncode == EXIT_INVALID_INPUT, result.stderr
+    assert (b"pulses.json: invalid format: expected 'index,lo_phase_rad,value', got 'ind"
+            in result.stderr), result.stderr
 
 
 def _imports(tmp_path, module, *commands):

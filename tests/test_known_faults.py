@@ -20,7 +20,8 @@ from cvpulse.analysis import end_to_end_report, report_from_levels
 from cvpulse.cli import EXIT_INVALID_INPUT, EXIT_OK, main
 from cvpulse.gaussian import SourceSpec
 from cvpulse.scenario import reference_scenario
-from cvpulse.simulate import DEFAULT_ELECTRONIC_NOISE_VAR, _fringe, _squeezed_level
+from cvpulse.simulate import DEFAULT_ELECTRONIC_NOISE_VAR, _fringe, _squeezed_level, _stream_scans
+import reference_pulls
 
 REFERENCE = reference_scenario().config
 REFERENCE_DUAN_SIMON = 1.12  # 2 (v - k) of the reference source, symmetric_mixed(1.50, 0.94)
@@ -105,10 +106,7 @@ def test_a_locked_lo_phase_is_refused_before_any_record_is_read(tmp_path, capsys
 def test_duan_simon_pulls_are_standard_normal():
     """Over 300 seeds at 10^5 pulses per scan, (DS - 1.12) / duan_simon_stderr has a
     mean within 0.2 of 0 and a standard deviation in [0.85, 1.15]."""
-    pulls = []
-    for seed in range(300):
-        report = end_to_end_report(replace(REFERENCE, seed=seed), 100_000)
-        pulls.append((report.duan_simon - REFERENCE_DUAN_SIMON) / report.duan_simon_stderr)
+    pulls, _ = reference_pulls.pulls(_stream_scans)  # drawn once, shared with test_surrogate
     mean, sd = float(np.mean(pulls)), float(np.std(pulls, ddof=1))
     assert abs(mean) < 0.2 and 0.85 <= sd <= 1.15, f"pull mean {mean:.3f}, sd {sd:.3f}"
 

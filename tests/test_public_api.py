@@ -190,3 +190,26 @@ def test_the_package_and_demos_parse_as_its_oldest_python():
     version = (int(floor[1]), int(floor[2]))
     for path in SOURCES + sorted((ROOT / "demos").glob("*.py")):
         ast.parse(path.read_text(), str(path), feature_version=version)
+
+
+FORMAT_NAMES = {"HEADER", "FORMAT_VERSION", "_READABLE_VERSIONS", "_DIGESTS", "Sidecar",
+                "config_hash"}
+
+
+def test_the_record_format_has_one_owner():
+    """The header, the format versions, the sidecar and the digests' config prefix are
+    each defined at module level in ``records.py`` and in no other module, so a change
+    to the format edits one file."""
+    owners = {}
+    for path in SOURCES:
+        for node in _tree(path).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            for name in FORMAT_NAMES.intersection(names):
+                owners.setdefault(name, []).append(path.name)
+    assert owners == {name: ["records.py"] for name in FORMAT_NAMES}

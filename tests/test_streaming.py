@@ -21,12 +21,11 @@ from cvpulse.cli import EXIT_INVALID_INPUT, main
 from cvpulse.gaussian import SourceSpec
 from cvpulse.scenario import reference_scenario
 from cvpulse.schema import from_dict, to_dict
+from cvpulse.records import FORMAT_VERSION, Sidecar
 from cvpulse.simulate import (
-    FORMAT_VERSION,
     DetectorModel,
     PhaseSchedule,
     RunConfig,
-    Sidecar,
     block_variance_trace,
     detected_covariance,
     read_metadata,

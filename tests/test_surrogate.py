@@ -5,36 +5,12 @@ from dataclasses import replace
 
 import numpy as np
 
-import cvpulse.analysis as analysis
-from cvpulse.analysis import end_to_end_report
 from cvpulse.scenario import reference_scenario
 from cvpulse.simulate import DEFAULT_BLOCK_SIZE, PhaseSchedule, _stream_scans
+import reference_pulls
 import surrogate
 
 REFERENCE = reference_scenario().config
-REFERENCE_DUAN_SIMON = 1.12  # 2 (v - k) of the reference source, symmetric_mixed(1.50, 0.94)
-
-
-def _recording(stream_scans, drawn):
-    """``stream_scans``, also filing each (config, block variances) in ``drawn``."""
-
-    def record(configs, block_size, *args):
-        variances = stream_scans(configs, block_size, *args)
-        drawn.extend(zip(configs, variances))
-        return variances
-
-    return record
-
-
-def _pulls(monkeypatch, stream_scans, drawn):
-    """(DS - 1.12) / duan_simon_stderr over seeds 0-299 at 10^5 pulses per scan, as the
-    fault ledger's item 2 row takes them, with ``stream_scans`` as the scan loop."""
-    monkeypatch.setattr(analysis, "_stream_scans", _recording(stream_scans, drawn))
-    pulls = []
-    for seed in range(300):
-        report = end_to_end_report(replace(REFERENCE, seed=seed), 100_000)
-        pulls.append((report.duan_simon - REFERENCE_DUAN_SIMON) / report.duan_simon_stderr)
-    return np.array(pulls)
 
 
 def _normalized(drawn, blocked_arm):
@@ -70,7 +46,7 @@ def _scans(pulses, seeds):
             for seed in seeds for arm, offset in (("none", 0), ("b", 10**6))]
 
 
-def test_the_surrogate_draws_the_block_variances_and_pulls_of_the_real_sampler(monkeypatch):
+def test_the_surrogate_draws_the_block_variances_and_pulls_of_the_real_sampler():
     """At 10^5 pulses per scan (the 300 reports of the ledger's pull row, 12,000 blocks
     of each kind) and at 10^6 (5 seeds, 2,000 blocks of each kind), the ramp scan's and
     the blocked scan's s^2 / mu have the real sampler's mean, and its variance over the
@@ -79,9 +55,8 @@ def test_the_surrogate_draws_the_block_variances_and_pulls_of_the_real_sampler(m
     it averages 1.0045 (at most 1.0092) on the 10^5 ramp, 1.000045 on the 10^6 ramp and
     1 on a blocked arm, so it is held below 1.005.  The Duan-Simon pulls of the two
     samplers over seeds 0-299 agree in mean and in sd within 3 SE."""
-    drawn_real, drawn_fake = [], []
-    real = _pulls(monkeypatch, _stream_scans, drawn_real)
-    fake = _pulls(monkeypatch, surrogate.stream_scans, drawn_fake)
+    real, drawn_real = reference_pulls.pulls(_stream_scans)  # shared with the ledger's row
+    fake, drawn_fake = reference_pulls.pulls(surrogate.stream_scans)
     se_mean = math.hypot(real.std(ddof=1), fake.std(ddof=1)) / math.sqrt(len(real))
     assert abs(real.mean() - fake.mean()) <= 3.0 * se_mean, (real.mean(), fake.mean())
     se_sd = math.hypot(real.std(ddof=1), fake.std(ddof=1)) / math.sqrt(2 * (len(real) - 1))
